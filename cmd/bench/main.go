@@ -9,9 +9,11 @@
 // command exists so CI can archive the numbers without scraping test output.
 //
 // With -against BASELINE.json the command additionally acts as a regression
-// gate: after measuring, it compares fresh ns/op to the baseline's and exits
-// 1 on a regression. FitRefit gates at -maxregress (a fraction; 0.25 allows
-// +25%); PredictPool and AddTarget are much shorter-running and therefore
+// gate: it reads the baseline before measuring, compares fresh ns/op to the
+// baseline's and exits 1 on a regression. -o and -against must name
+// different files, or the run would overwrite its own baseline. FitRefit
+// gates at -maxregress (a fraction; 0.25 allows +25%); PredictPool and
+// AddTarget are much shorter-running and therefore
 // noisier on shared CI hosts, so they gate at the wider -maxregress-micro.
 // Benchmarks present in only one report are informational.
 //
@@ -69,20 +71,33 @@ func run(name string, fn func(*testing.B)) Result {
 	}
 }
 
+// loadBaseline reads and parses the -against report. It runs before
+// anything is measured or written, and refuses an -o naming the same file:
+// writing first and gating second would compare a run against itself.
+func loadBaseline(path, out string) (Report, error) {
+	// A baseline that exists and is the file -o names would be overwritten.
+	if bi, err := os.Stat(path); err == nil {
+		if oi, err := os.Stat(out); err == nil && os.SameFile(bi, oi) {
+			return Report{}, fmt.Errorf("-o %s and -against %s are the same file; the run would overwrite its baseline", out, path)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Report{}, fmt.Errorf("reading baseline: %w", err)
+	}
+	var base Report
+	if err := json.Unmarshal(data, &base); err != nil {
+		return Report{}, fmt.Errorf("parsing baseline %s: %w", path, err)
+	}
+	return base, nil
+}
+
 // gate compares the fresh measurements against a baseline report and returns
 // an error when a gated benchmark regressed beyond its allowed fraction.
 // FitRefit is long-running and gates tightly (maxRegress); PredictPool and
 // AddTarget are microsecond-scale and gate at the wider maxMicro. Scale-suite
 // entries and benchmarks missing from either report are informational.
-func gate(fresh Report, baselinePath string, maxRegress, maxMicro float64) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-	}
+func gate(fresh, base Report, maxRegress, maxMicro float64) error {
 	if base.GOMAXPROCS != 0 && base.GOMAXPROCS != fresh.GOMAXPROCS {
 		fmt.Printf("gate: note: GOMAXPROCS differs (baseline %d, fresh %d); ratios may reflect the host, not the code\n",
 			base.GOMAXPROCS, fresh.GOMAXPROCS)
@@ -139,6 +154,14 @@ func main() {
 		}
 	}
 	gpbench.Workers = *workers
+	var baseline Report
+	if *against != "" {
+		var err error
+		if baseline, err = loadBaseline(*against, *out); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	rep := Report{
 		GoVersion:  runtime.Version(),
@@ -203,7 +226,7 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 
 	if *against != "" {
-		if err := gate(rep, *against, *maxRegress, *maxMicro); err != nil {
+		if err := gate(rep, baseline, *maxRegress, *maxMicro); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 			os.Exit(1)
 		}

@@ -35,13 +35,19 @@ robust.LoadCampaignCheckpoint, (*robust.CampaignCheckpoint).Complete,
 (*robust.CampaignCheckpoint).StartCell, (*robust.CampaignCheckpoint).Park,
 (*robust.CampaignCheckpoint).Unpark, (*robust.CampaignCheckpoint).Lease,
 (*robust.CampaignCheckpoint).ReleaseLease,
-(*robust.CampaignCheckpoint).AddPartialObservation;
+(*robust.CampaignCheckpoint).AddPartialObservation,
+robust.WriteFileAtomic, robust.RemoveCampaignCheckpoint;
 (*robust.Breaker).Acquire, (*robust.Breaker).AwaitRecovery.
 
 The lease-ledger trio joins the list with the distributed-campaign
 coordinator: a dropped Lease error hides an epoch regression (the zombie
 defence), and a dropped AddPartialObservation error silently forfeits
 streamed progress the next re-grant was meant to replay.
+
+The file helpers join with the observation journal: a dropped
+WriteFileAtomic error is a state file silently never written, and a dropped
+RemoveCampaignCheckpoint error leaves a job's checkpoint or journal behind
+that the next garbage collection believes gone.
 
 gp.SelectInducing joins with the sparse surrogate: its error is the only
 signal that the inducing-point selection was handed an empty point set, an
@@ -78,6 +84,8 @@ var must = map[string]map[string]bool{
 		"CampaignCheckpoint.Lease":                 true,
 		"CampaignCheckpoint.ReleaseLease":          true,
 		"CampaignCheckpoint.AddPartialObservation": true,
+		"WriteFileAtomic":                          true,
+		"RemoveCampaignCheckpoint":                 true,
 		"Breaker.Acquire":                          true,
 		"Breaker.AwaitRecovery":                    true,
 	},

@@ -34,6 +34,20 @@ func goodLease(ck *robust.CampaignCheckpoint) error {
 	return ck.AddPartialObservation("u", robust.Observation{})
 }
 
+func badFiles() {
+	robust.WriteFileAtomic("x", nil)           // want `robust.WriteFileAtomic discards its error`
+	defer robust.RemoveCampaignCheckpoint("x") // want `defer robust.RemoveCampaignCheckpoint discards its error`
+	_ = robust.RemoveCampaignCheckpoint("x")   // want `robust.RemoveCampaignCheckpoint assigns its error to _`
+	_ = robust.JournalPath("x")                // no error result and not curated: fine.
+}
+
+func goodFiles() error {
+	if err := robust.WriteFileAtomic("x", nil); err != nil {
+		return err
+	}
+	return robust.RemoveCampaignCheckpoint("x")
+}
+
 func good(a *mat.Matrix, c *mat.Cholesky, ck *robust.Checkpoint) error {
 	f, err := mat.NewCholesky(a)
 	if err != nil {

@@ -23,3 +23,9 @@ func (c *CampaignCheckpoint) ReleaseLease(key string) error { return nil }
 func (c *CampaignCheckpoint) AddPartialObservation(key string, obs Observation) error { return nil }
 
 func (c *CampaignCheckpoint) LeaseHolder(key string) string { return "" }
+
+func WriteFileAtomic(path string, data []byte) error { return nil }
+
+func RemoveCampaignCheckpoint(path string) error { return nil }
+
+func JournalPath(path string) string { return path }

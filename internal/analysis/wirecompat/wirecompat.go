@@ -36,8 +36,10 @@ import (
 var DefaultRoots = map[string][]string{
 	// Msg is the worker protocol; BeaconState is the fail-over liveness
 	// file a standby of a *different build* may read.
-	"ppatuner/internal/shard":  {"Msg", "BeaconState"},
-	"ppatuner/internal/robust": {"checkpointFile", "campaignFile", "jobsFile"},
+	"ppatuner/internal/shard": {"Msg", "BeaconState"},
+	// The campaign checkpoint's observation journal (header line, then
+	// one record per line) is read back by future runs like the base file.
+	"ppatuner/internal/robust": {"checkpointFile", "campaignFile", "jobsFile", "journalHeader", "journalRecord"},
 	// The job server's HTTP API: request/response documents plus the SSE
 	// event framing. Deployed clients hold the other end of these schemas.
 	"ppatuner/internal/serve": {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -72,24 +71,41 @@ type LeaseRecord struct {
 // which is exactly what makes a distributed, fault-ridden, failed-over
 // run's final checkpoint byte-identical to a single-process fault-free one.
 //
-// Every mutation persists via write-to-temp + atomic rename, so a kill
-// mid-write never corrupts the file. All methods are safe for concurrent
-// use by parallel campaign workers. Version-2 files (no lease ledger) and
-// version-3 files (no generation) load transparently and are migrated to
-// v4 on the next save.
+// Every mutation persists before it returns, and a kill at any point never
+// corrupts the state. Observations (AddPartialObservation and the WrapCell
+// write-through) append one line to the observation journal beside the file
+// (see journal.go); every other mutation compacts, rewriting the whole file
+// via write-to-temp + atomic rename and removing the journal — so a
+// completed or retired campaign is one file in exactly the v4 format. All
+// methods are safe for concurrent use by parallel campaign workers.
+// Version-2 files (no lease ledger) and version-3 files (no generation)
+// load transparently and are migrated to v4 on the next compaction.
 type CampaignCheckpoint struct {
-	mu       sync.Mutex
-	path     string
-	cells    map[string]CampaignCell
-	partial  map[string]*partialState
-	parked   map[string]bool
-	leases   map[string]LeaseRecord
+	mu      sync.Mutex
+	path    string
+	cells   map[string]CampaignCell
+	partial map[string]*partialState
+	parked  map[string]bool
+	leases  map[string]LeaseRecord
 	// generation is the fencing token this handle writes under. Zero means
 	// the handle never adopted (single-process campaigns, serve jobs) and
 	// saves are unfenced, preserving pre-v4 behaviour.
 	generation uint64
 	replayed   int
 	fresh      int
+
+	// base is the digest of the base file on disk that this handle's state
+	// extends by journal appends alone; empty makes the next observation
+	// compact instead (nothing written yet, or a load found a journal this
+	// handle must not append after).
+	base string
+	// journal is the open observation journal, nil until the first append
+	// after a compaction.
+	journal *os.File
+	// pin keeps the base file an adopted handle last wrote open, so the
+	// per-append fence check is a stat comparison (ownsBase) instead of a
+	// re-read of the file.
+	pin *os.File
 }
 
 // partialState is the in-memory mid-run record of one unit.
@@ -98,6 +114,29 @@ type partialState struct {
 	values    map[int][]float64
 	randState []byte
 	iters     int
+}
+
+// observe records QoR y for pool index i unless i is already recorded,
+// reporting whether it was new. Arrival order is kept: it is the replay
+// order a resumed unit sees.
+func (p *partialState) observe(i int, y []float64) bool {
+	if _, dup := p.values[i]; dup {
+		return false
+	}
+	p.order = append(p.order, i)
+	p.values[i] = y
+	return true
+}
+
+// partialLocked returns key's partial state, creating an empty one (no RNG
+// state recorded) on first use; callers hold c.mu.
+func (c *CampaignCheckpoint) partialLocked(key string) *partialState {
+	p, ok := c.partial[key]
+	if !ok {
+		p = &partialState{values: map[int][]float64{}}
+		c.partial[key] = p
+	}
+	return p
 }
 
 // campaignPartial is the on-disk form of partialState.
@@ -178,9 +217,30 @@ func LoadCampaignCheckpoint(path string) (*CampaignCheckpoint, error) {
 	return c, nil
 }
 
-// restoreLocked replaces the in-memory state with the parsed file contents.
-// Callers hold c.mu (or own the checkpoint exclusively, as in load).
+// restoreLocked replaces the in-memory state with the base file contents
+// plus the journal records that extend them. Callers hold c.mu (or own the
+// checkpoint exclusively, as in load).
 func (c *CampaignCheckpoint) restoreLocked(data []byte) error {
+	if err := c.restoreBaseLocked(data); err != nil {
+		return err
+	}
+	digest := baseDigest(data)
+	replayed, err := c.replayJournalLocked(digest)
+	if err != nil {
+		return err
+	}
+	// Appending after a replayed journal could follow a torn tail, so the
+	// first observation compacts; with no live journal the base is a fine
+	// foundation for a fresh one.
+	c.base = ""
+	if !replayed {
+		c.base = digest
+	}
+	return nil
+}
+
+// restoreBaseLocked replaces the in-memory state with the parsed base file.
+func (c *CampaignCheckpoint) restoreBaseLocked(data []byte) error {
 	var f campaignFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("robust: parse campaign checkpoint %s: %w", c.path, err)
@@ -205,11 +265,7 @@ func (c *CampaignCheckpoint) restoreLocked(data []byte) error {
 			if err := ValidateVector(r.QoR, 0); err != nil {
 				return fmt.Errorf("robust: campaign checkpoint %s, cell %q, entry %d: %v", c.path, key, r.Index, err)
 			}
-			if _, dup := ps.values[r.Index]; dup {
-				continue
-			}
-			ps.order = append(ps.order, r.Index)
-			ps.values[r.Index] = r.QoR
+			ps.observe(r.Index, r.QoR)
 		}
 		c.partial[key] = ps
 	}
@@ -223,9 +279,10 @@ func (c *CampaignCheckpoint) restoreLocked(data []byte) error {
 }
 
 // Adopt claims the checkpoint for a new coordinator run: under the file
-// lock it re-reads the state on disk (a standby promoting long after its
-// boot-time load must not resurrect a stale view), bumps the persisted
-// generation past everything ever recorded, and arms fencing on this
+// lock it re-reads the state on disk, base and journal (a standby promoting
+// long after its boot-time load must not resurrect a stale view), bumps the
+// persisted generation past everything ever recorded, compacts, and arms
+// fencing on this
 // handle — from here on, every mutating save verifies that no higher
 // generation has appeared on disk and fails with ErrFenced if one has.
 // It returns the adopted generation. On an in-memory checkpoint Adopt
@@ -254,7 +311,7 @@ func (c *CampaignCheckpoint) Adopt() (uint64, error) {
 		}
 	}
 	c.generation++
-	if err := c.writeLocked(); err != nil {
+	if err := c.compactLocked(); err != nil {
 		return 0, err
 	}
 	return c.generation, nil
@@ -288,11 +345,11 @@ func (c *CampaignCheckpoint) Retire() error {
 		return fmt.Errorf("robust: retire campaign checkpoint: %w", err)
 	}
 	defer unlock()
-	if err := c.checkFence(); err != nil {
+	if err := c.fenceLocked(); err != nil {
 		return err
 	}
 	c.generation = 0
-	return c.writeLocked()
+	return c.compactLocked()
 }
 
 // diskGeneration reads the generation currently recorded on disk (zero for
@@ -312,6 +369,16 @@ func (c *CampaignCheckpoint) diskGeneration() (uint64, error) {
 		return 0, fmt.Errorf("robust: parse campaign checkpoint generation: %w", err)
 	}
 	return f.Generation, nil
+}
+
+// fenceLocked is checkFence with a fast path: a base file that is still the
+// one this handle wrote cannot carry anyone else's generation. Callers hold
+// c.mu and the file lock.
+func (c *CampaignCheckpoint) fenceLocked() error {
+	if c.ownsBase() {
+		return nil
+	}
+	return c.checkFence()
 }
 
 // checkFence fails with ErrFenced when the generation on disk has moved
@@ -427,9 +494,10 @@ func (c *CampaignCheckpoint) LeaseRecords() map[string]LeaseRecord {
 }
 
 // AddPartialObservation merges one streamed observation into a unit's
-// partial state and persists: the distributed-campaign counterpart of the
-// write-through in WrapCell. Invalid vectors are rejected (never cached);
-// duplicates by index are ignored without charging iters. Observations are
+// partial state and appends it to the journal: the distributed-campaign
+// counterpart of the write-through in WrapCell. Invalid vectors are
+// rejected (never cached); duplicates by index, and observations for
+// completed cells, are ignored without charging iters. Observations are
 // epoch-agnostic on purpose — even a stale lease's evaluations are paid-for
 // truth (the evaluator is deterministic per unit), so merging them
 // guarantees each reclaim round makes progress.
@@ -439,19 +507,16 @@ func (c *CampaignCheckpoint) AddPartialObservation(key string, obs Observation) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.partial[key]
-	if !ok {
-		p = &partialState{values: map[int][]float64{}}
-		c.partial[key] = p
-	}
-	if _, dup := p.values[obs.Index]; dup {
+	if _, done := c.cells[key]; done {
 		return nil
 	}
-	p.order = append(p.order, obs.Index)
-	p.values[obs.Index] = append([]float64(nil), obs.QoR...)
+	p := c.partialLocked(key)
+	if !p.observe(obs.Index, append([]float64(nil), obs.QoR...)) {
+		return nil
+	}
 	p.iters++
 	c.fresh++
-	return c.saveLocked()
+	return c.appendLocked(key, obs.Index, obs.QoR, p.iters)
 }
 
 // PartialObservations returns a unit's recorded observations in arrival
@@ -511,7 +576,7 @@ func (c *CampaignCheckpoint) Stats() (replayed, fresh int) {
 
 // WrapCell returns an evaluator that answers cell-local observations from
 // the checkpoint when it can and writes through (observation + iteration
-// count, atomically persisted) when it must invoke eval. Like
+// count, appended to the journal) when it must invoke eval. Like
 // Checkpoint.Wrap, compose it inside any fault-tolerance middleware and
 // never cache invalid vectors: garbage QoR is passed up for the resilience
 // layer to reject so the corruption cannot replay on resume.
@@ -537,50 +602,77 @@ func (c *CampaignCheckpoint) WrapCell(key string, eval core.Evaluator) core.Eval
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.fresh++
-		p, ok := c.partial[key]
-		if !ok {
-			p = &partialState{values: map[int][]float64{}}
-			c.partial[key] = p
-		}
-		if _, dup := p.values[i]; !dup {
-			p.order = append(p.order, i)
-			p.values[i] = append([]float64(nil), y...)
-		}
+		p := c.partialLocked(key)
+		p.observe(i, append([]float64(nil), y...))
 		p.iters++
-		if err := c.saveLocked(); err != nil {
+		if err := c.appendLocked(key, i, y, p.iters); err != nil {
 			return nil, err
 		}
 		return y, nil
 	}
 }
 
-// saveLocked persists the campaign file; callers hold c.mu. An adopted
+// saveLocked compacts the campaign file; callers hold c.mu. An adopted
 // handle (generation > 0) verifies the fence first, under the file lock so
 // the generation check and the rename are atomic against a concurrent
 // Adopt: a deposed coordinator's mutation is rejected with ErrFenced and
-// the file is left exactly as the new owner wrote it.
+// the files are left exactly as the new owner wrote them.
 func (c *CampaignCheckpoint) saveLocked() error {
 	if c.path == "" {
 		return nil
 	}
 	if c.generation == 0 {
-		return c.writeLocked()
+		return c.compactLocked()
 	}
 	unlock, err := lockFile(c.path)
 	if err != nil {
 		return fmt.Errorf("robust: write campaign checkpoint: %w", err)
 	}
 	defer unlock()
-	if err := c.checkFence(); err != nil {
+	if err := c.fenceLocked(); err != nil {
 		return err
 	}
-	return c.writeLocked()
+	return c.compactLocked()
 }
 
-// writeLocked marshals and atomically renames the campaign file without
-// consulting the fence; callers hold c.mu. Maps are flattened over sorted
-// keys so the bytes on disk are deterministic.
-func (c *CampaignCheckpoint) writeLocked() error {
+// compactLocked writes the whole state as the base file (atomic rename) and
+// removes the observation journal, whose records the new base now holds,
+// without consulting the fence; callers hold c.mu. A crash between the
+// rename and the removal leaves a journal naming the old base, which loads
+// ignore.
+func (c *CampaignCheckpoint) compactLocked() error {
+	data, err := c.encodeLocked()
+	if err != nil {
+		return err
+	}
+	c.closeJournal()
+	c.base = ""
+	if c.pin != nil {
+		_ = c.pin.Close()
+		c.pin = nil
+	}
+	if err := WriteFileAtomic(c.path, data); err != nil {
+		return fmt.Errorf("robust: write campaign checkpoint: %w", err)
+	}
+	if err := os.Remove(JournalPath(c.path)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("robust: remove campaign journal: %w", err)
+	}
+	if c.generation > 0 {
+		// Under the file lock nobody else can have renamed over the base
+		// since our own rename.
+		pin, err := os.Open(c.path)
+		if err != nil {
+			return fmt.Errorf("robust: write campaign checkpoint: %w", err)
+		}
+		c.pin = pin
+	}
+	c.base = baseDigest(data)
+	return nil
+}
+
+// encodeLocked renders the state as base file bytes; callers hold c.mu.
+// Maps are flattened over sorted keys so the bytes are deterministic.
+func (c *CampaignCheckpoint) encodeLocked() ([]byte, error) {
 	f := campaignFile{
 		Version: campaignCheckpointVersion,
 		Kind:    campaignKind,
@@ -613,26 +705,9 @@ func (c *CampaignCheckpoint) writeLocked() error {
 	f.Generation = c.generation
 	data, err := json.MarshalIndent(&f, "", " ")
 	if err != nil {
-		return fmt.Errorf("robust: encode campaign checkpoint: %w", err)
+		return nil, fmt.Errorf("robust: encode campaign checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("robust: write campaign checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("robust: write campaign checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("robust: write campaign checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("robust: write campaign checkpoint: %w", err)
-	}
-	return nil
+	return data, nil
 }
 
 // sortedKeys returns the map's keys in sorted order (deterministic file

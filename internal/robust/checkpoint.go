@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"ppatuner/internal/core"
@@ -203,21 +202,7 @@ func (c *Checkpoint) saveLocked() error {
 	if err != nil {
 		return fmt.Errorf("robust: encode checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("robust: write checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("robust: write checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("robust: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(c.path, data); err != nil {
 		return fmt.Errorf("robust: write checkpoint: %w", err)
 	}
 	return nil

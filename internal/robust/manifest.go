@@ -300,21 +300,7 @@ func (m *JobManifest) saveLocked() error {
 	if err != nil {
 		return fmt.Errorf("robust: encode job manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(m.path), filepath.Base(m.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("robust: write job manifest: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("robust: write job manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("robust: write job manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), m.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(m.path, data); err != nil {
 		return fmt.Errorf("robust: write job manifest: %w", err)
 	}
 	return nil

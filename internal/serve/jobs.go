@@ -70,7 +70,11 @@ func (j *job) cancelFunc() context.CancelFunc {
 
 // checkpointName is the per-job campaign checkpoint file, relative to the
 // state directory.
-func checkpointName(id string) string { return "job-" + id + ".ckpt.json" }
+func checkpointName(id string) string { return "job-" + id + ckptSuffix }
+
+// ckptSuffix ends every job checkpoint's file name; the checkpoint's
+// sidecars extend it.
+const ckptSuffix = ".ckpt.json"
 
 // Submit validates, rate-limits, persists and enqueues one job. Errors
 // wrap errBadRequest, errRateLimited or errStopped for transport mapping.

@@ -3,12 +3,16 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
+
+	"ppatuner/internal/robust"
 )
 
 // CollectGarbage removes every terminal job (done, failed, cancelled)
 // that reached its terminal status at least Config.Retain ago, along with
-// its campaign checkpoint file, and sweeps orphaned checkpoint files a
+// its campaign checkpoint and the checkpoint's sidecars (observation
+// journal, lock file), and sweeps orphaned checkpoint files and sidecars a
 // previous interrupted collection left behind. Returns how many jobs were
 // collected. A zero/negative Retain disables collection entirely.
 //
@@ -21,13 +25,13 @@ func (s *Server) CollectGarbage() (int, error) {
 	if s.cfg.Retain <= 0 {
 		return 0, nil
 	}
-	// Checkpoint files are listed BEFORE the manifest snapshot. Submit
-	// persists a job's record before its checkpoint file ever exists, so a
-	// file in this list whose job is absent from the later snapshot can
-	// only be an orphan from an interrupted collection — never a job
-	// racing in. (A checkpoint created after this listing is simply not
-	// swept this round.)
-	files, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "job-*.ckpt.json"))
+	// Checkpoint files and their sidecars are listed BEFORE the manifest
+	// snapshot. Submit persists a job's record before its checkpoint file
+	// ever exists, so a file in this list whose job is absent from the
+	// later snapshot can only be an orphan from an interrupted collection —
+	// never a job racing in. (A file created after this listing is simply
+	// not swept this round.)
+	files, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "job-*"+ckptSuffix+"*"))
 	if err != nil {
 		return 0, err
 	}
@@ -48,7 +52,7 @@ func (s *Server) CollectGarbage() (int, error) {
 			return collected, err
 		}
 		if rec.Checkpoint != "" {
-			if err := os.Remove(filepath.Join(s.cfg.StateDir, rec.Checkpoint)); err != nil && !os.IsNotExist(err) {
+			if err := robust.RemoveCampaignCheckpoint(filepath.Join(s.cfg.StateDir, rec.Checkpoint)); err != nil {
 				return collected, err
 			}
 		}
@@ -61,11 +65,16 @@ func (s *Server) CollectGarbage() (int, error) {
 	}
 
 	for _, f := range files {
-		if referenced[filepath.Base(f)] {
+		// A sidecar (journal, lock, interrupted temp file) belongs to the
+		// checkpoint its name extends.
+		prefix, _, _ := strings.Cut(filepath.Base(f), ckptSuffix)
+		base := prefix + ckptSuffix
+		if referenced[base] {
 			continue
 		}
-		// Either just deleted above (second Remove is a no-op) or orphaned
-		// by an earlier interrupted collection.
+		// Either just deleted above (a second removal is a no-op) or
+		// orphaned by an earlier interrupted collection; the glob lists the
+		// base and each sidecar on its own.
 		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
 			return collected, err
 		}

@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ppatuner/internal/clock"
+	"ppatuner/internal/core"
 	"ppatuner/internal/eval"
 	"ppatuner/internal/robust"
 )
@@ -82,6 +84,86 @@ func TestRetentionCollectsExpiredJobsAndOrphans(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphaned checkpoint not swept: %v", err)
+	}
+}
+
+// TestRetentionCollectsCancelledJobJournal: a job cancelled mid-unit leaves
+// its checkpoint's observation journal behind; collection removes it with
+// the checkpoint, and the sweep takes sidecars orphaned without their base.
+func TestRetentionCollectsCancelledJobJournal(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	dir := t.TempDir()
+	held, proceed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var calls atomic.Int32
+	s := newTestServer(t, func(c *Config) {
+		c.StateDir = dir
+		c.Clock = fake
+		c.Retain = time.Hour
+	})
+	s.wrapUnit = func(u eval.Unit, ev core.Evaluator) core.Evaluator {
+		return func(i int) ([]float64, error) {
+			// Hold the third tool run until the cancel is in: the unit has
+			// journaled two observations and will journal this one.
+			if calls.Add(1) == 3 {
+				once.Do(func() { close(held) })
+				<-proceed
+			}
+			return ev(i)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sub, resp := postJob(t, ts, JobRequest{
+		Client: "alice", Scenario: "table2",
+		Spaces:  []string{"Area-Delay"},
+		Methods: []string{"DAC'19"},
+		Seeds:   "1",
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	<-held
+	if _, err := s.Cancel(sub.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(proceed)
+	waitStatus(t, ts, sub.ID, StatusCancelled)
+	ckpt := filepath.Join(dir, checkpointName(sub.ID))
+	if _, err := os.Stat(robust.JournalPath(ckpt)); err != nil {
+		t.Fatalf("cancelled mid-unit job left no journal: %v", err)
+	}
+
+	fake.Advance(2 * time.Hour)
+	if n, err := s.CollectGarbage(); err != nil || n != 1 {
+		t.Fatalf("CollectGarbage = (%d, %v), want (1, nil)", n, err)
+	}
+	for _, p := range []string{ckpt, robust.JournalPath(ckpt)} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s survived collection: %v", p, err)
+		}
+	}
+
+	// Sidecars whose base is gone — an interrupted removal or a killed
+	// write's temp file — are swept too.
+	orphans := []string{
+		robust.JournalPath(filepath.Join(dir, "job-998.ckpt.json")),
+		filepath.Join(dir, "job-998.ckpt.json.lock"),
+		filepath.Join(dir, "job-997.ckpt.json.tmp123"),
+	}
+	for _, p := range orphans {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := s.CollectGarbage(); err != nil || n != 0 {
+		t.Fatalf("orphan sweep = (%d, %v), want (0, nil)", n, err)
+	}
+	for _, p := range orphans {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("orphaned sidecar %s not swept: %v", p, err)
+		}
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"ppatuner/internal/clock"
+	"ppatuner/internal/robust"
 )
 
 // BeaconState is one liveness announcement: the announcing coordinator's
@@ -61,21 +61,7 @@ func (b *Beacon) Announce(gen uint64) error {
 		return fmt.Errorf("shard: encode beacon: %w", err)
 	}
 	data = append(data, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(b.path), filepath.Base(b.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("shard: write beacon: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("shard: write beacon: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("shard: write beacon: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), b.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := robust.WriteFileAtomic(b.path, data); err != nil {
 		return fmt.Errorf("shard: write beacon: %w", err)
 	}
 	return nil
