@@ -37,6 +37,10 @@ robust.LoadCampaignCheckpoint, (*robust.CampaignCheckpoint).Complete,
 (*robust.CampaignCheckpoint).ReleaseLease,
 (*robust.CampaignCheckpoint).AddPartialObservation,
 robust.WriteFileAtomic, robust.RemoveCampaignCheckpoint;
+robust.LoadJobManifest, (*robust.JobManifest).NextID,
+(*robust.JobManifest).Put, (*robust.JobManifest).SetStatus,
+(*robust.JobManifest).SetStatusAt, (*robust.JobManifest).SetGolden,
+(*robust.JobManifest).SetUnit, (*robust.JobManifest).Delete;
 (*robust.Breaker).Acquire, (*robust.Breaker).AwaitRecovery.
 
 The lease-ledger trio joins the list with the distributed-campaign
@@ -48,6 +52,10 @@ The file helpers join with the observation journal: a dropped
 WriteFileAtomic error is a state file silently never written, and a dropped
 RemoveCampaignCheckpoint error leaves a job's checkpoint or journal behind
 that the next garbage collection believes gone.
+
+The job-manifest mutators join with the manifest journal: a dropped error
+is a job transition a restarted server never sees, and after a failed
+append only the caller knows that the next mutation must compact.
 
 gp.SelectInducing joins with the sparse surrogate: its error is the only
 signal that the inducing-point selection was handed an empty point set, an
@@ -86,6 +94,14 @@ var must = map[string]map[string]bool{
 		"CampaignCheckpoint.AddPartialObservation": true,
 		"WriteFileAtomic":                          true,
 		"RemoveCampaignCheckpoint":                 true,
+		"LoadJobManifest":                          true,
+		"JobManifest.NextID":                       true,
+		"JobManifest.Put":                          true,
+		"JobManifest.SetStatus":                    true,
+		"JobManifest.SetStatusAt":                  true,
+		"JobManifest.SetGolden":                    true,
+		"JobManifest.SetUnit":                      true,
+		"JobManifest.Delete":                       true,
 		"Breaker.Acquire":                          true,
 		"Breaker.AwaitRecovery":                    true,
 	},

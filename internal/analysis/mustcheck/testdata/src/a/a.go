@@ -48,6 +48,25 @@ func goodFiles() error {
 	return robust.RemoveCampaignCheckpoint("x")
 }
 
+func badManifest(m *robust.JobManifest) {
+	robust.LoadJobManifest("x")                  // want `robust.LoadJobManifest discards its error`
+	id, _ := m.NextID()                          // want `robust.JobManifest.NextID assigns its error to _`
+	go m.Put(robust.JobRecord{})                 // want `go robust.JobManifest.Put discards its error`
+	defer m.SetUnit(id, "k", robust.JobRecord{}) // want `defer robust.JobManifest.SetUnit discards its error`
+	_, _ = m.Get(id)                             // no error result and not curated: fine.
+}
+
+func goodManifest(m *robust.JobManifest) error {
+	id, err := m.NextID()
+	if err != nil {
+		return err
+	}
+	if err := m.Put(robust.JobRecord{}); err != nil {
+		return err
+	}
+	return m.SetUnit(id, "k", robust.JobRecord{})
+}
+
 func good(a *mat.Matrix, c *mat.Cholesky, ck *robust.Checkpoint) error {
 	f, err := mat.NewCholesky(a)
 	if err != nil {

@@ -29,3 +29,17 @@ func WriteFileAtomic(path string, data []byte) error { return nil }
 func RemoveCampaignCheckpoint(path string) error { return nil }
 
 func JournalPath(path string) string { return path }
+
+type JobRecord struct{}
+
+type JobManifest struct{}
+
+func LoadJobManifest(path string) (*JobManifest, error) { return nil, nil }
+
+func (m *JobManifest) NextID() (string, error) { return "", nil }
+
+func (m *JobManifest) Put(r JobRecord) error { return nil }
+
+func (m *JobManifest) SetUnit(id, key string, u JobRecord) error { return nil }
+
+func (m *JobManifest) Get(id string) (JobRecord, bool) { return JobRecord{}, false }

@@ -37,9 +37,10 @@ var DefaultRoots = map[string][]string{
 	// Msg is the worker protocol; BeaconState is the fail-over liveness
 	// file a standby of a *different build* may read.
 	"ppatuner/internal/shard": {"Msg", "BeaconState"},
-	// The campaign checkpoint's observation journal (header line, then
-	// one record per line) is read back by future runs like the base file.
-	"ppatuner/internal/robust": {"checkpointFile", "campaignFile", "jobsFile", "journalHeader", "journalRecord"},
+	// The journals of the campaign checkpoint and the job manifest (header
+	// line, then one record per line) are read back by future runs like
+	// the base files.
+	"ppatuner/internal/robust": {"checkpointFile", "campaignFile", "jobsFile", "journalHeader", "journalRecord", "manifestRecord"},
 	// The job server's HTTP API: request/response documents plus the SSE
 	// event framing. Deployed clients hold the other end of these schemas.
 	"ppatuner/internal/serve": {

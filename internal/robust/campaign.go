@@ -94,14 +94,8 @@ type CampaignCheckpoint struct {
 	replayed   int
 	fresh      int
 
-	// base is the digest of the base file on disk that this handle's state
-	// extends by journal appends alone; empty makes the next observation
-	// compact instead (nothing written yet, or a load found a journal this
-	// handle must not append after).
-	base string
-	// journal is the open observation journal, nil until the first append
-	// after a compaction.
-	journal *os.File
+	// jnl is the observation journal beside the base file.
+	jnl journalLog
 	// pin keeps the base file an adopted handle last wrote open, so the
 	// per-append fence check is a stat comparison (ownsBase) instead of a
 	// re-read of the file.
@@ -191,6 +185,7 @@ func NewCampaignCheckpoint(path string) *CampaignCheckpoint {
 		partial: map[string]*partialState{},
 		parked:  map[string]bool{},
 		leases:  map[string]LeaseRecord{},
+		jnl:     journalLog{kind: journalKind, name: "campaign checkpoint"},
 	}
 }
 
@@ -224,19 +219,7 @@ func (c *CampaignCheckpoint) restoreLocked(data []byte) error {
 	if err := c.restoreBaseLocked(data); err != nil {
 		return err
 	}
-	digest := baseDigest(data)
-	replayed, err := c.replayJournalLocked(digest)
-	if err != nil {
-		return err
-	}
-	// Appending after a replayed journal could follow a torn tail, so the
-	// first observation compacts; with no live journal the base is a fine
-	// foundation for a fresh one.
-	c.base = ""
-	if !replayed {
-		c.base = digest
-	}
-	return nil
+	return c.jnl.load(c.path, data, c.replayRecord)
 }
 
 // restoreBaseLocked replaces the in-memory state with the parsed base file.
@@ -635,38 +618,31 @@ func (c *CampaignCheckpoint) saveLocked() error {
 	return c.compactLocked()
 }
 
-// compactLocked writes the whole state as the base file (atomic rename) and
-// removes the observation journal, whose records the new base now holds,
-// without consulting the fence; callers hold c.mu. A crash between the
-// rename and the removal leaves a journal naming the old base, which loads
-// ignore.
+// compactLocked writes the whole state as the base file and removes the
+// observation journal (journalLog.compact) without consulting the fence;
+// callers hold c.mu.
 func (c *CampaignCheckpoint) compactLocked() error {
 	data, err := c.encodeLocked()
 	if err != nil {
 		return err
 	}
-	c.closeJournal()
-	c.base = ""
 	if c.pin != nil {
 		_ = c.pin.Close()
 		c.pin = nil
 	}
-	if err := WriteFileAtomic(c.path, data); err != nil {
-		return fmt.Errorf("robust: write campaign checkpoint: %w", err)
-	}
-	if err := os.Remove(JournalPath(c.path)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("robust: remove campaign journal: %w", err)
+	if err := c.jnl.compact(c.path, data); err != nil {
+		return err
 	}
 	if c.generation > 0 {
 		// Under the file lock nobody else can have renamed over the base
-		// since our own rename.
+		// since our own rename. Without a pin, ownsBase fails and the next
+		// append re-checks the fence and compacts.
 		pin, err := os.Open(c.path)
 		if err != nil {
 			return fmt.Errorf("robust: write campaign checkpoint: %w", err)
 		}
 		c.pin = pin
 	}
-	c.base = baseDigest(data)
 	return nil
 }
 

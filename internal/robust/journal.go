@@ -10,36 +10,40 @@ import (
 	"os"
 )
 
-// A campaign checkpoint is a base file plus an append-only observation
-// journal beside it (JournalPath). The base holds the full campaign state in
-// the schema-v4 format; the journal holds the observations streamed in since
-// the base was last written, one JSON line each, behind a header line naming
-// the base they extend by digest:
+// Two stores keep their state as a base file plus an append-only journal
+// beside it (JournalPath): the campaign checkpoint and the job manifest
+// (manifest.go). The base holds the full state in the store's own format;
+// the journal holds the mutations made since the base was last written, one
+// JSON line each, behind a header line naming the base they extend by
+// digest. For a campaign checkpoint:
 //
 //	{"kind":"campaign-obs","version":1,"base":"<sha256 of the base bytes>"}
 //	{"key":"u","index":17,"qor":[0.4,1.2],"iters":3}
 //	...
 //
-// Observations — the per-tool-run mutation — append one line; every other
-// mutation compacts: the whole state is rewritten into the base through the
-// atomic-rename path and the journal is removed. A load reads the base, then
-// replays the journal if its header names exactly those base bytes.
+// Frequent mutations append one line; the rest compact: the whole state is
+// rewritten into the base through the atomic-rename path and the journal is
+// removed. A load reads the base, then replays the journal if its header
+// names exactly those base bytes. A campaign checkpoint appends its
+// observations — the per-tool-run mutation — and compacts on everything
+// else.
 //
-// Replay is idempotent: a record whose index the unit already holds adds
-// nothing, its iteration count only ever raises the unit's, and records for
-// completed units are skipped. A final line without its newline is a torn
-// append from a killed writer and is dropped; any other unparsable line is
-// a load error. A journal whose header names different base bytes (the base
-// was rewritten and the process died before removing the journal, or the
-// base was deleted) is stale and ignored.
+// Campaign replay is idempotent: a record whose index the unit already
+// holds adds nothing, its iteration count only ever raises the unit's, and
+// records for completed units are skipped. For both stores, a final line
+// without its newline is a torn append from a killed writer and is dropped;
+// any other unparsable line is a load error. A journal whose header names
+// different base bytes (the base was rewritten and the process died before
+// removing the journal, or the base was deleted) is stale and ignored.
 
 const (
 	journalKind    = "campaign-obs"
 	journalVersion = 1
 )
 
-// JournalPath returns the observation journal's path for the campaign
-// checkpoint at path.
+// JournalPath returns the journal's path for the base file at path: a
+// campaign checkpoint's observation journal or the job manifest's mutation
+// journal.
 func JournalPath(path string) string { return path + ".obs" }
 
 // journalHeader is the journal's first line: it binds the records that
@@ -66,6 +70,139 @@ func baseDigest(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// journalLog is the journal side of a base + journal store, shared by the
+// campaign checkpoint and the job manifest. Callers serialise access (the
+// owning store's mutex).
+type journalLog struct {
+	// kind is the header kind naming the store's record type.
+	kind string
+	// name is the store in error messages ("campaign checkpoint").
+	name string
+	// base is the digest of the base file on disk that the store's state
+	// extends by appends alone; empty makes the next mutation compact
+	// instead (nothing written yet, a load found a journal the store must
+	// not append after, or an append failed).
+	base string
+	// f is the open journal, nil until the first append after a compaction.
+	f *os.File
+}
+
+// load binds the log to the base bytes data just read from path and hands
+// apply every complete record of the journal bound to them, in order. A
+// journal that was replayed — even an empty one — leaves the log unbound,
+// since appending after a torn tail would glue a record to garbage: the
+// first mutation compacts. With no live journal the base is a fine
+// foundation for a fresh one.
+func (l *journalLog) load(path string, data []byte, apply func(line []byte) error) error {
+	l.close()
+	digest := baseDigest(data)
+	records, live, err := l.read(path, digest)
+	if err != nil {
+		return err
+	}
+	for n, line := range records {
+		if err := apply(line); err != nil {
+			return fmt.Errorf("robust: %s journal %s, record %d: %w", l.name, JournalPath(path), n+1, err)
+		}
+	}
+	l.base = digest
+	if live {
+		l.base = ""
+	}
+	return nil
+}
+
+// read returns the complete record lines of the journal beside path if its
+// header names the base digest; live is false for a missing, empty or stale
+// journal.
+func (l *journalLog) read(path, digest string) (records [][]byte, live bool, err error) {
+	data, err := os.ReadFile(JournalPath(path))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("robust: read %s journal: %w", l.name, err)
+	}
+	lines := bytes.Split(data, []byte("\n"))
+	// The element after the last newline is empty for a cleanly ended
+	// journal and a torn append otherwise; either way it is not a record.
+	lines = lines[:len(lines)-1]
+	if len(lines) == 0 {
+		return nil, false, nil
+	}
+	var h journalHeader
+	if err := json.Unmarshal(lines[0], &h); err != nil {
+		return nil, false, fmt.Errorf("robust: parse %s journal %s header: %w", l.name, JournalPath(path), err)
+	}
+	if h.Kind != l.kind || h.Version != journalVersion {
+		return nil, false, fmt.Errorf("robust: %s is not a version-%d %s journal (kind %q, version %d)", JournalPath(path), journalVersion, l.name, h.Kind, h.Version)
+	}
+	if h.Base != digest {
+		return nil, false, nil
+	}
+	return lines[1:], true, nil
+}
+
+// append journals one record the store has already applied to its state.
+// It is one write(2) of one line; the first append after a compaction
+// opens the journal once and writes the header with it. Callers check that
+// the log is bound (base non-empty) and compact instead when it is not.
+func (l *journalLog) append(path string, rec any) error {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("robust: encode %s journal record: %w", l.name, err)
+	}
+	line = append(line, '\n')
+	if l.f == nil {
+		hdr, err := json.Marshal(journalHeader{Kind: l.kind, Version: journalVersion, Base: l.base})
+		if err != nil {
+			return fmt.Errorf("robust: encode %s journal header: %w", l.name, err)
+		}
+		line = append(append(hdr, '\n'), line...)
+		// O_TRUNC: whatever is there belongs to another base (stale) — the
+		// live journal for this base is only ever written through l.f.
+		f, err := os.OpenFile(JournalPath(path), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o600)
+		if err != nil {
+			return fmt.Errorf("robust: open %s journal: %w", l.name, err)
+		}
+		l.f = f
+	}
+	if _, err := l.f.Write(line); err != nil {
+		// The journal may now end in a partial line: never append after it.
+		// Forgetting the base makes the next mutation compact, which rewrites
+		// the base with everything and removes the journal.
+		l.close()
+		l.base = ""
+		return fmt.Errorf("robust: append %s journal: %w", l.name, err)
+	}
+	return nil
+}
+
+// compact writes data as the base file at path (atomic rename) and removes
+// the journal, whose records data now holds, binding the log to the new
+// base. A crash between the rename and the removal leaves a journal naming
+// the old base, which loads ignore.
+func (l *journalLog) compact(path string, data []byte) error {
+	l.close()
+	l.base = ""
+	if err := WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("robust: write %s: %w", l.name, err)
+	}
+	if err := os.Remove(JournalPath(path)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("robust: remove %s journal: %w", l.name, err)
+	}
+	l.base = baseDigest(data)
+	return nil
+}
+
+// close drops the journal file descriptor.
+func (l *journalLog) close() {
+	if l.f != nil {
+		_ = l.f.Close()
+		l.f = nil
+	}
+}
+
 // RemoveCampaignCheckpoint deletes a campaign checkpoint together with its
 // sidecars: the observation journal and the fencing lock file. Sidecars go
 // first, so an interrupted removal leaves the base — which the caller
@@ -80,71 +217,42 @@ func RemoveCampaignCheckpoint(path string) error {
 	return nil
 }
 
-// replayJournalLocked applies the journal beside c.path to the state just
-// restored from the base bytes whose digest is base. It reports whether the
-// journal belonged to that base (and so was replayed, even if empty).
-// Callers hold c.mu or own the checkpoint exclusively.
-func (c *CampaignCheckpoint) replayJournalLocked(base string) (bool, error) {
-	data, err := os.ReadFile(JournalPath(c.path))
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
+// replayRecord applies one campaign journal line to the state just restored
+// from the base. Callers hold c.mu or own the checkpoint exclusively.
+func (c *CampaignCheckpoint) replayRecord(line []byte) error {
+	var r journalRecord
+	if err := json.Unmarshal(line, &r); err != nil {
+		return err
 	}
-	if err != nil {
-		return false, fmt.Errorf("robust: read campaign journal: %w", err)
+	if err := ValidateVector(r.QoR, 0); err != nil {
+		return fmt.Errorf("cell %q, entry %d: %v", r.Key, r.Index, err)
 	}
-	lines := bytes.Split(data, []byte("\n"))
-	// The element after the last newline is empty for a cleanly ended
-	// journal and a torn append otherwise; either way it is not a record.
-	lines = lines[:len(lines)-1]
-	if len(lines) == 0 {
-		return false, nil
+	if _, done := c.cells[r.Key]; done {
+		return nil
 	}
-	var h journalHeader
-	if err := json.Unmarshal(lines[0], &h); err != nil {
-		return false, fmt.Errorf("robust: parse campaign journal %s header: %w", JournalPath(c.path), err)
-	}
-	if h.Kind != journalKind || h.Version != journalVersion {
-		return false, fmt.Errorf("robust: %s is not a version-%d campaign journal (kind %q, version %d)", JournalPath(c.path), journalVersion, h.Kind, h.Version)
-	}
-	if h.Base != base {
-		return false, nil
-	}
-	for n, line := range lines[1:] {
-		var r journalRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return false, fmt.Errorf("robust: parse campaign journal %s, record %d: %w", JournalPath(c.path), n+1, err)
-		}
-		if err := ValidateVector(r.QoR, 0); err != nil {
-			return false, fmt.Errorf("robust: campaign journal %s, cell %q, entry %d: %v", JournalPath(c.path), r.Key, r.Index, err)
-		}
-		if _, done := c.cells[r.Key]; done {
-			continue
-		}
-		p := c.partialLocked(r.Key)
-		p.observe(r.Index, r.QoR)
-		p.iters = max(p.iters, r.Iters)
-	}
-	return true, nil
+	p := c.partialLocked(r.Key)
+	p.observe(r.Index, r.QoR)
+	p.iters = max(p.iters, r.Iters)
+	return nil
 }
 
 // appendLocked journals one observation the caller has already merged into
-// key's partial state; callers hold c.mu. It is one write(2) of one line.
-// A handle with no journal-able base on disk (nothing written yet, or a
-// journal of unknown provenance left by a load) compacts instead. An
-// adopted handle takes the file lock and proves the base on disk is still
-// the file it last wrote before appending; if it is not, the full fence
-// check decides between ErrFenced and a compaction.
+// key's partial state; callers hold c.mu. A handle with no journal-able base
+// on disk compacts instead. An adopted handle takes the file lock and
+// proves the base on disk is still the file it last wrote before appending;
+// if it is not, the full fence check decides between ErrFenced and a
+// compaction.
 func (c *CampaignCheckpoint) appendLocked(key string, index int, qor []float64, iters int) error {
 	if c.path == "" {
 		return nil
 	}
-	if c.base == "" {
+	if c.jnl.base == "" {
 		return c.saveLocked()
 	}
 	if c.generation > 0 {
 		unlock, err := lockFile(c.path)
 		if err != nil {
-			return fmt.Errorf("robust: append campaign journal: %w", err)
+			return fmt.Errorf("robust: append campaign checkpoint journal: %w", err)
 		}
 		defer unlock()
 		if !c.ownsBase() {
@@ -154,34 +262,7 @@ func (c *CampaignCheckpoint) appendLocked(key string, index int, qor []float64, 
 			return c.compactLocked()
 		}
 	}
-	line, err := json.Marshal(journalRecord{Key: key, Index: index, QoR: qor, Iters: iters})
-	if err != nil {
-		return fmt.Errorf("robust: encode campaign journal record: %w", err)
-	}
-	line = append(line, '\n')
-	if c.journal == nil {
-		hdr, err := json.Marshal(journalHeader{Kind: journalKind, Version: journalVersion, Base: c.base})
-		if err != nil {
-			return fmt.Errorf("robust: encode campaign journal header: %w", err)
-		}
-		line = append(append(hdr, '\n'), line...)
-		// O_TRUNC: whatever is there belongs to another base (stale) — the
-		// live journal for this base is only ever written through c.journal.
-		f, err := os.OpenFile(JournalPath(c.path), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o600)
-		if err != nil {
-			return fmt.Errorf("robust: open campaign journal: %w", err)
-		}
-		c.journal = f
-	}
-	if _, err := c.journal.Write(line); err != nil {
-		// The journal may now end in a partial line: never append after it.
-		// Forgetting the base makes the next mutation compact, which rewrites
-		// the base with everything and removes the journal.
-		c.closeJournal()
-		c.base = ""
-		return fmt.Errorf("robust: append campaign journal: %w", err)
-	}
-	return nil
+	return c.jnl.append(c.path, journalRecord{Key: key, Index: index, QoR: qor, Iters: iters})
 }
 
 // ownsBase reports whether the base file on disk is still the one this
@@ -198,12 +279,4 @@ func (c *CampaignCheckpoint) ownsBase() bool {
 	}
 	cur, err := os.Stat(c.path)
 	return err == nil && os.SameFile(pinned, cur)
-}
-
-// closeJournal drops the handle's journal file descriptor.
-func (c *CampaignCheckpoint) closeJournal() {
-	if c.journal != nil {
-		_ = c.journal.Close()
-		c.journal = nil
-	}
 }

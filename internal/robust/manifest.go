@@ -59,10 +59,32 @@ type jobsFile struct {
 	Jobs    map[string]JobRecord `json:"jobs,omitempty"`
 }
 
+// manifestRecord is one journaled job-manifest mutation (see journal.go).
+// Op names the mutation and the fields it carries:
+//
+//	next    Next: the ID high-water mark after NextID
+//	put     Job: the whole record (Put of a live job)
+//	status  ID, Status, Error, FinishedAtUnix (SetStatusAt to a live status)
+//	golden  ID, Golden
+//	unit    ID, Key, Unit: one unit, so a job's journal grows linearly
+type manifestRecord struct {
+	Op             string                 `json:"op"`
+	Next           int                    `json:"next,omitempty"`
+	Job            *JobRecord             `json:"job,omitempty"`
+	ID             string                 `json:"id,omitempty"`
+	Status         string                 `json:"status,omitempty"`
+	Error          string                 `json:"error,omitempty"`
+	FinishedAtUnix int64                  `json:"finished_at_unix,omitempty"`
+	Golden         map[string][][]float64 `json:"golden,omitempty"`
+	Key            string                 `json:"key,omitempty"`
+	Unit           *JobUnit               `json:"unit,omitempty"`
+}
+
 const (
 	jobsKind            = "jobs"
 	jobManifestVersion  = 1
 	jobManifestFileName = "jobs.json"
+	manifestJournalKind = "jobs-journal"
 )
 
 // JobManifestPath returns the manifest file path inside a server state
@@ -74,25 +96,40 @@ func JobManifestPath(stateDir string) string {
 // JobManifest is the crash-safe store of a tuning server's job table. It
 // sits alongside the per-job CampaignCheckpoint files: the manifest answers
 // "what jobs exist, who owns them, where did they get to", the checkpoints
-// answer "how do I resume this one bit-identically". Every mutation
-// persists via write-to-temp + atomic rename; all methods are safe for
-// concurrent use.
+// answer "how do I resume this one bit-identically". All methods are safe
+// for concurrent use.
+//
+// Every mutation persists before it returns, as a base file plus a journal
+// (journal.go). The mutations of a live job — NextID, Put of a live record,
+// SetStatus to a live status, SetGolden, SetUnit — append one line to the
+// journal beside the file. A job's terminal transition (SetStatus or Put
+// with done, failed or cancelled) and Delete compact: the whole table is
+// rewritten via write-to-temp + atomic rename and the journal removed. So
+// once every job is terminal the manifest is one file in exactly the v1
+// format.
 type JobManifest struct {
 	mu   sync.Mutex
 	path string
 	next int
 	jobs map[string]JobRecord
+	jnl  journalLog
 }
 
 // NewJobManifest builds an empty manifest persisting to path. An empty path
 // keeps it in memory only (tests).
 func NewJobManifest(path string) *JobManifest {
-	return &JobManifest{path: path, next: 1, jobs: map[string]JobRecord{}}
+	return &JobManifest{
+		path: path, next: 1, jobs: map[string]JobRecord{},
+		jnl: journalLog{kind: manifestJournalKind, name: "job manifest"},
+	}
 }
 
-// LoadJobManifest restores a manifest from path. A missing file yields an
-// empty manifest, so the same call serves first boot and restart. A file of
-// a different kind (a checkpoint sharing the directory) is rejected.
+// LoadJobManifest restores a manifest from path and the journal beside it.
+// A missing file yields an empty manifest, so the same call serves first
+// boot and restart. A file of a different kind (a checkpoint sharing the
+// directory) is rejected, and so is a table the manifest could never have
+// written: a record filed under a key other than its ID, or a next_id that
+// would re-mint an existing job's ID.
 func LoadJobManifest(path string) (*JobManifest, error) {
 	m := NewJobManifest(path)
 	if path == "" {
@@ -121,7 +158,50 @@ func LoadJobManifest(path string) (*JobManifest, error) {
 	for id, r := range f.Jobs {
 		m.jobs[id] = r
 	}
+	err = m.jnl.load(path, data, func(line []byte) error {
+		var r manifestRecord
+		if err := json.Unmarshal(line, &r); err != nil {
+			return err
+		}
+		return m.applyLocked(&r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := m.checkLocked(); err != nil {
+		return nil, fmt.Errorf("robust: job manifest %s: %w", path, err)
+	}
 	return m, nil
+}
+
+// checkLocked rejects a job table that would misdirect the server: a record
+// whose ID is not its key (every lookup by ID misses it, so the job never
+// leaves its status), and a high-water mark at or below a minted ID (NextID
+// would hand out that ID again and the submit's Put overwrite the job).
+func (m *JobManifest) checkLocked() error {
+	for _, key := range sortedKeys(m.jobs) {
+		if id := m.jobs[key].ID; id != key {
+			return fmt.Errorf("job %q records id %q", key, id)
+		}
+		if n, ok := mintedID(key); ok && n >= m.next {
+			return fmt.Errorf("next_id %d would re-mint job %s", m.next, key)
+		}
+	}
+	return nil
+}
+
+// mintedID parses an ID NextID could have minted ("j<N>", N >= 1, no
+// other spelling of N).
+func mintedID(id string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
+	return n, err == nil && n >= 1 && id == "j"+strconv.Itoa(n)
+}
+
+// terminalJobStatus reports whether a job in this status never runs again:
+// the serving layer's done, failed and cancelled. Mutations into one
+// compact the manifest.
+func terminalJobStatus(status string) bool {
+	return status == "done" || status == "failed" || status == "cancelled"
 }
 
 // NextID allocates the next job ID ("j1", "j2", ...) and persists the
@@ -131,8 +211,7 @@ func (m *JobManifest) NextID() (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	id := "j" + strconv.Itoa(m.next)
-	m.next++
-	if err := m.saveLocked(); err != nil {
+	if err := m.mutateLocked(&manifestRecord{Op: "next", Next: m.next + 1}, false); err != nil {
 		return "", err
 	}
 	return id, nil
@@ -140,13 +219,9 @@ func (m *JobManifest) NextID() (string, error) {
 
 // Put records (or replaces) a job and persists.
 func (m *JobManifest) Put(r JobRecord) error {
-	if r.ID == "" {
-		return fmt.Errorf("robust: job record has no ID")
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.jobs[r.ID] = cloneJob(r)
-	return m.saveLocked()
+	return m.mutateLocked(&manifestRecord{Op: "put", Job: &r}, terminalJobStatus(r.Status))
 }
 
 // Get returns a copy of one job record.
@@ -190,15 +265,8 @@ func (m *JobManifest) SetStatus(id, status, errMsg string) error {
 func (m *JobManifest) SetStatusAt(id, status, errMsg string, finishedAtUnix int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.jobs[id]
-	if !ok {
-		return fmt.Errorf("robust: job %q not in manifest", id)
-	}
-	r.Status = status
-	r.Error = errMsg
-	r.FinishedAtUnix = finishedAtUnix
-	m.jobs[id] = r
-	return m.saveLocked()
+	rec := manifestRecord{Op: "status", ID: id, Status: status, Error: errMsg, FinishedAtUnix: finishedAtUnix}
+	return m.mutateLocked(&rec, terminalJobStatus(status))
 }
 
 // SetGolden records the job's golden fronts (space name → front) and
@@ -207,13 +275,7 @@ func (m *JobManifest) SetStatusAt(id, status, errMsg string, finishedAtUnix int6
 func (m *JobManifest) SetGolden(id string, golden map[string][][]float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.jobs[id]
-	if !ok {
-		return fmt.Errorf("robust: job %q not in manifest", id)
-	}
-	r.Golden = cloneFronts(golden)
-	m.jobs[id] = r
-	return m.saveLocked()
+	return m.mutateLocked(&manifestRecord{Op: "golden", ID: id, Golden: golden}, false)
 }
 
 // SetUnit records one completed unit under its campaign unit key and
@@ -222,16 +284,7 @@ func (m *JobManifest) SetGolden(id string, golden map[string][][]float64) error 
 func (m *JobManifest) SetUnit(id, key string, u JobUnit) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.jobs[id]
-	if !ok {
-		return fmt.Errorf("robust: job %q not in manifest", id)
-	}
-	if r.Units == nil {
-		r.Units = map[string]JobUnit{}
-	}
-	r.Units[key] = u
-	m.jobs[id] = r
-	return m.saveLocked()
+	return m.mutateLocked(&manifestRecord{Op: "unit", ID: id, Key: key, Unit: &u}, false)
 }
 
 // Delete removes a job record entirely (cancellation of a queued job) and
@@ -243,7 +296,61 @@ func (m *JobManifest) Delete(id string) error {
 		return nil
 	}
 	delete(m.jobs, id)
-	return m.saveLocked()
+	return m.compactLocked()
+}
+
+// mutateLocked applies one mutation and persists it: appended to the
+// journal, or by compaction when compact is set or the journal has no base
+// to extend (always so in memory, where compaction is a no-op). Callers
+// hold m.mu.
+func (m *JobManifest) mutateLocked(r *manifestRecord, compact bool) error {
+	if err := m.applyLocked(r); err != nil {
+		return err
+	}
+	if compact || m.jnl.base == "" {
+		return m.compactLocked()
+	}
+	return m.jnl.append(m.path, r)
+}
+
+// applyLocked performs one mutation on the in-memory table. The mutators
+// and journal replay share it, so a replayed journal yields exactly the
+// state its writer held. Callers hold m.mu or own the manifest exclusively.
+func (m *JobManifest) applyLocked(r *manifestRecord) error {
+	switch r.Op {
+	case "next":
+		m.next = max(m.next, r.Next)
+		return nil
+	case "put":
+		if r.Job == nil || r.Job.ID == "" {
+			return fmt.Errorf("robust: job record has no ID")
+		}
+		m.jobs[r.Job.ID] = cloneJob(*r.Job)
+		return nil
+	case "status", "golden", "unit":
+	default:
+		return fmt.Errorf("robust: unknown job manifest mutation %q", r.Op)
+	}
+	job, ok := m.jobs[r.ID]
+	if !ok {
+		return fmt.Errorf("robust: job %q not in manifest", r.ID)
+	}
+	switch r.Op {
+	case "status":
+		job.Status, job.Error, job.FinishedAtUnix = r.Status, r.Error, r.FinishedAtUnix
+	case "golden":
+		job.Golden = cloneFronts(r.Golden)
+	case "unit":
+		if r.Unit == nil {
+			return fmt.Errorf("robust: job %q unit %q has no result", r.ID, r.Key)
+		}
+		if job.Units == nil {
+			job.Units = map[string]JobUnit{}
+		}
+		job.Units[r.Key] = *r.Unit
+	}
+	m.jobs[r.ID] = job
+	return nil
 }
 
 // jobIDLess orders "j<N>" IDs numerically, falling back to string order for
@@ -283,12 +390,22 @@ func cloneFronts(g map[string][][]float64) map[string][][]float64 {
 	return out
 }
 
-// saveLocked persists the manifest; callers hold m.mu. encoding/json sorts
-// map keys, so the bytes on disk are deterministic.
-func (m *JobManifest) saveLocked() error {
+// compactLocked writes the whole table as the base file and removes the
+// journal (journalLog.compact); callers hold m.mu.
+func (m *JobManifest) compactLocked() error {
 	if m.path == "" {
 		return nil
 	}
+	data, err := m.encodeLocked()
+	if err != nil {
+		return err
+	}
+	return m.jnl.compact(m.path, data)
+}
+
+// encodeLocked renders the table as base file bytes; callers hold m.mu.
+// encoding/json sorts map keys, so the bytes are deterministic.
+func (m *JobManifest) encodeLocked() ([]byte, error) {
 	f := jobsFile{Version: jobManifestVersion, Kind: jobsKind, NextID: m.next}
 	if len(m.jobs) > 0 {
 		f.Jobs = make(map[string]JobRecord, len(m.jobs))
@@ -298,10 +415,7 @@ func (m *JobManifest) saveLocked() error {
 	}
 	data, err := json.MarshalIndent(&f, "", " ")
 	if err != nil {
-		return fmt.Errorf("robust: encode job manifest: %w", err)
+		return nil, fmt.Errorf("robust: encode job manifest: %w", err)
 	}
-	if err := WriteFileAtomic(m.path, data); err != nil {
-		return fmt.Errorf("robust: write job manifest: %w", err)
-	}
-	return nil
+	return data, nil
 }

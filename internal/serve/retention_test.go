@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -205,10 +206,20 @@ func TestRetentionSparesLiveAndLegacyJobs(t *testing.T) {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
 	waitStatus(t, ts, sub.ID, StatusRunning)
+	// The live job's submit and start are in the manifest journal, which
+	// the checkpoint sweep must never take for an orphaned sidecar.
+	journal := robust.JournalPath(robust.JobManifestPath(dir))
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatalf("a live job left no manifest journal: %v", err)
+	}
 
 	fake.Advance(48 * time.Hour)
 	if n, err := s.CollectGarbage(); err != nil || n != 0 {
 		t.Fatalf("CollectGarbage = (%d, %v), want (0, nil): live and legacy jobs are not collectable", n, err)
+	}
+	if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("collection touched the manifest journal (%v)", err)
 	}
 	if _, ok := s.manifest.Get("j0"); !ok {
 		t.Fatal("legacy record without a finish stamp was collected")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"ppatuner/internal/eval"
 	"ppatuner/internal/param"
 	"ppatuner/internal/pdtool"
+	"ppatuner/internal/robust"
 )
 
 // miniResolve maps every scenario name to one cheap shared scenario, so
@@ -247,6 +249,32 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if units != 2 || statuses < 3 {
 		t.Fatalf("event history: %d unit, %d status events", units, statuses)
+	}
+}
+
+// TestManifestCompactsAtTerminalStatuses pins the job manifest's notion of
+// a finished job to TerminalStatus: a move into a terminal status compacts
+// the manifest, leaving no journal, and a move into any other appends.
+func TestManifestCompactsAtTerminalStatuses(t *testing.T) {
+	path := robust.JobManifestPath(t.TempDir())
+	m := robust.NewJobManifest(path)
+	id, err := m.NextID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(robust.JobRecord{ID: id, Status: StatusQueued, Spec: []byte(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, status := range []string{
+		StatusRunning, StatusParked, StatusDone, StatusQueued, StatusFailed, StatusRunning, StatusCancelled,
+	} {
+		if err := m.SetStatus(id, status, ""); err != nil {
+			t.Fatal(err)
+		}
+		_, err := os.Stat(robust.JournalPath(path))
+		if journaled := err == nil; journaled == TerminalStatus(status) {
+			t.Errorf("after a move to %s the manifest journal exists = %v", status, journaled)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,9 +13,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"ppatuner/internal/clock"
 	"ppatuner/internal/core"
 	"ppatuner/internal/eval"
+	"ppatuner/internal/robust"
 )
 
 // sseLines reads one SSE stream until an event of the wanted type arrives,
@@ -142,14 +146,22 @@ func TestGracefulShutdownDrainAndResume(t *testing.T) {
 	}
 
 	// Second process, same state dir: the parked job requeues and finishes.
+	// Start runs the requeued job at once, so the counter goes in first.
 	var phase2Evals atomic.Int64
-	s2 := newTestServer(t, func(c *Config) { c.StateDir = stateDir })
+	s2, err := New(Config{StateDir: stateDir, Resolve: miniResolve, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s2.wrapUnit = func(_ eval.Unit, ev core.Evaluator) core.Evaluator {
 		return func(i int) ([]float64, error) {
 			phase2Evals.Add(1)
 			return ev(i)
 		}
 	}
+	if err := s2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Shutdown)
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	waitStatus(t, ts2, sub.ID, StatusDone)
@@ -160,6 +172,118 @@ func TestGracefulShutdownDrainAndResume(t *testing.T) {
 	gotFront := frontBytes(t, ts2, sub.ID)
 	if string(gotFront) != string(wantFront) {
 		t.Errorf("resumed front differs from uninterrupted control:\n%s\nvs\n%s", gotFront, wantFront)
+	}
+}
+
+// copyDirT copies the regular files of src into dst.
+func copyDirT(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestKilledServerResumesFromManifestJournal is the SIGKILL proof in one
+// process. The state dir is copied while a job is mid-campaign, with its
+// submit, start, golden fronts and first unit in the manifest journal only:
+// exactly the files a killed daemon leaves. A server booted on the copy
+// finishes the job, and its front document, manifest and checkpoint are
+// byte-identical to an uninterrupted run's, with no journal left.
+func TestKilledServerResumesFromManifestJournal(t *testing.T) {
+	req := JobRequest{
+		Scenario: "table2", Spaces: []string{"Area-Delay"},
+		Methods: []string{"TCAD'19", "DAC'19"}, Seeds: "1",
+	}
+	// One frozen clock stamps both runs' finish times alike.
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	config := func(dir string) func(*Config) {
+		return func(c *Config) { c.StateDir, c.Clock = dir, fake }
+	}
+
+	controlDir := t.TempDir()
+	control := newTestServer(t, config(controlDir))
+	controlTS := httptest.NewServer(control.Handler())
+	defer controlTS.Close()
+	sub, _ := postJob(t, controlTS, req)
+	waitStatus(t, controlTS, sub.ID, StatusDone)
+	wantFront := frontBytes(t, controlTS, sub.ID)
+
+	// Hold the second unit's first tool run: units run one at a time, so
+	// the first unit's result is in the manifest by then.
+	dir := t.TempDir()
+	held, proceed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var mu sync.Mutex
+	var first *eval.Unit
+	s1 := newTestServer(t, config(dir))
+	s1.wrapUnit = func(u eval.Unit, ev core.Evaluator) core.Evaluator {
+		mu.Lock()
+		if first == nil {
+			first = &u
+		}
+		second := *first != u
+		mu.Unlock()
+		return func(i int) ([]float64, error) {
+			if second {
+				once.Do(func() {
+					close(held)
+					<-proceed
+				})
+			}
+			return ev(i)
+		}
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	defer ts1.Close()
+	if got, _ := postJob(t, ts1, req); got.ID != sub.ID {
+		t.Fatalf("job IDs diverge: %s vs %s", got.ID, sub.ID)
+	}
+	<-held
+	killed := t.TempDir()
+	copyDirT(t, dir, killed)
+	close(proceed)
+	manifest := robust.JobManifestPath(killed)
+	journal, err := os.ReadFile(robust.JournalPath(manifest))
+	if err != nil || !bytes.Contains(journal, []byte(`"op":"unit"`)) {
+		t.Fatalf("the killed server left no manifest journal with a unit (%v):\n%s", err, journal)
+	}
+	t.Logf("manifest journal at the kill: %d lines", bytes.Count(journal, []byte("\n")))
+
+	s2 := newTestServer(t, config(killed))
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	waitStatus(t, ts2, sub.ID, StatusDone)
+	if got := frontBytes(t, ts2, sub.ID); !bytes.Equal(got, wantFront) {
+		t.Errorf("resumed front differs from uninterrupted control:\n%s\nvs\n%s", got, wantFront)
+	}
+	for _, name := range []string{filepath.Base(manifest), checkpointName(sub.ID)} {
+		want, err := os.ReadFile(filepath.Join(controlDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(killed, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("resumed %s differs from the control's:\n%s\nvs\n%s", name, got, want)
+		}
+		if _, err := os.Stat(robust.JournalPath(filepath.Join(killed, name))); !os.IsNotExist(err) {
+			t.Errorf("%s journal left after the job finished: %v", name, err)
+		}
 	}
 }
 
