@@ -518,7 +518,7 @@ func (t *Tuner) decide() {
 	// x's optimistic corner. Each shard decides its own candidates against
 	// the pre-computed skyline and writes only status[i], so the parallel
 	// sweep reaches exactly the serial verdicts.
-	ndHi := t.skyline(alive, t.hi)
+	ndHi := skyline(alive, t.hi)
 	par.Do(t.opt.Workers, len(alive), func(from, to int) {
 		for _, i := range alive[from:to] {
 			if t.status[i] != Undecided {
@@ -540,7 +540,7 @@ func (t *Tuner) decide() {
 	// alive snapshot and skyline are fixed before the sweep, so shards only
 	// read shared state and write their own status entries.
 	alive = t.aliveIndices()
-	ndLo := t.skyline(alive, t.lo)
+	ndLo := skyline(alive, t.lo)
 	inNdLo := make(map[int]bool, len(ndLo))
 	for _, j := range ndLo {
 		inNdLo[j] = true
@@ -582,35 +582,40 @@ func (t *Tuner) decide() {
 }
 
 // skyline returns the indices (subset of idx) whose corner vectors are
-// non-dominated (minimal). It sorts by coordinate sum so each point only
-// needs testing against the skyline found so far.
-func (t *Tuner) skyline(idx []int, corner [][]float64) []int {
-	order := append([]int(nil), idx...)
-	sums := make(map[int]float64, len(order))
-	for _, i := range order {
+// non-dominated (minimal). It sorts by coordinate sum, ties broken by index,
+// so each point only needs testing against the skyline found so far. Each
+// sum is stored beside its index in the sorted slice, so the comparator
+// does no lookups.
+func skyline(idx []int, corner [][]float64) []int {
+	type keyed struct {
+		sum float64
+		i   int
+	}
+	order := make([]keyed, len(idx))
+	for k, i := range idx {
 		var s float64
 		for _, v := range corner[i] {
 			s += v
 		}
-		sums[i] = s
+		order[k] = keyed{s, i}
 	}
 	sort.Slice(order, func(a, b int) bool {
-		if sums[order[a]] != sums[order[b]] {
-			return sums[order[a]] < sums[order[b]]
+		if order[a].sum != order[b].sum {
+			return order[a].sum < order[b].sum
 		}
-		return order[a] < order[b]
+		return order[a].i < order[b].i
 	})
 	var nd []int
-	for _, i := range order {
+	for _, o := range order {
 		dominated := false
 		for _, j := range nd {
-			if weaklyDominates(corner[j], corner[i]) {
+			if weaklyDominates(corner[j], corner[o.i]) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			nd = append(nd, i)
+			nd = append(nd, o.i)
 		}
 	}
 	return nd
@@ -697,7 +702,7 @@ func (t *Tuner) selectBatch() []int {
 	alive := t.aliveIndices()
 	inFrontier := map[int]bool{}
 	if !t.opt.GlobalSelection {
-		for _, i := range t.skyline(alive, t.lo) {
+		for _, i := range skyline(alive, t.lo) {
 			inFrontier[i] = true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"ppatuner/internal/mat"
 	"ppatuner/internal/par"
+	"ppatuner/internal/simd"
 )
 
 // GP is an exact Gaussian-process regressor over one QoR metric, optionally
@@ -59,8 +60,8 @@ type GP struct {
 	// the pool cache size their backing arrays for it so a whole campaign of
 	// incremental adds appends without reallocating (ReserveAdds).
 	growth int
-	// workers bounds the goroutines used for pool-cache rebuilds
-	// (SetWorkers); <=1 keeps everything on the calling goroutine.
+	// workers bounds the goroutines used for pool-cache rebuilds and
+	// extensions (SetWorkers); <=1 keeps everything on the calling goroutine.
 	workers int
 }
 
@@ -75,8 +76,9 @@ func (g *GP) ReserveAdds(n int) {
 }
 
 // SetWorkers bounds the worker goroutines used when rebuilding the pool
-// cache. Results are applied per candidate, so any worker count produces
-// bit-identical caches; n <= 1 (the default) stays fully sequential.
+// cache and when AddTarget extends it. Results are applied per candidate,
+// so any worker count produces bit-identical caches; n <= 1 (the default)
+// stays fully sequential.
 func (g *GP) SetWorkers(n int) { g.workers = n }
 
 // New returns a GP over dim-dimensional inputs with the given covariance
@@ -359,20 +361,35 @@ func (g *GP) AddTarget(x []float64, y float64) error {
 	g.alpha = g.alpha[:n+1]
 	g.chol.SolveInto(g.alpha, g.yBuf)
 
-	// Extend the pool cache with one entry per candidate. AttachPool sized
-	// the per-candidate columns with ReserveAdds headroom, so these appends
-	// stay in place for a whole campaign.
+	// Extend the pool cache with one entry per candidate, sharded like
+	// rebuildPool and four candidates per pass over the new row of L.
+	// AttachPool sized the per-candidate columns with ReserveAdds headroom,
+	// so these appends stay in place for a whole campaign.
 	if g.pool != nil {
 		ln := g.chol.LRow(n)
-		for p, xp := range g.pool {
-			kp := g.cov.Eval(x, xp)
-			g.poolK[p] = append(g.poolK[p], kp)
-			vp := g.poolV[p]
-			v := kp - mat.Dot(ln[:n], vp)
-			g.poolV[p] = append(vp, v/ln[n])
-		}
+		par.Do(g.workers, len(g.pool), func(lo, hi int) {
+			p := lo
+			for ; p+4 <= hi; p += 4 {
+				d0, d1, d2, d3 := simd.DotUnroll4(ln[:n], g.poolV[p], g.poolV[p+1], g.poolV[p+2], g.poolV[p+3])
+				g.extendPool(p, x, ln, d0)
+				g.extendPool(p+1, x, ln, d1)
+				g.extendPool(p+2, x, ln, d2)
+				g.extendPool(p+3, x, ln, d3)
+			}
+			for ; p < hi; p++ {
+				g.extendPool(p, x, ln, mat.Dot(ln[:n], g.poolV[p]))
+			}
+		})
 	}
 	return nil
+}
+
+// extendPool appends training point x's entries to candidate p's cache,
+// given ln (the new row of L, diagonal last) and d = ln[:n]·poolV[p].
+func (g *GP) extendPool(p int, x, ln []float64, d float64) {
+	kp := g.cov.Eval(x, g.pool[p])
+	g.poolK[p] = append(g.poolK[p], kp)
+	g.poolV[p] = append(g.poolV[p], (kp-d)/ln[len(ln)-1])
 }
 
 // AttachPool installs the candidate pool (target-task points, normalised
@@ -393,11 +410,13 @@ func (g *GP) AttachPool(pool [][]float64) error {
 }
 
 // rebuildPool recomputes the per-candidate kernel columns and solve vectors.
-// Candidates are sharded across SetWorkers goroutines; every worker writes
-// only its own candidates' slots and the per-candidate arithmetic is
-// identical in any sharding, so the cache is bit-identical for any worker
-// count. Existing per-candidate buffers are reused when the training size
-// still fits (a refit at constant N allocates nothing).
+// Candidates are sharded across SetWorkers goroutines, and each shard solves
+// four candidates per pass over L (SolveLInto4, bit-identical to four
+// SolveLInto calls). Every worker writes only its own candidates' slots and
+// the per-candidate arithmetic is identical in any sharding or grouping, so
+// the cache is bit-identical for any worker count. Existing per-candidate
+// buffers are reused when the training size still fits (a refit at constant
+// N allocates nothing).
 func (g *GP) rebuildPool() {
 	n := g.N()
 	m := len(g.pool)
@@ -408,25 +427,40 @@ func (g *GP) rebuildPool() {
 	}
 	rho := g.Rho()
 	par.Do(g.workers, m, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			xp := g.pool[p]
-			col := g.poolK[p]
-			if cap(col) < n {
-				col = make([]float64, n, n+g.growth)
-			}
-			col = col[:n]
-			g.kvecInto(xp, col, rho)
-			g.poolK[p] = col
-			v := g.poolV[p]
-			if cap(v) < n {
-				v = make([]float64, n, n+g.growth)
-			}
-			v = v[:n]
-			g.chol.SolveLInto(v, col)
-			g.poolV[p] = v
-			g.poolKpp[p] = g.cov.Eval(xp, xp) + g.noiseT
+		p := lo
+		for ; p+4 <= hi; p += 4 {
+			g.fillPoolCol(p, n, rho)
+			g.fillPoolCol(p+1, n, rho)
+			g.fillPoolCol(p+2, n, rho)
+			g.fillPoolCol(p+3, n, rho)
+			v, k := g.poolV, g.poolK
+			g.chol.SolveLInto4(v[p], v[p+1], v[p+2], v[p+3], k[p], k[p+1], k[p+2], k[p+3])
+		}
+		for ; p < hi; p++ {
+			g.fillPoolCol(p, n, rho)
+			g.chol.SolveLInto(g.poolV[p], g.poolK[p])
 		}
 	})
+}
+
+// fillPoolCol sizes candidate p's cache slots for n training points, fills
+// its kernel column and prior variance, and leaves poolV[p] (length n) for
+// the caller's forward substitution.
+func (g *GP) fillPoolCol(p, n int, rho float64) {
+	xp := g.pool[p]
+	col := g.poolK[p]
+	if cap(col) < n {
+		col = make([]float64, n, n+g.growth)
+	}
+	col = col[:n]
+	g.kvecInto(xp, col, rho)
+	g.poolK[p] = col
+	v := g.poolV[p]
+	if cap(v) < n {
+		v = make([]float64, n, n+g.growth)
+	}
+	g.poolV[p] = v[:n]
+	g.poolKpp[p] = g.cov.Eval(xp, xp) + g.noiseT
 }
 
 // PredictPool returns the posterior mean and standard deviation (in raw

@@ -184,6 +184,82 @@ func TestGPPoolMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestExactDeterministic is the exact-GP twin of TestSparseDeterministic:
+// one Fit → AttachPool → AddTarget×k → Fit sequence must give bitwise-equal
+// PredictPool results at every step for any SetWorkers count. The pool
+// sizes cover every remainder mod 4, so shards end in every mix of
+// four-candidate batches and single candidates. At one worker each cached
+// prediction must also equal the uncached Predict bit for bit, which pins
+// the batched solves to the scalar forward substitution.
+func TestExactDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	xs, ys, xt, yt := transferSet(rng, 30, 12, 3)
+	adds, addY := make([][]float64, 9), make([]float64, 9)
+	for i := range adds {
+		adds[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		addY[i] = rng.NormFloat64()
+	}
+	for _, m := range []int{1, 4, 5, 203} {
+		pool := make([][]float64, m)
+		for i := range pool {
+			pool[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		}
+		run := func(workers int) []float64 {
+			g := New(Matern52, 3, true)
+			g.SetWorkers(workers)
+			g.ReserveAdds(len(adds))
+			if err := g.SetSource(xs, ys); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.SetTarget(xt, yt); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Fit(FitOptions{MaxEvals: 40}); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.AttachPool(pool); err != nil {
+				t.Fatal(err)
+			}
+			var out []float64
+			record := func(stage string) {
+				for p := range pool {
+					mu, sd := g.PredictPool(p)
+					out = append(out, mu, sd)
+					if workers != 1 {
+						continue
+					}
+					mq, sq := g.Predict(pool[p])
+					if math.Float64bits(mu) != math.Float64bits(mq) || math.Float64bits(sd) != math.Float64bits(sq) {
+						t.Fatalf("pool %d, %s, candidate %d: PredictPool (%v, %v), Predict (%v, %v)",
+							m, stage, p, mu, sd, mq, sq)
+					}
+				}
+			}
+			record("after AttachPool")
+			for i := range adds {
+				if err := g.AddTarget(adds[i], addY[i]); err != nil {
+					t.Fatal(err)
+				}
+				record("after AddTarget")
+			}
+			if err := g.Fit(FitOptions{MaxEvals: 40}); err != nil {
+				t.Fatal(err)
+			}
+			record("after refit")
+			return out
+		}
+		want := run(1)
+		for _, w := range []int{2, 7} {
+			got := run(w)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("pool %d, workers=%d: prediction %d differs bitwise: %v vs %v", m, w, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestTransferGPHelps: with very few target observations of a shifted copy
 // of the source function, the transfer GP must beat a target-only GP.
 func TestTransferGPHelps(t *testing.T) {

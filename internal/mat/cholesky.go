@@ -222,6 +222,31 @@ func (c *Cholesky) SolveLInto(x, b []float64) {
 	}
 }
 
+// SolveLInto4 solves L x_c = b_c for four right-hand sides at once, loading
+// each row of L once for all four instead of once per solve. Every x_c and
+// b_c must have length Size(), and each x_c may alias its own b_c. The
+// results equal four SolveLInto calls bit for bit (simd.DotUnroll4 is
+// DotUnroll exactly).
+//
+//ppalint:noalloc
+func (c *Cholesky) SolveLInto4(x0, x1, x2, x3, b0, b1, b2, b3 []float64) {
+	n := c.n
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n ||
+		len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
+		panic(fmt.Sprintf("mat: SolveLInto4 lengths %d/%d/%d/%d and %d/%d/%d/%d, want %d",
+			len(x0), len(x1), len(x2), len(x3), len(b0), len(b1), len(b2), len(b3), n))
+	}
+	for i := 0; i < n; i++ {
+		off := rowOff(i)
+		li := c.l[off : off+i+1]
+		d0, d1, d2, d3 := simd.DotUnroll4(li[:i], x0[:i], x1[:i], x2[:i], x3[:i])
+		x0[i] = (b0[i] - d0) / li[i]
+		x1[i] = (b1[i] - d1) / li[i]
+		x2[i] = (b2[i] - d2) / li[i]
+		x3[i] = (b3[i] - d3) / li[i]
+	}
+}
+
 // SolveL solves L x = b and returns a freshly allocated x.
 func (c *Cholesky) SolveL(b []float64) []float64 {
 	x := make([]float64, c.n)

@@ -245,6 +245,82 @@ func TestSolveIntoAliasing(t *testing.T) {
 	}
 }
 
+// TestSolveLInto4MatchesSolveLInto pins the four-column forward substitution
+// to four SolveLInto calls bit for bit, at sizes that cover every DotUnroll4
+// main-loop/tail split, both into separate outputs and with each x_c
+// aliasing its own b_c.
+func TestSolveLInto4MatchesSolveLInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 33, 70} {
+		ch, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		var bs, want, sep, alias [4][]float64
+		for c := range bs {
+			bs[c] = make([]float64, n)
+			for i := range bs[c] {
+				bs[c][i] = rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3)
+			}
+			want[c] = make([]float64, n)
+			ch.SolveLInto(want[c], bs[c])
+			sep[c] = make([]float64, n)
+			alias[c] = append([]float64(nil), bs[c]...)
+		}
+		ch.SolveLInto4(sep[0], sep[1], sep[2], sep[3], bs[0], bs[1], bs[2], bs[3])
+		ch.SolveLInto4(alias[0], alias[1], alias[2], alias[3], alias[0], alias[1], alias[2], alias[3])
+		for c := range bs {
+			for i := 0; i < n; i++ {
+				w := math.Float64bits(want[c][i])
+				if math.Float64bits(sep[c][i]) != w {
+					t.Fatalf("n=%d col=%d row=%d: SolveLInto4 %g, SolveLInto %g", n, c, i, sep[c][i], want[c][i])
+				}
+				if math.Float64bits(alias[c][i]) != w {
+					t.Fatalf("n=%d col=%d row=%d: aliased SolveLInto4 %g, SolveLInto %g", n, c, i, alias[c][i], want[c][i])
+				}
+			}
+		}
+	}
+}
+
+// TestSolveLInto4NoAlloc backs the //ppalint:noalloc annotation.
+func TestSolveLInto4NoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const n = 37
+	ch, err := NewCholesky(randomSPD(rng, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x [4][]float64
+	for c := range x {
+		x[c] = make([]float64, n)
+		for i := range x[c] {
+			x[c][i] = rng.NormFloat64()
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		ch.SolveLInto4(x[0], x[1], x[2], x[3], x[0], x[1], x[2], x[3])
+	}); allocs != 0 {
+		t.Fatalf("SolveLInto4 allocates %v times per call", allocs)
+	}
+}
+
+// TestSolveLInto4LengthPanics: a right-hand side of the wrong length is
+// rejected before any row is solved.
+func TestSolveLInto4LengthPanics(t *testing.T) {
+	ch, err := NewCholesky(randomSPD(rand.New(rand.NewSource(15)), 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, short := make([]float64, 5), make([]float64, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SolveLInto4 with a short right-hand side did not panic")
+		}
+	}()
+	ch.SolveLInto4(ok, ok, ok, ok, ok, ok, short, ok)
+}
+
 func BenchmarkFactorizePacked200(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	a := randomSPD(rng, 200)

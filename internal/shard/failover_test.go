@@ -424,10 +424,10 @@ func TestStandbyTakeoverCampaignIdentity(t *testing.T) {
 func miniCampaign2(t *testing.T, ck *robust.CampaignCheckpoint) *eval.Campaign {
 	t.Helper()
 	return &eval.Campaign{
-		Scenario: miniScenario(t),
-		Seeds:    []int64{1, 2},
-		Spaces:   eval.Spaces()[:1],
-		Methods:  []eval.Method{eval.DAC19, eval.PPATuner},
+		Scenario:   miniScenario(t),
+		Seeds:      []int64{1, 2},
+		Spaces:     eval.Spaces()[:1],
+		Methods:    []eval.Method{eval.DAC19, eval.PPATuner},
 		Checkpoint: ck,
 	}
 }

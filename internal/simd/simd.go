@@ -7,6 +7,13 @@
 // operation order per element, but SIMD results may differ from scalar ones
 // in the last few ulps (FMA contraction, vectorised exp) — callers get
 // deterministic results within one process, not across architectures.
+//
+// DotUnroll4 is the exception: its four results equal four DotUnroll calls
+// bit for bit on every path, so the exact GP's pool cache can batch its
+// forward substitutions without moving a single table or front. It stays
+// at 4 lanes with a separate multiply and add: FMA would drop the product's
+// rounding, and an 8-lane AVX-512 accumulator would change which products
+// share a partial sum.
 package simd
 
 import "math"
@@ -22,21 +29,55 @@ func Enabled512() bool { return useAVX512 }
 
 // DotUnroll is a four-accumulator scalar dot product. Splitting the sum
 // across independent accumulators breaks the add-latency chain so the CPU
-// keeps several multiply-adds in flight even without SIMD.
+// keeps several multiply-adds in flight even without SIMD. The explicit
+// float64 conversions round each product before it is added; the Go spec
+// forbids fusing such an operation into an FMA, so every build runs the
+// mul-then-add sequence that DotUnroll4's assembly reproduces.
 func DotUnroll(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	k := 0
 	for ; k+4 <= len(a); k += 4 {
-		s0 += a[k] * b[k]
-		s1 += a[k+1] * b[k+1]
-		s2 += a[k+2] * b[k+2]
-		s3 += a[k+3] * b[k+3]
+		s0 += float64(a[k] * b[k])
+		s1 += float64(a[k+1] * b[k+1])
+		s2 += float64(a[k+2] * b[k+2])
+		s3 += float64(a[k+3] * b[k+3])
 	}
 	var s float64
 	for ; k < len(a); k++ {
-		s += a[k] * b[k]
+		s += float64(a[k] * b[k])
 	}
 	return s + s0 + s1 + s2 + s3
+}
+
+// DotUnroll4 returns DotUnroll(a, b0) … DotUnroll(a, b3), bit for bit, in
+// one pass that shares the a loads across the four columns. Each b_c must
+// be at least as long as a. On amd64 with AVX2 the stride-4 lane sums of
+// all four columns run in assembly, one YMM register per column; the tail
+// and the final s + s0 + s1 + s2 + s3 are finished here in DotUnroll's
+// order.
+//
+//ppalint:noalloc
+func DotUnroll4(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
+	n := len(a)
+	if len(b0) < n || len(b1) < n || len(b2) < n || len(b3) < n {
+		panic("simd: DotUnroll4 column shorter than a")
+	}
+	if !useAsm || n < 4 {
+		return DotUnroll(a, b0), DotUnroll(a, b1), DotUnroll(a, b2), DotUnroll(a, b3)
+	}
+	q := n &^ 3
+	var l [16]float64
+	dotUnroll4Asm(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], q, &l)
+	var t0, t1, t2, t3 float64
+	for k := q; k < n; k++ {
+		ak := a[k]
+		t0 += float64(ak * b0[k])
+		t1 += float64(ak * b1[k])
+		t2 += float64(ak * b2[k])
+		t3 += float64(ak * b3[k])
+	}
+	return t0 + l[0] + l[1] + l[2] + l[3], t1 + l[4] + l[5] + l[6] + l[7],
+		t2 + l[8] + l[9] + l[10] + l[11], t3 + l[12] + l[13] + l[14] + l[15]
 }
 
 // Dot4 computes the four dot products p[:n]·q0[:n] … p[:n]·q3[:n] in one

@@ -9,6 +9,14 @@ import "math"
 // from each pointer.
 func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64)
 
+// dotUnroll4Asm is the AVX2 kernel in simd_amd64.s behind DotUnroll4. For
+// n a multiple of 4 it writes DotUnroll's four stride-4 lane sums s0..s3 of
+// a·b_c into lanes[4c:4c+4], each lane a VMULPD then VADDPD per step (never
+// FMA), so the sums are the scalar loop's to the bit.
+//
+//go:noescape
+func dotUnroll4Asm(a, b0, b1, b2, b3 *float64, n int, lanes *[16]float64)
+
 // matern52Asm transforms n (a multiple of 4) scaled squared distances in
 // place into Matérn-5/2 covariances; see Matern52FromR2. It reads its
 // constants from maternTab.

@@ -118,6 +118,80 @@ reduce:
 	VZEROUPPER
 	RET
 
+// func dotUnroll4Asm(a, b0, b1, b2, b3 *float64, n int, lanes *[16]float64)
+//
+// DotUnroll's four stride-4 lane sums for four columns at once, n a
+// multiple of 4. Column c keeps its lanes s0..s3 in Y(c) and each step adds
+// the rounded products a[k:k+4]·b_c[k:k+4] with a separate VMULPD and
+// VADDPD: the exact per-lane operation sequence of the scalar loop, so the
+// sums match it bit for bit. FMA (one rounding instead of two) or 8-wide
+// accumulators (a different association) would not, which is why this
+// kernel has neither. k is unrolled by 8 to amortise the pointer bumps;
+// the four add chains set the pace.
+TEXT ·dotUnroll4Asm(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), SI
+	MOVQ b0+8(FP), R8
+	MOVQ b1+16(FP), R9
+	MOVQ b2+24(FP), R10
+	MOVQ b3+32(FP), R11
+	MOVQ n+40(FP), CX
+	MOVQ lanes+48(FP), DI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   du4quad
+
+du4loop8:
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	VMULPD  (R8), Y8, Y4
+	VMULPD  (R9), Y8, Y5
+	VMULPD  (R10), Y8, Y6
+	VMULPD  (R11), Y8, Y7
+	VADDPD  Y0, Y4, Y0
+	VADDPD  Y1, Y5, Y1
+	VADDPD  Y2, Y6, Y2
+	VADDPD  Y3, Y7, Y3
+	VMULPD  32(R8), Y9, Y4
+	VMULPD  32(R9), Y9, Y5
+	VMULPD  32(R10), Y9, Y6
+	VMULPD  32(R11), Y9, Y7
+	VADDPD  Y0, Y4, Y0
+	VADDPD  Y1, Y5, Y1
+	VADDPD  Y2, Y6, Y2
+	VADDPD  Y3, Y7, Y3
+	ADDQ $64, SI
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	DECQ DX
+	JNZ  du4loop8
+
+du4quad:
+	TESTQ $4, CX
+	JZ    du4store
+	VMOVUPD (SI), Y8
+	VMULPD  (R8), Y8, Y4
+	VMULPD  (R9), Y8, Y5
+	VMULPD  (R10), Y8, Y6
+	VMULPD  (R11), Y8, Y7
+	VADDPD  Y0, Y4, Y0
+	VADDPD  Y1, Y5, Y1
+	VADDPD  Y2, Y6, Y2
+	VADDPD  Y3, Y7, Y3
+
+du4store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

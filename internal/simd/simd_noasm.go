@@ -14,6 +14,10 @@ func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64) {
 	panic("simd: dot4Asm called without assembly support")
 }
 
+func dotUnroll4Asm(a, b0, b1, b2, b3 *float64, n int, lanes *[16]float64) {
+	panic("simd: dotUnroll4Asm called without assembly support")
+}
+
 func matern52Asm(v *float64, n int, vr float64) {
 	panic("simd: matern52Asm called without assembly support")
 }

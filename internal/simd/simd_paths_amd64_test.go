@@ -18,6 +18,7 @@ func TestKernelsAcrossPaths(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			useAsm, useAVX512 = asm, avx512
 			testDot4EdgeLengths(t)
+			testDotUnroll4Bitwise(t)
 			testMatern52FromR2EdgeLengths(t)
 			testMatern52ARDMatchesScalar(t)
 			testAxpyEdgeLengths(t)

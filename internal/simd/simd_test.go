@@ -226,6 +226,122 @@ func testAxpyEdgeLengths(t *testing.T) {
 	}
 }
 
+// wildFloat draws the operands of the bit-identity tests: magnitudes from
+// about 1e-15 to 1e15 of either sign, mixed with signed zeros and
+// subnormals, so rounding, cancellation and gradual underflow all occur.
+func wildFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(10) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		// A subnormal: zero exponent field, random mantissa and sign.
+		return math.Float64frombits(rng.Uint64() & (1<<63 | 1<<52 - 1))
+	default:
+		return rng.NormFloat64() * math.Pow(10, 30*rng.Float64()-15)
+	}
+}
+
+// TestDotUnroll4Bitwise pins DotUnroll4 to four DotUnroll calls bit for
+// bit at every length 0–70, so every main-loop count and every 0–3 tail is
+// covered. In half of the trials the columns are one element longer than a:
+// DotUnroll4, like DotUnroll, reads only the first len(a) entries.
+func TestDotUnroll4Bitwise(t *testing.T) { testDotUnroll4Bitwise(t) }
+
+func testDotUnroll4Bitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 70; n++ {
+		for trial := 0; trial < 8; trial++ {
+			extra := trial % 2
+			a := make([]float64, n)
+			var bs [4][]float64
+			for c := range bs {
+				bs[c] = make([]float64, n+extra)
+				for k := range bs[c] {
+					bs[c][k] = wildFloat(rng)
+				}
+			}
+			for k := range a {
+				a[k] = wildFloat(rng)
+			}
+			var got [4]float64
+			got[0], got[1], got[2], got[3] = DotUnroll4(a, bs[0], bs[1], bs[2], bs[3])
+			for c := range bs {
+				want := DotUnroll(a, bs[c])
+				if math.Float64bits(got[c]) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial=%d col=%d: DotUnroll4 %v (%#x), DotUnroll %v (%#x)",
+						n, trial, c, got[c], math.Float64bits(got[c]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestDotUnroll4ShortColumnPanics: a column shorter than a is a caller bug
+// on every path, not an out-of-bounds read in the assembly.
+func TestDotUnroll4ShortColumnPanics(t *testing.T) {
+	a := make([]float64, 9)
+	ok := make([]float64, 9)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DotUnroll4 with a short column did not panic")
+		}
+	}()
+	DotUnroll4(a, ok, ok, ok[:8], ok)
+}
+
+// TestDotUnroll4NoAlloc backs the //ppalint:noalloc annotation: the lane
+// buffer handed to the assembly stays on the stack.
+func TestDotUnroll4NoAlloc(t *testing.T) {
+	a := make([]float64, 67)
+	b := make([]float64, 67)
+	for k := range a {
+		a[k], b[k] = float64(k), float64(2*k)
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		r0, r1, r2, r3 := DotUnroll4(a, b, a, b, a)
+		sink += r0 + r1 + r2 + r3
+	}); allocs != 0 {
+		t.Fatalf("DotUnroll4 allocates %v times per call", allocs)
+	}
+	_ = sink
+}
+
+// BenchmarkDotUnroll4 compares the one-pass kernel with the four DotUnroll
+// calls it replaces, on one row of the exact GP's factor mid-campaign.
+func BenchmarkDotUnroll4(b *testing.B) {
+	const n = 300
+	rng := rand.New(rand.NewSource(12))
+	a := make([]float64, n)
+	var cols [4][]float64
+	for c := range cols {
+		cols[c] = make([]float64, n)
+		for k := range cols[c] {
+			cols[c][k] = rng.NormFloat64()
+		}
+	}
+	for k := range a {
+		a[k] = rng.NormFloat64()
+	}
+	var sink float64
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r0, r1, r2, r3 := DotUnroll4(a, cols[0], cols[1], cols[2], cols[3])
+			sink += r0 + r1 + r2 + r3
+		}
+	})
+	b.Run("four-calls", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for c := range cols {
+				sink += DotUnroll(a, cols[c])
+			}
+		}
+	})
+	_ = sink
+}
+
 func BenchmarkMatern52FromR2(b *testing.B) {
 	n := 20100 // packed length of a 200-point Gram matrix
 	src := make([]float64, n)
