@@ -5,8 +5,9 @@
 //	go run ./cmd/bench -o BENCH_gp.json
 //
 // The same benchmarks are exposed to `go test -bench` as BenchmarkFitRefit,
-// BenchmarkPredictPool and BenchmarkAddTarget in the root package; this
-// command exists so CI can archive the numbers without scraping test output.
+// BenchmarkPredictPool, BenchmarkAddTarget, BenchmarkFitRefitRBF and
+// BenchmarkPredictPoolRBF in the root package; this command exists so CI can
+// archive the numbers without scraping test output.
 //
 // With -against BASELINE.json the command additionally acts as a regression
 // gate: it reads the baseline before measuring, compares fresh ns/op to the
@@ -15,7 +16,8 @@
 // gates at -maxregress (a fraction; 0.25 allows +25%); PredictPool and
 // AddTarget are much shorter-running and therefore
 // noisier on shared CI hosts, so they gate at the wider -maxregress-micro.
-// Benchmarks present in only one report are informational.
+// FitRefitRBF and PredictPoolRBF, the fixtures with PPATuner's own kernel,
+// are informational, as is every benchmark present in only one report.
 //
 // -scale additionally runs the exact-vs-sparse scale suite (FitScale etc. at
 // n ∈ {200, 1000, 5000}); pair it with -benchtime 1x to keep the run short.
@@ -179,6 +181,8 @@ func main() {
 		{"FitRefit", gpbench.FitRefit},
 		{"PredictPool", gpbench.PredictPool},
 		{"AddTarget", gpbench.AddTarget},
+		{"FitRefitRBF", gpbench.FitRefitRBF},
+		{"PredictPoolRBF", gpbench.PredictPoolRBF},
 	}
 	if *scale {
 		for _, sb := range []struct {

@@ -120,6 +120,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 	// The original method optimises a scalar QoR; the budget is split over a
 	// few fixed preference directions (see package scalarize).
 	dirs := scalarize.Directions(opt.NumObjectives, 1)
+	cand := make([]int, 0, len(pool))
 	for len(evaluated) < opt.Budget {
 		w := dirs[scalarize.Segment(len(evaluated)-init, opt.Budget-init, len(dirs))]
 		// Per-objective normalisation from observed values.
@@ -135,20 +136,42 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 				hi[k] = lo[k] + 1
 			}
 		}
-		best, bestScore := -1, math.Inf(1)
+		// Score the unevaluated candidates four at a time through
+		// PredictPool4 (bit for bit four PredictPool calls) and keep the
+		// first strict minimum in index order.
+		lcb := func(k int, mu, sd float64) float64 {
+			return (mu - opt.Kappa*sd - lo[k]) / (hi[k] - lo[k])
+		}
+		cand = cand[:0]
 		for i := range pool {
-			if _, done := known[i]; done {
-				continue
+			if _, done := known[i]; !done {
+				cand = append(cand, i)
 			}
-			var score float64
-			for k, g := range gps {
-				mu, sd := g.PredictPool(i)
-				lcb := (mu - opt.Kappa*sd - lo[k]) / (hi[k] - lo[k])
-				score += w[k] * lcb
+		}
+		best, bestScore := -1, math.Inf(1)
+		for g0 := 0; g0 < len(cand); g0 += 4 {
+			grp := cand[g0:min(g0+4, len(cand))]
+			var score [4]float64
+			if len(grp) == 4 {
+				for k, g := range gps {
+					mu, sd := g.PredictPool4([4]int(grp))
+					for c := range score {
+						score[c] += w[k] * lcb(k, mu[c], sd[c])
+					}
+				}
+			} else {
+				for c, i := range grp {
+					for k, g := range gps {
+						mu, sd := g.PredictPool(i)
+						score[c] += w[k] * lcb(k, mu, sd)
+					}
+				}
 			}
-			if score < bestScore {
-				bestScore = score
-				best = i
+			for c, i := range grp {
+				if score[c] < bestScore {
+					bestScore = score[c]
+					best = i
+				}
 			}
 		}
 		if best < 0 {

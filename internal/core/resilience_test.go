@@ -264,14 +264,16 @@ func TestBatchSkipAndErrorMix(t *testing.T) {
 		opt := defaultOpts(rng)
 		opt.Batch = 3
 		opt.MaxIter = 30
-		calls := 0
+		// observeBatch evaluates a batch's candidates concurrently, so the
+		// call counter is atomic.
+		var calls atomic.Int64
 		ev := func(i int) ([]float64, error) {
-			calls++
-			if calls > opt.InitTarget { // past init: start failing
-				if hardFail && calls == opt.InitTarget+2 {
+			c := int(calls.Add(1))
+			if c > opt.InitTarget { // past init: start failing
+				if hardFail && c == opt.InitTarget+2 {
 					return nil, boom
 				}
-				if calls%4 == 0 {
+				if c%4 == 0 {
 					return nil, fmt.Errorf("soft: %w", ErrSkipCandidate)
 				}
 			}

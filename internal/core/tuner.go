@@ -471,7 +471,13 @@ func (t *Tuner) updateRegions() {
 	})
 }
 
+// updateRegionRange updates candidates from..to-1. Alive, unevaluated
+// candidates are predicted four at a time through PredictPool4, which
+// equals four PredictPool calls bit for bit; the last one to three go
+// through PredictPool.
 func (t *Tuner) updateRegionRange(beta float64, from, to int) {
+	var batch [4]int
+	nb := 0
 	for i := from; i < to; i++ {
 		if !t.status[i].alive() {
 			continue
@@ -481,24 +487,43 @@ func (t *Tuner) updateRegionRange(beta float64, from, to int) {
 			copy(t.hi[i], y)
 			continue
 		}
+		batch[nb] = i
+		if nb++; nb < len(batch) {
+			continue
+		}
+		nb = 0
 		for k, g := range t.gps {
-			mu, sd := g.PredictPool(i)
-			lo := mu - beta*sd
-			hi := mu + beta*sd
-			// Monotone intersection (Eq. 10); a crossed region collapses to
-			// the midpoint overlap.
-			if lo > t.lo[i][k] {
-				t.lo[i][k] = lo
-			}
-			if hi < t.hi[i][k] {
-				t.hi[i][k] = hi
-			}
-			if t.lo[i][k] > t.hi[i][k] {
-				m := (t.lo[i][k] + t.hi[i][k]) / 2
-				t.lo[i][k] = m
-				t.hi[i][k] = m
+			mu, sd := g.PredictPool4(batch)
+			for c, j := range batch {
+				t.intersectRegion(j, k, beta, mu[c], sd[c])
 			}
 		}
+	}
+	for _, j := range batch[:nb] {
+		for k, g := range t.gps {
+			mu, sd := g.PredictPool(j)
+			t.intersectRegion(j, k, beta, mu, sd)
+		}
+	}
+}
+
+// intersectRegion intersects candidate i's region in objective k with the
+// posterior interval mu ± beta·sd.
+func (t *Tuner) intersectRegion(i, k int, beta, mu, sd float64) {
+	lo := mu - beta*sd
+	hi := mu + beta*sd
+	// Monotone intersection (Eq. 10); a crossed region collapses to the
+	// midpoint overlap.
+	if lo > t.lo[i][k] {
+		t.lo[i][k] = lo
+	}
+	if hi < t.hi[i][k] {
+		t.hi[i][k] = hi
+	}
+	if t.lo[i][k] > t.hi[i][k] {
+		m := (t.lo[i][k] + t.hi[i][k]) / 2
+		t.lo[i][k] = m
+		t.hi[i][k] = m
 	}
 }
 

@@ -13,6 +13,8 @@ package gp
 import (
 	"fmt"
 	"math"
+
+	"ppatuner/internal/simd"
 )
 
 // CovKind selects the stationary covariance family.
@@ -63,20 +65,22 @@ func (c *Cov) Clone() *Cov {
 	return &Cov{Kind: c.Kind, Var: c.Var, Len: append([]float64(nil), c.Len...)}
 }
 
-// r2 returns the squared scaled distance Σ ((x_i-y_i)/ℓ_i)².
+// r2 returns the squared scaled distance Σ ((x_i-y_i)/ℓ_i)². The explicit
+// float64 conversions round each square before it is added, so no build
+// fuses the sum into FMAs and every build computes the same distances.
 func (c *Cov) r2(x, y []float64) float64 {
 	var s float64
 	if len(c.Len) == 1 {
 		inv := 1 / c.Len[0]
 		for i := range x {
 			d := (x[i] - y[i]) * inv
-			s += d * d
+			s += float64(d * d)
 		}
 		return s
 	}
 	for i := range x {
 		d := (x[i] - y[i]) / c.Len[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -101,6 +105,19 @@ func (c *Cov) EvalR2(r2 float64) float64 {
 		return c.Var * (1 + s5r + 5.0/3.0*r2) * math.Exp(-s5r)
 	default:
 		panic("gp: unknown covariance kind")
+	}
+}
+
+// fromR2 overwrites each squared scaled distance in v with its kernel
+// value, bit for bit EvalR2's. The RBF kernel transforms the whole slice
+// in one simd.RBFFromR2 call.
+func (c *Cov) fromR2(v []float64) {
+	if c.Kind == RBF {
+		simd.RBFFromR2(v, c.Var)
+		return
+	}
+	for i, r2 := range v {
+		v[i] = c.EvalR2(r2)
 	}
 }
 

@@ -12,14 +12,17 @@ import (
 // about them that the hyper-parameters cannot change is computed once here:
 // the per-dimension pairwise squared differences (ARD) or the raw squared
 // distances (isotropic), and the standardised outputs. Each NLML evaluation
-// is then only a scalar transform of the cached distances plus one packed
-// factorisation, with the Gram, Cholesky and solve buffers reused across all
-// evaluations — the hot loop allocates nothing.
+// is then only a vectorised transform of the cached distances plus one
+// packed factorisation, with the Gram, Cholesky and solve buffers reused
+// across all evaluations — the hot loop allocates nothing.
 type fitWS struct {
 	n, ns, d int
 	ard      bool
-	// sqd is the pair-major squared-difference tensor (ARD path):
-	// sqd[p*d+k] = (x_i[k]-x_j[k])² for packed pair p = (i,j), j ≤ i.
+	// sqd is the squared-difference tensor of the ARD path, (x_i[k]-x_j[k])²
+	// for dimension k and packed pair p = (i,j), j ≤ i. The RBF kernel keeps
+	// it dim-major, sqd[k*np+p], one contiguous run of pairs per dimension
+	// for simd.RBFARD; the Matérn kernel keeps it pair-major, sqd[p*d+k],
+	// one row per pair for simd.Matern52ARD.
 	sqd []float64
 	// r2raw is the unscaled squared distance per packed pair (isotropic path).
 	r2raw []float64
@@ -41,16 +44,21 @@ func newFitWS(g *GP) *fitWS {
 	np := mat.PackedLen(n)
 	if w.ard {
 		w.sqd = make([]float64, np*w.d)
-		idx := 0
+		// Pair p's dimension k lands at p*pStride + k*kStride.
+		pStride, kStride := w.d, 1
+		if g.cov.Kind == RBF {
+			pStride, kStride = 1, np
+		}
+		p := 0
 		for i := 0; i < n; i++ {
 			xi, _ := g.trainX(i)
 			for j := 0; j <= i; j++ {
 				xj, _ := g.trainX(j)
 				for k := 0; k < w.d; k++ {
 					dk := xi[k] - xj[k]
-					w.sqd[idx] = dk * dk
-					idx++
+					w.sqd[p*pStride+k*kStride] = dk * dk
 				}
+				p++
 			}
 		}
 	} else {
@@ -63,7 +71,7 @@ func newFitWS(g *GP) *fitWS {
 				var s float64
 				for k := range xi {
 					dk := xi[k] - xj[k]
-					s += dk * dk
+					s += float64(dk * dk)
 				}
 				w.r2raw[p] = s
 				p++
@@ -85,44 +93,36 @@ func newFitWS(g *GP) *fitWS {
 //ppalint:noalloc
 func (w *fitWS) fillGram(g *GP) {
 	np := mat.PackedLen(w.n)
-	gm := w.gram
+	gm := w.gram[:np]
 	vr := g.cov.Var
 	if w.ard {
 		inv2 := w.inv2
 		for k, l := range g.cov.Len {
 			inv2[k] = 1 / (l * l)
 		}
-		d := w.d
-		sq := w.sqd
+		// One fused pass per kernel: scale the cached squared differences by
+		// 1/ℓ², sum them per pair and apply the distance→covariance
+		// transform, without a second sweep over the Gram buffer.
 		switch g.cov.Kind {
+		case RBF:
+			simd.RBFARD(gm, w.sqd, inv2, vr)
 		case Matern52:
-			// One fused pass: the kernel scales each row of cached squared
-			// differences by 1/ℓ² and applies the distance→covariance
-			// transform without a second sweep over the Gram buffer. The
-			// paper's 8-dimensional tuning space hits the asm fast path.
-			simd.Matern52ARD(gm[:np], sq, inv2, vr)
+			simd.Matern52ARD(gm, w.sqd, inv2, vr)
 		default:
-			for p := 0; p < np; p++ {
-				row := sq[p*d : p*d+d : p*d+d]
-				var r2 float64
-				for k := 0; k < d; k++ {
-					r2 += row[k] * inv2[k]
-				}
-				gm[p] = g.cov.EvalR2(r2)
-			}
+			panic("gp: unknown covariance kind")
 		}
 	} else {
 		inv2 := 1 / (g.cov.Len[0] * g.cov.Len[0])
+		for p, s := range w.r2raw {
+			gm[p] = s * inv2
+		}
 		switch g.cov.Kind {
+		case RBF:
+			simd.RBFFromR2(gm, vr)
 		case Matern52:
-			for p, s := range w.r2raw {
-				gm[p] = s * inv2
-			}
-			simd.Matern52FromR2(gm[:np], vr)
+			simd.Matern52FromR2(gm, vr)
 		default:
-			for p, s := range w.r2raw {
-				gm[p] = g.cov.EvalR2(s * inv2)
-			}
+			panic("gp: unknown covariance kind")
 		}
 	}
 	// Scale the cross-task block (target rows × source columns) by ρ. The

@@ -175,14 +175,25 @@ func (g *GP) kvecTarget(x []float64, dst []float64) {
 }
 
 // kvecInto is kvecTarget with the cross-task factor hoisted by the caller,
-// so sweeps over many test points pay TransferFactor's math.Pow once.
+// so sweeps over many test points pay TransferFactor's math.Pow once. It
+// writes every training point's r² first and transforms them in one
+// Cov.fromR2 call, then scales the source block by ρ: per entry the same
+// operations as ρ·Cov.Eval(x, x_i), so the column is bit-identical to the
+// per-point one.
 func (g *GP) kvecInto(x []float64, dst []float64, rho float64) {
-	for i, xi := range g.xs {
-		dst[i] = rho * g.cov.Eval(x, xi)
+	if len(x) != g.dim {
+		panic(fmt.Sprintf("gp: Eval dim mismatch %d vs %d", len(x), g.dim))
 	}
-	off := len(g.xs)
+	ns := len(g.xs)
+	for i, xi := range g.xs {
+		dst[i] = g.cov.r2(x, xi)
+	}
 	for i, xi := range g.xt {
-		dst[off+i] = g.cov.Eval(x, xi)
+		dst[ns+i] = g.cov.r2(x, xi)
+	}
+	g.cov.fromR2(dst[:ns+len(g.xt)])
+	for i := range dst[:ns] {
+		dst[i] *= rho
 	}
 }
 
@@ -371,23 +382,28 @@ func (g *GP) AddTarget(x []float64, y float64) error {
 			p := lo
 			for ; p+4 <= hi; p += 4 {
 				d0, d1, d2, d3 := simd.DotUnroll4(ln[:n], g.poolV[p], g.poolV[p+1], g.poolV[p+2], g.poolV[p+3])
-				g.extendPool(p, x, ln, d0)
-				g.extendPool(p+1, x, ln, d1)
-				g.extendPool(p+2, x, ln, d2)
-				g.extendPool(p+3, x, ln, d3)
+				var kp [4]float64
+				for c := range kp {
+					kp[c] = g.cov.r2(x, g.pool[p+c])
+				}
+				g.cov.fromR2(kp[:])
+				g.extendPool(p, ln, kp[0], d0)
+				g.extendPool(p+1, ln, kp[1], d1)
+				g.extendPool(p+2, ln, kp[2], d2)
+				g.extendPool(p+3, ln, kp[3], d3)
 			}
 			for ; p < hi; p++ {
-				g.extendPool(p, x, ln, mat.Dot(ln[:n], g.poolV[p]))
+				g.extendPool(p, ln, g.cov.Eval(x, g.pool[p]), mat.Dot(ln[:n], g.poolV[p]))
 			}
 		})
 	}
 	return nil
 }
 
-// extendPool appends training point x's entries to candidate p's cache,
-// given ln (the new row of L, diagonal last) and d = ln[:n]·poolV[p].
-func (g *GP) extendPool(p int, x, ln []float64, d float64) {
-	kp := g.cov.Eval(x, g.pool[p])
+// extendPool appends the new training point's entries to candidate p's
+// cache, given ln (the new row of L, diagonal last), the point's kernel
+// value kp against the candidate and d = ln[:n]·poolV[p].
+func (g *GP) extendPool(p int, ln []float64, kp, d float64) {
 	g.poolK[p] = append(g.poolK[p], kp)
 	g.poolV[p] = append(g.poolV[p], (kp-d)/ln[len(ln)-1])
 }
@@ -468,12 +484,31 @@ func (g *GP) fillPoolCol(p, n int, rho float64) {
 func (g *GP) PredictPool(p int) (mu, sd float64) {
 	kp := g.poolK[p]
 	vp := g.poolV[p]
-	muStd := mat.Dot(g.alpha, kp)
-	varStd := g.poolKpp[p] - mat.Dot(vp, vp)
+	return rawPosterior(g.yMeanT, g.yStdT, mat.Dot(g.alpha, kp), g.poolKpp[p]-mat.Dot(vp, vp))
+}
+
+// rawPosterior converts a standardised posterior mean and variance into
+// raw output units of a task with mean yMean and scale yStd, flooring the
+// variance at 1e-12.
+func rawPosterior(yMean, yStd, muStd, varStd float64) (mu, sd float64) {
 	if varStd < 1e-12 {
 		varStd = 1e-12
 	}
-	return g.yMeanT + g.yStdT*muStd, g.yStdT * math.Sqrt(varStd)
+	return yMean + yStd*muStd, yStd * math.Sqrt(varStd)
+}
+
+// PredictPool4 returns PredictPool(p[0]) … PredictPool(p[3]), bit for bit,
+// with the four means from one simd.DotUnroll4 pass over α and the four
+// variances from one simd.DotSelf4 pass over the solve vectors.
+func (g *GP) PredictPool4(p [4]int) (mu, sd [4]float64) {
+	k, v := g.poolK, g.poolV
+	var m, q [4]float64
+	m[0], m[1], m[2], m[3] = simd.DotUnroll4(g.alpha, k[p[0]], k[p[1]], k[p[2]], k[p[3]])
+	q[0], q[1], q[2], q[3] = simd.DotSelf4(v[p[0]], v[p[1]], v[p[2]], v[p[3]])
+	for c, pc := range p {
+		mu[c], sd[c] = rawPosterior(g.yMeanT, g.yStdT, m[c], g.poolKpp[pc]-q[c])
+	}
+	return mu, sd
 }
 
 // Predict returns the posterior mean and standard deviation for an arbitrary
@@ -487,11 +522,7 @@ func (g *GP) Predict(x []float64) (mu, sd float64) {
 	g.kvecTarget(x, kv)
 	muStd := mat.Dot(g.alpha, kv)
 	v := g.chol.SolveL(kv)
-	varStd := g.cov.Eval(x, x) + g.noiseT - mat.Dot(v, v)
-	if varStd < 1e-12 {
-		varStd = 1e-12
-	}
-	return g.yMeanT + g.yStdT*muStd, g.yStdT * math.Sqrt(varStd)
+	return rawPosterior(g.yMeanT, g.yStdT, muStd, g.cov.Eval(x, x)+g.noiseT-mat.Dot(v, v))
 }
 
 // NLML returns the negative log marginal likelihood of the standardised data
@@ -559,7 +590,11 @@ func (g *GP) subsampled(n int) *GP {
 // Fit maximises the marginal likelihood over the covariance hyper-parameters,
 // the task noises and (when source data is present) the transfer Gamma
 // parameters, then rebuilds the posterior.
-func (g *GP) Fit(opts FitOptions) error {
+func (g *GP) Fit(opts FitOptions) error { return g.fit(opts, (*fitWS).nlml) }
+
+// fit is Fit with the workspace's NLML evaluation as a parameter, so the
+// tests can drive the same optimisation through a reference Gram fill.
+func (g *GP) fit(opts FitOptions, nlml func(*fitWS, *GP) float64) error {
 	if g.N() == 0 {
 		return errors.New("gp: no training data")
 	}
@@ -628,7 +663,7 @@ func (g *GP) Fit(opts FitOptions) error {
 		}
 		dv := math.Log(work.cov.Var) / 2.0
 		penalty += 0.5 * dv * dv
-		return ws.nlml(work) + penalty
+		return nlml(ws, work) + penalty
 	}
 	// Multi-start: the marginal-likelihood surface is shallow along the
 	// transfer-dissimilarity direction, so a single simplex run can stall

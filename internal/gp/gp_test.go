@@ -190,8 +190,15 @@ func TestGPPoolMatchesPredict(t *testing.T) {
 // sizes cover every remainder mod 4, so shards end in every mix of
 // four-candidate batches and single candidates. At one worker each cached
 // prediction must also equal the uncached Predict bit for bit, which pins
-// the batched solves to the scalar forward substitution.
+// the batched solves to the scalar forward substitution and, for RBF, the
+// batched kernel columns and pool extension to one another.
 func TestExactDeterministic(t *testing.T) {
+	for _, kind := range []CovKind{Matern52, RBF} {
+		testExactDeterministic(t, kind)
+	}
+}
+
+func testExactDeterministic(t *testing.T, kind CovKind) {
 	rng := rand.New(rand.NewSource(12))
 	xs, ys, xt, yt := transferSet(rng, 30, 12, 3)
 	adds, addY := make([][]float64, 9), make([]float64, 9)
@@ -205,7 +212,7 @@ func TestExactDeterministic(t *testing.T) {
 			pool[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
 		run := func(workers int) []float64 {
-			g := New(Matern52, 3, true)
+			g := New(kind, 3, true)
 			g.SetWorkers(workers)
 			g.ReserveAdds(len(adds))
 			if err := g.SetSource(xs, ys); err != nil {
@@ -230,8 +237,8 @@ func TestExactDeterministic(t *testing.T) {
 					}
 					mq, sq := g.Predict(pool[p])
 					if math.Float64bits(mu) != math.Float64bits(mq) || math.Float64bits(sd) != math.Float64bits(sq) {
-						t.Fatalf("pool %d, %s, candidate %d: PredictPool (%v, %v), Predict (%v, %v)",
-							m, stage, p, mu, sd, mq, sq)
+						t.Fatalf("%s pool %d, %s, candidate %d: PredictPool (%v, %v), Predict (%v, %v)",
+							kind, m, stage, p, mu, sd, mq, sq)
 					}
 				}
 			}
@@ -253,7 +260,7 @@ func TestExactDeterministic(t *testing.T) {
 			got := run(w)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("pool %d, workers=%d: prediction %d differs bitwise: %v vs %v", m, w, i, got[i], want[i])
+					t.Fatalf("%s pool %d, workers=%d: prediction %d differs bitwise: %v vs %v", kind, m, w, i, got[i], want[i])
 				}
 			}
 		}

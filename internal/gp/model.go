@@ -24,6 +24,8 @@ type Model interface {
 	// Pool-based prediction.
 	AttachPool(pool [][]float64) error
 	PredictPool(p int) (mu, sd float64)
+	// PredictPool4 is four PredictPool calls in one pass, bit for bit.
+	PredictPool4(p [4]int) (mu, sd [4]float64)
 	Predict(x []float64) (mu, sd float64)
 	// Diagnostics.
 	NLML() float64
@@ -40,7 +42,7 @@ var (
 )
 
 // DefaultSparseM is the inducing budget used when a spec string says
-// "sparse" without a count. 64 points cover the paper's 8-dimensional
+// "sparse" without a count. 64 points cover the paper's 12- and 9-knob
 // spaces well (campaign fronts are statistically indistinguishable from
 // exact) while keeping every refit O(n·64²).
 const DefaultSparseM = 64

@@ -419,12 +419,19 @@ func (s *SparseGP) AddTarget(x []float64, y float64) error {
 // units) for pool candidate p. O(m) per call.
 func (s *SparseGP) PredictPool(p int) (mu, sd float64) {
 	ku := s.poolKu[p]
-	muStd := mat.Dot(s.alphaU, ku)
-	varStd := s.poolKpp[p] - s.poolQk[p] + s.poolQs[p]
-	if varStd < 1e-12 {
-		varStd = 1e-12
+	return rawPosterior(s.yMeanT, s.yStdT, mat.Dot(s.alphaU, ku), s.poolKpp[p]-s.poolQk[p]+s.poolQs[p])
+}
+
+// PredictPool4 returns PredictPool(p[0]) … PredictPool(p[3]), bit for bit,
+// with the four means from one simd.DotUnroll4 pass over α_u.
+func (s *SparseGP) PredictPool4(p [4]int) (mu, sd [4]float64) {
+	ku := s.poolKu
+	var m [4]float64
+	m[0], m[1], m[2], m[3] = simd.DotUnroll4(s.alphaU, ku[p[0]], ku[p[1]], ku[p[2]], ku[p[3]])
+	for c, pc := range p {
+		mu[c], sd[c] = rawPosterior(s.yMeanT, s.yStdT, m[c], s.poolKpp[pc]-s.poolQk[pc]+s.poolQs[pc])
 	}
-	return s.yMeanT + s.yStdT*muStd, s.yStdT * math.Sqrt(varStd)
+	return mu, sd
 }
 
 // Predict returns the posterior mean and standard deviation for an arbitrary
@@ -441,11 +448,7 @@ func (s *SparseGP) Predict(x []float64) (mu, sd float64) {
 	qk := mat.Dot(v, v)
 	s.ls.SolveLInto(v, ku)
 	qs := mat.Dot(v, v)
-	varStd := s.cov.Eval(x, x) + s.noiseT - qk + qs
-	if varStd < 1e-12 {
-		varStd = 1e-12
-	}
-	return s.yMeanT + s.yStdT*muStd, s.yStdT * math.Sqrt(varStd)
+	return rawPosterior(s.yMeanT, s.yStdT, muStd, s.cov.Eval(x, x)+s.noiseT-qk+qs)
 }
 
 // NLML returns the DTC negative log marginal likelihood of the standardised

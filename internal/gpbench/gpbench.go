@@ -4,12 +4,16 @@
 // successive PRs can see the trajectory of the GP fit/predict loop instead of
 // eyeballing `go test -bench` output diffs.
 //
-// The fixture mirrors the expensive end of the paper's workload: an ARD
-// Matérn-5/2 transfer GP over ~200 training points (120 source + 80 target,
-// 8 knobs) with a large attached candidate pool. FitRefit is the
-// hyper-parameter refit (up to 240 Nelder–Mead NLML evaluations), PredictPool
-// is the per-iteration posterior sweep over the whole pool, and AddTarget is
-// the incremental posterior/pool-cache update after one tool evaluation.
+// The fixture is an ARD transfer GP over ~200 training points (120 source
+// + 80 target) with a large attached candidate pool. FitRefit is the
+// hyper-parameter refit (up to 240 Nelder–Mead NLML evaluations),
+// PredictPool is the per-iteration posterior sweep over the whole pool, and
+// AddTarget is the incremental posterior/pool-cache update after one tool
+// evaluation. These three use a Matérn-5/2 kernel over 8 knobs, a kernel
+// and dimension no campaign runs; they keep the CI gate's baseline
+// comparable. FitRefitRBF and PredictPoolRBF measure what PPATuner runs:
+// RBF ARD over Table 1's 12-knob Scenario One space, with the pool swept
+// four candidates at a time as the tuner's region update does.
 package gpbench
 
 import (
@@ -31,6 +35,10 @@ const (
 	FitEvals = 240
 )
 
+// rbfDim is the RBF fixtures' dimension: the knobs of Table 1's Scenario
+// One space.
+const rbfDim = 12
+
 // synth is a smooth multimodal response surface standing in for one QoR
 // metric.
 func synth(x []float64) float64 {
@@ -41,11 +49,11 @@ func synth(x []float64) float64 {
 	return s
 }
 
-func points(rng *rand.Rand, n int) ([][]float64, []float64) {
+func points(rng *rand.Rand, n, dim int) ([][]float64, []float64) {
 	xs := make([][]float64, n)
 	ys := make([]float64, n)
 	for i := range xs {
-		x := make([]float64, Dim)
+		x := make([]float64, dim)
 		for d := range x {
 			x[d] = rng.Float64()
 		}
@@ -56,17 +64,17 @@ func points(rng *rand.Rand, n int) ([][]float64, []float64) {
 }
 
 // fixtureData returns the deterministic source/target/pool point sets.
-func fixtureData() (sx [][]float64, sy []float64, tx [][]float64, ty []float64, pool [][]float64) {
+func fixtureData(dim int) (sx [][]float64, sy []float64, tx [][]float64, ty []float64, pool [][]float64) {
 	rng := rand.New(rand.NewSource(1))
-	sx, sy = points(rng, SourceN)
-	tx, ty = points(rng, TargetN)
-	pool, _ = points(rng, PoolN)
+	sx, sy = points(rng, SourceN, dim)
+	tx, ty = points(rng, TargetN, dim)
+	pool, _ = points(rng, PoolN, dim)
 	return
 }
 
 // newGP builds the transfer GP over the fixture data without fitting it.
-func newGP(sx [][]float64, sy []float64, tx [][]float64, ty []float64) *gp.GP {
-	g := gp.New(gp.Matern52, Dim, true)
+func newGP(kind gp.CovKind, sx [][]float64, sy []float64, tx [][]float64, ty []float64) *gp.GP {
+	g := gp.New(kind, len(sx[0]), true)
 	if err := g.SetSource(sx, sy); err != nil {
 		panic(err)
 	}
@@ -81,13 +89,18 @@ func newGP(sx [][]float64, sy []float64, tx [][]float64, ty []float64) *gp.GP {
 // tuner pays at every scheduled recalibration). The GP is rebuilt from
 // default hyper-parameters each iteration so every Fit walks the same
 // optimisation surface.
-func FitRefit(b *testing.B) {
-	sx, sy, tx, ty, _ := fixtureData()
+func FitRefit(b *testing.B) { fitRefit(b, gp.Matern52, Dim) }
+
+// FitRefitRBF is FitRefit for PPATuner's kernel: RBF ARD over 12 knobs.
+func FitRefitRBF(b *testing.B) { fitRefit(b, gp.RBF, rbfDim) }
+
+func fitRefit(b *testing.B, kind gp.CovKind, dim int) {
+	sx, sy, tx, ty, _ := fixtureData(dim)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		g := newGP(sx, sy, tx, ty)
+		g := newGP(kind, sx, sy, tx, ty)
 		b.StartTimer()
 		if err := g.Fit(gp.FitOptions{MaxEvals: FitEvals}); err != nil {
 			b.Fatal(err)
@@ -96,21 +109,15 @@ func FitRefit(b *testing.B) {
 }
 
 // PredictPool measures one posterior mean/variance sweep over the whole
-// candidate pool — the model-calibration stage of each tuner iteration.
+// candidate pool — the model-calibration stage of each tuner iteration —
+// one PredictPool call per candidate.
 func PredictPool(b *testing.B) {
-	sx, sy, tx, ty, pool := fixtureData()
-	g := newGP(sx, sy, tx, ty)
-	if err := g.Rebuild(); err != nil {
-		b.Fatal(err)
-	}
-	if err := g.AttachPool(pool); err != nil {
-		b.Fatal(err)
-	}
+	g, pool := pooledGP(b, gp.Matern52, Dim)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		for p := 0; p < PoolN; p++ {
+		for p := range pool {
 			mu, sd := g.PredictPool(p)
 			sink += mu + sd
 		}
@@ -120,17 +127,52 @@ func PredictPool(b *testing.B) {
 	}
 }
 
+// PredictPoolRBF is the same sweep over the RBF ARD 12-knob fixture, four
+// candidates per PredictPool4 call as the tuner's region update makes it
+// (PoolN is a multiple of 4).
+func PredictPoolRBF(b *testing.B) {
+	g, pool := pooledGP(b, gp.RBF, rbfDim)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		for p := 0; p+4 <= len(pool); p += 4 {
+			mu, sd := g.PredictPool4([4]int{p, p + 1, p + 2, p + 3})
+			for c := range mu {
+				sink += mu[c] + sd[c]
+			}
+		}
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("NaN prediction")
+	}
+}
+
+// pooledGP returns the fixture GP rebuilt at its default hyper-parameters
+// with the pool attached.
+func pooledGP(b *testing.B, kind gp.CovKind, dim int) (*gp.GP, [][]float64) {
+	sx, sy, tx, ty, pool := fixtureData(dim)
+	g := newGP(kind, sx, sy, tx, ty)
+	if err := g.Rebuild(); err != nil {
+		b.Fatal(err)
+	}
+	if err := g.AttachPool(pool); err != nil {
+		b.Fatal(err)
+	}
+	return g, pool
+}
+
 // AddTarget measures the incremental posterior + pool-cache update after one
 // tool evaluation. The fixture is reset periodically (timer stopped) so the
 // measured cost stays at the fixture's size instead of growing with b.N.
 func AddTarget(b *testing.B) {
 	const resetEvery = 64
-	sx, sy, tx, ty, pool := fixtureData()
+	sx, sy, tx, ty, pool := fixtureData(Dim)
 	rng := rand.New(rand.NewSource(2))
-	adds, _ := points(rng, resetEvery)
+	adds, _ := points(rng, resetEvery, Dim)
 
 	reset := func() *gp.GP {
-		g := newGP(sx, sy, tx, ty)
+		g := newGP(gp.Matern52, sx, sy, tx, ty)
 		if err := g.Rebuild(); err != nil {
 			b.Fatal(err)
 		}
@@ -190,9 +232,9 @@ var SparseScaleSpec = gp.Spec{Sparse: true, M: 64, Seed: 1}
 
 func scaleData(n int) (sx [][]float64, sy []float64, tx [][]float64, ty []float64, pool [][]float64) {
 	rng := rand.New(rand.NewSource(3))
-	sx, sy = points(rng, n/2)
-	tx, ty = points(rng, n-n/2)
-	pool, _ = points(rng, ScalePoolN)
+	sx, sy = points(rng, n/2, Dim)
+	tx, ty = points(rng, n-n/2, Dim)
+	pool, _ = points(rng, ScalePoolN, Dim)
 	return
 }
 
@@ -255,7 +297,7 @@ func AddTargetScale(b *testing.B, n int, spec gp.Spec) {
 	const resetEvery = 64
 	sx, sy, tx, ty, pool := scaleData(n)
 	rng := rand.New(rand.NewSource(4))
-	adds, _ := points(rng, resetEvery)
+	adds, _ := points(rng, resetEvery, Dim)
 
 	reset := func() gp.Model {
 		m := newModel(spec, sx, sy, tx, ty)

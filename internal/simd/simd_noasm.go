@@ -8,6 +8,9 @@ const useAsm = false
 // useAVX512 is false off amd64.
 const useAVX512 = false
 
+// useExp is false off amd64.
+const useExp = false
+
 // The stubs below are never called when useAsm is false.
 
 func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64) {
@@ -32,4 +35,16 @@ func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64) {
 
 func axpyAsm(dst, x *float64, n int, a float64) {
 	panic("simd: axpyAsm called without assembly support")
+}
+
+func rbfARDAsm(dst, sqd, inv2 *float64, d, stride, n int, vr float64) int {
+	panic("simd: rbfARDAsm called without assembly support")
+}
+
+func rbfARDx512(dst, sqd, inv2 *float64, d, stride, n int, vr float64) int {
+	panic("simd: rbfARDx512 called without assembly support")
+}
+
+func dotSelf4Asm(v0, v1, v2, v3 *float64, n int, lanes *[16]float64) {
+	panic("simd: dotSelf4Asm called without assembly support")
 }
