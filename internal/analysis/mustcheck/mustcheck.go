@@ -34,7 +34,6 @@ mat.CholeskyWithJitter, mat.SolveSPD, (*mat.Cholesky).Extend,
 robust.LoadCampaignCheckpoint, (*robust.CampaignCheckpoint).Complete,
 (*robust.CampaignCheckpoint).StartCell, (*robust.CampaignCheckpoint).Park,
 (*robust.CampaignCheckpoint).Unpark, (*robust.CampaignCheckpoint).Lease,
-(*robust.CampaignCheckpoint).ReleaseLease,
 (*robust.CampaignCheckpoint).AddPartialObservation,
 robust.WriteFileAtomic, robust.RemoveCampaignCheckpoint;
 robust.LoadJobManifest, (*robust.JobManifest).NextID,
@@ -43,7 +42,7 @@ robust.LoadJobManifest, (*robust.JobManifest).NextID,
 (*robust.JobManifest).SetUnit, (*robust.JobManifest).Delete;
 (*robust.Breaker).Acquire, (*robust.Breaker).AwaitRecovery.
 
-The lease-ledger trio joins the list with the distributed-campaign
+Lease and AddPartialObservation join the list with the distributed-campaign
 coordinator: a dropped Lease error hides an epoch regression (the zombie
 defence), and a dropped AddPartialObservation error silently forfeits
 streamed progress the next re-grant was meant to replay.
@@ -90,7 +89,6 @@ var must = map[string]map[string]bool{
 		"CampaignCheckpoint.Park":                  true,
 		"CampaignCheckpoint.Unpark":                true,
 		"CampaignCheckpoint.Lease":                 true,
-		"CampaignCheckpoint.ReleaseLease":          true,
 		"CampaignCheckpoint.AddPartialObservation": true,
 		"WriteFileAtomic":                          true,
 		"RemoveCampaignCheckpoint":                 true,

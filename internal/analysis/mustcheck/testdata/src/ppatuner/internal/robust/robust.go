@@ -18,8 +18,6 @@ type CampaignCheckpoint struct{}
 
 func (c *CampaignCheckpoint) Lease(key string, epoch uint64, holder string) error { return nil }
 
-func (c *CampaignCheckpoint) ReleaseLease(key string) error { return nil }
-
 func (c *CampaignCheckpoint) AddPartialObservation(key string, obs Observation) error { return nil }
 
 func (c *CampaignCheckpoint) LeaseHolder(key string) string { return "" }

@@ -162,7 +162,10 @@ func Figure3Source(seed int64) *core.PCGSource {
 // worker hit it first; mid-run state persisted before the error is kept,
 // so a fixed and re-run campaign resumes rather than restarts. With a
 // Breaker attached, units that hit an open breaker are parked and requeued
-// after recovery instead of aborting — see the Breaker field.
+// after recovery instead of aborting — see the Breaker field. Once every
+// unit is done, Run retires a never-adopted Checkpoint, folding its journal
+// into the file, so the checkpoint on disk is one finished file when Run
+// returns; the owner of an adopted one retires it.
 func (c *Campaign) Run() (*Table, error) {
 	if c.Scenario == nil {
 		return nil, fmt.Errorf("eval: campaign has no scenario")
@@ -221,6 +224,11 @@ func (c *Campaign) Run() (*Table, error) {
 			errs[x] = nil
 		}
 		pending = parked
+	}
+	if ck := c.Checkpoint; ck != nil && ck.Generation() == 0 {
+		if err := ck.Retire(); err != nil {
+			return nil, err
+		}
 	}
 	return c.Assemble(results), nil
 }

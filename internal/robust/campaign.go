@@ -72,14 +72,20 @@ type LeaseRecord struct {
 // run's final checkpoint byte-identical to a single-process fault-free one.
 //
 // Every mutation persists before it returns, and a kill at any point never
-// corrupts the state. Observations (AddPartialObservation and the WrapCell
-// write-through) append one line to the observation journal beside the file
-// (see journal.go); every other mutation compacts, rewriting the whole file
-// via write-to-temp + atomic rename and removing the journal — so a
-// completed or retired campaign is one file in exactly the v4 format. All
-// methods are safe for concurrent use by parallel campaign workers.
-// Version-2 files (no lease ledger) and version-3 files (no generation)
-// load transparently and are migrated to v4 on the next compaction.
+// corrupts the state. Each mutation — StartCell, Lease, an observation
+// (AddPartialObservation and the WrapCell write-through), Park, Unpark and
+// Complete — appends one line to the journal beside the file (see
+// journal.go). The whole file is rewritten (write-to-temp + atomic rename,
+// removing the journal) only by the first mutation of a checkpoint with no
+// file yet, by Adopt, and by Retire, which eval.Campaign.Run and
+// shard.Coordinator.Run call for a never-adopted handle once the campaign
+// completes. So a completed or retired campaign is one file in exactly the
+// v4 format. (A handle that replayed a journal, or whose append failed,
+// compacts on its next mutation instead: nothing is ever appended after a
+// torn tail.) All methods are safe for concurrent use by parallel campaign
+// workers. Version-2 files (no lease ledger) and version-3 files (no
+// generation) load transparently and are migrated to v4 on the next
+// compaction.
 type CampaignCheckpoint struct {
 	mu      sync.Mutex
 	path    string
@@ -185,7 +191,7 @@ func NewCampaignCheckpoint(path string) *CampaignCheckpoint {
 		partial: map[string]*partialState{},
 		parked:  map[string]bool{},
 		leases:  map[string]LeaseRecord{},
-		jnl:     journalLog{kind: journalKind, name: "campaign checkpoint"},
+		jnl:     journalLog{kind: journalKind, version: journalVersion, name: "campaign checkpoint"},
 	}
 }
 
@@ -308,20 +314,27 @@ func (c *CampaignCheckpoint) Generation() uint64 {
 	return c.generation
 }
 
-// Retire releases an adopted generation once the campaign is complete: the
-// file is rewritten without the generation field, so a finished campaign's
+// Retire finishes the checkpoint of a completed campaign: it folds the
+// journal into the base file and releases an adopted generation, so the
+// file is rewritten without the generation field and a finished campaign's
 // checkpoint is byte-identical to one produced by a coordinator that never
-// needed fencing. Retiring while deposed fails with ErrFenced like any
-// other write. A never-adopted handle retires as a no-op.
+// needed fencing. The owner of an adopted handle retires it once every
+// campaign sharing the file is done; eval.Campaign.Run and
+// shard.Coordinator.Run retire a never-adopted handle themselves. Retiring
+// while deposed fails with ErrFenced like any other write. A never-adopted
+// handle whose base file already holds its whole state writes nothing.
 func (c *CampaignCheckpoint) Retire() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.generation == 0 {
-		return nil
-	}
 	if c.path == "" {
 		c.generation = 0
 		return nil
+	}
+	if c.generation == 0 {
+		if !c.jnl.dirty() {
+			return nil
+		}
+		return c.compactLocked()
 	}
 	unlock, err := lockFile(c.path)
 	if err != nil {
@@ -382,22 +395,14 @@ func (c *CampaignCheckpoint) checkFence() error {
 func (c *CampaignCheckpoint) Park(key string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.parked[key] {
-		return nil
-	}
-	c.parked[key] = true
-	return c.saveLocked()
+	return c.mutateLocked(&journalRecord{Op: opPark, Key: key})
 }
 
 // Unpark clears a unit's parked mark (requeue time) and persists.
 func (c *CampaignCheckpoint) Unpark(key string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.parked[key] {
-		return nil
-	}
-	delete(c.parked, key)
-	return c.saveLocked()
+	return c.mutateLocked(&journalRecord{Op: opUnpark, Key: key})
 }
 
 // Parked returns the sorted unit keys currently marked as parked.
@@ -422,16 +427,13 @@ func (c *CampaignCheckpoint) Cells() int {
 	return len(c.cells)
 }
 
-// Complete records a finished cell, discards its partial state, and
-// persists.
+// Complete records a finished cell, discards its partial state, parked mark
+// and lease record, and persists. A completed cell is final: completing it
+// again changes nothing.
 func (c *CampaignCheckpoint) Complete(key string, cell CampaignCell) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.cells[key] = cell
-	delete(c.partial, key)
-	delete(c.parked, key)
-	delete(c.leases, key)
-	return c.saveLocked()
+	return c.mutateLocked(&journalRecord{Op: opDone, Key: key, Cell: &cell})
 }
 
 // Lease records that a unit's lease was granted at epoch to holder and
@@ -445,23 +447,7 @@ func (c *CampaignCheckpoint) Lease(key string, epoch uint64, holder string) erro
 	if prev, ok := c.leases[key]; ok && epoch <= prev.Epoch {
 		return fmt.Errorf("robust: lease epoch %d for %q does not advance recorded epoch %d", epoch, key, prev.Epoch)
 	}
-	c.leases[key] = LeaseRecord{Epoch: epoch, Holder: holder}
-	return c.saveLocked()
-}
-
-// ReleaseLease drops a unit's lease record (reclaim without completion —
-// e.g. the campaign is shutting down with the unit unfinished) and persists.
-// The epoch high-water mark is what the record carried; callers that re-grant
-// later must still advance past it, so release only via the coordinator's
-// ledger, which remembers.
-func (c *CampaignCheckpoint) ReleaseLease(key string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.leases[key]; !ok {
-		return nil
-	}
-	delete(c.leases, key)
-	return c.saveLocked()
+	return c.mutateLocked(&journalRecord{Op: opLease, Key: key, Epoch: epoch, Holder: holder})
 }
 
 // LeaseRecords returns a copy of the persisted lease ledger: unit key →
@@ -493,13 +479,12 @@ func (c *CampaignCheckpoint) AddPartialObservation(key string, obs Observation) 
 	if _, done := c.cells[key]; done {
 		return nil
 	}
-	p := c.partialLocked(key)
-	if !p.observe(obs.Index, append([]float64(nil), obs.QoR...)) {
-		return nil
+	if p, ok := c.partial[key]; ok {
+		if _, dup := p.values[obs.Index]; dup {
+			return nil
+		}
 	}
-	p.iters++
-	c.fresh++
-	return c.appendLocked(key, obs.Index, obs.QoR, p.iters)
+	return c.observeLocked(key, obs.Index, obs.QoR)
 }
 
 // PartialObservations returns a unit's recorded observations in arrival
@@ -539,14 +524,7 @@ func (c *CampaignCheckpoint) PartialRandState(key string) (state []byte, iters i
 func (c *CampaignCheckpoint) StartCell(key string, randState []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.partial[key]; ok {
-		return nil
-	}
-	c.partial[key] = &partialState{
-		values:    map[int][]float64{},
-		randState: append([]byte(nil), randState...),
-	}
-	return c.saveLocked()
+	return c.mutateLocked(&journalRecord{Op: opStart, Key: key, RandState: append([]byte(nil), randState...)})
 }
 
 // Stats reports observations replayed from the checkpoint versus fresh
@@ -584,15 +562,107 @@ func (c *CampaignCheckpoint) WrapCell(key string, eval core.Evaluator) core.Eval
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.fresh++
-		p := c.partialLocked(key)
-		p.observe(i, append([]float64(nil), y...))
-		p.iters++
-		if err := c.appendLocked(key, i, y, p.iters); err != nil {
+		if err := c.observeLocked(key, i, y); err != nil {
 			return nil, err
 		}
 		return y, nil
 	}
+}
+
+// observeLocked records one fresh evaluation of key's pool index: qor joins
+// the unit's partial state and its fresh-evaluation count rises by one.
+// Callers hold c.mu.
+func (c *CampaignCheckpoint) observeLocked(key string, index int, qor []float64) error {
+	iters := 1
+	if p, ok := c.partial[key]; ok {
+		iters = p.iters + 1
+	}
+	c.fresh++
+	return c.mutateLocked(&journalRecord{Op: opObs, Key: key, Index: index, QoR: append([]float64(nil), qor...), Iters: iters})
+}
+
+// The campaign journal's mutations (journalRecord.Op). An observation has
+// none.
+const (
+	opObs    = ""
+	opStart  = "start"
+	opLease  = "lease"
+	opPark   = "park"
+	opUnpark = "unpark"
+	opDone   = "done"
+)
+
+// mutateLocked applies one mutation and persists it, unless it changed
+// nothing; callers hold c.mu.
+func (c *CampaignCheckpoint) mutateLocked(r *journalRecord) error {
+	changed, err := c.applyLocked(r)
+	if err != nil || !changed {
+		return err
+	}
+	return c.appendLocked(r)
+}
+
+// applyLocked performs one mutation on the in-memory state and reports
+// whether it changed anything. The mutators and journal replay share it, so
+// a replayed journal yields exactly the state its writer held. Replay is
+// idempotent because a record the state already reflects changes nothing:
+// any record for a completed unit, a start for a unit with partial state, a
+// lease at or below the recorded epoch, an observation of an index the unit
+// holds (its iters only ever raise the unit's count), a park of a parked
+// unit and an unpark of an unparked one. Callers hold c.mu or own the
+// checkpoint exclusively.
+func (c *CampaignCheckpoint) applyLocked(r *journalRecord) (bool, error) {
+	switch r.Op {
+	case opStart, opLease, opPark, opUnpark:
+	case opObs:
+		if err := ValidateVector(r.QoR, 0); err != nil {
+			return false, fmt.Errorf("cell %q, entry %d: %v", r.Key, r.Index, err)
+		}
+	case opDone:
+		if r.Cell == nil {
+			return false, fmt.Errorf("completion of %q has no cell", r.Key)
+		}
+	default:
+		return false, fmt.Errorf("unknown campaign checkpoint mutation %q", r.Op)
+	}
+	if _, done := c.cells[r.Key]; done {
+		return false, nil
+	}
+	switch r.Op {
+	case opStart:
+		if _, ok := c.partial[r.Key]; ok {
+			return false, nil
+		}
+		c.partial[r.Key] = &partialState{values: map[int][]float64{}, randState: r.RandState}
+	case opLease:
+		if prev, ok := c.leases[r.Key]; ok && r.Epoch <= prev.Epoch {
+			return false, nil
+		}
+		c.leases[r.Key] = LeaseRecord{Epoch: r.Epoch, Holder: r.Holder}
+	case opObs:
+		p := c.partialLocked(r.Key)
+		added := p.observe(r.Index, r.QoR)
+		if !added && r.Iters <= p.iters {
+			return false, nil
+		}
+		p.iters = max(p.iters, r.Iters)
+	case opPark:
+		if c.parked[r.Key] {
+			return false, nil
+		}
+		c.parked[r.Key] = true
+	case opUnpark:
+		if !c.parked[r.Key] {
+			return false, nil
+		}
+		delete(c.parked, r.Key)
+	case opDone:
+		c.cells[r.Key] = *r.Cell
+		delete(c.partial, r.Key)
+		delete(c.parked, r.Key)
+		delete(c.leases, r.Key)
+	}
+	return true, nil
 }
 
 // saveLocked compacts the campaign file; callers hold c.mu. An adopted

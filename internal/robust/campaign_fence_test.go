@@ -22,7 +22,8 @@ func adoptT(t *testing.T, ck *CampaignCheckpoint) uint64 {
 // TestFencedWriteRejectedOnEveryAPI deposes a coordinator handle by
 // adopting the same file under a newer generation, then drives every
 // fenced checkpoint API on the stale handle: each must fail with ErrFenced
-// and leave the file exactly as the new owner wrote it.
+// and leave the base file and the journal exactly as the new owner wrote
+// them.
 func TestFencedWriteRejectedOnEveryAPI(t *testing.T) {
 	cases := []struct {
 		name string
@@ -34,7 +35,6 @@ func TestFencedWriteRejectedOnEveryAPI(t *testing.T) {
 			return ck.Complete("u", CampaignCell{HV: 1, ADRS: 0, Runs: 3})
 		}},
 		{"Lease", func(ck *CampaignCheckpoint) error { return ck.Lease("u", 9, "w0") }},
-		{"ReleaseLease", func(ck *CampaignCheckpoint) error { return ck.ReleaseLease("leased") }},
 		{"AddPartialObservation", func(ck *CampaignCheckpoint) error {
 			return ck.AddPartialObservation("u", Observation{Index: 0, QoR: []float64{1, 2}})
 		}},
@@ -68,20 +68,24 @@ func TestFencedWriteRejectedOnEveryAPI(t *testing.T) {
 			if gen := adoptT(t, owner); gen != 2 {
 				t.Fatalf("second adoption got generation %d, want 2", gen)
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
+			// The owner's own mutation starts a journal the stale handle
+			// must not append to either.
+			if err := owner.Lease("owned", 1, "w2"); err != nil {
 				t.Fatal(err)
+			}
+			want, wantJournal := readT(t, path), readT(t, JournalPath(path))
+			if wantJournal == nil {
+				t.Fatal("the owner's lease left no journal")
 			}
 
 			if err := tc.op(stale); !errors.Is(err, ErrFenced) {
 				t.Fatalf("%s on deposed handle: err = %v, want ErrFenced", tc.name, err)
 			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
+			if got := readT(t, path); string(got) != string(want) {
 				t.Fatalf("%s on deposed handle changed the file:\n got %s\nwant %s", tc.name, got, want)
+			}
+			if got := readT(t, JournalPath(path)); string(got) != string(wantJournal) {
+				t.Fatalf("%s on deposed handle changed the journal:\n got %s\nwant %s", tc.name, got, wantJournal)
 			}
 		})
 	}
@@ -218,7 +222,7 @@ func TestRetireClearsGeneration(t *testing.T) {
 }
 
 // TestCampaignCheckpointV3LoadsTransparently: the pre-generation schema
-// (version 3) loads unchanged and is migrated to v4 on the next save.
+// (version 3) loads unchanged and is migrated to v4 on the next compaction.
 func TestCampaignCheckpointV3LoadsTransparently(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	v3 := `{
@@ -244,6 +248,9 @@ func TestCampaignCheckpointV3LoadsTransparently(t *testing.T) {
 		t.Fatalf("v3 load: generation = %d, want 0", g)
 	}
 	if err := ck.Park("c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Retire(); err != nil { // compacts
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

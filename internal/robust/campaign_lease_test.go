@@ -67,6 +67,18 @@ func TestCampaignCheckpointCompleteClearsLease(t *testing.T) {
 	if n := len(ck.Parked()); n != 0 {
 		t.Fatalf("%d parked after Complete, want 0", n)
 	}
+	// The completion is journaled: base plus journal loads without traces.
+	re, err := LoadCampaignCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(re.LeaseRecords()) != 0 || len(re.Parked()) != 0 {
+		t.Fatalf("reloaded checkpoint keeps leases %v, parked %v", re.LeaseRecords(), re.Parked())
+	}
+	// Retiring folds the journal into the base: the finished file too.
+	if err := ck.Retire(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -76,25 +88,9 @@ func TestCampaignCheckpointCompleteClearsLease(t *testing.T) {
 	}
 }
 
-func TestCampaignCheckpointReleaseLease(t *testing.T) {
-	ck := NewCampaignCheckpoint("")
-	if err := ck.ReleaseLease("absent"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Lease("u1", 5, "w0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.ReleaseLease("u1"); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(ck.LeaseRecords()); n != 0 {
-		t.Fatalf("%d lease records after release, want 0", n)
-	}
-}
-
 func TestCampaignCheckpointV2LoadsTransparently(t *testing.T) {
 	// A schema-v2 file (pre-lease-ledger) must load without error and be
-	// rewritten as v3 on the next save.
+	// rewritten as v4 on the next compaction.
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	v2 := `{
  "version": 2,
@@ -116,6 +112,9 @@ func TestCampaignCheckpointV2LoadsTransparently(t *testing.T) {
 		t.Fatalf("v2 load: partial obs = %+v", obs)
 	}
 	if err := ck.Lease("b", 1, "w0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Retire(); err != nil { // compacts
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

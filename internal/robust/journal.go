@@ -17,33 +17,41 @@ import (
 // JSON line each, behind a header line naming the base they extend by
 // digest. For a campaign checkpoint:
 //
-//	{"kind":"campaign-obs","version":1,"base":"<sha256 of the base bytes>"}
-//	{"key":"u","index":17,"qor":[0.4,1.2],"iters":3}
+//	{"kind":"campaign-obs","version":2,"base":"<sha256 of the base bytes>"}
+//	{"op":"lease","key":"u","epoch":1,"holder":"w0"}
+//	{"op":"start","key":"u","rand_state":"..."}
+//	{"key":"u","index":17,"qor":[0.4,1.2],"iters":1}
 //	...
+//	{"op":"done","key":"u","cell":{"hv":0.02,"adrs":0.01,"runs":40}}
 //
-// Frequent mutations append one line; the rest compact: the whole state is
-// rewritten into the base through the atomic-rename path and the journal is
-// removed. A load reads the base, then replays the journal if its header
-// names exactly those base bytes. A campaign checkpoint appends its
-// observations — the per-tool-run mutation — and compacts on everything
-// else.
+// Mutations append one line; a compaction rewrites the whole state into the
+// base through the atomic-rename path and removes the journal. A load reads
+// the base, then replays the journal if its header names exactly those base
+// bytes. A campaign checkpoint journals every mutation and compacts only
+// when it is created or adopted and when its campaign is retired
+// (CampaignCheckpoint.Retire); the job manifest compacts at each job's
+// terminal transition (manifest.go). A version-1 campaign journal, written
+// before the other mutations were journaled, holds only observations, whose
+// records are unchanged, and still replays; the version bump keeps a
+// version-1 reader from taking the other records for observations.
 //
-// Campaign replay is idempotent: a record whose index the unit already
-// holds adds nothing, its iteration count only ever raises the unit's, and
-// records for completed units are skipped. For both stores, a final line
-// without its newline is a torn append from a killed writer and is dropped;
-// any other unparsable line is a load error. A journal whose header names
-// different base bytes (the base was rewritten and the process died before
-// removing the journal, or the base was deleted) is stale and ignored.
+// Campaign replay is idempotent: a record the state already reflects
+// changes nothing (CampaignCheckpoint.applyLocked). For both stores, a
+// final line without its newline is a torn append from a killed writer and
+// is dropped; any other unparsable or invalid line is a load error. A
+// journal whose header names different base bytes (the base was rewritten
+// and the process died before removing the journal, or the base was
+// deleted) is stale and ignored.
 
 const (
-	journalKind    = "campaign-obs"
-	journalVersion = 1
+	journalKind = "campaign-obs"
+	// journalVersion is the campaign journal format written. Version 1
+	// holds observations only.
+	journalVersion = 2
 )
 
 // JournalPath returns the journal's path for the base file at path: a
-// campaign checkpoint's observation journal or the job manifest's mutation
-// journal.
+// campaign checkpoint's or the job manifest's mutation journal.
 func JournalPath(path string) string { return path + ".obs" }
 
 // journalHeader is the journal's first line: it binds the records that
@@ -55,13 +63,29 @@ type journalHeader struct {
 	Base string `json:"base"`
 }
 
-// journalRecord is one streamed observation of a unit's partial state.
+// journalRecord is one journaled campaign-checkpoint mutation. Op names the
+// mutation and the fields it carries:
+//
+//	(none)  Key, Index, QoR, Iters: one observation, Iters being the unit's
+//	        fresh-evaluation count after it (WrapCell, AddPartialObservation)
+//	start   Key, RandState (StartCell)
+//	lease   Key, Epoch, Holder (Lease)
+//	park    Key (Park)
+//	unpark  Key (Unpark)
+//	done    Key, Cell (Complete)
+//
+// An observation, the one record per tool run, carries no op: it keeps the
+// version-1 record's fields and length.
 type journalRecord struct {
-	Key   string    `json:"key"`
-	Index int       `json:"index"`
-	QoR   []float64 `json:"qor"`
-	// Iters is the unit's fresh-evaluation count after this observation.
-	Iters int `json:"iters"`
+	Op        string        `json:"op,omitempty"`
+	Key       string        `json:"key"`
+	Index     int           `json:"index,omitempty"`
+	QoR       []float64     `json:"qor,omitempty"`
+	Iters     int           `json:"iters,omitempty"`
+	RandState []byte        `json:"rand_state,omitempty"`
+	Epoch     uint64        `json:"epoch,omitempty"`
+	Holder    string        `json:"holder,omitempty"`
+	Cell      *CampaignCell `json:"cell,omitempty"`
 }
 
 // baseDigest names a base file's bytes in a journal header.
@@ -76,6 +100,9 @@ func baseDigest(data []byte) string {
 type journalLog struct {
 	// kind is the header kind naming the store's record type.
 	kind string
+	// version is the record format the store appends; loads accept it and
+	// every older version.
+	version int
 	// name is the store in error messages ("campaign checkpoint").
 	name string
 	// base is the digest of the base file on disk that the store's state
@@ -114,7 +141,7 @@ func (l *journalLog) load(path string, data []byte, apply func(line []byte) erro
 
 // read returns the complete record lines of the journal beside path if its
 // header names the base digest; live is false for a missing, empty or stale
-// journal.
+// journal. Every format version up to the store's own is accepted.
 func (l *journalLog) read(path, digest string) (records [][]byte, live bool, err error) {
 	data, err := os.ReadFile(JournalPath(path))
 	if errors.Is(err, os.ErrNotExist) {
@@ -134,8 +161,8 @@ func (l *journalLog) read(path, digest string) (records [][]byte, live bool, err
 	if err := json.Unmarshal(lines[0], &h); err != nil {
 		return nil, false, fmt.Errorf("robust: parse %s journal %s header: %w", l.name, JournalPath(path), err)
 	}
-	if h.Kind != l.kind || h.Version != journalVersion {
-		return nil, false, fmt.Errorf("robust: %s is not a version-%d %s journal (kind %q, version %d)", JournalPath(path), journalVersion, l.name, h.Kind, h.Version)
+	if h.Kind != l.kind || h.Version < 1 || h.Version > l.version {
+		return nil, false, fmt.Errorf("robust: %s is not a %s journal of a version up to %d (kind %q, version %d)", JournalPath(path), l.name, l.version, h.Kind, h.Version)
 	}
 	if h.Base != digest {
 		return nil, false, nil
@@ -154,7 +181,7 @@ func (l *journalLog) append(path string, rec any) error {
 	}
 	line = append(line, '\n')
 	if l.f == nil {
-		hdr, err := json.Marshal(journalHeader{Kind: l.kind, Version: journalVersion, Base: l.base})
+		hdr, err := json.Marshal(journalHeader{Kind: l.kind, Version: l.version, Base: l.base})
 		if err != nil {
 			return fmt.Errorf("robust: encode %s journal header: %w", l.name, err)
 		}
@@ -203,11 +230,16 @@ func (l *journalLog) close() {
 	}
 }
 
+// dirty reports whether the base file on disk may lack part of the store's
+// state: records were appended since the last compaction, or the log is
+// unbound (see base).
+func (l *journalLog) dirty() bool { return l.base == "" || l.f != nil }
+
 // RemoveCampaignCheckpoint deletes a campaign checkpoint together with its
-// sidecars: the observation journal and the fencing lock file. Sidecars go
-// first, so an interrupted removal leaves the base — which the caller
-// still recognises as its own and can remove again — rather than an
-// orphaned sidecar. Missing files are not an error.
+// sidecars: the journal and the fencing lock file. Sidecars go first, so an
+// interrupted removal leaves the base — which the caller still recognises
+// as its own and can remove again — rather than an orphaned sidecar.
+// Missing files are not an error.
 func RemoveCampaignCheckpoint(path string) error {
 	for _, p := range []string{JournalPath(path), path + ".lock", path} {
 		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -224,25 +256,16 @@ func (c *CampaignCheckpoint) replayRecord(line []byte) error {
 	if err := json.Unmarshal(line, &r); err != nil {
 		return err
 	}
-	if err := ValidateVector(r.QoR, 0); err != nil {
-		return fmt.Errorf("cell %q, entry %d: %v", r.Key, r.Index, err)
-	}
-	if _, done := c.cells[r.Key]; done {
-		return nil
-	}
-	p := c.partialLocked(r.Key)
-	p.observe(r.Index, r.QoR)
-	p.iters = max(p.iters, r.Iters)
-	return nil
+	_, err := c.applyLocked(&r)
+	return err
 }
 
-// appendLocked journals one observation the caller has already merged into
-// key's partial state; callers hold c.mu. A handle with no journal-able base
-// on disk compacts instead. An adopted handle takes the file lock and
-// proves the base on disk is still the file it last wrote before appending;
-// if it is not, the full fence check decides between ErrFenced and a
-// compaction.
-func (c *CampaignCheckpoint) appendLocked(key string, index int, qor []float64, iters int) error {
+// appendLocked journals one mutation the caller has already applied;
+// callers hold c.mu. A handle with no journal-able base on disk compacts
+// instead. An adopted handle takes the file lock and proves the base on
+// disk is still the file it last wrote before appending; if it is not, the
+// full fence check decides between ErrFenced and a compaction.
+func (c *CampaignCheckpoint) appendLocked(r *journalRecord) error {
 	if c.path == "" {
 		return nil
 	}
@@ -262,7 +285,7 @@ func (c *CampaignCheckpoint) appendLocked(key string, index int, qor []float64, 
 			return c.compactLocked()
 		}
 	}
-	return c.jnl.append(c.path, journalRecord{Key: key, Index: index, QoR: qor, Iters: iters})
+	return c.jnl.append(c.path, r)
 }
 
 // ownsBase reports whether the base file on disk is still the one this

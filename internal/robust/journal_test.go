@@ -2,6 +2,7 @@ package robust
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -75,10 +76,11 @@ func runJournalScript(t *testing.T, ck *CampaignCheckpoint) {
 	}
 }
 
-// TestObservationsAppendToJournal: after a unit starts, observations leave
-// the base file alone and append one journal line each; at every step the
-// base plus journal loads to exactly the state the handle holds, and the
-// next compaction folds the journal back into a base in the usual format.
+// TestObservationsAppendToJournal: after a unit starts, observations and
+// the completion leave the base file alone and append one journal line
+// each; at every step the base plus journal loads to exactly the state the
+// handle holds, and retiring compacts, folding the journal back into a base
+// in the usual format.
 func TestObservationsAppendToJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	ck := NewCampaignCheckpoint(path)
@@ -108,6 +110,15 @@ func TestObservationsAppendToJournal(t *testing.T) {
 	if err := ck.Complete("u", CampaignCell{HV: 0.5, Runs: 3}); err != nil {
 		t.Fatal(err)
 	}
+	if got := readT(t, path); !bytes.Equal(got, base) {
+		t.Fatal("the completion rewrote the base file")
+	}
+	if lines := bytes.Count(readT(t, JournalPath(path)), []byte("\n")); lines != 5 {
+		t.Fatalf("after the completion the journal has %d lines, want 5", lines)
+	}
+	if err := ck.Retire(); err != nil {
+		t.Fatal(err)
+	}
 	if readT(t, JournalPath(path)) != nil {
 		t.Fatal("compaction left the journal behind")
 	}
@@ -130,9 +141,16 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 		t.Fatal("script left no journal to cut")
 	}
 	wantObs := map[string][]Observation{"u": full.PartialObservations("u"), "v": full.PartialObservations("v")}
-	if err := full.Complete("u", CampaignCell{HV: 0.25, Runs: 6}); err != nil {
-		t.Fatal(err)
+	finish := func(ck *CampaignCheckpoint) {
+		t.Helper()
+		if err := ck.Complete("u", CampaignCell{HV: 0.25, Runs: 6}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Retire(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	finish(full)
 	want := readT(t, path)
 
 	for cut := 0; cut <= len(journal); cut++ {
@@ -162,15 +180,155 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 			}
 		}
 		runJournalScript(t, ck)
-		if err := ck.Complete("u", CampaignCell{HV: 0.25, Runs: 6}); err != nil {
-			t.Fatal(err)
-		}
+		finish(ck)
 		if got := readT(t, p); !bytes.Equal(got, want) {
 			t.Fatalf("cut at %d: resumed checkpoint\n%s\nwant\n%s", cut, got, want)
 		}
 		if readT(t, JournalPath(p)) != nil {
 			t.Fatalf("cut at %d: journal left after compaction", cut)
 		}
+	}
+}
+
+// mixedScript is a sequence of every kind of journaled mutation over three
+// units: starts, leases and a re-grant, write-through and streamed
+// observations, parks, unparks and completions.
+func mixedScript(ck *CampaignCheckpoint) []func() error {
+	wrap := func(key string, i int) func() error {
+		return func() error {
+			_, err := ck.WrapCell(key, func(i int) ([]float64, error) { return journalQoR(i), nil })(i)
+			return err
+		}
+	}
+	add := func(key string, i int) func() error {
+		return func() error { return ck.AddPartialObservation(key, Observation{Index: i, QoR: journalQoR(i)}) }
+	}
+	return []func() error{
+		func() error { return ck.Lease("a", 1, "w0") },
+		func() error { return ck.StartCell("a", []byte("rng-a")) },
+		wrap("a", 3),
+		func() error { return ck.Lease("b", 1, "w1") },
+		func() error { return ck.StartCell("b", []byte("rng-b")) },
+		add("b", 5),
+		func() error { return ck.Park("a") },
+		add("a", 8),
+		func() error { return ck.Lease("a", 2, "w1") },
+		func() error { return ck.Unpark("a") },
+		add("b", 1),
+		func() error { return ck.Complete("b", CampaignCell{HV: 0.3, ADRS: 0.1, Runs: 2}) },
+		func() error { return ck.Park("c") },
+		func() error { return ck.Lease("c", 4, "w0") },
+		wrap("a", 2),
+		func() error { return ck.Complete("a", CampaignCell{HV: 0.2, ADRS: 0.05, Runs: 3}) },
+	}
+}
+
+// TestJournalMixedOpsCutEveryOffset is the crash property over every kind
+// of record: a journal of starts, leases, observations, parks, unparks and
+// completions cut at any byte offset loads to exactly the state the writer
+// held after the records whose lines are complete.
+func TestJournalMixedOpsCutEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "full.json")
+	ck := NewCampaignCheckpoint(path)
+	script := mixedScript(ck)
+	if err := script[0](); err != nil { // creates the base
+		t.Fatal(err)
+	}
+	base := readT(t, path)
+	states := [][]byte{encodeT(t, ck)} // states[n]: after n journal records
+	for n, step := range script[1:] {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", n+1, err)
+		}
+		if got := readT(t, path); !bytes.Equal(got, base) {
+			t.Fatalf("step %d rewrote the base file", n+1)
+		}
+		if lines := bytes.Count(readT(t, JournalPath(path)), []byte("\n")); lines != n+2 {
+			t.Fatalf("after step %d the journal has %d lines, want %d (header + records)", n+1, lines, n+2)
+		}
+		states = append(states, encodeT(t, ck))
+	}
+	journal := readT(t, JournalPath(path))
+
+	for cut := 0; cut <= len(journal); cut++ {
+		p := filepath.Join(dir, fmt.Sprintf("cut%d.json", cut))
+		if err := os.WriteFile(p, base, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(JournalPath(p), journal[:cut], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		re, err := LoadCampaignCheckpoint(p)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		records := max(bytes.Count(journal[:cut], []byte("\n"))-1, 0)
+		if got := encodeT(t, re); !bytes.Equal(got, states[records]) {
+			t.Fatalf("cut at %d (%d records): loaded\n%s\nwant\n%s", cut, records, got, states[records])
+		}
+	}
+}
+
+// TestJournalV1Replays: an observation-only version-1 journal, as written
+// before starts, leases, parks and completions were journaled, loads like
+// the same observations made now; the next mutation compacts rather than
+// appending current records to it.
+func TestJournalV1Replays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.json")
+	ck := NewCampaignCheckpoint(path)
+	if err := ck.StartCell("u", []byte("rng")); err != nil {
+		t.Fatal(err)
+	}
+	base := readT(t, path)
+	type v1Record struct {
+		Key   string    `json:"key"`
+		Index int       `json:"index"`
+		QoR   []float64 `json:"qor"`
+		Iters int       `json:"iters"`
+	}
+	v1 := fmt.Sprintf(`{"kind":%q,"version":1,"base":%q}`+"\n", journalKind, baseDigest(base))
+	for n, i := range []int{4, 9} {
+		line, err := json.Marshal(v1Record{Key: "u", Index: i, QoR: journalQoR(i), Iters: n + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 += string(line) + "\n"
+	}
+	if err := os.WriteFile(JournalPath(path), []byte(v1), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := LoadCampaignCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{4, 9} {
+		if err := ck.AddPartialObservation("u", Observation{Index: i, QoR: journalQoR(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := encodeT(t, re), encodeT(t, ck); !bytes.Equal(got, want) {
+		t.Fatalf("v1 journal loads to\n%s\nwant\n%s", got, want)
+	}
+	if err := re.Park("u"); err != nil {
+		t.Fatal(err)
+	}
+	if readT(t, JournalPath(path)) != nil {
+		t.Fatal("the first mutation after a v1 replay did not compact")
+	}
+	if err := re.Lease("u", 1, "w0"); err != nil {
+		t.Fatal(err)
+	}
+	if hdr, _, _ := bytes.Cut(readT(t, JournalPath(path)), []byte("\n")); !bytes.Contains(hdr, []byte(fmt.Sprintf(`"version":%d`, journalVersion))) {
+		t.Fatalf("journal header after the compaction = %s, want version %d", hdr, journalVersion)
+	}
+	again, err := LoadCampaignCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := encodeT(t, again), encodeT(t, re); !bytes.Equal(got, want) {
+		t.Fatalf("reload after the v1 replay\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -196,7 +354,10 @@ func TestStaleJournalIgnored(t *testing.T) {
 	ck := NewCampaignCheckpoint(path)
 	runJournalScript(t, ck)
 	oldJournal := readT(t, JournalPath(path))
-	if err := ck.Park("x"); err != nil { // compacts
+	if err := ck.Park("x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Retire(); err != nil { // compacts
 		t.Fatal(err)
 	}
 	compacted := readT(t, path)
@@ -238,14 +399,27 @@ func TestStaleJournalIgnored(t *testing.T) {
 }
 
 // TestJournalReplayIdempotent: records replayed over a base that already
-// holds them — including records of a unit completed since — change
-// nothing.
+// holds them change nothing — starts of units with partial state,
+// observations already held, leases at or below the recorded epoch, a park
+// undone by an unpark, and every record of a unit completed since.
 func TestJournalReplayIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	ck := NewCampaignCheckpoint(path)
 	runJournalScript(t, ck)
+	for _, step := range []func() error{
+		func() error { return ck.Lease("v", 1, "w0") },
+		func() error { return ck.Lease("v", 2, "w1") },
+		func() error { return ck.Park("v") },
+		func() error { return ck.Unpark("v") },
+		func() error { return ck.Lease("u", 1, "w0") },
+		func() error { return ck.Complete("u", CampaignCell{HV: 0.5, Runs: 6}) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	journal := readT(t, JournalPath(path))
-	if err := ck.Complete("u", CampaignCell{HV: 0.5, Runs: 6}); err != nil {
+	if err := ck.Retire(); err != nil {
 		t.Fatal(err)
 	}
 	base := readT(t, path)
@@ -264,9 +438,9 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	}
 }
 
-// TestJournalMalformedLineIsError: a complete line that does not parse is
-// corruption, not a torn append, and fails the load; so does a header of
-// another kind.
+// TestJournalMalformedLineIsError: a complete line that does not parse or
+// names no valid mutation is corruption, not a torn append, and fails the
+// load; so does a header of another kind or of a future version.
 func TestJournalMalformedLineIsError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	ck := NewCampaignCheckpoint(path)
@@ -276,7 +450,10 @@ func TestJournalMalformedLineIsError(t *testing.T) {
 		"record":      append(append([]byte(nil), journal...), "{not json\n"...),
 		"header":      append([]byte("garbage\n"), journal...),
 		"kind":        []byte(`{"kind":"jobs","version":1,"base":"x"}` + "\n"),
+		"version":     []byte(`{"kind":"campaign-obs","version":3,"base":"x"}` + "\n"),
 		"invalid qor": append(append([]byte(nil), journal...), `{"key":"u","index":1,"qor":[1e999],"iters":9}`+"\n"...),
+		"unknown op":  append(append([]byte(nil), journal...), `{"op":"steal","key":"u"}`+"\n"...),
+		"no cell":     append(append([]byte(nil), journal...), `{"op":"done","key":"u"}`+"\n"...),
 	} {
 		if err := os.WriteFile(JournalPath(path), bad, 0o600); err != nil {
 			t.Fatal(err)

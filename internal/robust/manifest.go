@@ -85,6 +85,8 @@ const (
 	jobManifestVersion  = 1
 	jobManifestFileName = "jobs.json"
 	manifestJournalKind = "jobs-journal"
+	// manifestJournalVersion is the one format of manifest journal records.
+	manifestJournalVersion = 1
 )
 
 // JobManifestPath returns the manifest file path inside a server state
@@ -120,7 +122,7 @@ type JobManifest struct {
 func NewJobManifest(path string) *JobManifest {
 	return &JobManifest{
 		path: path, next: 1, jobs: map[string]JobRecord{},
-		jnl: journalLog{kind: manifestJournalKind, name: "job manifest"},
+		jnl: journalLog{kind: manifestJournalKind, version: manifestJournalVersion, name: "job manifest"},
 	}
 }
 
@@ -287,15 +289,19 @@ func (m *JobManifest) SetUnit(id, key string, u JobUnit) error {
 	return m.mutateLocked(&manifestRecord{Op: "unit", ID: id, Key: key, Unit: &u}, false)
 }
 
-// Delete removes a job record entirely (cancellation of a queued job) and
-// persists.
-func (m *JobManifest) Delete(id string) error {
+// Delete removes job records entirely (retention collection) and persists
+// them all with one compaction. IDs not in the manifest are ignored; when
+// none is, nothing is written.
+func (m *JobManifest) Delete(ids ...string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.jobs[id]; !ok {
+	n := len(m.jobs)
+	for _, id := range ids {
+		delete(m.jobs, id)
+	}
+	if len(m.jobs) == n {
 		return nil
 	}
-	delete(m.jobs, id)
 	return m.compactLocked()
 }
 

@@ -193,7 +193,7 @@ func TestJobManifestRejectsInconsistentTables(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.journal != "" {
-				hdr := fmt.Sprintf(`{"kind":%q,"version":%d,"base":%q}`, manifestJournalKind, journalVersion, baseDigest([]byte(tc.base)))
+				hdr := fmt.Sprintf(`{"kind":%q,"version":%d,"base":%q}`, manifestJournalKind, manifestJournalVersion, baseDigest([]byte(tc.base)))
 				if err := os.WriteFile(JournalPath(path), []byte(hdr+"\n"+tc.journal+"\n"), 0o600); err != nil {
 					t.Fatal(err)
 				}

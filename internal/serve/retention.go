@@ -20,7 +20,8 @@ import (
 // invariant every reader relies on is "record exists ⇒ checkpoint exists",
 // so a crash between the two steps leaves an orphaned file (harmless,
 // swept next round) rather than a resumable job whose resume state is
-// gone.
+// gone. One manifest Delete drops every expired record of the sweep, so
+// jobs.json is rewritten once per sweep, before any checkpoint file goes.
 func (s *Server) CollectGarbage() (int, error) {
 	if s.cfg.Retain <= 0 {
 		return 0, nil
@@ -38,19 +39,22 @@ func (s *Server) CollectGarbage() (int, error) {
 
 	now := s.clk.Now().Unix()
 	referenced := map[string]bool{}
-	collected := 0
+	var expired []robust.JobRecord
+	var ids []string
 	for _, rec := range s.manifest.Jobs() {
-		expired := TerminalStatus(rec.Status) && rec.FinishedAtUnix > 0 &&
-			now-rec.FinishedAtUnix >= int64(s.cfg.Retain/time.Second)
-		if !expired {
-			if rec.Checkpoint != "" {
-				referenced[rec.Checkpoint] = true
-			}
-			continue
+		if TerminalStatus(rec.Status) && rec.FinishedAtUnix > 0 &&
+			now-rec.FinishedAtUnix >= int64(s.cfg.Retain/time.Second) {
+			expired = append(expired, rec)
+			ids = append(ids, rec.ID)
+		} else if rec.Checkpoint != "" {
+			referenced[rec.Checkpoint] = true
 		}
-		if err := s.manifest.Delete(rec.ID); err != nil {
-			return collected, err
-		}
+	}
+	if err := s.manifest.Delete(ids...); err != nil {
+		return 0, err
+	}
+	collected := 0
+	for _, rec := range expired {
 		if rec.Checkpoint != "" {
 			if err := robust.RemoveCampaignCheckpoint(filepath.Join(s.cfg.StateDir, rec.Checkpoint)); err != nil {
 				return collected, err

@@ -168,6 +168,69 @@ func TestRetentionCollectsCancelledJobJournal(t *testing.T) {
 	}
 }
 
+// TestRetentionSweepMatchesOneAtATime: one sweep collecting three expired
+// jobs, which deletes their records with a single manifest compaction,
+// leaves jobs.json byte-identical to deleting the records one at a time,
+// and still takes each collected job's checkpoint with it.
+func TestRetentionSweepMatchesOneAtATime(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	dir, ref := t.TempDir(), t.TempDir()
+	for _, d := range []string{dir, ref} {
+		m := robust.NewJobManifest(robust.JobManifestPath(d))
+		for i, status := range []string{StatusDone, StatusFailed, StatusCancelled, StatusDone} {
+			id, err := m.NextID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished := fake.Now().Add(-2 * time.Hour).Unix()
+			if i == 3 {
+				finished = fake.Now().Unix() // inside the window: kept
+			}
+			if err := m.Put(robust.JobRecord{
+				ID: id, Client: "alice", Status: status, Spec: []byte(`{}`),
+				Checkpoint: checkpointName(id), FinishedAtUnix: finished,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(d, checkpointName(id)), []byte("{}"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s := newTestServer(t, func(c *Config) {
+		c.StateDir = dir
+		c.Clock = fake
+		c.Retain = time.Hour
+	})
+	if n, err := s.CollectGarbage(); err != nil || n != 3 {
+		t.Fatalf("CollectGarbage = (%d, %v), want (3, nil)", n, err)
+	}
+
+	m, err := robust.LoadJobManifest(robust.JobManifestPath(ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"j1", "j2", "j3"} {
+		if err := m.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(robust.JobManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(robust.JobManifestPath(ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("swept jobs.json\n%s\nwant (one Delete per job)\n%s", got, want)
+	}
+	if files := ckptFiles(t, dir); len(files) != 1 || filepath.Base(files[0]) != checkpointName("j4") {
+		t.Fatalf("checkpoints after the sweep = %v, want only j4's", files)
+	}
+}
+
 func TestRetentionSparesLiveAndLegacyJobs(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1_000_000, 0))
 	release := make(chan struct{})

@@ -193,7 +193,9 @@ func (co *Coordinator) Stats() Stats { return co.ledger.Stats() }
 // The first hard unit failure aborts deterministically; breaker-parked
 // failures, lease expiries and worker deaths requeue instead. Workers still
 // connected at the end are sent a shutdown message. A closed conns channel
-// stops registration but not the campaign.
+// stops registration but not the campaign. Once every unit is done, Run
+// retires a never-adopted checkpoint, folding its journal into the file; the
+// owner of an adopted one retires it (robust.CampaignCheckpoint.Retire).
 func (co *Coordinator) Run(ctx context.Context, conns <-chan Conn) (*eval.Table, error) {
 	events := make(chan event, 64)
 	// readersDone releases every per-connection reader goroutine when Run
@@ -297,6 +299,11 @@ func (co *Coordinator) Run(ctx context.Context, conns <-chan Conn) (*eval.Table,
 			if err := co.handle(ev); err != nil {
 				return nil, co.asDeposed(err)
 			}
+		}
+	}
+	if co.gen == 0 {
+		if err := co.ck.Retire(); err != nil {
+			return nil, err
 		}
 	}
 	return co.opt.Campaign.Assemble(co.results), nil
