@@ -18,6 +18,9 @@ import "strings"
 // *rand.Rand values plumbed from a seed are the only sanctioned randomness.
 var Deterministic = []string{
 	"ppatuner/internal/core",
+	// The four re-implemented baselines produce Table 2/3 cells and the
+	// end-to-end benchmark's digests, so they answer to the same ban.
+	"ppatuner/internal/baselines",
 	// internal/gp includes the sparse inducing-point surrogate: its
 	// farthest-point selection is a pure function of (inputs, lengthscales,
 	// caller-provided seed), so the whole package stays under the ban — no

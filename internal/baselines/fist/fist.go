@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"ppatuner/internal/baselines/scalarize"
+	"ppatuner/internal/pareto"
 	"ppatuner/internal/tree"
 )
 
@@ -83,6 +84,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 	dim := len(pool[0])
 
 	known := map[int][]float64{}
+	done := make([]bool, len(pool))
 	var evaluated []int
 	observe := func(i int) error {
 		y, err := eval(i)
@@ -93,6 +95,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 			return fmt.Errorf("fist: evaluator returned %d objectives, want %d", len(y), opt.NumObjectives)
 		}
 		known[i] = y
+		done[i] = true
 		evaluated = append(evaluated, i)
 		return nil
 	}
@@ -152,7 +155,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 	// Fill any remainder randomly.
 	for len(evaluated) < mlBudget {
 		i := opt.Rng.Intn(len(pool))
-		if _, done := known[i]; !done {
+		if !done[i] {
 			if err := observe(i); err != nil {
 				return nil, err
 			}
@@ -161,6 +164,14 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 
 	// Model phase: boosted trees on target data, exploit best predictions.
 	models := make([]*tree.Boost, opt.NumObjectives)
+	// pred[k][i] is models[k]'s prediction for unevaluated candidate i. The
+	// models change only at a refit, so the first exploit step after one
+	// scores the pool and later steps reuse the scores.
+	pred := make([][]float64, opt.NumObjectives)
+	for k := range pred {
+		pred[k] = make([]float64, len(pool))
+	}
+	scored := false
 	refit := func() error {
 		var xs [][]float64
 		yss := make([][]float64, opt.NumObjectives)
@@ -188,6 +199,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 			}
 			haveImportance = true
 		}
+		scored = false
 		return nil
 	}
 	if err := refit(); err != nil {
@@ -200,7 +212,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 		if opt.Rng.Float64() < opt.Epsilon {
 			perm := opt.Rng.Perm(len(pool))
 			for _, i := range perm {
-				if _, done := known[i]; !done {
+				if !done[i] {
 					pick = i
 					break
 				}
@@ -209,6 +221,16 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 			// Scalarised exploitation along the current fixed preference
 			// direction (FIST optimises a scalar QoR), normalised by the
 			// observed objective ranges.
+			if !scored {
+				for k, b := range models {
+					for i, x := range pool {
+						if !done[i] {
+							pred[k][i] = b.Predict(x)
+						}
+					}
+				}
+				scored = true
+			}
 			w := dirs[scalarize.Segment(len(evaluated)-mlBudget, opt.Budget-mlBudget, len(dirs))]
 			lo := make([]float64, opt.NumObjectives)
 			hi := make([]float64, opt.NumObjectives)
@@ -224,12 +246,12 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 			}
 			best := math.Inf(1)
 			for i := range pool {
-				if _, done := known[i]; done {
+				if done[i] {
 					continue
 				}
 				var score float64
 				for k := range w {
-					score += w[k] * (models[k].Predict(pool[i]) - lo[k]) / (hi[k] - lo[k])
+					score += w[k] * (pred[k][i] - lo[k]) / (hi[k] - lo[k])
 				}
 				if score < best {
 					best = score
@@ -253,7 +275,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 	}
 
 	return &Result{
-		ParetoIdx:    nonDominated(known),
+		ParetoIdx:    pareto.FrontKeys(known),
 		EvaluatedIdx: evaluated,
 		Runs:         len(evaluated),
 		Importance:   importance,
@@ -290,42 +312,4 @@ func topK(v []float64, k int) []int {
 	out := append([]int(nil), idx[:k]...)
 	sort.Ints(out)
 	return out
-}
-
-func nonDominated(known map[int][]float64) []int {
-	// Iterate sorted indices so the reported front is deterministic; map
-	// order would reshuffle ParetoIdx between identically-seeded runs.
-	idx := make([]int, 0, len(known))
-	for i := range known {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	var out []int
-	for _, i := range idx {
-		yi := known[i]
-		dominated := false
-		for _, j := range idx {
-			if i != j && dominates(known[j], yi) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func dominates(a, b []float64) bool {
-	strict := false
-	for k := range a {
-		if a[k] > b[k] {
-			return false
-		}
-		if a[k] < b[k] {
-			strict = true
-		}
-	}
-	return strict
 }

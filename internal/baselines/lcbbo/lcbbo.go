@@ -14,10 +14,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ppatuner/internal/baselines/scalarize"
 	"ppatuner/internal/gp"
+	"ppatuner/internal/pareto"
 )
 
 // Options configures the BO baseline.
@@ -195,50 +195,8 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 	}
 
 	return &Result{
-		ParetoIdx:    nonDominated(known),
+		ParetoIdx:    pareto.FrontKeys(known),
 		EvaluatedIdx: evaluated,
 		Runs:         len(evaluated),
 	}, nil
-}
-
-// nonDominated returns evaluated indices whose vectors are non-dominated.
-func nonDominated(known map[int][]float64) []int {
-	// Iterate sorted indices so the reported front is deterministic; map
-	// order would reshuffle ParetoIdx between identically-seeded runs.
-	idx := make([]int, 0, len(known))
-	for i := range known {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	var out []int
-	for _, i := range idx {
-		yi := known[i]
-		dominated := false
-		for _, j := range idx {
-			if i == j {
-				continue
-			}
-			if dominates(known[j], yi) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func dominates(a, b []float64) bool {
-	strict := false
-	for k := range a {
-		if a[k] > b[k] {
-			return false
-		}
-		if a[k] < b[k] {
-			strict = true
-		}
-	}
-	return strict
 }

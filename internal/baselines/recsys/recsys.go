@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ppatuner/internal/baselines/scalarize"
+	"ppatuner/internal/pareto"
 )
 
 // Options configures the recommender baseline.
@@ -45,36 +45,41 @@ type Result struct {
 }
 
 // fm is a per-objective factorization machine over one-hot (dim, bucket)
-// items.
+// items. Item d·buckets+b stands for parameter d at level b: bias[item] is
+// its bias and lat[item·rank : (item+1)·rank] its latent factors.
 type fm struct {
-	mu    float64
-	bias  [][]float64   // [dim][bucket]
-	lat   [][][]float64 // [dim][bucket][latent]
-	dim   int
-	bkt   int
-	rank  int
-	items func(x []float64) []int // bucket index per dim
+	mu   float64
+	bias []float64
+	lat  []float64
+	rank int
+	// sum is Σv over the items of the last predict; the SGD step reuses it.
+	sum []float64
 	// postMean/postSd de-standardise predictions after train.
 	postMean, postSd float64
 }
 
 func newFM(dim, buckets, rank int, rng *rand.Rand) *fm {
-	m := &fm{dim: dim, bkt: buckets, rank: rank}
-	m.bias = make([][]float64, dim)
-	m.lat = make([][][]float64, dim)
-	for d := 0; d < dim; d++ {
-		m.bias[d] = make([]float64, buckets)
-		m.lat[d] = make([][]float64, buckets)
-		for b := 0; b < buckets; b++ {
-			m.lat[d][b] = make([]float64, rank)
-			for r := 0; r < rank; r++ {
-				m.lat[d][b][r] = 0.01 * rng.NormFloat64()
-			}
-		}
+	m := &fm{
+		bias: make([]float64, dim*buckets),
+		lat:  make([]float64, dim*buckets*rank),
+		rank: rank,
+		sum:  make([]float64, rank),
 	}
-	m.items = func(x []float64) []int {
-		out := make([]int, dim)
-		for d := 0; d < dim; d++ {
+	for i := range m.lat {
+		m.lat[i] = 0.01 * rng.NormFloat64()
+	}
+	return m
+}
+
+// itemTable buckets every pool candidate once: row i holds the item of
+// each parameter of candidate i.
+func itemTable(pool [][]float64, buckets int) [][]int32 {
+	dim := len(pool[0])
+	flat := make([]int32, len(pool)*dim)
+	rows := make([][]int32, len(pool))
+	for i, x := range pool {
+		row := flat[i*dim : (i+1)*dim : (i+1)*dim]
+		for d := range row {
 			b := int(x[d] * float64(buckets))
 			if b >= buckets {
 				b = buckets - 1
@@ -82,39 +87,44 @@ func newFM(dim, buckets, rank int, rng *rand.Rand) *fm {
 			if b < 0 {
 				b = 0
 			}
-			out[d] = b
+			row[d] = int32(d*buckets + b)
 		}
-		return out
+		rows[i] = row
 	}
-	return m
+	return rows
 }
 
-func (m *fm) predict(x []float64) float64 {
-	it := m.items(x)
+// predict scores one item row and leaves Σv in m.sum.
+//
+//ppalint:noalloc
+func (m *fm) predict(items []int32) float64 {
 	out := m.mu
 	// Pairwise interactions via the standard FM identity:
 	// Σ_{d<e} v_d·v_e = ½(‖Σv‖² − Σ‖v‖²).
-	sum := make([]float64, m.rank)
+	sum := m.sum
+	for r := range sum {
+		sum[r] = 0
+	}
 	var sumSq float64
-	for d, b := range it {
-		out += m.bias[d][b]
-		v := m.lat[d][b]
-		for r := 0; r < m.rank; r++ {
+	for _, it := range items {
+		out += m.bias[it]
+		v := m.lat[int(it)*m.rank : int(it+1)*m.rank]
+		for r := range v {
 			sum[r] += v[r]
 			sumSq += v[r] * v[r]
 		}
 	}
 	var inter float64
-	for r := 0; r < m.rank; r++ {
-		inter += sum[r] * sum[r]
+	for _, s := range sum {
+		inter += s * s
 	}
 	out += 0.5 * (inter - sumSq)
 	return out
 }
 
-// train runs SGD epochs on (xs, ys), standardising internally.
-func (m *fm) train(xs [][]float64, ys []float64, epochs int, rng *rand.Rand) {
-	if len(xs) == 0 {
+// train runs SGD epochs on (rows, ys), standardising internally.
+func (m *fm) train(rows [][]int32, ys []float64, epochs int, rng *rand.Rand) {
+	if len(rows) == 0 {
 		return
 	}
 	var mean float64
@@ -132,40 +142,35 @@ func (m *fm) train(xs [][]float64, ys []float64, epochs int, rng *rand.Rand) {
 	}
 	m.mu = 0
 	lr, reg := 0.05, 0.01
-	order := make([]int, len(xs))
+	order := make([]int, len(rows))
 	for i := range order {
 		order[i] = i
 	}
 	for ep := 0; ep < epochs; ep++ {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for _, i := range order {
-			m.predictStdGrad(xs[i], (ys[i]-mean)/sd, lr, reg)
+			m.predictStdGrad(rows[i], (ys[i]-mean)/sd, lr, reg)
 		}
 	}
 	m.postMean, m.postSd = mean, sd
 }
 
-func (m *fm) predictRaw(x []float64) float64 {
-	return m.postMean + m.postSd*m.predict(x)
+func (m *fm) predictRaw(items []int32) float64 {
+	return m.postMean + m.postSd*m.predict(items)
 }
 
-// predictStdGrad performs one SGD step on the standardised sample.
-func (m *fm) predictStdGrad(x []float64, y float64, lr, reg float64) {
-	it := m.items(x)
-	pred := m.predict(x)
-	e := pred - y
+// predictStdGrad performs one SGD step on the standardised sample. The
+// gradient of item d's factors is Σv − v_d, taken before any update.
+//
+//ppalint:noalloc
+func (m *fm) predictStdGrad(items []int32, y float64, lr, reg float64) {
+	e := m.predict(items) - y
 	m.mu -= lr * e
-	sum := make([]float64, m.rank)
-	for d, b := range it {
-		v := m.lat[d][b]
-		for r := 0; r < m.rank; r++ {
-			sum[r] += v[r]
-		}
-	}
-	for d, b := range it {
-		m.bias[d][b] -= lr * (e + reg*m.bias[d][b])
-		v := m.lat[d][b]
-		for r := 0; r < m.rank; r++ {
+	sum := m.sum
+	for _, it := range items {
+		m.bias[it] -= lr * (e + reg*m.bias[it])
+		v := m.lat[int(it)*m.rank : int(it+1)*m.rank]
+		for r := range v {
 			grad := sum[r] - v[r]
 			v[r] -= lr * (e*grad + reg*v[r])
 		}
@@ -209,7 +214,9 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 	}
 
 	dim := len(pool[0])
+	items := itemTable(pool, opt.Buckets)
 	known := map[int][]float64{}
+	done := make([]bool, len(pool))
 	var evaluated []int
 	observe := func(i int) error {
 		y, err := eval(i)
@@ -220,6 +227,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 			return fmt.Errorf("recsys: evaluator returned %d objectives, want %d", len(y), opt.NumObjectives)
 		}
 		known[i] = y
+		done[i] = true
 		evaluated = append(evaluated, i)
 		return nil
 	}
@@ -238,18 +246,27 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 	for k := range models {
 		models[k] = newFM(dim, opt.Buckets, opt.LatentDim, opt.Rng)
 	}
+	// pred[k][i] is models[k]'s prediction for unevaluated candidate i. The
+	// models change only at a retrain, so the first exploit step after one
+	// scores the pool and later steps reuse the scores.
+	pred := make([][]float64, opt.NumObjectives)
+	for k := range pred {
+		pred[k] = make([]float64, len(pool))
+	}
+	scored := false
 	retrain := func() {
-		var xs [][]float64
+		var rows [][]int32
 		yss := make([][]float64, opt.NumObjectives)
 		for _, i := range evaluated {
-			xs = append(xs, pool[i])
+			rows = append(rows, items[i])
 			for k := 0; k < opt.NumObjectives; k++ {
 				yss[k] = append(yss[k], known[i][k])
 			}
 		}
 		for k, m := range models {
-			m.train(xs, yss[k], 30, opt.Rng)
+			m.train(rows, yss[k], 30, opt.Rng)
 		}
+		scored = false
 	}
 	retrain()
 
@@ -262,7 +279,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 			pick = -1
 			perm := opt.Rng.Perm(len(pool))
 			for _, i := range perm {
-				if _, done := known[i]; !done {
+				if !done[i] {
 					pick = i
 					break
 				}
@@ -270,16 +287,26 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 		} else {
 			// Recommend along the current fixed preference direction (the
 			// original recommender scores a scalar QoR).
+			if !scored {
+				for k, m := range models {
+					for i, row := range items {
+						if !done[i] {
+							pred[k][i] = m.predictRaw(row)
+						}
+					}
+				}
+				scored = true
+			}
 			w := dirs[scalarize.Segment(len(evaluated)-init, opt.Budget-init, len(dirs))]
 			pick = -1
 			bestScore := math.Inf(1)
 			for i := range pool {
-				if _, done := known[i]; done {
+				if done[i] {
 					continue
 				}
 				var score float64
-				for k, m := range models {
-					score += w[k] * m.predictRaw(pool[i])
+				for k := range models {
+					score += w[k] * pred[k][i]
 				}
 				if score < bestScore {
 					bestScore = score
@@ -292,7 +319,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 			// blow-up); fall back to random exploration instead of quitting
 			// the budget early.
 			for _, i := range opt.Rng.Perm(len(pool)) {
-				if _, done := known[i]; !done {
+				if !done[i] {
 					pick = i
 					break
 				}
@@ -311,43 +338,5 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 		}
 	}
 
-	return &Result{ParetoIdx: nonDominated(known), EvaluatedIdx: evaluated, Runs: len(evaluated)}, nil
-}
-
-func nonDominated(known map[int][]float64) []int {
-	// Iterate sorted indices so the reported front is deterministic; map
-	// order would reshuffle ParetoIdx between identically-seeded runs.
-	idx := make([]int, 0, len(known))
-	for i := range known {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	var out []int
-	for _, i := range idx {
-		yi := known[i]
-		dominated := false
-		for _, j := range idx {
-			if i != j && dominates(known[j], yi) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func dominates(a, b []float64) bool {
-	strict := false
-	for k := range a {
-		if a[k] > b[k] {
-			return false
-		}
-		if a[k] < b[k] {
-			strict = true
-		}
-	}
-	return strict
+	return &Result{ParetoIdx: pareto.FrontKeys(known), EvaluatedIdx: evaluated, Runs: len(evaluated)}, nil
 }

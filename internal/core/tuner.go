@@ -30,6 +30,7 @@ import (
 
 	"ppatuner/internal/gp"
 	"ppatuner/internal/par"
+	"ppatuner/internal/pareto"
 )
 
 // Evaluator returns the golden QoR objective vector of pool candidate i.
@@ -290,7 +291,7 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 			inSet[i] = true
 		}
 	}
-	for _, i := range t.nonDominatedEvaluated() {
+	for _, i := range pareto.FrontKeys(t.known) {
 		inSet[i] = true
 	}
 	for i := range t.status {
@@ -899,49 +900,6 @@ func (t *Tuner) maybeRefit() error {
 		}
 		return nil
 	})
-}
-
-// nonDominatedEvaluated returns the evaluated points whose golden vectors
-// are mutually non-dominated.
-func (t *Tuner) nonDominatedEvaluated() []int {
-	// Iterate sorted indices: ranging t.known directly would emit the front
-	// in map order, which varies run to run and breaks seeded reproducibility.
-	idx := make([]int, 0, len(t.known))
-	for i := range t.known {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	var out []int
-	for _, i := range idx {
-		yi := t.known[i]
-		dominated := false
-		for _, j := range idx {
-			if i == j {
-				continue
-			}
-			if dominatesVec(t.known[j], yi) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func dominatesVec(a, b []float64) bool {
-	strict := false
-	for k := range a {
-		if a[k] > b[k] {
-			return false
-		}
-		if a[k] < b[k] {
-			strict = true
-		}
-	}
-	return strict
 }
 
 // DebugState summarises surrogate and region diagnostics (used by probes and

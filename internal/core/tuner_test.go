@@ -321,18 +321,6 @@ func TestDeltaControlsPrecision(t *testing.T) {
 	}
 }
 
-func TestDominatesVec(t *testing.T) {
-	if !dominatesVec([]float64{1, 1}, []float64{2, 2}) {
-		t.Error("clear domination missed")
-	}
-	if dominatesVec([]float64{1, 1}, []float64{1, 1}) {
-		t.Error("equal vectors dominate")
-	}
-	if dominatesVec([]float64{1, 3}, []float64{2, 2}) {
-		t.Error("incomparable vectors dominate")
-	}
-}
-
 func TestDiameterScaling(t *testing.T) {
 	// White-box: a tuner with known regions must measure scaled diameters.
 	tn := &Tuner{

@@ -66,6 +66,31 @@ func Front(pts [][]float64) []int {
 	return front
 }
 
+// FrontKeys returns the keys of pts whose points no other point dominates,
+// in ascending order. The tuners keep their evaluations keyed by pool
+// index; sorting first makes the reported front independent of map order.
+func FrontKeys(pts map[int][]float64) []int {
+	keys := make([]int, 0, len(pts))
+	for i := range pts {
+		keys = append(keys, i)
+	}
+	sort.Ints(keys)
+	var front []int
+	for _, i := range keys {
+		dominated := false
+		for _, j := range keys {
+			if i != j && Dominates(pts[j], pts[i]) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, i)
+		}
+	}
+	return front
+}
+
 // FrontPoints returns copies of the non-dominated points themselves.
 func FrontPoints(pts [][]float64) [][]float64 {
 	idx := Front(pts)

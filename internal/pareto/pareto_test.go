@@ -63,6 +63,32 @@ func TestFront(t *testing.T) {
 	}
 }
 
+func TestFrontKeys(t *testing.T) {
+	pts := map[int][]float64{
+		40: {6, 6}, // dominated
+		7:  {2, 2}, // front
+		3:  {3, 3}, // dominated by (2,2)
+		12: {5, 1}, // front
+		9:  {2, 2}, // duplicate of a front point: kept
+		25: {1, 5}, // front
+	}
+	want := []int{7, 9, 12, 25}
+	for rep := 0; rep < 20; rep++ {
+		got := FrontKeys(pts)
+		if len(got) != len(want) {
+			t.Fatalf("FrontKeys = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("FrontKeys = %v, want %v", got, want)
+			}
+		}
+	}
+	if got := FrontKeys(nil); len(got) != 0 {
+		t.Errorf("FrontKeys(nil) = %v", got)
+	}
+}
+
 func TestFrontEmptyAndSingle(t *testing.T) {
 	if got := Front(nil); len(got) != 0 {
 		t.Errorf("Front(nil) = %v", got)

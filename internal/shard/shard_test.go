@@ -160,17 +160,23 @@ func TestDistributedFaultFreeIdentity(t *testing.T) {
 }
 
 // killConn severs the connection after a fixed number of worker sends —
-// a deterministic stand-in for SIGKILL mid-unit.
+// a deterministic stand-in for SIGKILL mid-unit. A non-nil leased is
+// closed at the first observation sent, when the worker holds a lease.
 type killConn struct {
 	shard.Conn
 	mu        sync.Mutex
 	remaining int
+	leased    chan struct{}
 }
 
 func (k *killConn) Send(m shard.Msg) error {
 	k.mu.Lock()
 	k.remaining--
 	dead := k.remaining < 0
+	if m.Type == shard.MsgObs && k.leased != nil {
+		close(k.leased)
+		k.leased = nil
+	}
 	k.mu.Unlock()
 	if dead {
 		k.Conn.Close()
@@ -195,18 +201,28 @@ func TestDistributedWorkerDeathIdentity(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	conns := make(chan shard.Conn, 3)
-	startWorkers(t, ctx, conns, 2, nil)
-	// The third worker dies after hello + 4 observations: mid-unit, with
+	// The doomed worker dies after hello + 4 observations: mid-unit, with
 	// progress already streamed. Its kill counter wraps the worker side, so
-	// the severed connection looks like a SIGKILL to the coordinator. The
-	// other two workers finish the campaign.
+	// the severed connection looks like a SIGKILL to the coordinator. It
+	// connects alone, and the two workers that finish the campaign connect
+	// once it holds a lease: connected together, they could drain the four
+	// units before the doomed worker's hello is served.
 	coordSide, workerSide := transport.Loopback()
 	conns <- coordSide
+	doomed := &killConn{Conn: workerSide, remaining: 5, leased: make(chan struct{})}
+	leased := doomed.leased
 	go func() {
-		_ = shard.RunWorker(ctx, &killConn{Conn: workerSide, remaining: 5}, shard.WorkerOptions{
+		_ = shard.RunWorker(ctx, doomed, shard.WorkerOptions{
 			ID:       "doomed",
 			Scenario: resolveMini(t),
 		})
+	}()
+	go func() {
+		select {
+		case <-leased:
+			startWorkers(t, ctx, conns, 2, nil)
+		case <-ctx.Done():
+		}
 	}()
 	table, err := co.Run(ctx, conns)
 	if err != nil {
