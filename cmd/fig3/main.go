@@ -8,9 +8,10 @@
 //	     [-checkpoint FILE [-resume]]
 //
 // -checkpoint persists every paid-for observation plus the tuner's RNG
-// state (checkpoint schema v2) so a killed run, restarted with -resume,
-// replays from the file instead of re-running the tool; -workers bounds
-// the engine's concurrency (identical output for any value).
+// state (one partial cell of a campaign checkpoint; a per-run schema-v2
+// file from earlier versions still resumes) so a killed run, restarted with
+// -resume, replays from the file instead of re-running the tool; -workers
+// bounds the engine's concurrency (identical output for any value).
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 
 	"ppatuner"
 	"ppatuner/internal/eval"
+	"ppatuner/internal/robust"
 )
 
 func main() {
@@ -30,12 +32,12 @@ func main() {
 	csvPath := flag.String("csv", "", "optional path to write the two series as CSV")
 	jsonPath := flag.String("json", "", "optional path to write the two series as JSON")
 	workers := flag.Int("workers", 0, "tuner concurrency (0 = engine default; identical output for any value)")
-	ckptPath := flag.String("checkpoint", "", "schema-v2 checkpoint file: observations and RNG state persist there")
+	ckptPath := flag.String("checkpoint", "", "checkpoint file: observations and RNG state persist there")
 	resume := flag.Bool("resume", false, "continue from an existing -checkpoint file (without it, a pre-existing file is an error)")
 	flag.Parse()
 
 	opts := ppatuner.HarnessRunOpts{Workers: *workers}
-	var ck *ppatuner.EvalCheckpoint
+	var ck *ppatuner.CampaignCheckpoint
 	if *ckptPath != "" {
 		if !*resume {
 			if fi, err := os.Stat(*ckptPath); err == nil && fi.Size() > 0 {
@@ -44,7 +46,7 @@ func main() {
 			}
 		}
 		var err error
-		ck, err = ppatuner.LoadCheckpoint(*ckptPath)
+		ck, err = ppatuner.LoadCampaignCheckpoint(*ckptPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
 			os.Exit(1)
@@ -53,35 +55,39 @@ func main() {
 		// fresh source's starting state so a later resume does not depend on
 		// re-deriving the generator from the seed.
 		src := eval.Figure3Source(*seed)
-		if state := ck.RandState(); state != nil {
+		if state, _ := ck.PartialRandState(robust.RunKey); state != nil {
 			if err := src.UnmarshalBinary(state); err != nil {
 				fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
 				os.Exit(1)
 			}
-			fmt.Printf("checkpoint: resuming with %d cached observations from %s\n", ck.Len(), *ckptPath)
+			fmt.Printf("checkpoint: resuming with %d cached observations from %s\n", len(ck.PartialObservations(robust.RunKey)), *ckptPath)
 		} else {
 			state, err := src.MarshalBinary()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
 				os.Exit(1)
 			}
-			if err := ck.SetRandState(state); err != nil {
+			if err := ck.StartCell(robust.RunKey, state); err != nil {
 				fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
 				os.Exit(1)
 			}
 		}
 		opts.Src = src
-		opts.Wrap = ck.Wrap
+		opts.Wrap = func(ev ppatuner.Evaluator) ppatuner.Evaluator { return ck.WrapCell(robust.RunKey, ev) }
 	}
 
 	golden, learned, err := ppatuner.Figure3Opts(*seed, opts)
+	if err == nil && ck != nil {
+		// Fold the run's observation journal into the checkpoint file.
+		err = ck.Retire()
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
 		os.Exit(1)
 	}
 	if ck != nil {
-		hits, misses := ck.Stats()
-		fmt.Printf("checkpoint: %d replayed, %d fresh (now %d cached in %s)\n", hits, misses, ck.Len(), *ckptPath)
+		replayed, fresh := ck.Stats()
+		fmt.Printf("checkpoint: %d replayed, %d fresh (now %d cached in %s)\n", replayed, fresh, len(ck.PartialObservations(robust.RunKey)), *ckptPath)
 	}
 
 	var b strings.Builder

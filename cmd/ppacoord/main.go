@@ -44,14 +44,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -63,16 +61,6 @@ import (
 	"ppatuner/internal/shard"
 	"ppatuner/internal/shard/transport"
 )
-
-// tablesDoc mirrors the tables command's TABLES.json document, so the
-// distributed and single-process pipelines feed the same consumers.
-type tablesDoc struct {
-	GoVersion string             `json:"go_version"`
-	Timestamp string             `json:"timestamp"`
-	Seeds     []int64            `json:"seeds"`
-	Workers   int                `json:"workers"`
-	Tables    []eval.TableReport `json:"tables"`
-}
 
 func main() {
 	table := flag.String("table", "both", "which table to regenerate: 2 | 3 | both")
@@ -261,19 +249,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "failures: %s\n", flog.Summary())
 
 	if *jsonPath != "" {
-		doc := tablesDoc{
-			GoVersion: runtime.Version(),
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			Seeds:     seeds,
-			Workers:   *workers + *workersRemote,
-			Tables:    reports,
-		}
-		data, err := json.MarshalIndent(&doc, "", "  ")
-		if err != nil {
-			fail(1, err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
+		if err := eval.WriteTablesJSON(*jsonPath, seeds, *workers+*workersRemote, reports); err != nil {
 			fail(1, err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)

@@ -35,6 +35,7 @@ import (
 
 	"ppatuner"
 	"ppatuner/internal/eval"
+	"ppatuner/internal/robust"
 )
 
 func main() {
@@ -115,14 +116,14 @@ func main() {
 		}
 	}
 
-	var ckpt *ppatuner.EvalCheckpoint
+	var ckpt *ppatuner.CampaignCheckpoint
 	if *ckptPath != "" {
-		ckpt, err = ppatuner.LoadCheckpoint(*ckptPath)
+		ckpt, err = ppatuner.LoadCampaignCheckpoint(*ckptPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
 			os.Exit(1)
 		}
-		if n := ckpt.Len(); n > 0 {
+		if n := len(ckpt.PartialObservations(robust.RunKey)); n > 0 {
 			fmt.Printf("checkpoint: resuming with %d cached observations from %s\n", n, *ckptPath)
 		}
 	}
@@ -159,7 +160,7 @@ func main() {
 			ev = inj.Wrap(ev)
 		}
 		if ckpt != nil {
-			ev = ckpt.Wrap(ev)
+			ev = ckpt.WrapCell(robust.RunKey, ev)
 		}
 		re, err := ppatuner.WrapEvaluator(nil, ev, ppatuner.ResilientOptions{
 			Timeout:    *timeout,
@@ -180,6 +181,10 @@ func main() {
 	fmt.Printf("%s | %s | %s (seed %d)\n", s.Name, space.Name, m, *seed)
 	start := time.Now()
 	out, err := eval.RunMethodOpts(m, s, space, *seed, eval.RunOpts{Wrap: wrap, Workers: *workers, GP: gpSpec})
+	if err == nil && ckpt != nil {
+		// Fold the run's observation journal into the checkpoint file.
+		err = ckpt.Retire()
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
 		os.Exit(1)
@@ -197,8 +202,8 @@ func main() {
 		fmt.Printf("outages injected:   %d (schedule %s)\n", inj.Counts().Outage, sched)
 	}
 	if ckpt != nil {
-		hits, misses := ckpt.Stats()
-		fmt.Printf("checkpoint:         %d replayed, %d fresh (now %d cached in %s)\n", hits, misses, ckpt.Len(), *ckptPath)
+		replayed, fresh := ckpt.Stats()
+		fmt.Printf("checkpoint:         %d replayed, %d fresh (now %d cached in %s)\n", replayed, fresh, len(ckpt.PartialObservations(robust.RunKey)), *ckptPath)
 	}
 	fmt.Printf("predicted Pareto-optimal configurations: %d\n", len(out.ParetoIdx))
 	for _, i := range out.ParetoIdx {

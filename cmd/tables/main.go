@@ -9,7 +9,6 @@
 // Usage:
 //
 //	tables [-table 2|3|both] [-seeds N|s1,s2,...] [-workers N]
-//	       [-coordinator ADDR [-workers-remote N] [-lease D]]
 //	       [-checkpoint FILE [-resume]] [-json FILE]
 //	       [-outage PERIOD/DOWN] [-breaker N] [-max-outage D]
 //
@@ -25,39 +24,19 @@
 // requeued after recovery, bounded by -max-outage, so the regenerated
 // tables are bit-identical to an outage-free run.
 //
-// -coordinator switches from in-process workers to distributed ones: the
-// command listens on ADDR, leases units to remote ppaworker processes
-// (start them with ppaworker -connect ADDR), and merges their streamed
-// results — the output stays byte-identical to the in-process run. The
-// evaluation-path flags (-outage, -breaker) then belong on the workers,
-// not here. See also the ppacoord command, which adds local worker
-// spawning and kill schedules.
+// To distribute the units over worker processes instead, use the ppacoord
+// command: its output is byte-identical to this one's.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"ppatuner"
 	"ppatuner/internal/eval"
-	"ppatuner/internal/shard"
-	"ppatuner/internal/shard/transport"
 )
-
-// tablesDoc is the TABLES.json document: everything a downstream consumer
-// (the nightly CI pipeline, dashboards) needs to interpret the numbers.
-type tablesDoc struct {
-	GoVersion string             `json:"go_version"`
-	Timestamp string             `json:"timestamp"`
-	Seeds     []int64            `json:"seeds"`
-	Workers   int                `json:"workers"`
-	Tables    []eval.TableReport `json:"tables"`
-}
 
 func main() {
 	table := flag.String("table", "both", "which table to regenerate: 2 | 3 | both")
@@ -69,9 +48,6 @@ func main() {
 	outageSpec := flag.String("outage", "", "inject correlated downtime windows: PERIOD/DOWN (e.g. 60s/10s), empty or \"off\" disables")
 	breakerN := flag.Int("breaker", 0, "circuit breaker: trip after N consecutive transient failures and park affected cells (0 disables; outage-marked failures trip immediately)")
 	maxOutage := flag.Duration("max-outage", 5*time.Minute, "abort when one outage episode keeps the breaker open longer than this")
-	coordAddr := flag.String("coordinator", "", "distribute units to remote workers: TCP address to accept ppaworker -connect dials on")
-	workersRemote := flag.Int("workers-remote", 1, "remote workers expected on -coordinator (recorded in TABLES.json)")
-	leaseTTL := flag.Duration("lease", 30*time.Second, "with -coordinator: lease TTL before a silent worker loses its unit")
 	gpFlag := flag.String("gp", "exact", "PPATuner surrogate: exact | sparse | sparse:<m> (inducing-point approximation, O(n·m²) per refit)")
 	flag.Parse()
 
@@ -135,26 +111,6 @@ func main() {
 		}
 	}
 
-	// Distributed mode: listen for remote workers and lease units to them
-	// instead of running in-process. The evaluation-path middleware above
-	// runs inside workers, so the local wrap is left unused.
-	var distConns <-chan shard.Conn
-	if *coordAddr != "" {
-		if sched.Enabled() || *breakerN > 0 {
-			fmt.Fprintln(os.Stderr, "tables: note: with -coordinator, -outage and -breaker belong on the ppaworker command line; ignoring them here")
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		conns, closeL, addr, err := transport.Listen(ctx, *coordAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-			os.Exit(1)
-		}
-		defer closeL()
-		distConns = conns
-		fmt.Fprintf(os.Stderr, "tables: accepting workers on %s (expecting %d; start them with: ppaworker -connect %s)\n", addr, *workersRemote, addr)
-	}
-
 	var ck *ppatuner.CampaignCheckpoint
 	resumedCells := 0
 	if *ckptPath != "" {
@@ -187,22 +143,7 @@ func main() {
 			Breaker: brk,
 			Opts:    ppatuner.HarnessRunOpts{Wrap: wrap, GP: gpSpec},
 		}
-		var tbl *ppatuner.HarnessTable
-		if distConns != nil {
-			co, cerr := shard.New(shard.Options{Campaign: c, LeaseTTL: *leaseTTL, Log: flog})
-			if cerr != nil {
-				fmt.Fprintf(os.Stderr, "tables: %v\n", cerr)
-				os.Exit(1)
-			}
-			tbl, err = co.Run(context.Background(), distConns)
-			if err == nil {
-				st := co.Stats()
-				fmt.Fprintf(os.Stderr, "tables: leases: %d granted, %d expired, %d workers lost, %d zombie results rejected\n",
-					st.Granted, st.Expired, st.WorkersLost, st.ZombieResults)
-			}
-		} else {
-			tbl, err = c.Run()
-		}
+		tbl, err := c.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 			os.Exit(1)
@@ -234,24 +175,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		docWorkers := *workers
-		if distConns != nil {
-			docWorkers = *workersRemote
-		}
-		doc := tablesDoc{
-			GoVersion: runtime.Version(),
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			Seeds:     seeds,
-			Workers:   docWorkers,
-			Tables:    reports,
-		}
-		data, err := json.MarshalIndent(&doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
+		if err := eval.WriteTablesJSON(*jsonPath, seeds, *workers, reports); err != nil {
 			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 			os.Exit(1)
 		}

@@ -28,13 +28,12 @@ A call to one of the curated functions whose error result is dropped — the
 call used as a statement, deferred, spawned with go, or assigned to the
 blank identifier — is flagged. The list: mat.NewCholesky,
 mat.CholeskyWithJitter, mat.SolveSPD, (*mat.Cholesky).Extend,
-(*mat.Cholesky).FactorizePacked; gp.SelectInducing; robust.LoadCheckpoint,
-(*robust.Checkpoint).Add, (*robust.Checkpoint).Save,
-(*robust.Checkpoint).SetRandState, (*robust.Checkpoint).SetIters;
+(*mat.Cholesky).FactorizePacked; gp.SelectInducing;
 robust.LoadCampaignCheckpoint, (*robust.CampaignCheckpoint).Complete,
 (*robust.CampaignCheckpoint).StartCell, (*robust.CampaignCheckpoint).Park,
 (*robust.CampaignCheckpoint).Unpark, (*robust.CampaignCheckpoint).Lease,
 (*robust.CampaignCheckpoint).AddPartialObservation,
+(*robust.CampaignCheckpoint).Adopt, (*robust.CampaignCheckpoint).Retire,
 robust.WriteFileAtomic, robust.RemoveCampaignCheckpoint;
 robust.LoadJobManifest, (*robust.JobManifest).NextID,
 (*robust.JobManifest).Put, (*robust.JobManifest).SetStatus,
@@ -46,6 +45,10 @@ Lease and AddPartialObservation join the list with the distributed-campaign
 coordinator: a dropped Lease error hides an epoch regression (the zombie
 defence), and a dropped AddPartialObservation error silently forfeits
 streamed progress the next re-grant was meant to replay.
+
+Adopt and Retire join with the single-run checkpoint: a dropped Retire
+error is a finished run whose file silently never received its journal,
+and a dropped Adopt error is a coordinator running unfenced.
 
 The file helpers join with the observation journal: a dropped
 WriteFileAtomic error is a state file silently never written, and a dropped
@@ -78,11 +81,6 @@ var must = map[string]map[string]bool{
 		"SelectInducing": true,
 	},
 	"ppatuner/internal/robust": {
-		"LoadCheckpoint":                           true,
-		"Checkpoint.Add":                           true,
-		"Checkpoint.Save":                          true,
-		"Checkpoint.SetRandState":                  true,
-		"Checkpoint.SetIters":                      true,
 		"LoadCampaignCheckpoint":                   true,
 		"CampaignCheckpoint.Complete":              true,
 		"CampaignCheckpoint.StartCell":             true,
@@ -90,6 +88,8 @@ var must = map[string]map[string]bool{
 		"CampaignCheckpoint.Unpark":                true,
 		"CampaignCheckpoint.Lease":                 true,
 		"CampaignCheckpoint.AddPartialObservation": true,
+		"CampaignCheckpoint.Adopt":                 true,
+		"CampaignCheckpoint.Retire":                true,
 		"WriteFileAtomic":                          true,
 		"RemoveCampaignCheckpoint":                 true,
 		"LoadJobManifest":                          true,

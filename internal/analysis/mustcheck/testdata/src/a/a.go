@@ -8,16 +8,18 @@ import (
 	"ppatuner/internal/robust"
 )
 
-func bad(a *mat.Matrix, c *mat.Cholesky, ck *robust.Checkpoint) {
+func bad(a *mat.Matrix, c *mat.Cholesky, ck *robust.CampaignCheckpoint) {
 	mat.NewCholesky(a)              // want `mat.NewCholesky discards its error`
 	c.Extend(nil)                   // want `mat.Cholesky.Extend discards its error`
 	c.FactorizePacked(nil, 0, 0, 1) // want `mat.Cholesky.FactorizePacked discards its error`
-	defer ck.Save()                 // want `defer robust.Checkpoint.Save discards its error`
-	go ck.Add(0, nil)               // want `go robust.Checkpoint.Add discards its error`
-	f, _ := mat.NewCholesky(a)      // want `mat.NewCholesky assigns its error to _`
+	defer ck.Retire()               // want `defer robust.CampaignCheckpoint.Retire discards its error`
+	go ck.Adopt()                   // want `go robust.CampaignCheckpoint.Adopt discards its error`
+	gen, _ := ck.Adopt()            // want `robust.CampaignCheckpoint.Adopt assigns its error to _`
+	_ = gen
+	f, _ := mat.NewCholesky(a) // want `mat.NewCholesky assigns its error to _`
 	_ = f
-	_, _, _ = mat.SolveSPD(a, nil) // want `mat.SolveSPD assigns its error to _`
-	robust.LoadCheckpoint("x")     // want `robust.LoadCheckpoint discards its error`
+	_, _, _ = mat.SolveSPD(a, nil)     // want `mat.SolveSPD assigns its error to _`
+	robust.LoadCampaignCheckpoint("x") // want `robust.LoadCampaignCheckpoint discards its error`
 }
 
 func badLease(ck *robust.CampaignCheckpoint) {
@@ -66,20 +68,23 @@ func goodManifest(m *robust.JobManifest) error {
 	return m.SetUnit(id, "k", robust.JobRecord{})
 }
 
-func good(a *mat.Matrix, c *mat.Cholesky, ck *robust.Checkpoint) error {
+func good(a *mat.Matrix, c *mat.Cholesky, ck *robust.CampaignCheckpoint) error {
 	f, err := mat.NewCholesky(a)
 	if err != nil {
 		return err
 	}
 	_ = f.Solve(nil) // Solve returns no error and is not curated: fine.
-	_ = ck.Len()
+	_ = ck.Cells()
 	if err := c.Extend(nil); err != nil {
 		return err
 	}
 	if _, _, err := mat.SolveSPD(a, nil); err != nil {
 		return err
 	}
-	return ck.Save()
+	if _, err := ck.Adopt(); err != nil {
+		return err
+	}
+	return ck.Retire()
 }
 
 func badInducing(x [][]float64) {

@@ -2,19 +2,17 @@
 // analyzer fixture.
 package robust
 
-type Checkpoint struct{}
-
-func LoadCheckpoint(path string) (*Checkpoint, error) { return nil, nil }
-
-func (c *Checkpoint) Add(i int, y []float64) error { return nil }
-
-func (c *Checkpoint) Save() error { return nil }
-
-func (c *Checkpoint) Len() int { return 0 }
-
 type Observation struct{}
 
 type CampaignCheckpoint struct{}
+
+func LoadCampaignCheckpoint(path string) (*CampaignCheckpoint, error) { return nil, nil }
+
+func (c *CampaignCheckpoint) Adopt() (uint64, error) { return 0, nil }
+
+func (c *CampaignCheckpoint) Retire() error { return nil }
+
+func (c *CampaignCheckpoint) Cells() int { return 0 }
 
 func (c *CampaignCheckpoint) Lease(key string, epoch uint64, holder string) error { return nil }
 

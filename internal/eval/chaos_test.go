@@ -177,10 +177,10 @@ func TestCheckpointCrashResumeIdenticalPareto(t *testing.T) {
 	// Crash run: the tool dies for good after 18 calls; the checkpoint has
 	// persisted everything observed up to that point.
 	path := filepath.Join(t.TempDir(), "run.ckpt.json")
-	ckpt := robust.NewCheckpoint(path)
+	ckpt := robust.NewCampaignCheckpoint(path)
 	boom := errors.New("simulated crash: tool host went down")
 	calls := 0
-	crashEval := ckpt.Wrap(func(i int) ([]float64, error) {
+	crashEval := ckpt.WrapCell(robust.RunKey, func(i int) ([]float64, error) {
 		if calls++; calls > 18 {
 			return nil, boom
 		}
@@ -192,15 +192,16 @@ func TestCheckpointCrashResumeIdenticalPareto(t *testing.T) {
 
 	// Resume in a "fresh process": reload the file, same seed, count how many
 	// times the tool is actually re-invoked.
-	resumed, err := robust.LoadCheckpoint(path)
+	resumed, err := robust.LoadCampaignCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Len() == 0 {
+	stored := len(resumed.PartialObservations(robust.RunKey))
+	if stored == 0 {
 		t.Fatal("checkpoint file holds no observations")
 	}
 	fresh := 0
-	res, err := newTuner(resumed.Wrap(func(i int) ([]float64, error) {
+	res, err := newTuner(resumed.WrapCell(robust.RunKey, func(i int) ([]float64, error) {
 		fresh++
 		return obj(i), nil
 	})).Run()
@@ -220,8 +221,8 @@ func TestCheckpointCrashResumeIdenticalPareto(t *testing.T) {
 		t.Errorf("resume re-invoked the tool %d times for a %d-run trajectory: nothing was replayed", fresh, ref.Runs)
 	}
 	hits, _ := resumed.Stats()
-	if hits != resumed.Len() && hits == 0 {
-		t.Errorf("no checkpoint hits on resume (hits=%d, stored=%d)", hits, resumed.Len())
+	if hits != stored && hits == 0 {
+		t.Errorf("no checkpoint hits on resume (hits=%d, stored=%d)", hits, stored)
 	}
 	t.Logf("reference %d tool runs; resume replayed %d from checkpoint, %d fresh", ref.Runs, hits, fresh)
 }
@@ -236,9 +237,9 @@ func TestRunMethodOptsFullFaultStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := robust.NewCheckpoint("") // in-memory
+	ckpt := robust.NewCampaignCheckpoint("") // in-memory
 	wrap := func(eval core.Evaluator) core.Evaluator {
-		re, err := robust.Wrap(nil, ckpt.Wrap(inj.Wrap(eval)), robust.Options{
+		re, err := robust.Wrap(nil, ckpt.WrapCell(robust.RunKey, inj.Wrap(eval)), robust.Options{
 			MaxRetries:    4,
 			Backoff:       time.Millisecond,
 			Policy:        robust.PolicySkip,
@@ -264,7 +265,7 @@ func TestRunMethodOptsFullFaultStack(t *testing.T) {
 	if inj.Counts().Transient == 0 {
 		t.Error("chaos injected nothing at a 25% rate")
 	}
-	if ckpt.Len() == 0 {
+	if len(ckpt.PartialObservations(robust.RunKey)) == 0 {
 		t.Error("checkpoint cached nothing")
 	}
 }

@@ -1,5 +1,42 @@
 package eval
 
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"runtime"
+	"time"
+)
+
+// tablesDoc is the TABLES.json document: everything a downstream consumer
+// (the nightly CI pipeline, dashboards) needs to interpret the numbers.
+type tablesDoc struct {
+	GoVersion string        `json:"go_version"`
+	Timestamp string        `json:"timestamp"`
+	Seeds     []int64       `json:"seeds"`
+	Workers   int           `json:"workers"`
+	Tables    []TableReport `json:"tables"`
+}
+
+// WriteTablesJSON writes the TABLES.json document of cmd/tables and
+// cmd/ppacoord to path: the regenerated tables, stamped with the Go
+// version, the current UTC time, the seeds and the worker count, so the
+// single-process and distributed pipelines feed the same consumers.
+func WriteTablesJSON(path string, seeds []int64, workers int, tables []TableReport) error {
+	doc := tablesDoc{
+		GoVersion: runtime.Version(),
+		Timestamp: time.Now().UTC().Format(time.RFC3339),
+		Seeds:     seeds,
+		Workers:   workers,
+		Tables:    tables,
+	}
+	data, err := json.MarshalIndent(&doc, "", "  ")
+	if err != nil {
+		return fmt.Errorf("eval: encode TABLES.json: %w", err)
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
 // TableReport is the machine-readable form of one comparison table — the
 // per-table payload of cmd/tables' TABLES.json artifact. Every cell
 // carries the seed mean and the sample standard deviation, so downstream

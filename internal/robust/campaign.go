@@ -44,9 +44,10 @@ type LeaseRecord struct {
 	Holder string `json:"holder,omitempty"`
 }
 
-// CampaignCheckpoint is the schema-v3 crash-safe store behind resumable
-// table regeneration (internal/eval.Campaign). It persists three layers of
-// progress under caller-chosen stable string keys:
+// CampaignCheckpoint is the schema-v4 crash-safe store behind resumable
+// table regeneration (internal/eval.Campaign) and resumable single runs
+// (cmd/ppatune and cmd/fig3, whose run is the one partial cell RunKey). It
+// persists these layers of progress under caller-chosen stable string keys:
 //
 //   - completed cells: the scored result of a finished unit, so a resumed
 //     campaign skips the unit entirely — not a single evaluator call;
@@ -83,9 +84,9 @@ type LeaseRecord struct {
 // v4 format. (A handle that replayed a journal, or whose append failed,
 // compacts on its next mutation instead: nothing is ever appended after a
 // torn tail.) All methods are safe for concurrent use by parallel campaign
-// workers. Version-2 files (no lease ledger) and version-3 files (no
-// generation) load transparently and are migrated to v4 on the next
-// compaction.
+// workers. Version-2 files (no lease ledger), version-3 files (no
+// generation) and legacy per-run files (see RunKey) load transparently and
+// are migrated to v4 on the next compaction.
 type CampaignCheckpoint struct {
 	mu      sync.Mutex
 	path    string
@@ -139,6 +140,29 @@ func (c *CampaignCheckpoint) partialLocked(key string) *partialState {
 	return p
 }
 
+// RunKey is the cell under which a single tuner run (cmd/ppatune,
+// cmd/fig3) keeps its observations and starting RNG state. The cell is
+// never completed, so rerunning with the same file replays every paid-for
+// observation. A per-run checkpoint of schema v1 or v2 (checkpointFile),
+// the format those commands wrote before, loads as this cell.
+const RunKey = "run"
+
+// checkpointFile is the legacy per-run checkpoint schema, a file with no
+// kind: version 1 carried Runs only; version 2 added the RNG-source state
+// (base64 via encoding/json) and the iteration count of the run that
+// produced the observations. Only the loader reads it.
+type checkpointFile struct {
+	Version   int             `json:"version"`
+	Runs      []checkpointRun `json:"runs"`
+	RandState []byte          `json:"rand_state,omitempty"`
+	Iters     int             `json:"iters,omitempty"`
+}
+
+type checkpointRun struct {
+	Index int       `json:"index"`
+	QoR   []float64 `json:"qor"`
+}
+
 // campaignPartial is the on-disk form of partialState.
 type campaignPartial struct {
 	Runs      []checkpointRun `json:"runs,omitempty"`
@@ -147,7 +171,8 @@ type campaignPartial struct {
 }
 
 // campaignFile is the on-disk schema. Kind distinguishes campaign files
-// from the per-run observation checkpoints sharing the version numbering.
+// from the other state files; a file with no kind is a legacy per-run
+// checkpoint (checkpointFile).
 type campaignFile struct {
 	Version int                        `json:"version"`
 	Kind    string                     `json:"kind"`
@@ -174,13 +199,8 @@ const campaignKind = "campaign"
 
 // campaignCheckpointVersion is the schema version written by saveLocked.
 // Version 2 (no lease ledger) and version 3 (no coordinator generation)
-// load transparently; the per-run Checkpoint keeps its own
-// checkpointVersion.
+// load transparently.
 const campaignCheckpointVersion = 4
-
-// campaignCheckpointVersionV3 is the previous campaign schema (lease
-// ledger, no generation), still accepted on load.
-const campaignCheckpointVersionV3 = 3
 
 // NewCampaignCheckpoint builds an empty campaign checkpoint persisting to
 // path. An empty path keeps it in memory only (useful in tests).
@@ -197,9 +217,10 @@ func NewCampaignCheckpoint(path string) *CampaignCheckpoint {
 
 // LoadCampaignCheckpoint restores a campaign checkpoint from path. A
 // missing file is not an error — it yields an empty checkpoint, so the same
-// call serves both a fresh start and a resume. A file holding a per-run
-// observation checkpoint (cmd/ppatune's -checkpoint format) is rejected
-// with a pointed error rather than silently treated as empty.
+// call serves both a fresh start and a resume. A legacy per-run checkpoint
+// (no kind, version 1 or 2) loads as the partial cell RunKey; a file of
+// any other kind is rejected with a pointed error rather than silently
+// treated as empty.
 func LoadCampaignCheckpoint(path string) (*CampaignCheckpoint, error) {
 	c := NewCampaignCheckpoint(path)
 	if path == "" {
@@ -234,10 +255,23 @@ func (c *CampaignCheckpoint) restoreBaseLocked(data []byte) error {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("robust: parse campaign checkpoint %s: %w", c.path, err)
 	}
-	if f.Kind != campaignKind {
-		return fmt.Errorf("robust: %s is not a campaign checkpoint (kind %q); per-run observation checkpoints load with LoadCheckpoint", c.path, f.Kind)
-	}
-	if f.Version != campaignCheckpointVersion && f.Version != campaignCheckpointVersionV3 && f.Version != checkpointVersion {
+	switch {
+	case f.Kind == "":
+		// No kind: a legacy per-run checkpoint, which loads as the run
+		// cell alone.
+		var run checkpointFile
+		if err := json.Unmarshal(data, &run); err != nil {
+			return fmt.Errorf("robust: parse per-run checkpoint %s: %w", c.path, err)
+		}
+		if run.Version != 1 && run.Version != 2 {
+			return fmt.Errorf("robust: per-run checkpoint %s has unsupported version %d", c.path, run.Version)
+		}
+		f = campaignFile{Partial: map[string]campaignPartial{
+			RunKey: {Runs: run.Runs, RandState: run.RandState, Iters: run.Iters},
+		}}
+	case f.Kind != campaignKind:
+		return fmt.Errorf("robust: %s is not a campaign checkpoint (kind %q)", c.path, f.Kind)
+	case f.Version < 2 || f.Version > campaignCheckpointVersion:
 		return fmt.Errorf("robust: campaign checkpoint %s has unsupported version %d", c.path, f.Version)
 	}
 	c.cells = make(map[string]CampaignCell, len(f.Cells))
@@ -320,9 +354,10 @@ func (c *CampaignCheckpoint) Generation() uint64 {
 // checkpoint is byte-identical to one produced by a coordinator that never
 // needed fencing. The owner of an adopted handle retires it once every
 // campaign sharing the file is done; eval.Campaign.Run and
-// shard.Coordinator.Run retire a never-adopted handle themselves. Retiring
-// while deposed fails with ErrFenced like any other write. A never-adopted
-// handle whose base file already holds its whole state writes nothing.
+// shard.Coordinator.Run retire a never-adopted handle themselves, and
+// ppatune and fig3 retire theirs when the run ends. Retiring while deposed
+// fails with ErrFenced like any other write. A never-adopted handle whose
+// base file already holds its whole state writes nothing.
 func (c *CampaignCheckpoint) Retire() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -537,10 +572,10 @@ func (c *CampaignCheckpoint) Stats() (replayed, fresh int) {
 
 // WrapCell returns an evaluator that answers cell-local observations from
 // the checkpoint when it can and writes through (observation + iteration
-// count, appended to the journal) when it must invoke eval. Like
-// Checkpoint.Wrap, compose it inside any fault-tolerance middleware and
-// never cache invalid vectors: garbage QoR is passed up for the resilience
-// layer to reject so the corruption cannot replay on resume.
+// count, appended to the journal) when it must invoke eval. Compose it
+// inside any fault-tolerance middleware. It never caches invalid vectors:
+// garbage QoR is passed up for the resilience layer to reject so the
+// corruption cannot replay on resume.
 func (c *CampaignCheckpoint) WrapCell(key string, eval core.Evaluator) core.Evaluator {
 	return func(i int) ([]float64, error) {
 		c.mu.Lock()

@@ -68,16 +68,29 @@ func TestCampaignCheckpointMissingFileIsEmpty(t *testing.T) {
 }
 
 func TestCampaignCheckpointRejectsWrongKind(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.json")
-	// A per-run observation checkpoint (cmd/ppatune's format) must be
-	// rejected with a pointed error, not read as empty.
-	perRun := NewCheckpoint(path)
-	if err := perRun.Add(0, []float64{1, 2}); err != nil {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	// A state file of another kind (here a job manifest) must be rejected
+	// with a pointed error, not read as empty.
+	if err := os.WriteFile(path, []byte(`{"version":1,"kind":"jobs","next_id":1,"jobs":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := LoadCampaignCheckpoint(path)
 	if err == nil || !strings.Contains(err.Error(), "not a campaign checkpoint") {
 		t.Fatalf("err = %v", err)
+	}
+
+	// A legacy per-run checkpoint (no kind) is not a wrong kind: it migrates
+	// to the run cell.
+	perRun := filepath.Join(t.TempDir(), "run.json")
+	if err := os.WriteFile(perRun, []byte(`{"version":2,"runs":[{"index":0,"qor":[1,2]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCampaignCheckpoint(perRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obs := ck.PartialObservations(RunKey); len(obs) != 1 {
+		t.Fatalf("per-run file migrated to %+v", obs)
 	}
 
 	// And the reverse direction: garbage JSON is a parse error.
@@ -155,60 +168,87 @@ func TestCampaignCompleteDiscardsPartial(t *testing.T) {
 }
 
 // A hand-written v1 per-run checkpoint (observations only, no RNG state)
-// must load transparently and migrate to v2 on the next save.
-func TestCheckpointV1MigratesToV2(t *testing.T) {
+// must load transparently as the run cell and migrate to a v4 campaign file
+// on the next compaction.
+func TestCheckpointV1MigratesToV4(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.json")
 	v1 := `{"version":1,"runs":[{"index":4,"qor":[0.5,1.5]},{"index":2,"qor":[1,2]}]}`
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(path)
+	ck, err := LoadCampaignCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Len() != 2 {
-		t.Fatalf("v1 file loaded %d runs, want 2", ck.Len())
+	obs := ck.PartialObservations(RunKey)
+	if len(obs) != 2 || obs[0].Index != 4 || obs[0].QoR[0] != 0.5 || obs[1].Index != 2 {
+		t.Fatalf("v1 file loaded %+v, want indices 4 then 2", obs)
 	}
-	if ck.RandState() != nil || ck.Iters() != 0 {
-		t.Errorf("v1 file reported state %v, iters %d; want nil, 0", ck.RandState(), ck.Iters())
-	}
-	if y, ok := ck.Lookup(4); !ok || y[0] != 0.5 {
-		t.Fatalf("v1 observation lost: %v, %v", y, ok)
+	if state, iters := ck.PartialRandState(RunKey); state != nil || iters != 0 {
+		t.Errorf("v1 file reported state %v, iters %d; want nil, 0", state, iters)
 	}
 
-	// Any persist migrates the file to the current schema.
-	if err := ck.SetRandState([]byte{7, 8}); err != nil {
+	// Retiring an unchanged legacy file writes nothing.
+	if err := ck.Retire(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.SetIters(11); err != nil {
+	if raw, _ := os.ReadFile(path); string(raw) != v1 {
+		t.Fatalf("replay-only retire rewrote the legacy file:\n%s", raw)
+	}
+
+	// A fresh observation journals against the legacy base; Retire migrates
+	// the file to the current schema.
+	ev := ck.WrapCell(RunKey, func(i int) ([]float64, error) { return []float64{3, 3}, nil })
+	if _, err := ev(8); err != nil {
+		t.Fatal(err)
+	}
+	// Killed here, the run leaves the legacy base plus a journal bound to
+	// it, and a reload sees all three observations.
+	if raw, _ := os.ReadFile(path); string(raw) != v1 {
+		t.Fatalf("an observation rewrote the legacy base:\n%s", raw)
+	}
+	mid, err := LoadCampaignCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obs := mid.PartialObservations(RunKey); len(obs) != 3 {
+		t.Fatalf("legacy base + journal reloaded %+v, want 3 observations", obs)
+	}
+	if err := ck.Retire(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"version": 2`) {
-		t.Fatalf("migrated file is not v2:\n%s", raw)
+	if !strings.Contains(string(raw), `"version": 4`) || !strings.Contains(string(raw), `"kind": "campaign"`) {
+		t.Fatalf("migrated file is not a v4 campaign checkpoint:\n%s", raw)
 	}
 
-	re, err := LoadCheckpoint(path)
+	re, err := LoadCampaignCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(re.RandState()) != "\x07\x08" || re.Iters() != 11 {
-		t.Fatalf("v2 round-trip: state %v, iters %d", re.RandState(), re.Iters())
-	}
-	if y, ok := re.Lookup(2); !ok || y[1] != 2 {
-		t.Fatalf("observation lost across migration: %v, %v", y, ok)
+	obs = re.PartialObservations(RunKey)
+	if len(obs) != 3 || obs[1].Index != 2 || obs[1].QoR[1] != 2 || obs[2].Index != 8 {
+		t.Fatalf("observations lost across migration: %+v", obs)
 	}
 }
 
 func TestCheckpointRejectsUnknownVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v9.json")
-	if err := os.WriteFile(path, []byte(`{"version":9,"runs":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path); err == nil {
-		t.Fatal("future version accepted")
+	for _, data := range []string{
+		`{"version":9,"runs":[]}`,
+		`{"version":3,"runs":[]}`,
+		`{"version":0,"runs":[]}`,
+		`{"version":1,"kind":"campaign","cells":{}}`,
+		`{"version":5,"kind":"campaign","cells":{}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "ckpt.json")
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCampaignCheckpoint(path); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("%s: err = %v", data, err)
+		}
 	}
 }

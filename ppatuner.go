@@ -188,8 +188,8 @@ var ParseGPSpec = gp.ParseSpec
 //
 // Real PD tools fail: licences drop, runs hang, adapters crash, QoR reports
 // come back corrupted. ResilientEvaluator hardens any Evaluator against all
-// of that; EvalCheckpoint makes runs crash-safe; the chaos Injector lets you
-// rehearse the failure paths. See DESIGN.md, "Fault tolerance".
+// of that; CampaignCheckpoint makes runs crash-safe; the chaos Injector lets
+// you rehearse the failure paths. See DESIGN.md, "Fault tolerance".
 
 // ResilientEvaluator wraps an Evaluator with deadlines, bounded retries,
 // panic recovery, QoR validation and a failure policy. Pass its Evaluate
@@ -231,23 +231,12 @@ var (
 // FailedIdx) and the PAL loop continues.
 var ErrSkipCandidate = core.ErrSkipCandidate
 
-// EvalCheckpoint is a crash-safe JSON cache of tool observations: wrap the
-// evaluator with it and a killed run, restarted with the same seed, replays
-// paid-for tool runs from disk instead of re-invoking the tool.
-type EvalCheckpoint = robust.Checkpoint
-
-// NewCheckpoint builds an empty checkpoint; LoadCheckpoint restores one
-// (a missing file yields an empty checkpoint, serving fresh start and
-// resume alike). Schema v2 files additionally carry the tuner's serialised
-// RNG-source state and iteration count; v1 files load transparently.
-var (
-	NewCheckpoint  = robust.NewCheckpoint
-	LoadCheckpoint = robust.LoadCheckpoint
-)
-
 // CampaignCheckpoint is the crash-safe store behind resumable table
-// regeneration: completed (space × method × seed) cells plus the mid-run
-// observations, RNG state and iteration count of cells in flight.
+// regeneration and resumable single runs: completed (space × method ×
+// seed) cells plus the mid-run observations, RNG state and iteration count
+// of cells in flight. Wrap a run's evaluator with WrapCell and a killed
+// run, restarted with the same seed, replays paid-for tool runs from disk
+// instead of re-invoking the tool.
 type CampaignCheckpoint = robust.CampaignCheckpoint
 
 // CampaignCellResult is one completed campaign cell as persisted.
