@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"ppatuner/internal/core"
-	"ppatuner/internal/par"
 	"ppatuner/internal/robust"
 )
 
@@ -36,13 +37,13 @@ type UnitResult struct {
 
 // Campaign is a resumable, parallel table-regeneration run: it enumerates
 // every (space × method × seed) cell of a comparison table as an
-// independent unit, executes the units via internal/par's deterministic
-// fork-join, and — when a Checkpoint is attached — persists each completed
-// unit plus the mid-run state (observations, RNG-source state, iteration
-// count) of units in flight. Results are assembled from a per-unit slice
-// in enumeration order, so any Workers value produces a bit-identical
-// Table; a resumed campaign skips completed units entirely and replays
-// partial ones from their recorded state.
+// independent unit, executes the units on Workers lanes that each pull the
+// next unit in enumeration order, and — when a Checkpoint is attached —
+// persists each completed unit plus the mid-run state (observations,
+// RNG-source state, iteration count) of units in flight. Results are
+// assembled from a per-unit slice in enumeration order, so any Workers
+// value produces a bit-identical Table; a resumed campaign skips completed
+// units entirely and replays partial ones from their recorded state.
 //
 // Every unit derives its random stream from a PCG seeded by (seed, unit
 // key), independent of the other units — which is both what makes the
@@ -55,9 +56,12 @@ type Campaign struct {
 	// Spaces()/Methods() sets.
 	Spaces  []ObjSpace
 	Methods []Method
-	// Workers bounds how many units run concurrently; <= 1 runs serially.
-	// Purely a wall-clock knob: the assembled table is bit-identical for
-	// any value.
+	// Workers is how many lanes run units concurrently; <= 1 runs them
+	// serially. A free lane takes the next unit, so no lane waits behind a
+	// busy one, and once fewer units are left than there are lanes, the
+	// last units also get the engine workers of the lanes going idle (see
+	// RunOpts.Workers). Purely a wall-clock knob: the assembled table and
+	// the retired checkpoint are bit-identical for any value.
 	Workers int
 	// Checkpoint, when non-nil, makes the campaign crash-safe and
 	// resumable. Load it with robust.LoadCampaignCheckpoint so an existing
@@ -67,17 +71,18 @@ type Campaign struct {
 	// the same circuit breaker the Wrap middleware's robust.Evaluator uses
 	// (built with BreakerOptions.Park = true). A unit whose evaluation hits
 	// the open breaker fails with robust.ErrBreakerOpen; instead of failing
-	// the campaign, the scheduler parks the unit (persisting the mark when
-	// a Checkpoint is attached), waits out the outage via
-	// Breaker.AwaitRecovery — bounded by the breaker's MaxOutage deadline —
-	// and requeues the parked units in enumeration order. Parked units keep
-	// their partial checkpoint state, so requeueing replays the paid-for
-	// observations and the final table is bit-identical to a fault-free
-	// run.
+	// the campaign, Run parks the unit once the round's lanes finish
+	// (persisting the mark when a Checkpoint is attached), waits out the
+	// outage via Breaker.AwaitRecovery — bounded by the breaker's MaxOutage
+	// deadline — and requeues the parked units in enumeration order. Parked
+	// units keep their partial checkpoint state, so requeueing replays the
+	// paid-for observations and the final table is bit-identical to a
+	// fault-free run.
 	Breaker *robust.Breaker
 	// Opts is the base harness configuration applied to every unit (Wrap
 	// middleware, engine workers). Opts.Src is ignored: each unit supplies
-	// its own checkpointable source.
+	// its own checkpointable source, and Opts.Workers is raised for the
+	// campaign's last units (see Workers).
 	Opts RunOpts
 	// WrapUnit, when non-nil, wraps each unit's evaluator with the unit's
 	// identity in hand — the hook for per-unit instrumentation (call
@@ -159,7 +164,7 @@ func Figure3Source(seed int64) *core.PCGSource {
 // Run executes every unit (skipping ones the checkpoint has completed) and
 // assembles the comparison table. The first unit error in enumeration
 // order aborts the campaign — deterministically, regardless of which
-// worker hit it first; mid-run state persisted before the error is kept,
+// lane hit it first; mid-run state persisted before the error is kept,
 // so a fixed and re-run campaign resumes rather than restarts. With a
 // Breaker attached, units that hit an open breaker are parked and requeued
 // after recovery instead of aborting — see the Breaker field. Once every
@@ -173,6 +178,9 @@ func (c *Campaign) Run() (*Table, error) {
 	if len(c.Seeds) == 0 {
 		return nil, fmt.Errorf("eval: campaign has no seeds")
 	}
+	if s, dup := repeatedSeed(c.Seeds); dup {
+		return nil, fmt.Errorf("eval: campaign lists seed %d twice; both units would share one checkpoint cell", s)
+	}
 	units := c.Units()
 	results := make([]UnitResult, len(units))
 	errs := make([]error, len(units))
@@ -181,16 +189,11 @@ func (c *Campaign) Run() (*Table, error) {
 		pending[x] = x
 	}
 	for len(pending) > 0 {
-		idx := pending
-		par.Do(c.Workers, len(idx), func(lo, hi int) {
-			for x := lo; x < hi; x++ {
-				results[idx[x]], errs[idx[x]] = c.runUnit(units[idx[x]])
-			}
-		})
+		c.runLanes(units, pending, results, errs)
 		// Partition this round's outcomes in enumeration order: breaker
 		// refusals park the unit; anything else aborts the campaign.
 		var parked []int
-		for _, x := range idx {
+		for _, x := range pending {
 			if errs[x] == nil {
 				continue
 			}
@@ -252,14 +255,50 @@ func (c *Campaign) Assemble(results []UnitResult) *Table {
 	return t
 }
 
+// runLanes runs the units idx names, in place into results and errs, on
+// min(Workers, len(idx)) lanes. Each lane claims the next unclaimed unit, in
+// idx order, from one shared counter, so a free lane never waits behind a
+// busy one. A unit claimed while fewer units are left unclaimed than there
+// are lanes also gets the engine workers of the lanes about to go idle:
+// its RunOpts.Workers is max(Opts.Workers, lanes - unclaimed). Units own
+// their random streams and results slots, and the engine's parallel
+// sections give the same result at any worker count, so only wall time
+// depends on the lanes.
+func (c *Campaign) runLanes(units []Unit, idx []int, results []UnitResult, errs []error) {
+	lanes := min(max(c.Workers, 1), len(idx))
+	var next atomic.Int64
+	lane := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(idx) {
+				return
+			}
+			opts := c.Opts
+			opts.Workers = max(opts.Workers, lanes-(len(idx)-k-1))
+			results[idx[k]], errs[idx[k]] = c.runUnit(units[idx[k]], opts)
+		}
+	}
+	var wg sync.WaitGroup
+	for range lanes - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lane()
+		}()
+	}
+	lane()
+	wg.Wait()
+}
+
 // unitError labels a unit failure with the cell it came from.
 func (c *Campaign) unitError(u Unit, err error) error {
 	return fmt.Errorf("eval: %s / %s / %s / seed %d: %w",
 		c.Scenario.Name, c.spaces()[u.SpaceIdx].Name, u.Method, u.Seed, err)
 }
 
-// runUnit executes one unit, consulting and feeding the checkpoint.
-func (c *Campaign) runUnit(u Unit) (UnitResult, error) {
+// runUnit executes one unit under base (the campaign's Opts with the
+// unit's engine share), consulting and feeding the checkpoint.
+func (c *Campaign) runUnit(u Unit, base RunOpts) (UnitResult, error) {
 	key := c.UnitKey(u)
 	ck := c.Checkpoint
 	if ck != nil {
@@ -292,9 +331,9 @@ func (c *Campaign) runUnit(u Unit) (UnitResult, error) {
 			}
 		}
 	}
-	opts := c.Opts
+	opts := base
 	opts.Src = src
-	prev, wrapUnit := c.Opts.Wrap, c.WrapUnit
+	prev, wrapUnit := base.Wrap, c.WrapUnit
 	// Middleware order, innermost first: per-unit hook (sees only real
 	// tool invocations) -> checkpoint cache (replays paid-for
 	// observations) -> the campaign-wide Wrap (fault-tolerance layers

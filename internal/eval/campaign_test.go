@@ -1,38 +1,116 @@
 package eval
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"ppatuner/internal/core"
 	"ppatuner/internal/robust"
 )
 
 // The campaign's parallelism is purely a wall-clock knob: any Workers value
-// must assemble a byte-identical table.
+// must assemble a byte-identical table and retire a byte-identical
+// checkpoint. The 10 units end with two PPATuner units, so at Workers 2, 3
+// and 8 the last units also run on the engine workers of idle lanes.
 func TestCampaignWorkersBitIdentical(t *testing.T) {
 	s := miniScenario(t)
-	build := func(workers int) string {
+	build := func(workers int) (string, []byte) {
 		t.Helper()
+		path := filepath.Join(t.TempDir(), "campaign.json")
+		ck, err := robust.LoadCampaignCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := &Campaign{
-			Scenario: s,
-			Seeds:    []int64{1, 2},
-			Spaces:   Spaces()[1:2], // Power-Delay
-			Workers:  workers,
+			Scenario:   s,
+			Seeds:      []int64{1, 2},
+			Spaces:     Spaces()[1:2], // Power-Delay
+			Workers:    workers,
+			Checkpoint: ck,
 		}
 		tbl, err := c.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tbl.Format()
+		if _, err := os.Stat(robust.JournalPath(path)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("workers=%d left the checkpoint journal behind (stat: %v)", workers, err)
+		}
+		ckBytes, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl.Format(), ckBytes
 	}
-	serial := build(1)
-	for _, w := range []int{3, 8} {
-		if got := build(w); got != serial {
+	serial, serialCk := build(1)
+	for _, w := range []int{2, 3, 8} {
+		got, gotCk := build(w)
+		if got != serial {
 			t.Fatalf("workers=%d table differs from serial:\n%s\n----\n%s", w, got, serial)
 		}
+		if !bytes.Equal(gotCk, serialCk) {
+			t.Fatalf("workers=%d retired checkpoint differs from serial:\n%s\n----\n%s", w, gotCk, serialCk)
+		}
+	}
+}
+
+// A lane that is free takes the next unit, whatever the other lane is
+// doing: with the first unit blocked, the other lane must run all five
+// remaining units. A watchdog releases the block so a scheduler that queues
+// units behind the blocked one fails instead of hanging.
+func TestCampaignFreeLaneNeverWaits(t *testing.T) {
+	c := &Campaign{
+		Scenario: miniScenario(t),
+		Seeds:    []int64{1, 2, 3},
+		Spaces:   Spaces()[1:2], // Power-Delay
+		Methods:  []Method{MLCAD19, DAC19},
+		Workers:  2,
+	}
+	first := c.Units()[0]
+	var mu sync.Mutex
+	finished := 0
+	othersDone := make(chan struct{})
+	c.OnUnit = func(u Unit, _ UnitResult, _ *Outcome) error {
+		if u == first {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if finished++; finished == 5 {
+			close(othersDone)
+		}
+		return nil
+	}
+	atWatchdog := -1
+	var block sync.Once
+	c.WrapUnit = func(u Unit, ev core.Evaluator) core.Evaluator {
+		if u != first {
+			return ev
+		}
+		return func(i int) ([]float64, error) {
+			block.Do(func() {
+				select {
+				case <-othersDone:
+				case <-time.After(20 * time.Second):
+					mu.Lock()
+					atWatchdog = finished
+					mu.Unlock()
+				}
+			})
+			return ev(i)
+		}
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if atWatchdog >= 0 {
+		t.Fatalf("the watchdog released the blocked first unit with %d of the other 5 units finished: a free lane waited behind a busy one", atWatchdog)
 	}
 }
 
@@ -196,6 +274,9 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	if _, err := (&Campaign{Scenario: miniScenario(t)}).Run(); err == nil {
 		t.Error("campaign without seeds accepted")
+	}
+	if _, err := (&Campaign{Scenario: miniScenario(t), Seeds: []int64{1, 2, 1}}).Run(); err == nil {
+		t.Error("campaign with a repeated seed accepted")
 	}
 }
 

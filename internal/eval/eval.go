@@ -156,9 +156,10 @@ type RunOpts struct {
 	Wrap func(core.Evaluator) core.Evaluator
 	// Workers bounds the PPATuner engine's concurrency (surrogate fits,
 	// region sweeps, batched evaluator calls); see core.Options.Workers.
-	// 0 keeps the engine's default. Results are identical for any value —
-	// the parallel sections are deterministic — so this is purely a
-	// wall-clock knob.
+	// 0 keeps the engine's default. A Campaign raises it for its last
+	// units, onto the cores its idle lanes free. Results are identical for
+	// any value — the parallel sections are deterministic — so this is
+	// purely a wall-clock knob.
 	Workers int
 	// Src, when non-nil, replaces the default seed-derived generator
 	// (rand.New(rand.NewSource(seed))) as the run's random source. Sources

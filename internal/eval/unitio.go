@@ -135,9 +135,15 @@ func ExecuteUnit(sc *Scenario, space ObjSpace, spec UnitSpec, randState []byte, 
 	return UnitResult{HV: hv, ADRS: adrs, Runs: out.Runs}, end, nil
 }
 
+// maxSeeds caps how many seeds ParseSeeds accepts: each seed adds one unit
+// per table cell, and the CLIs default to 3.
+const maxSeeds = 1000
+
 // ParseSeeds accepts a count ("3" → seeds 1..3) or an explicit list
 // ("1,2,5"; "7," is the single seed 7) — the shared CLI spelling of
-// cmd/tables and cmd/ppacoord.
+// cmd/tables and cmd/ppacoord, and of the seeds field of a ppaserved job.
+// Either form names 1 to maxSeeds distinct seeds; a repeated seed is an
+// error, since both entries would name one checkpoint cell.
 func ParseSeeds(spec string) ([]int64, error) {
 	spec = strings.TrimSpace(spec)
 	if strings.Contains(spec, ",") {
@@ -146,6 +152,9 @@ func ParseSeeds(spec string) ([]int64, error) {
 			part = strings.TrimSpace(part)
 			if part == "" {
 				continue
+			}
+			if len(seeds) == maxSeeds {
+				return nil, fmt.Errorf("seed list names more than %d seeds", maxSeeds)
 			}
 			s, err := strconv.ParseInt(part, 10, 64)
 			if err != nil {
@@ -156,15 +165,30 @@ func ParseSeeds(spec string) ([]int64, error) {
 		if len(seeds) == 0 {
 			return nil, fmt.Errorf("seed list %q is empty", spec)
 		}
+		if s, dup := repeatedSeed(seeds); dup {
+			return nil, fmt.Errorf("seed %d is listed twice", s)
+		}
 		return seeds, nil
 	}
 	n, err := strconv.Atoi(spec)
-	if err != nil || n < 1 {
-		return nil, fmt.Errorf("-seeds wants a count >= 1 or a comma-separated list, got %q", spec)
+	if err != nil || n < 1 || n > maxSeeds {
+		return nil, fmt.Errorf("-seeds wants a count from 1 to %d or a comma-separated list, got %q", maxSeeds, spec)
 	}
 	seeds := make([]int64, n)
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
 	return seeds, nil
+}
+
+// repeatedSeed returns the first seed that seeds lists twice.
+func repeatedSeed(seeds []int64) (int64, bool) {
+	seen := make(map[int64]bool, len(seeds))
+	for _, s := range seeds {
+		if seen[s] {
+			return s, true
+		}
+		seen[s] = true
+	}
+	return 0, false
 }

@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ppatuner/internal/robust"
@@ -120,6 +123,9 @@ func TestParseSeeds(t *testing.T) {
 		{"0", nil, false},
 		{"x", nil, false},
 		{",", nil, false},
+		{"4611686018427387904", nil, false}, // once a makeslice panic
+		{"1000000000", nil, false},          // once an 8 GB slice
+		{"1,1", nil, false},                 // two units, one checkpoint cell
 	}
 	for _, tc := range cases {
 		got, err := ParseSeeds(tc.spec)
@@ -141,4 +147,37 @@ func TestParseSeeds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseSeeds feeds ParseSeeds arbitrary specs. It must never panic. An
+// accepted spec names 1 to maxSeeds distinct seeds, and those seeds written
+// back as a list, with a trailing comma so one seed stays a list, parse to
+// the same slice.
+func FuzzParseSeeds(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		seeds, err := ParseSeeds(spec)
+		if err != nil {
+			return
+		}
+		if len(seeds) < 1 || len(seeds) > maxSeeds {
+			t.Fatalf("ParseSeeds(%q) accepted %d seeds", spec, len(seeds))
+		}
+		sorted := slices.Clone(seeds)
+		slices.Sort(sorted)
+		if len(slices.Compact(sorted)) != len(seeds) {
+			t.Fatalf("ParseSeeds(%q) = %v repeats a seed", spec, seeds)
+		}
+		var list strings.Builder
+		for _, s := range seeds {
+			list.WriteString(strconv.FormatInt(s, 10))
+			list.WriteByte(',')
+		}
+		again, err := ParseSeeds(list.String())
+		if err != nil {
+			t.Fatalf("ParseSeeds(%q) = %v, but the list %q fails: %v", spec, seeds, list.String(), err)
+		}
+		if !slices.Equal(again, seeds) {
+			t.Fatalf("ParseSeeds(%q) = %v, but the list %q parses to %v", spec, seeds, list.String(), again)
+		}
+	})
 }

@@ -175,6 +175,27 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// A seed count no server could allocate is a bad request like any other: the
+// handler answers 400 rather than panicking, and the manifest gains no job.
+func TestSubmitRejectsHugeSeedCount(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"scenario":"table2","seeds":"4611686018427387904"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if jobs := s.manifest.Jobs(); len(jobs) != 0 {
+		t.Fatalf("the manifest gained %d job(s) from a rejected submission", len(jobs))
+	}
+}
+
 func TestJobLifecycle(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
