@@ -28,11 +28,9 @@ import (
 // ---- GP hot-path micro-suite (shared with cmd/bench, which emits
 // BENCH_gp.json so the perf trajectory is machine-readable per PR) ----
 
-func BenchmarkFitRefit(b *testing.B)       { gpbench.FitRefit(b) }
-func BenchmarkPredictPool(b *testing.B)    { gpbench.PredictPool(b) }
-func BenchmarkAddTarget(b *testing.B)      { gpbench.AddTarget(b) }
-func BenchmarkFitRefitRBF(b *testing.B)    { gpbench.FitRefitRBF(b) }
-func BenchmarkPredictPoolRBF(b *testing.B) { gpbench.PredictPoolRBF(b) }
+func BenchmarkFitRefit(b *testing.B)    { gpbench.FitRefit(b) }
+func BenchmarkPredictPool(b *testing.B) { gpbench.PredictPool(b) }
+func BenchmarkAddTarget(b *testing.B)   { gpbench.AddTarget(b) }
 
 // Scale suite: the same hot paths at n ∈ {200, 1000, 5000} for the exact GP
 // and the sparse:64 inducing-point surrogate. The exact rows stop at

@@ -5,9 +5,9 @@
 //	go run ./cmd/bench -o BENCH_gp.json
 //
 // The same benchmarks are exposed to `go test -bench` as BenchmarkFitRefit,
-// BenchmarkPredictPool, BenchmarkAddTarget, BenchmarkFitRefitRBF and
-// BenchmarkPredictPoolRBF in the root package; this command exists so CI can
-// archive the numbers without scraping test output.
+// BenchmarkPredictPool and BenchmarkAddTarget in the root package; this
+// command exists so CI can archive the numbers without scraping test output.
+// All three run PPATuner's own surrogate: an RBF ARD transfer GP at d = 12.
 //
 // With -against BASELINE.json the command additionally acts as a regression
 // gate: it reads the baseline before measuring, compares fresh ns/op to the
@@ -16,8 +16,10 @@
 // gates at -maxregress (a fraction; 0.25 allows +25%); PredictPool and
 // AddTarget are much shorter-running and therefore
 // noisier on shared CI hosts, so they gate at the wider -maxregress-micro.
-// FitRefitRBF and PredictPoolRBF, the fixtures with PPATuner's own kernel,
-// are informational, as is every benchmark present in only one report.
+// A gated benchmark missing from either report fails the gate; every other
+// benchmark is informational. The report records the SIMD level the kernels
+// ran at (avx512, avx2 or generic), and the gate notes a baseline taken at
+// another level or GOMAXPROCS, whose ratios then reflect the host.
 //
 // -scale additionally runs the exact-vs-sparse scale suite (FitScale etc. at
 // n ∈ {200, 1000, 5000}); pair it with -benchtime 1x to keep the run short.
@@ -29,13 +31,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"ppatuner/internal/gp"
 	"ppatuner/internal/gpbench"
+	"ppatuner/internal/simd"
 )
 
 // Result is one benchmark measurement.
@@ -56,10 +61,26 @@ type Report struct {
 	// GOMAXPROCS and Workers pin down the concurrency the numbers were taken
 	// under: ns/op from a host with different effective parallelism is not
 	// comparable, and the gate should know that.
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Workers    int      `json:"workers"`
-	Timestamp  string   `json:"timestamp"`
-	Results    []Result `json:"results"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	Workers    int `json:"workers"`
+	// SIMD is the kernel path the numbers ran on: RBFARD runs 8 lanes on
+	// avx512, 4 on avx2 and scalar on generic, so ns/op from different
+	// levels do not compare.
+	SIMD      string   `json:"simd"`
+	Timestamp string   `json:"timestamp"`
+	Results   []Result `json:"results"`
+}
+
+// simdLevel names the SIMD path internal/simd dispatches to on this host.
+func simdLevel() string {
+	switch {
+	case simd.Enabled512():
+		return "avx512"
+	case simd.Enabled():
+		return "avx2"
+	default:
+		return "generic"
+	}
 }
 
 func run(name string, fn func(*testing.B)) Result {
@@ -95,14 +116,19 @@ func loadBaseline(path, out string) (Report, error) {
 }
 
 // gate compares the fresh measurements against a baseline report and returns
-// an error when a gated benchmark regressed beyond its allowed fraction.
-// FitRefit is long-running and gates tightly (maxRegress); PredictPool and
-// AddTarget are microsecond-scale and gate at the wider maxMicro. Scale-suite
-// entries and benchmarks missing from either report are informational.
+// an error when a gated benchmark regressed beyond its allowed fraction or is
+// missing from either report. FitRefit is long-running and gates tightly
+// (maxRegress); PredictPool and AddTarget are microsecond-scale and gate at
+// the wider maxMicro. Scale-suite entries and other benchmarks are
+// informational.
 func gate(fresh, base Report, maxRegress, maxMicro float64) error {
 	if base.GOMAXPROCS != 0 && base.GOMAXPROCS != fresh.GOMAXPROCS {
 		fmt.Printf("gate: note: GOMAXPROCS differs (baseline %d, fresh %d); ratios may reflect the host, not the code\n",
 			base.GOMAXPROCS, fresh.GOMAXPROCS)
+	}
+	if base.SIMD != fresh.SIMD {
+		fmt.Printf("gate: note: SIMD level differs (baseline %q, fresh %q); ratios may reflect the host, not the code\n",
+			base.SIMD, fresh.SIMD)
 	}
 	allowed := map[string]float64{
 		"FitRefit":    maxRegress,
@@ -114,27 +140,38 @@ func gate(fresh, base Report, maxRegress, maxMicro float64) error {
 		baseNs[r.Name] = r.NsPerOp
 	}
 	var gateErr error
+	fail := func(err error) {
+		if gateErr == nil {
+			gateErr = err
+		}
+		fmt.Println(err)
+	}
+	measured := make(map[string]bool, len(fresh.Results))
 	for _, r := range fresh.Results {
+		measured[r.Name] = true
 		old, ok := baseNs[r.Name]
 		if !ok || old <= 0 {
 			continue
 		}
 		ratio := r.NsPerOp / old
 		verdict := "info"
-		if max, gated := allowed[r.Name]; gated {
+		if max, isGated := allowed[r.Name]; isGated {
 			verdict = "ok"
 			if ratio > 1+max {
 				verdict = "REGRESSED"
-				err := fmt.Errorf("%s regressed: %.0f ns/op vs baseline %.0f ns/op (%.2fx > allowed %.2fx)",
-					r.Name, r.NsPerOp, old, ratio, 1+max)
-				if gateErr == nil {
-					gateErr = err
-				}
-				fmt.Println(err)
+				fail(fmt.Errorf("%s regressed: %.0f ns/op vs baseline %.0f ns/op (%.2fx > allowed %.2fx)",
+					r.Name, r.NsPerOp, old, ratio, 1+max))
 			}
 		}
 		fmt.Printf("gate %-28s %12.0f ns/op vs %12.0f baseline (%.2fx) [%s]\n",
 			r.Name, r.NsPerOp, old, ratio, verdict)
+	}
+	for _, name := range slices.Sorted(maps.Keys(allowed)) {
+		if baseNs[name] <= 0 {
+			fail(fmt.Errorf("%s is gated but missing from the baseline", name))
+		} else if !measured[name] {
+			fail(fmt.Errorf("%s is gated but missing from the fresh run", name))
+		}
 	}
 	return gateErr
 }
@@ -172,6 +209,7 @@ func main() {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    *workers,
+		SIMD:       simdLevel(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
 	benches := []struct {
@@ -181,8 +219,6 @@ func main() {
 		{"FitRefit", gpbench.FitRefit},
 		{"PredictPool", gpbench.PredictPool},
 		{"AddTarget", gpbench.AddTarget},
-		{"FitRefitRBF", gpbench.FitRefitRBF},
-		{"PredictPoolRBF", gpbench.PredictPoolRBF},
 	}
 	if *scale {
 		for _, sb := range []struct {

@@ -28,9 +28,8 @@ type Options struct {
 	// InitTarget seeds the GPs (default max(10, Budget/10)).
 	InitTarget int
 	// Kappa is the LCB exploration weight μ − κσ (default 2).
-	Kappa  float64
-	Kernel gp.CovKind
-	Rng    *rand.Rand
+	Kappa float64
+	Rng   *rand.Rand
 }
 
 // Result reports the outcome.
@@ -97,7 +96,7 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 	dim := len(pool[0])
 	gps := make([]*gp.GP, opt.NumObjectives)
 	for k := range gps {
-		g := gp.New(opt.Kernel, dim, false)
+		g := gp.New(gp.RBF, dim, false)
 		var xs [][]float64
 		var ys []float64
 		for _, i := range evaluated {

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"ppatuner/internal/core"
-	"ppatuner/internal/gp"
 )
 
 // Options configures the PAL baseline.
@@ -24,7 +23,6 @@ type Options struct {
 	MaxIter int
 	// DeltaFrac is the relaxation coefficient (default 0.015).
 	DeltaFrac float64
-	Kernel    gp.CovKind
 	Rng       *rand.Rand
 }
 
@@ -47,7 +45,6 @@ func Run(pool [][]float64, eval core.Evaluator, opt Options) (*Result, error) {
 		InitTarget:    opt.InitTarget,
 		MaxIter:       opt.MaxIter,
 		DeltaFrac:     opt.DeltaFrac,
-		Kernel:        opt.Kernel,
 		Rng:           opt.Rng,
 		// Vanilla PAL: global longest-diameter selection, no transfer (a
 		// plain GP per objective).

@@ -90,8 +90,6 @@ type Options struct {
 	// Batch evaluates the top-B longest-diameter candidates per iteration
 	// (Sec. 3.3 licence parallelism). Default 1.
 	Batch int
-	// Kernel selects the covariance family (zero value: RBF).
-	Kernel gp.CovKind
 	// ARD enables per-dimension lengthscales.
 	ARD bool
 	// GP selects the surrogate implementation (zero value: exact GP). With
@@ -382,7 +380,6 @@ func (t *Tuner) initialise(ctx context.Context) error {
 	// only its own GP and reads shared inputs, and errors are reported in
 	// objective order, so the outcome is identical to the sequential build.
 	dim := len(t.pool[0])
-	kernel := t.opt.Kernel
 	t.gps = make([]gp.Model, t.opt.NumObjectives)
 	reserve := t.opt.MaxIter * t.opt.Batch
 	if reserve > len(t.pool) {
@@ -396,7 +393,7 @@ func (t *Tuner) initialise(ctx context.Context) error {
 		spec.Seed = t.opt.Rng.Uint64()
 	}
 	buildGP := func(k int) error {
-		g := spec.New(kernel, dim, t.opt.ARD)
+		g := spec.New(gp.RBF, dim, t.opt.ARD)
 		if len(t.opt.SourceX) > 0 {
 			if err := g.SetSource(t.opt.SourceX, t.opt.SourceY[k]); err != nil {
 				return err

@@ -1,5 +1,5 @@
-// Package gp implements the Gaussian-process machinery of the paper:
-// stationary covariance functions, exact GP regression with marginal-
+// Package gp implements the Gaussian-process machinery of the paper: the
+// RBF covariance function, exact GP regression with marginal-
 // likelihood hyper-parameter fitting, and the transfer Gaussian process of
 // Section 3.1 whose kernel couples a source task and a target task through
 // the Gamma-integrated dissimilarity factor of Eq. (7).
@@ -17,38 +17,27 @@ import (
 	"ppatuner/internal/simd"
 )
 
-// CovKind selects the stationary covariance family.
+// CovKind names a covariance family. RBF is the only one: the transfer
+// kernel of Eq. (5)–(7) scales it by the cross-task factor ρ.
 type CovKind int
 
-const (
-	// RBF is the squared-exponential kernel exp(-r²/2).
-	RBF CovKind = iota
-	// Matern52 is the Matérn ν=5/2 kernel.
-	Matern52
-)
+// RBF is the squared-exponential kernel exp(-r²/2).
+const RBF CovKind = 0
 
-func (k CovKind) String() string {
-	switch k {
-	case RBF:
-		return "rbf"
-	case Matern52:
-		return "matern52"
-	default:
-		return fmt.Sprintf("CovKind(%d)", int(k))
-	}
-}
-
-// Cov is a stationary covariance function with signal variance Var and
-// per-dimension lengthscales Len (ARD). A single-element Len is applied
-// isotropically to all dimensions.
+// Cov is the RBF covariance with signal variance Var and per-dimension
+// lengthscales Len (ARD). A single-element Len is applied isotropically to
+// all dimensions.
 type Cov struct {
-	Kind CovKind
-	Var  float64
-	Len  []float64
+	Var float64
+	Len []float64
 }
 
-// NewCov returns a Cov with unit variance and unit lengthscales.
+// NewCov returns a Cov with unit variance and unit lengthscales. kind must
+// be RBF.
 func NewCov(kind CovKind, dim int, ard bool) *Cov {
+	if kind != RBF {
+		panic(fmt.Sprintf("gp: unknown covariance kind %d", int(kind)))
+	}
 	n := 1
 	if ard {
 		n = dim
@@ -57,12 +46,12 @@ func NewCov(kind CovKind, dim int, ard bool) *Cov {
 	for i := range l {
 		l[i] = 1
 	}
-	return &Cov{Kind: kind, Var: 1, Len: l}
+	return &Cov{Var: 1, Len: l}
 }
 
 // Clone deep-copies the covariance.
 func (c *Cov) Clone() *Cov {
-	return &Cov{Kind: c.Kind, Var: c.Var, Len: append([]float64(nil), c.Len...)}
+	return &Cov{Var: c.Var, Len: append([]float64(nil), c.Len...)}
 }
 
 // r2 returns the squared scaled distance Σ ((x_i-y_i)/ℓ_i)². The explicit
@@ -94,31 +83,56 @@ func (c *Cov) Eval(x, y []float64) float64 {
 }
 
 // EvalR2 returns the kernel value for a precomputed squared scaled distance
-// r² = Σ ((x_i-y_i)/ℓ_i)². It is the scalar-transform half of Eval used by
-// the fit workspace, which caches pairwise distances across NLML evaluations.
-func (c *Cov) EvalR2(r2 float64) float64 {
-	switch c.Kind {
-	case RBF:
-		return c.Var * math.Exp(-0.5*r2)
-	case Matern52:
-		s5r := math.Sqrt(5) * math.Sqrt(r2)
-		return c.Var * (1 + s5r + 5.0/3.0*r2) * math.Exp(-s5r)
-	default:
-		panic("gp: unknown covariance kind")
-	}
-}
+// r² = Σ ((x_i-y_i)/ℓ_i)². It is the scalar-transform half of Eval.
+func (c *Cov) EvalR2(r2 float64) float64 { return c.Var * math.Exp(-0.5*r2) }
 
 // fromR2 overwrites each squared scaled distance in v with its kernel
-// value, bit for bit EvalR2's. The RBF kernel transforms the whole slice
-// in one simd.RBFFromR2 call.
-func (c *Cov) fromR2(v []float64) {
-	if c.Kind == RBF {
-		simd.RBFFromR2(v, c.Var)
+// value, bit for bit EvalR2's, in one simd.RBFFromR2 call.
+func (c *Cov) fromR2(v []float64) { simd.RBFFromR2(v, c.Var) }
+
+// cachePair stores the hyper-parameter-independent half of the kernel
+// value of the pair (x, y), pair p of np, in dist: with ARD lengthscales
+// the per-dimension squared differences (x_k-y_k)² at the dim-major slots
+// dist[k·np+p], otherwise the squared distance Σ_k (x_k-y_k)² at dist[p],
+// each square rounded before it is added. fromDist turns such a cache into
+// kernel values for any hyper-parameters.
+func (c *Cov) cachePair(dist []float64, np, p int, x, y []float64) {
+	if len(c.Len) > 1 {
+		for k := range x {
+			dk := x[k] - y[k]
+			dist[k*np+p] = dk * dk
+		}
 		return
 	}
-	for i, r2 := range v {
-		v[i] = c.EvalR2(r2)
+	var s float64
+	for k := range x {
+		dk := x[k] - y[k]
+		s += float64(dk * dk)
 	}
+	dist[p] = s
+}
+
+// fromDist fills dst with the kernel values of the len(dst) pairs cached in
+// dist by cachePair, under c's current hyper-parameters. inv2, at least
+// len(c.Len) long, receives the per-dimension 1/ℓ² (ARD only). Each value
+// equals EvalR2 of the pair's r² = Σ_k float64(d_k²·(1/ℓ_k²)) (ARD) or
+// r² = (Σ_k d_k²)·(1/ℓ²) (isotropic), bit for bit.
+//
+//ppalint:noalloc
+func (c *Cov) fromDist(dst, dist, inv2 []float64) {
+	if len(c.Len) > 1 {
+		inv2 = inv2[:len(c.Len)]
+		for k, l := range c.Len {
+			inv2[k] = 1 / (l * l)
+		}
+		simd.RBFARD(dst, dist, inv2, c.Var)
+		return
+	}
+	s := 1 / (c.Len[0] * c.Len[0])
+	for p := range dst {
+		dst[p] = dist[p] * s
+	}
+	simd.RBFFromR2(dst, c.Var)
 }
 
 // hyper packs the covariance hyper-parameters as log-values for unconstrained

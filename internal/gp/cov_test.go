@@ -8,30 +8,26 @@ import (
 )
 
 func TestCovAtZeroDistance(t *testing.T) {
-	for _, kind := range []CovKind{RBF, Matern52} {
-		c := NewCov(kind, 3, false)
-		c.Var = 2.5
-		x := []float64{0.1, 0.5, 0.9}
-		if got := c.Eval(x, x); math.Abs(got-2.5) > 1e-12 {
-			t.Errorf("%v: k(x,x) = %g, want Var = 2.5", kind, got)
-		}
+	c := NewCov(RBF, 3, false)
+	c.Var = 2.5
+	x := []float64{0.1, 0.5, 0.9}
+	if got := c.Eval(x, x); math.Abs(got-2.5) > 1e-12 {
+		t.Errorf("k(x,x) = %g, want Var = 2.5", got)
 	}
 }
 
 func TestCovSymmetryAndDecay(t *testing.T) {
-	for _, kind := range []CovKind{RBF, Matern52} {
-		c := NewCov(kind, 2, false)
-		a, b := []float64{0, 0}, []float64{0.3, 0.4}
-		far := []float64{3, 4}
-		if c.Eval(a, b) != c.Eval(b, a) {
-			t.Errorf("%v: asymmetric", kind)
-		}
-		if !(c.Eval(a, b) > c.Eval(a, far)) {
-			t.Errorf("%v: does not decay with distance", kind)
-		}
-		if c.Eval(a, far) <= 0 {
-			t.Errorf("%v: non-positive covariance", kind)
-		}
+	c := NewCov(RBF, 2, false)
+	a, b := []float64{0, 0}, []float64{0.3, 0.4}
+	far := []float64{3, 4}
+	if c.Eval(a, b) != c.Eval(b, a) {
+		t.Error("asymmetric")
+	}
+	if !(c.Eval(a, b) > c.Eval(a, far)) {
+		t.Error("does not decay with distance")
+	}
+	if c.Eval(a, far) <= 0 {
+		t.Error("non-positive covariance")
 	}
 }
 
@@ -71,12 +67,23 @@ func TestCovDimMismatchPanics(t *testing.T) {
 	c.Eval([]float64{1}, []float64{1, 2})
 }
 
+// TestNewCovRejectsUnknownKind: RBF is the only covariance family, and any
+// other CovKind fails at construction instead of at the first evaluation.
+func TestNewCovRejectsUnknownKind(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewCov accepted CovKind(1)")
+		}
+	}()
+	NewCov(CovKind(1), 2, true)
+}
+
 func TestCovHyperRoundTrip(t *testing.T) {
-	c := NewCov(Matern52, 4, true)
+	c := NewCov(RBF, 4, true)
 	c.Var = 3.7
 	c.Len = []float64{0.2, 1.5, 2.5, 0.9}
 	h := c.hyper()
-	d := NewCov(Matern52, 4, true)
+	d := NewCov(RBF, 4, true)
 	d.setHyper(h)
 	if math.Abs(d.Var-c.Var) > 1e-12 {
 		t.Errorf("Var round trip: %g vs %g", d.Var, c.Var)

@@ -4,28 +4,23 @@ import (
 	"math"
 
 	"ppatuner/internal/mat"
-	"ppatuner/internal/simd"
 )
 
 // fitWS is the scratch space behind the Nelder–Mead NLML loop in Fit. The
 // training inputs are fixed for the duration of a Fit call, so everything
 // about them that the hyper-parameters cannot change is computed once here:
-// the per-dimension pairwise squared differences (ARD) or the raw squared
-// distances (isotropic), and the standardised outputs. Each NLML evaluation
-// is then only a vectorised transform of the cached distances plus one
-// packed factorisation, with the Gram, Cholesky and solve buffers reused
-// across all evaluations — the hot loop allocates nothing.
+// the pairwise squared differences (Cov.cachePair) and the standardised
+// outputs. Each NLML evaluation is then only a vectorised transform of the
+// cached distances plus one packed factorisation, with the Gram, Cholesky and
+// solve buffers reused across all evaluations — the hot loop allocates
+// nothing.
 type fitWS struct {
-	n, ns, d int
-	ard      bool
-	// sqd is the squared-difference tensor of the ARD path, (x_i[k]-x_j[k])²
-	// for dimension k and packed pair p = (i,j), j ≤ i. The RBF kernel keeps
-	// it dim-major, sqd[k*np+p], one contiguous run of pairs per dimension
-	// for simd.RBFARD; the Matérn kernel keeps it pair-major, sqd[p*d+k],
-	// one row per pair for simd.Matern52ARD.
-	sqd []float64
-	// r2raw is the unscaled squared distance per packed pair (isotropic path).
-	r2raw []float64
+	n, ns int
+	// dist caches every packed pair p = (i,j), j ≤ i, of the training set:
+	// dim-major squared differences dist[k*np+p] with ARD lengthscales, one
+	// contiguous run of pairs per dimension for simd.RBFARD, or the raw
+	// squared distance dist[p] when isotropic.
+	dist  []float64
 	y     []float64 // outputs standardised per task, training order
 	gram  []float64 // packed Gram workspace, rewritten every evaluation
 	inv2  []float64 // per-dimension 1/ℓ² for the current hyper-parameters
@@ -40,47 +35,21 @@ const log2pi = 1.8378770664093453 // log(2π)
 // standardise first.
 func newFitWS(g *GP) *fitWS {
 	n := g.N()
-	w := &fitWS{n: n, ns: len(g.xs), d: g.dim, ard: len(g.cov.Len) > 1}
+	w := &fitWS{n: n, ns: len(g.xs)}
 	np := mat.PackedLen(n)
-	if w.ard {
-		w.sqd = make([]float64, np*w.d)
-		// Pair p's dimension k lands at p*pStride + k*kStride.
-		pStride, kStride := w.d, 1
-		if g.cov.Kind == RBF {
-			pStride, kStride = 1, np
-		}
-		p := 0
-		for i := 0; i < n; i++ {
-			xi, _ := g.trainX(i)
-			for j := 0; j <= i; j++ {
-				xj, _ := g.trainX(j)
-				for k := 0; k < w.d; k++ {
-					dk := xi[k] - xj[k]
-					w.sqd[p*pStride+k*kStride] = dk * dk
-				}
-				p++
-			}
-		}
-	} else {
-		w.r2raw = make([]float64, np)
-		p := 0
-		for i := 0; i < n; i++ {
-			xi, _ := g.trainX(i)
-			for j := 0; j <= i; j++ {
-				xj, _ := g.trainX(j)
-				var s float64
-				for k := range xi {
-					dk := xi[k] - xj[k]
-					s += float64(dk * dk)
-				}
-				w.r2raw[p] = s
-				p++
-			}
+	w.dist = make([]float64, np*len(g.cov.Len))
+	p := 0
+	for i := 0; i < n; i++ {
+		xi, _ := g.trainX(i)
+		for j := 0; j <= i; j++ {
+			xj, _ := g.trainX(j)
+			g.cov.cachePair(w.dist, np, p, xi, xj)
+			p++
 		}
 	}
 	w.y = g.yStdInto(nil)
 	w.gram = make([]float64, np)
-	w.inv2 = make([]float64, w.d)
+	w.inv2 = make([]float64, g.dim)
 	w.alpha = make([]float64, n)
 	return w
 }
@@ -92,39 +61,8 @@ func newFitWS(g *GP) *fitWS {
 //
 //ppalint:noalloc
 func (w *fitWS) fillGram(g *GP) {
-	np := mat.PackedLen(w.n)
-	gm := w.gram[:np]
-	vr := g.cov.Var
-	if w.ard {
-		inv2 := w.inv2
-		for k, l := range g.cov.Len {
-			inv2[k] = 1 / (l * l)
-		}
-		// One fused pass per kernel: scale the cached squared differences by
-		// 1/ℓ², sum them per pair and apply the distance→covariance
-		// transform, without a second sweep over the Gram buffer.
-		switch g.cov.Kind {
-		case RBF:
-			simd.RBFARD(gm, w.sqd, inv2, vr)
-		case Matern52:
-			simd.Matern52ARD(gm, w.sqd, inv2, vr)
-		default:
-			panic("gp: unknown covariance kind")
-		}
-	} else {
-		inv2 := 1 / (g.cov.Len[0] * g.cov.Len[0])
-		for p, s := range w.r2raw {
-			gm[p] = s * inv2
-		}
-		switch g.cov.Kind {
-		case RBF:
-			simd.RBFFromR2(gm, vr)
-		case Matern52:
-			simd.Matern52FromR2(gm, vr)
-		default:
-			panic("gp: unknown covariance kind")
-		}
-	}
+	gm := w.gram[:mat.PackedLen(w.n)]
+	g.cov.fromDist(gm, w.dist, w.inv2)
 	// Scale the cross-task block (target rows × source columns) by ρ. The
 	// block is contiguous per row in packed layout, and hoisting ρ here keeps
 	// TransferFactor's math.Pow out of the per-pair loop entirely.

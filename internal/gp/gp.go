@@ -81,8 +81,8 @@ func (g *GP) ReserveAdds(n int) {
 // stays fully sequential.
 func (g *GP) SetWorkers(n int) { g.workers = n }
 
-// New returns a GP over dim-dimensional inputs with the given covariance
-// family. ard selects per-dimension lengthscales.
+// New returns a GP over dim-dimensional inputs with the RBF covariance;
+// kind must be RBF. ard selects per-dimension lengthscales.
 func New(kind CovKind, dim int, ard bool) *GP {
 	return &GP{
 		cov:    NewCov(kind, dim, ard),
@@ -558,7 +558,7 @@ func (g *GP) subsampled(n int) *GP {
 	if n <= 0 || total <= n {
 		return g
 	}
-	sub := New(g.cov.Kind, g.dim, len(g.cov.Len) > 1)
+	sub := New(RBF, g.dim, len(g.cov.Len) > 1)
 	sub.cov = g.cov // share: Fit mutates these in place
 	sub.noiseT, sub.noiseS = g.noiseT, g.noiseS
 	sub.a, sub.b = g.a, g.b

@@ -3,10 +3,10 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ppatuner/internal/mat"
-	"ppatuner/internal/simd"
 )
 
 // pairMajorSqd is the ARD squared-difference tensor in the pair-major
@@ -29,44 +29,28 @@ func pairMajorSqd(g *GP) []float64 {
 }
 
 // fillGramPairMajor is fitWS.fillGram as it was before the RBF kernels: a
-// pair-major tensor sqd (pairMajorSqd), the RBF transform one Cov.EvalR2
-// per pair, the Matérn transform through the same simd kernels as today.
-// It is the reference the dim-major fill must match bit for bit.
+// pair-major tensor sqd (pairMajorSqd) and one Cov.EvalR2 per pair. It is
+// the reference the dim-major fill must match bit for bit.
 func fillGramPairMajor(w *fitWS, g *GP, sqd []float64) {
-	np := mat.PackedLen(w.n)
 	gm := w.gram
-	vr := g.cov.Var
-	if w.ard {
-		inv2 := make([]float64, w.d)
+	if len(g.cov.Len) > 1 {
+		d := g.dim
+		inv2 := make([]float64, d)
 		for k, l := range g.cov.Len {
 			inv2[k] = 1 / (l * l)
 		}
-		d := w.d
-		switch g.cov.Kind {
-		case Matern52:
-			simd.Matern52ARD(gm[:np], sqd, inv2, vr)
-		default:
-			for p := 0; p < np; p++ {
-				row := sqd[p*d : p*d+d : p*d+d]
-				var r2 float64
-				for k := 0; k < d; k++ {
-					r2 += float64(row[k] * inv2[k])
-				}
-				gm[p] = g.cov.EvalR2(r2)
+		for p := range gm {
+			row := sqd[p*d : p*d+d : p*d+d]
+			var r2 float64
+			for k := 0; k < d; k++ {
+				r2 += float64(row[k] * inv2[k])
 			}
+			gm[p] = g.cov.EvalR2(r2)
 		}
 	} else {
 		inv2 := 1 / (g.cov.Len[0] * g.cov.Len[0])
-		switch g.cov.Kind {
-		case Matern52:
-			for p, s := range w.r2raw {
-				gm[p] = s * inv2
-			}
-			simd.Matern52FromR2(gm[:np], vr)
-		default:
-			for p, s := range w.r2raw {
-				gm[p] = g.cov.EvalR2(s * inv2)
-			}
+		for p, s := range w.dist {
+			gm[p] = g.cov.EvalR2(s * inv2)
 		}
 	}
 	if g.hasSource {
@@ -96,7 +80,7 @@ func pairMajorNLML() func(*fitWS, *GP) float64 {
 	var sqd []float64
 	var owner *fitWS
 	return func(w *fitWS, g *GP) float64 {
-		if w != owner && w.ard {
+		if w != owner && len(g.cov.Len) > 1 {
 			sqd, owner = pairMajorSqd(g), w
 		}
 		fillGramPairMajor(w, g, sqd)
@@ -111,26 +95,23 @@ func pairMajorNLML() func(*fitWS, *GP) float64 {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // kernelCases are the covariance set-ups the equivalence tests cover: RBF
-// ARD at the paper's 12 and 9 knobs, isotropic RBF (the TCAD'19 and
-// MLCAD'19 surrogates), and the unchanged Matérn ARD and isotropic paths.
+// ARD at the paper's 12 and 9 knobs, and isotropic RBF (the TCAD'19 and
+// MLCAD'19 surrogates).
 var kernelCases = []struct {
 	name string
-	kind CovKind
 	dim  int
 	ard  bool
 }{
-	{"rbf-ard-12", RBF, 12, true},
-	{"rbf-ard-9", RBF, 9, true},
-	{"rbf-iso-3", RBF, 3, false},
-	{"matern-ard-8", Matern52, 8, true},
-	{"matern-iso-3", Matern52, 3, false},
+	{"rbf-ard-12", 12, true},
+	{"rbf-ard-9", 9, true},
+	{"rbf-iso-3", 3, false},
 }
 
 // newEquivGP builds a transfer GP over a fixed synthetic data set.
-func newEquivGP(t *testing.T, kind CovKind, dim int, ard bool, seed int64) *GP {
+func newEquivGP(t *testing.T, dim int, ard bool, seed int64) *GP {
 	t.Helper()
 	xs, ys, xt, yt := transferSet(rand.New(rand.NewSource(seed)), 36, 21, dim)
-	g := New(kind, dim, ard)
+	g := New(RBF, dim, ard)
 	if err := g.SetSource(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +129,7 @@ func newEquivGP(t *testing.T, kind CovKind, dim int, ard bool, seed int64) *GP {
 func TestFillGramMatchesPairMajor(t *testing.T) {
 	for _, tc := range kernelCases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := newEquivGP(t, tc.kind, tc.dim, tc.ard, 21)
+			g := newEquivGP(t, tc.dim, tc.ard, 21)
 			w := newFitWS(g)
 			ref := newFitWS(g)
 			refNLML := pairMajorNLML()
@@ -182,8 +163,8 @@ func TestFillGramMatchesPairMajor(t *testing.T) {
 func TestFitMatchesPairMajor(t *testing.T) {
 	for _, tc := range kernelCases {
 		for _, sub := range []int{0, 40} {
-			got := newEquivGP(t, tc.kind, tc.dim, tc.ard, 23)
-			want := newEquivGP(t, tc.kind, tc.dim, tc.ard, 23)
+			got := newEquivGP(t, tc.dim, tc.ard, 23)
+			want := newEquivGP(t, tc.dim, tc.ard, 23)
 			opts := FitOptions{MaxEvals: 90, Subsample: sub}
 			if err := got.Fit(opts); err != nil {
 				t.Fatal(err)
@@ -205,12 +186,120 @@ func TestFitMatchesPairMajor(t *testing.T) {
 	}
 }
 
+// fillCovPerEntry is sparseFitWS.fillCov computed entry by entry from the
+// training inputs and the inducing indices idx (ascending): each entry is
+// Cov.EvalR2 of r² = Σ_k float64(d_k²·(1/ℓ_k²)) (ARD) or (Σ_k d_k²)·(1/ℓ²)
+// (isotropic), every square and product rounded by float64(), times ρ when
+// the pair crosses tasks, plus the jitter on K_uu's diagonal. It returns
+// packed K_uu and row-major K_fu.
+func fillCovPerEntry(s *SparseGP, idx []int) (kuu, kfu []float64) {
+	n := s.N()
+	x := make([][]float64, n)
+	for i := range x {
+		x[i], _ = s.trainX(i)
+	}
+	rho := TransferFactor(s.a, s.b)
+	k := func(i, j int) float64 {
+		var r2 float64
+		if len(s.cov.Len) > 1 {
+			for d, l := range s.cov.Len {
+				dk := x[i][d] - x[j][d]
+				r2 += float64(float64(dk*dk) * (1 / (l * l)))
+			}
+		} else {
+			var raw float64
+			for d := range x[i] {
+				dk := x[i][d] - x[j][d]
+				raw += float64(dk * dk)
+			}
+			r2 = raw * (1 / (s.cov.Len[0] * s.cov.Len[0]))
+		}
+		v := s.cov.EvalR2(r2)
+		if (i < len(s.xs)) != (j < len(s.xs)) {
+			v *= rho
+		}
+		return v
+	}
+	for a, i := range idx {
+		for _, j := range idx[:a] {
+			kuu = append(kuu, k(i, j))
+		}
+		kuu = append(kuu, k(i, i)+1e-8)
+	}
+	for i := 0; i < n; i++ {
+		for _, j := range idx {
+			kfu = append(kfu, k(i, j))
+		}
+	}
+	return kuu, kfu
+}
+
+// TestSparseFillCovMatchesPerEntry: the sparse fit workspace's K_uu and
+// K_fu fills (one dim-major cache, simd.RBFARD and simd.RBFFromR2) must
+// equal the per-entry reference bit for bit, ARD and isotropic, with and
+// without a source task, including lengthscales at the fit's limits 0.02
+// and 8.
+func TestSparseFillCovMatchesPerEntry(t *testing.T) {
+	for _, tc := range kernelCases {
+		for _, withSource := range []bool{true, false} {
+			rng := rand.New(rand.NewSource(27))
+			xs, ys, xt, yt := transferSet(rng, 36, 21, tc.dim)
+			s := NewSparse(RBF, tc.dim, tc.ard, 16, 5)
+			if withSource {
+				if err := s.SetSource(xs, ys); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.SetTarget(xt, yt); err != nil {
+				t.Fatal(err)
+			}
+			s.standardise()
+			w, err := newSparseFitWS(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := make([][]float64, s.N())
+			for i := range all {
+				all[i], _ = s.trainX(i)
+			}
+			idx, err := SelectInducing(all, s.cov.Len, w.m, s.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Ints(idx)
+			for trial := 0; trial < 12; trial++ {
+				s.cov.Var = math.Exp(2 * rng.NormFloat64())
+				for k := range s.cov.Len {
+					s.cov.Len[k] = [...]float64{0.02, 8, 0.02 + 8*rng.Float64(), 0.2 + rng.Float64()}[(trial+k)%4]
+				}
+				s.a, s.b = math.Exp(rng.NormFloat64()), math.Exp(rng.NormFloat64())
+				w.fillCov(s)
+				kuu, kfu := fillCovPerEntry(s, idx)
+				if len(kuu) != len(w.kuu) || len(kfu) != len(w.kfu) {
+					t.Fatalf("%s source=%v: workspace holds %d K_uu and %d K_fu entries, reference %d and %d",
+						tc.name, withSource, len(w.kuu), len(w.kfu), len(kuu), len(kfu))
+				}
+				for p := range kuu {
+					if !sameBits(w.kuu[p], kuu[p]) {
+						t.Fatalf("%s source=%v trial %d: K_uu entry %d = %v, per-entry %v", tc.name, withSource, trial, p, w.kuu[p], kuu[p])
+					}
+				}
+				for p := range kfu {
+					if !sameBits(w.kfu[p], kfu[p]) {
+						t.Fatalf("%s source=%v trial %d: K_fu entry %d = %v, per-entry %v", tc.name, withSource, trial, p, w.kfu[p], kfu[p])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKvecIntoMatchesEval: the batched kernel column (all r² first, one
 // transform, then ρ on the source block) must equal ρ·Cov.Eval and
 // Cov.Eval per training point bit for bit, near and far from the data.
 func TestKvecIntoMatchesEval(t *testing.T) {
 	for _, tc := range kernelCases {
-		g := newEquivGP(t, tc.kind, tc.dim, tc.ard, 24)
+		g := newEquivGP(t, tc.dim, tc.ard, 24)
 		rng := rand.New(rand.NewSource(25))
 		g.a, g.b = 0.7, 1.3
 		rho := g.Rho()

@@ -42,8 +42,8 @@ func TestSparseMatchesExactWhenSaturated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs, ys, xt, yt := transferSet(rng, 25, 20, 3)
 
-	exact := New(Matern52, 3, true)
-	sparse := NewSparse(Matern52, 3, true, 100, 9)
+	exact := New(RBF, 3, true)
+	sparse := NewSparse(RBF, 3, true, 100, 9)
 	for _, m := range []Model{exact, sparse} {
 		if err := m.SetSource(xs, ys); err != nil {
 			t.Fatal(err)
@@ -81,8 +81,8 @@ func TestSparseApproximatesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	xs, ys, xt, yt := transferSet(rng, 120, 90, 3)
 
-	exact := New(Matern52, 3, true)
-	sparse := NewSparse(Matern52, 3, true, 48, 17)
+	exact := New(RBF, 3, true)
+	sparse := NewSparse(RBF, 3, true, 48, 17)
 	for _, m := range []Model{exact, sparse} {
 		if err := m.SetSource(xs, ys); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestSparseAddTargetIncrementalMatchesRebuild(t *testing.T) {
 		pool[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
 
-	inc := NewSparse(Matern52, 3, true, 32, 5)
+	inc := NewSparse(RBF, 3, true, 32, 5)
 	if err := inc.SetSource(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSparseAddTargetIncrementalMatchesRebuild(t *testing.T) {
 	// the same sequence through a fresh model whose saturation point matches,
 	// then compare against an explicit final Rebuild of a third model only
 	// for the mean (standardisation drifts are expected to be tiny here).
-	ref := NewSparse(Matern52, 3, true, 32, 5)
+	ref := NewSparse(RBF, 3, true, 32, 5)
 	if err := ref.SetSource(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSparseAddTargetIncrementalMatchesRebuild(t *testing.T) {
 // add rebuilds, so the new point becomes a candidate inducing point and the
 // approximation stays exact.
 func TestSparseAddTargetGrowsInducingSetWhileUnsaturated(t *testing.T) {
-	s := NewSparse(Matern52, 2, true, 16, 3)
+	s := NewSparse(RBF, 2, true, 16, 3)
 	if err := s.SetTarget([][]float64{{0.1, 0.2}, {0.8, 0.4}}, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSparseDeterministic(t *testing.T) {
 		pool[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
 	build := func(workers int) []float64 {
-		s := NewSparse(Matern52, 3, true, 24, 21)
+		s := NewSparse(RBF, 3, true, 24, 21)
 		s.SetWorkers(workers)
 		if err := s.SetSource(xs, ys); err != nil {
 			t.Fatal(err)
@@ -257,7 +257,7 @@ func TestSparseSeedChangesSelection(t *testing.T) {
 		yt[i] = rng.Float64()
 	}
 	idx := func(seed uint64) []int {
-		s := NewSparse(Matern52, 2, true, 12, seed)
+		s := NewSparse(RBF, 2, true, 12, seed)
 		if err := s.SetTarget(xt, yt); err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestSparseSeedChangesSelection(t *testing.T) {
 func TestSparseFitImprovesNLML(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	xs, ys, xt, yt := transferSet(rng, 60, 50, 3)
-	s := NewSparse(Matern52, 3, true, 32, 13)
+	s := NewSparse(RBF, 3, true, 32, 13)
 	if err := s.SetSource(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestSparseFitImprovesNLML(t *testing.T) {
 func TestSparseRhoCarriedOver(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	xs, ys, xt, yt := transferSet(rng, 100, 12, 2)
-	s := NewSparse(Matern52, 2, true, 48, 19)
+	s := NewSparse(RBF, 2, true, 48, 19)
 	if err := s.SetSource(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +365,8 @@ func TestSparseSpeedup(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	exact := run(New(Matern52, 8, true))
-	sparse := run(NewSparse(Matern52, 8, true, 64, 23))
+	exact := run(New(RBF, 8, true))
+	sparse := run(NewSparse(RBF, 8, true, 64, 23))
 	t.Logf("exact fit %v, sparse:64 fit %v (%.1fx)", exact, sparse, float64(exact)/float64(sparse))
 	if float64(exact) < 2.5*float64(sparse) {
 		t.Errorf("sparse fit %v not >= 2.5x faster than exact %v", sparse, exact)
@@ -510,11 +510,33 @@ func TestSpecString(t *testing.T) {
 	}
 }
 
+// FuzzParseSpec: ParseSpec, behind the -gp flag and a served job's gp
+// field, never panics, and an accepted spec renders (String) to text that
+// parses back to the same Spec.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		if spec.Sparse != (spec.M >= 1) || spec.Seed != 0 {
+			t.Fatalf("ParseSpec(%q) = %+v", in, spec)
+		}
+		again, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v, but its String %q fails: %v", in, spec, spec.String(), err)
+		}
+		if again != spec {
+			t.Fatalf("ParseSpec(%q) = %+v, but its String %q parses to %+v", in, spec, spec.String(), again)
+		}
+	})
+}
+
 func TestSpecNew(t *testing.T) {
-	if _, ok := (Spec{}).New(Matern52, 3, true).(*GP); !ok {
+	if _, ok := (Spec{}).New(RBF, 3, true).(*GP); !ok {
 		t.Error("exact spec did not build *GP")
 	}
-	m, ok := (Spec{Sparse: true, M: 7, Seed: 3}).New(Matern52, 3, true).(*SparseGP)
+	m, ok := (Spec{Sparse: true, M: 7, Seed: 3}).New(RBF, 3, true).(*SparseGP)
 	if !ok {
 		t.Fatal("sparse spec did not build *SparseGP")
 	}
@@ -528,7 +550,7 @@ func TestSpecNew(t *testing.T) {
 func TestSubsampledDeterministicAndStructured(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	xs, ys, xt, yt := transferSet(rng, 40, 20, 2)
-	g := New(Matern52, 2, true)
+	g := New(RBF, 2, true)
 	if err := g.SetSource(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +595,7 @@ func TestSubsampledDeterministicAndStructured(t *testing.T) {
 func TestSubsampledKeepsSourceTaskPresence(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	xs, ys, xt, yt := transferSet(rng, 3, 200, 2)
-	g := New(Matern52, 2, true)
+	g := New(RBF, 2, true)
 	if err := g.SetSource(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +614,7 @@ func TestSubsampledKeepsSourceTaskPresence(t *testing.T) {
 func TestSubsampledNoopWhenSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	xt, yt := trainSet(rng, 10, fTest)
-	g := New(Matern52, 2, true)
+	g := New(RBF, 2, true)
 	if err := g.SetTarget(xt, yt); err != nil {
 		t.Fatal(err)
 	}

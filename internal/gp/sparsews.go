@@ -21,12 +21,12 @@ import (
 // with v_i = L_m⁻¹ k_u(x_i) and c_i = 1/λ_i, at O(n·m²) per evaluation and
 // zero allocation in the hot loop. Memory is O(n·m·d) for the distance cache.
 type sparseFitWS struct {
-	n, ns, d int
-	m, uSrc  int
-	ard      bool
+	n, ns   int
+	m, uSrc int
 
-	// squu: packed inducing-pair squared differences (per-dim when ARD,
-	// raw r² otherwise). squf: training×inducing, row-major [i*m+r].
+	// squu caches the packed inducing pairs, squf the training×inducing
+	// pairs [i*m+r], both laid out by Cov.cachePair: dim-major squared
+	// differences with ARD lengthscales, raw squared distances otherwise.
 	squu, squf []float64
 
 	y              []float64 // standardised per task, training order
@@ -69,64 +69,20 @@ func newSparseFitWS(s *SparseGP) (*sparseFitWS, error) {
 		}
 	}
 
-	w := &sparseFitWS{
-		n: n, ns: len(s.xs), d: s.dim,
-		m: m, uSrc: uSrc,
-		ard: len(s.cov.Len) > 1,
-	}
+	w := &sparseFitWS{n: n, ns: len(s.xs), m: m, uSrc: uSrc}
 	mp := mat.PackedLen(m)
-	if w.ard {
-		w.squu = make([]float64, mp*w.d)
-		p := 0
-		for i := 0; i < m; i++ {
-			for j := 0; j <= i; j++ {
-				for k := 0; k < w.d; k++ {
-					dk := u[i][k] - u[j][k]
-					w.squu[p] = dk * dk
-					p++
-				}
-			}
+	w.squu = make([]float64, mp*len(s.cov.Len))
+	p := 0
+	for i := 0; i < m; i++ {
+		for j := 0; j <= i; j++ {
+			s.cov.cachePair(w.squu, mp, p, u[i], u[j])
+			p++
 		}
-		w.squf = make([]float64, n*m*w.d)
-		p = 0
-		for i := 0; i < n; i++ {
-			xi := all[i]
-			for r := 0; r < m; r++ {
-				ur := u[r]
-				for k := 0; k < w.d; k++ {
-					dk := xi[k] - ur[k]
-					w.squf[p] = dk * dk
-					p++
-				}
-			}
-		}
-	} else {
-		w.squu = make([]float64, mp)
-		p := 0
-		for i := 0; i < m; i++ {
-			for j := 0; j <= i; j++ {
-				var r2 float64
-				for k := range u[i] {
-					dk := u[i][k] - u[j][k]
-					r2 += dk * dk
-				}
-				w.squu[p] = r2
-				p++
-			}
-		}
-		w.squf = make([]float64, n*m)
-		p = 0
-		for i := 0; i < n; i++ {
-			xi := all[i]
-			for r := 0; r < m; r++ {
-				var r2 float64
-				for k := range xi {
-					dk := xi[k] - u[r][k]
-					r2 += dk * dk
-				}
-				w.squf[p] = r2
-				p++
-			}
+	}
+	w.squf = make([]float64, n*m*len(s.cov.Len))
+	for i, xi := range all {
+		for r, ur := range u {
+			s.cov.cachePair(w.squf, n*m, i*m+r, xi, ur)
 		}
 	}
 
@@ -146,7 +102,7 @@ func newSparseFitWS(s *SparseGP) (*sparseFitWS, error) {
 	w.bmat = make([]float64, mp)
 	w.zvec = make([]float64, m)
 	w.vbuf = make([]float64, m)
-	w.inv2 = make([]float64, w.d)
+	w.inv2 = make([]float64, s.dim)
 	return w, nil
 }
 
@@ -157,41 +113,8 @@ func newSparseFitWS(s *SparseGP) (*sparseFitWS, error) {
 //ppalint:noalloc
 func (w *sparseFitWS) fillCov(s *SparseGP) {
 	m := w.m
-	mp := mat.PackedLen(m)
-	vr := s.cov.Var
-	if w.ard {
-		for k, l := range s.cov.Len {
-			w.inv2[k] = 1 / (l * l)
-		}
-		switch s.cov.Kind {
-		case Matern52:
-			simd.Matern52ARD(w.kuu[:mp], w.squu, w.inv2, vr)
-			simd.Matern52ARD(w.kfu[:w.n*m], w.squf, w.inv2, vr)
-		default:
-			evalRows(w.kuu[:mp], w.squu, w.inv2, w.d, s.cov)
-			evalRows(w.kfu[:w.n*m], w.squf, w.inv2, w.d, s.cov)
-		}
-	} else {
-		inv2 := 1 / (s.cov.Len[0] * s.cov.Len[0])
-		switch s.cov.Kind {
-		case Matern52:
-			for p, r2 := range w.squu {
-				w.kuu[p] = r2 * inv2
-			}
-			simd.Matern52FromR2(w.kuu[:mp], vr)
-			for p, r2 := range w.squf {
-				w.kfu[p] = r2 * inv2
-			}
-			simd.Matern52FromR2(w.kfu[:w.n*m], vr)
-		default:
-			for p, r2 := range w.squu {
-				w.kuu[p] = s.cov.EvalR2(r2 * inv2)
-			}
-			for p, r2 := range w.squf {
-				w.kfu[p] = s.cov.EvalR2(r2 * inv2)
-			}
-		}
-	}
+	s.cov.fromDist(w.kuu, w.squu, w.inv2)
+	s.cov.fromDist(w.kfu, w.squf, w.inv2)
 	if s.hasSource {
 		if rho := TransferFactor(s.a, s.b); rho != 1 {
 			// K_uu: target-inducing rows × source-inducing columns.
@@ -220,21 +143,6 @@ func (w *sparseFitWS) fillCov(s *SparseGP) {
 	}
 	for i := 0; i < m; i++ {
 		w.kuu[mat.PackedLen(i)+i] += 1e-8
-	}
-}
-
-// evalRows applies cov's distance→covariance transform to each d-wide row of
-// per-dimension squared differences (generic non-Matérn path).
-//
-//ppalint:noalloc
-func evalRows(dst, sqd, inv2 []float64, d int, cov *Cov) {
-	for p := range dst {
-		row := sqd[p*d : p*d+d : p*d+d]
-		var r2 float64
-		for k := 0; k < d; k++ {
-			r2 += row[k] * inv2[k]
-		}
-		dst[p] = cov.EvalR2(r2)
 	}
 }
 

@@ -4,16 +4,14 @@
 // successive PRs can see the trajectory of the GP fit/predict loop instead of
 // eyeballing `go test -bench` output diffs.
 //
-// The fixture is an ARD transfer GP over ~200 training points (120 source
-// + 80 target) with a large attached candidate pool. FitRefit is the
+// Every fixture runs what PPATuner runs: an RBF ARD transfer GP over Table
+// 1's 12-knob Scenario One space, ~200 training points (120 source + 80
+// target) and a large attached candidate pool. FitRefit is the
 // hyper-parameter refit (up to 240 Nelder–Mead NLML evaluations),
-// PredictPool is the per-iteration posterior sweep over the whole pool, and
-// AddTarget is the incremental posterior/pool-cache update after one tool
-// evaluation. These three use a Matérn-5/2 kernel over 8 knobs, a kernel
-// and dimension no campaign runs; they keep the CI gate's baseline
-// comparable. FitRefitRBF and PredictPoolRBF measure what PPATuner runs:
-// RBF ARD over Table 1's 12-knob Scenario One space, with the pool swept
-// four candidates at a time as the tuner's region update does.
+// PredictPool is the per-iteration posterior sweep over the whole pool, four
+// candidates per PredictPool4 call as the tuner's region update makes it,
+// and AddTarget is the incremental posterior/pool-cache update after one
+// tool evaluation.
 package gpbench
 
 import (
@@ -24,20 +22,17 @@ import (
 	"ppatuner/internal/gp"
 )
 
-// Fixture dimensions. Chosen so one FitRefit iteration is a realistic refit
-// (n≈200 points, full-data NLML) and PredictPool sweeps a pool big enough for
-// memory effects to show.
+// Fixture dimensions. Dim is the knob count of Table 1's Scenario One
+// space; the sizes make one FitRefit iteration a realistic refit (n≈200
+// points, full-data NLML) and PredictPool sweep a pool big enough for
+// memory effects to show. PoolN is a multiple of 4.
 const (
-	Dim      = 8
+	Dim      = 12
 	SourceN  = 120
 	TargetN  = 80
 	PoolN    = 1500
 	FitEvals = 240
 )
-
-// rbfDim is the RBF fixtures' dimension: the knobs of Table 1's Scenario
-// One space.
-const rbfDim = 12
 
 // synth is a smooth multimodal response surface standing in for one QoR
 // metric.
@@ -64,17 +59,17 @@ func points(rng *rand.Rand, n, dim int) ([][]float64, []float64) {
 }
 
 // fixtureData returns the deterministic source/target/pool point sets.
-func fixtureData(dim int) (sx [][]float64, sy []float64, tx [][]float64, ty []float64, pool [][]float64) {
+func fixtureData() (sx [][]float64, sy []float64, tx [][]float64, ty []float64, pool [][]float64) {
 	rng := rand.New(rand.NewSource(1))
-	sx, sy = points(rng, SourceN, dim)
-	tx, ty = points(rng, TargetN, dim)
-	pool, _ = points(rng, PoolN, dim)
+	sx, sy = points(rng, SourceN, Dim)
+	tx, ty = points(rng, TargetN, Dim)
+	pool, _ = points(rng, PoolN, Dim)
 	return
 }
 
 // newGP builds the transfer GP over the fixture data without fitting it.
-func newGP(kind gp.CovKind, sx [][]float64, sy []float64, tx [][]float64, ty []float64) *gp.GP {
-	g := gp.New(kind, len(sx[0]), true)
+func newGP(sx [][]float64, sy []float64, tx [][]float64, ty []float64) *gp.GP {
+	g := gp.New(gp.RBF, Dim, true)
 	if err := g.SetSource(sx, sy); err != nil {
 		panic(err)
 	}
@@ -89,18 +84,13 @@ func newGP(kind gp.CovKind, sx [][]float64, sy []float64, tx [][]float64, ty []f
 // tuner pays at every scheduled recalibration). The GP is rebuilt from
 // default hyper-parameters each iteration so every Fit walks the same
 // optimisation surface.
-func FitRefit(b *testing.B) { fitRefit(b, gp.Matern52, Dim) }
-
-// FitRefitRBF is FitRefit for PPATuner's kernel: RBF ARD over 12 knobs.
-func FitRefitRBF(b *testing.B) { fitRefit(b, gp.RBF, rbfDim) }
-
-func fitRefit(b *testing.B, kind gp.CovKind, dim int) {
-	sx, sy, tx, ty, _ := fixtureData(dim)
+func FitRefit(b *testing.B) {
+	sx, sy, tx, ty, _ := fixtureData()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		g := newGP(kind, sx, sy, tx, ty)
+		g := newGP(sx, sy, tx, ty)
 		b.StartTimer()
 		if err := g.Fit(gp.FitOptions{MaxEvals: FitEvals}); err != nil {
 			b.Fatal(err)
@@ -110,28 +100,16 @@ func fitRefit(b *testing.B, kind gp.CovKind, dim int) {
 
 // PredictPool measures one posterior mean/variance sweep over the whole
 // candidate pool — the model-calibration stage of each tuner iteration —
-// one PredictPool call per candidate.
+// four candidates per PredictPool4 call.
 func PredictPool(b *testing.B) {
-	g, pool := pooledGP(b, gp.Matern52, Dim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for p := range pool {
-			mu, sd := g.PredictPool(p)
-			sink += mu + sd
-		}
+	sx, sy, tx, ty, pool := fixtureData()
+	g := newGP(sx, sy, tx, ty)
+	if err := g.Rebuild(); err != nil {
+		b.Fatal(err)
 	}
-	if math.IsNaN(sink) {
-		b.Fatal("NaN prediction")
+	if err := g.AttachPool(pool); err != nil {
+		b.Fatal(err)
 	}
-}
-
-// PredictPoolRBF is the same sweep over the RBF ARD 12-knob fixture, four
-// candidates per PredictPool4 call as the tuner's region update makes it
-// (PoolN is a multiple of 4).
-func PredictPoolRBF(b *testing.B) {
-	g, pool := pooledGP(b, gp.RBF, rbfDim)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
@@ -148,31 +126,17 @@ func PredictPoolRBF(b *testing.B) {
 	}
 }
 
-// pooledGP returns the fixture GP rebuilt at its default hyper-parameters
-// with the pool attached.
-func pooledGP(b *testing.B, kind gp.CovKind, dim int) (*gp.GP, [][]float64) {
-	sx, sy, tx, ty, pool := fixtureData(dim)
-	g := newGP(kind, sx, sy, tx, ty)
-	if err := g.Rebuild(); err != nil {
-		b.Fatal(err)
-	}
-	if err := g.AttachPool(pool); err != nil {
-		b.Fatal(err)
-	}
-	return g, pool
-}
-
 // AddTarget measures the incremental posterior + pool-cache update after one
 // tool evaluation. The fixture is reset periodically (timer stopped) so the
 // measured cost stays at the fixture's size instead of growing with b.N.
 func AddTarget(b *testing.B) {
 	const resetEvery = 64
-	sx, sy, tx, ty, pool := fixtureData(Dim)
+	sx, sy, tx, ty, pool := fixtureData()
 	rng := rand.New(rand.NewSource(2))
 	adds, _ := points(rng, resetEvery, Dim)
 
 	reset := func() *gp.GP {
-		g := newGP(gp.Matern52, sx, sy, tx, ty)
+		g := newGP(sx, sy, tx, ty)
 		if err := g.Rebuild(); err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +203,7 @@ func scaleData(n int) (sx [][]float64, sy []float64, tx [][]float64, ty []float6
 }
 
 func newModel(spec gp.Spec, sx [][]float64, sy []float64, tx [][]float64, ty []float64) gp.Model {
-	m := spec.New(gp.Matern52, Dim, true)
+	m := spec.New(gp.RBF, Dim, true)
 	if err := m.SetSource(sx, sy); err != nil {
 		panic(err)
 	}

@@ -1,14 +1,13 @@
 // Package simd hosts the hand-vectorised kernels behind the GP hot path:
 // the fused multi-dot product that drives the packed Cholesky factorisation,
-// the RBF and Matérn-5/2 distance→covariance transforms that drive the
-// cached Gram fill and the kernel columns, and the batched dot products of
-// the pool posterior. On amd64 with AVX2+FMA (checked once at startup) they
-// run in assembly; everywhere else they fall back to portable Go with
-// unrolled scalar loops. Dot4, Axpy and the Matérn kernels compute the same
-// quantities as their fallbacks with the same operation order per element,
-// but may differ from them in the last few ulps (FMA contraction, a
-// vectorised exp) — callers get deterministic results within one process,
-// not across architectures.
+// the RBF distance→covariance transforms that drive the cached Gram fill and
+// the kernel columns, and the batched dot products of the pool posterior.
+// On amd64 with AVX2+FMA (checked once at startup) they run in assembly;
+// everywhere else they fall back to portable Go with unrolled scalar loops.
+// Dot4 and Axpy compute the same quantities as their fallbacks with the same
+// operation order per element, but may differ from them in the last few
+// ulps (FMA contraction) — callers get deterministic results within one
+// process, not across architectures.
 //
 // The other kernels equal their scalar definitions bit for bit on every
 // path, so the GP batches with them without moving a single table or front:
@@ -124,9 +123,9 @@ func DotSelf4(v0, v1, v2, v3 []float64) (r0, r1, r2, r3 float64) {
 //
 //	v[i] = vr · math.Exp(−v[i]/2),
 //
-// bit for bit on every path (gp.Cov.EvalR2 for the RBF kernel). It runs as
-// RBFARD over one dimension with 1/ℓ² = 1, in place: r² = 0 + v[i]·1 is
-// v[i] exactly, except that −0 becomes +0, and e^{±0} is the same 1.
+// bit for bit on every path (gp.Cov.EvalR2). It runs as RBFARD over one
+// dimension with 1/ℓ² = 1, in place: r² = 0 + v[i]·1 is v[i] exactly,
+// except that −0 becomes +0, and e^{±0} is the same 1.
 //
 //ppalint:noalloc
 func RBFFromR2(v []float64, vr float64) { RBFARD(v, v, unitInv2[:], vr) }
@@ -194,94 +193,16 @@ func rbfARDScalar(dst, sqd, inv2 []float64, vr float64, lo, hi int) {
 // Dot4 computes the four dot products p[:n]·q0[:n] … p[:n]·q3[:n] in one
 // pass. Sharing the p loads across four columns is what lifts a triangular
 // factorisation's inner loop from load-bound scalar speed to SIMD speed.
+// Every operand must hold at least n elements.
 func Dot4(p, q0, q1, q2, q3 []float64, n int) (s0, s1, s2, s3 float64) {
+	if len(p) < n || len(q0) < n || len(q1) < n || len(q2) < n || len(q3) < n {
+		panic("simd: Dot4 operand shorter than n")
+	}
 	if useAsm && n >= 8 {
 		return dot4Asm(&p[0], &q0[0], &q1[0], &q2[0], &q3[0], n)
 	}
 	return DotUnroll(p[:n], q0[:n]), DotUnroll(p[:n], q1[:n]),
 		DotUnroll(p[:n], q2[:n]), DotUnroll(p[:n], q3[:n])
-}
-
-const (
-	sqrt5   = 2.23606797749979   // math.Sqrt(5)
-	fiveThd = 5.0 / 3.0          // Matérn-5/2 polynomial coefficient
-	expLo   = -708.3964185322641 // below this e^x underflows to 0
-)
-
-// Matern52FromR2 transforms scaled squared distances into Matérn-5/2
-// covariances in place:
-//
-//	v[i] = vr · (1 + s + 5/3·v[i]) · e^{−s},   s = √5·√v[i]
-//
-// matching gp.Cov.EvalR2 for the Matérn kernel to within a few ulps. This is
-// the scalar-transform half of every cached-Gram NLML evaluation, so on
-// amd64 it runs 4-wide in assembly, including a polynomial e^x.
-func Matern52FromR2(v []float64, vr float64) {
-	i := 0
-	if useAsm && len(v) >= 4 {
-		quads := len(v) &^ 3
-		matern52Asm(&v[0], quads, vr)
-		i = quads
-	}
-	for ; i < len(v); i++ {
-		s := sqrt5 * math.Sqrt(v[i])
-		v[i] = vr * (1 + s + fiveThd*v[i]) * math.Exp(-s)
-	}
-}
-
-// Matern52ARD fuses the two passes of the ARD Gram fill — per-dimension
-// distance accumulation and the Matérn-5/2 transform — into one kernel:
-//
-//	dst[p] = vr · (1 + s + 5/3·r²) · e^{−s},
-//	r²     = Σ_k sqd[p·d+k] · inv2[k],   s = √5·√r²,   d = len(inv2)
-//
-// where sqd is the pair-major squared-difference tensor and inv2 the
-// per-dimension 1/ℓ². d = 8 gets dedicated asm fast paths (AVX-512 when
-// the hardware has it, else AVX2+FMA); other dimensions and non-amd64
-// builds take the portable loop. No campaign reaches the d = 8 paths: the
-// paper's Table 1 spaces have 12 and 9 knobs and PPATuner fits them with
-// RBF (RBFARD), so only the gpbench Matérn fixture runs them. Like the rest of
-// the package, asm and portable results agree to within a few ulps, not
-// bit-for-bit.
-func Matern52ARD(dst, sqd, inv2 []float64, vr float64) {
-	d := len(inv2)
-	n := len(dst)
-	if len(sqd) < n*d {
-		panic("simd: Matern52ARD sqd shorter than len(dst)*len(inv2)")
-	}
-	i := 0
-	if d == 8 {
-		if useAVX512 && n >= 8 {
-			e := n &^ 7
-			matern52ARD8x512(&dst[0], &sqd[0], &inv2[0], e, vr)
-			i = e
-		} else if useAsm && n >= 4 {
-			q := n &^ 3
-			matern52ARD8Asm(&dst[0], &sqd[0], &inv2[0], q, vr)
-			i = q
-		}
-		// Scalar tail (and the full portable path off amd64), unrolled with
-		// named locals so the compiler drops the bounds checks.
-		c0, c1, c2, c3 := inv2[0], inv2[1], inv2[2], inv2[3]
-		c4, c5, c6, c7 := inv2[4], inv2[5], inv2[6], inv2[7]
-		for ; i < n; i++ {
-			row := sqd[i*8 : i*8+8 : i*8+8]
-			r2 := row[0]*c0 + row[1]*c1 + row[2]*c2 + row[3]*c3 +
-				row[4]*c4 + row[5]*c5 + row[6]*c6 + row[7]*c7
-			s := sqrt5 * math.Sqrt(r2)
-			dst[i] = vr * (1 + s + fiveThd*r2) * math.Exp(-s)
-		}
-		return
-	}
-	for ; i < n; i++ {
-		row := sqd[i*d : i*d+d : i*d+d]
-		var r2 float64
-		for k := 0; k < d; k++ {
-			r2 += row[k] * inv2[k]
-		}
-		s := sqrt5 * math.Sqrt(r2)
-		dst[i] = vr * (1 + s + fiveThd*r2) * math.Exp(-s)
-	}
 }
 
 // Axpy accumulates dst[i] += a·x[i] over len(dst) elements. It is the

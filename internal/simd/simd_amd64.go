@@ -17,22 +17,6 @@ func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64)
 //go:noescape
 func dotUnroll4Asm(a, b0, b1, b2, b3 *float64, n int, lanes *[16]float64)
 
-// matern52Asm transforms n (a multiple of 4) scaled squared distances in
-// place into Matérn-5/2 covariances; see Matern52FromR2. It reads its
-// constants from maternTab.
-func matern52Asm(v *float64, n int, vr float64)
-
-// matern52ARD8Asm is the fused AVX2+FMA distance+covariance kernel for the
-// d=8 ARD case: it consumes n (a multiple of 4) rows of 8 squared
-// differences each, scales them by inv2, and writes the Matérn-5/2 value per
-// row into dst. See Matern52ARD.
-func matern52ARD8Asm(dst, sqd, inv2 *float64, n int, vr float64)
-
-// matern52ARD8x512 is matern52ARD8Asm widened to AVX-512: one ZMM register
-// holds a full 8-dimension row, eight rows are reduced per iteration, and
-// the Matérn/exp pipeline runs 8-wide. n must be a multiple of 8.
-func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64)
-
 // axpyAsm accumulates dst[i] += a*x[i] for i < n (n a multiple of 4).
 func axpyAsm(dst, x *float64, n int, a float64)
 
@@ -150,29 +134,4 @@ func init() {
 	}
 	_, _, c1, _ := cpuid(1, 0)
 	useExp = useAsm && c1&(1<<28) != 0 && expProbeMatches()
-}
-
-// maternTab holds the constants for matern52Asm as 32-byte blocks (each
-// value replicated into all four lanes). Block k lives at byte offset k·32:
-//
-//	0 √5 · 1 one · 2 5/3 · 3 exp clamp · 4 log2(e) · 5 ln2 hi · 6 ln2 lo ·
-//	7 exponent bias 1023 as raw int64 · 8…19 Taylor 1/11! … 1/0! (Horner
-//	order, highest degree first)
-var maternTab [80]float64
-
-func init() {
-	vals := [20]float64{
-		sqrt5, 1, fiveThd, expLo,
-		1.4426950408889634,      // log2(e)
-		6.93147180369123816e-1,  // ln2 high bits
-		1.90821492927058770e-10, // ln2 low bits
-		math.Float64frombits(1023),
-		1.0 / 39916800, 1.0 / 3628800, 1.0 / 362880, 1.0 / 40320,
-		1.0 / 5040, 1.0 / 720, 1.0 / 120, 1.0 / 24, 1.0 / 6, 0.5, 1, 1,
-	}
-	for k, v := range vals {
-		for lane := 0; lane < 4; lane++ {
-			maternTab[k*4+lane] = v
-		}
-	}
 }

@@ -211,67 +211,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func matern52Asm(v *float64, n int, vr float64)
-//
-// In-place Matérn-5/2 transform of scaled squared distances, four lanes per
-// iteration: s = √5·√r2, then vr·(1 + s + 5/3·r2)·e^{−s} with e^x computed
-// as 2^k·P(r) (round-to-nearest range reduction, degree-11 Taylor P, 2^k
-// assembled directly in the exponent bits). Constants live in ·maternTab;
-// see its layout comment in simd_amd64.go.
-TEXT ·matern52Asm(SB), NOSPLIT, $0-24
-	MOVQ v+0(FP), SI
-	MOVQ n+8(FP), CX
-	VBROADCASTSD vr+16(FP), Y15
-	LEAQ ·maternTab(SB), DX
-	SHRQ $2, CX
-	JZ   m52done
-
-m52loop:
-	VMOVUPD (SI), Y1             // r2
-	VSQRTPD Y1, Y2
-	VMULPD  (DX), Y2, Y2         // s = sqrt5 * sqrt(r2)
-	VMOVUPD 32(DX), Y3
-	VADDPD  Y2, Y3, Y3           // 1 + s
-	VMULPD  64(DX), Y1, Y4
-	VADDPD  Y4, Y3, Y3           // A = 1 + s + (5/3) r2
-	VXORPD  Y0, Y0, Y0
-	VSUBPD  Y2, Y0, Y0           // y = -s
-	VCMPPD  $0x0d, 96(DX), Y0, Y8 // underflow mask: y >= expLo (all-ones when e^y is representable)
-	VMAXPD  96(DX), Y0, Y0       // clamp so the 2^k exponent bits stay sane
-	VMULPD  128(DX), Y0, Y4
-	VROUNDPD $0, Y4, Y4          // k = round(y*log2e)
-	VMOVAPD Y0, Y5
-	VFNMADD231PD 160(DX), Y4, Y5 // r = y - k*ln2hi
-	VFNMADD231PD 192(DX), Y4, Y5 // r -= k*ln2lo
-	VMOVUPD 256(DX), Y6          // Horner from 1/11!
-	VFMADD213PD 288(DX), Y5, Y6
-	VFMADD213PD 320(DX), Y5, Y6
-	VFMADD213PD 352(DX), Y5, Y6
-	VFMADD213PD 384(DX), Y5, Y6
-	VFMADD213PD 416(DX), Y5, Y6
-	VFMADD213PD 448(DX), Y5, Y6
-	VFMADD213PD 480(DX), Y5, Y6
-	VFMADD213PD 512(DX), Y5, Y6
-	VFMADD213PD 544(DX), Y5, Y6
-	VFMADD213PD 576(DX), Y5, Y6
-	VFMADD213PD 608(DX), Y5, Y6  // P(r) = e^r
-	VCVTPD2DQY Y4, X7
-	VPMOVSXDQ X7, Y7
-	VPADDQ 224(DX), Y7, Y7
-	VPSLLQ $52, Y7, Y7           // 2^k in the exponent bits
-	VMULPD Y7, Y6, Y6
-	VMULPD Y3, Y6, Y6
-	VMULPD Y15, Y6, Y6
-	VANDPD Y8, Y6, Y6            // zero lanes whose exponent underflowed
-	VMOVUPD Y6, (SI)
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  m52loop
-
-m52done:
-	VZEROUPPER
-	RET
-
 // func axpyAsm(dst, x *float64, n int, a float64)
 //
 // dst[i] += a*x[i] for i < n, n a multiple of 4. Two independent FMA
@@ -306,206 +245,6 @@ axquad:
 	VMOVUPD Y0, (DI)
 
 axdone:
-	VZEROUPPER
-	RET
-
-// func matern52ARD8Asm(dst, sqd, inv2 *float64, n int, vr float64)
-//
-// Fused ARD distance+covariance for d=8, four rows per iteration: each row's
-// eight squared differences are scaled by inv2 into 4-lane partials, a 4×4
-// transpose-reduce (VHADDPD + VPERM2F128) packs the four row sums into one
-// register, and the Matérn-5/2 pipeline of matern52Asm finishes in registers.
-// n is a multiple of 4; constants live in ·maternTab.
-TEXT ·matern52ARD8Asm(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ sqd+8(FP), SI
-	MOVQ inv2+16(FP), BX
-	MOVQ n+24(FP), CX
-	VBROADCASTSD vr+32(FP), Y15
-	LEAQ ·maternTab(SB), DX
-	VMOVUPD (BX), Y14            // inv2[0..3]
-	VMOVUPD 32(BX), Y13          // inv2[4..7]
-	SHRQ $2, CX
-	JZ   ard8done
-
-ard8loop:
-	// Per-row 4-lane partials: lane l of row r holds d_l·c_l + d_{l+4}·c_{l+4}.
-	VMOVUPD     (SI), Y8
-	VMULPD      Y14, Y8, Y8
-	VFMADD231PD 32(SI), Y13, Y8  // row a
-	VMOVUPD     64(SI), Y9
-	VMULPD      Y14, Y9, Y9
-	VFMADD231PD 96(SI), Y13, Y9  // row b
-	VMOVUPD     128(SI), Y10
-	VMULPD      Y14, Y10, Y10
-	VFMADD231PD 160(SI), Y13, Y10 // row c
-	VMOVUPD     192(SI), Y11
-	VMULPD      Y14, Y11, Y11
-	VFMADD231PD 224(SI), Y13, Y11 // row d
-
-	// 4×4 transpose-reduce: Y1 = [r²a, r²b, r²c, r²d].
-	VHADDPD    Y9, Y8, Y8        // [a01, b01, a23, b23]
-	VHADDPD    Y11, Y10, Y10     // [c01, d01, c23, d23]
-	VPERM2F128 $0x20, Y10, Y8, Y9 // [a01, b01, c01, d01]
-	VPERM2F128 $0x31, Y10, Y8, Y10 // [a23, b23, c23, d23]
-	VADDPD     Y10, Y9, Y1
-
-	// Matérn-5/2 of the four r² values (same pipeline as matern52Asm).
-	VSQRTPD Y1, Y2
-	VMULPD  (DX), Y2, Y2         // s = sqrt5 * sqrt(r2)
-	VMOVUPD 32(DX), Y3
-	VADDPD  Y2, Y3, Y3           // 1 + s
-	VMULPD  64(DX), Y1, Y4
-	VADDPD  Y4, Y3, Y3           // A = 1 + s + (5/3) r2
-	VXORPD  Y0, Y0, Y0
-	VSUBPD  Y2, Y0, Y0           // y = -s
-	VCMPPD  $0x0d, 96(DX), Y0, Y8 // underflow mask: y >= expLo
-	VMAXPD  96(DX), Y0, Y0
-	VMULPD  128(DX), Y0, Y4
-	VROUNDPD $0, Y4, Y4          // k = round(y*log2e)
-	VMOVAPD Y0, Y5
-	VFNMADD231PD 160(DX), Y4, Y5 // r = y - k*ln2hi
-	VFNMADD231PD 192(DX), Y4, Y5 // r -= k*ln2lo
-	VMOVUPD 256(DX), Y6          // Horner from 1/11!
-	VFMADD213PD 288(DX), Y5, Y6
-	VFMADD213PD 320(DX), Y5, Y6
-	VFMADD213PD 352(DX), Y5, Y6
-	VFMADD213PD 384(DX), Y5, Y6
-	VFMADD213PD 416(DX), Y5, Y6
-	VFMADD213PD 448(DX), Y5, Y6
-	VFMADD213PD 480(DX), Y5, Y6
-	VFMADD213PD 512(DX), Y5, Y6
-	VFMADD213PD 544(DX), Y5, Y6
-	VFMADD213PD 576(DX), Y5, Y6
-	VFMADD213PD 608(DX), Y5, Y6  // P(r) = e^r
-	VCVTPD2DQY Y4, X7
-	VPMOVSXDQ X7, Y7
-	VPADDQ 224(DX), Y7, Y7
-	VPSLLQ $52, Y7, Y7           // 2^k in the exponent bits
-	VMULPD Y7, Y6, Y6
-	VMULPD Y3, Y6, Y6
-	VMULPD Y15, Y6, Y6
-	VANDPD Y8, Y6, Y6            // zero lanes whose exponent underflowed
-	VMOVUPD Y6, (DI)
-	ADDQ $256, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  ard8loop
-
-ard8done:
-	VZEROUPPER
-	RET
-
-// func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64)
-//
-// AVX-512 widening of matern52ARD8Asm: one ZMM register holds a full
-// 8-dimension row, eight rows reduce per iteration via an
-// unpack/VSHUFF64X2 tree, and the Matérn/exp pipeline runs 8-wide with
-// broadcast-from-memory constants (lane 0 of each ·maternTab block). Only
-// AVX512F instructions are used (VPXORQ for zeroing, a merge-masked move
-// instead of VANDPD — both XORPD/ANDPD on ZMM would need DQ), matching the
-// useAVX512 detection gate. n is a multiple of 8.
-TEXT ·matern52ARD8x512(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ sqd+8(FP), SI
-	MOVQ inv2+16(FP), BX
-	MOVQ n+24(FP), CX
-	VBROADCASTSD vr+32(FP), Z15
-	LEAQ ·maternTab(SB), DX
-	VMOVUPD (BX), Z14            // inv2[0..7]
-	SHRQ $3, CX
-	JZ   ard512done
-
-ard512loop:
-	// Eight rows, one ZMM each, scaled by inv2.
-	VMOVUPD (SI), Z0
-	VMULPD  Z14, Z0, Z0
-	VMOVUPD 64(SI), Z1
-	VMULPD  Z14, Z1, Z1
-	VMOVUPD 128(SI), Z2
-	VMULPD  Z14, Z2, Z2
-	VMOVUPD 192(SI), Z3
-	VMULPD  Z14, Z3, Z3
-	VMOVUPD 256(SI), Z4
-	VMULPD  Z14, Z4, Z4
-	VMOVUPD 320(SI), Z5
-	VMULPD  Z14, Z5, Z5
-	VMOVUPD 384(SI), Z6
-	VMULPD  Z14, Z6, Z6
-	VMOVUPD 448(SI), Z7
-	VMULPD  Z14, Z7, Z7
-
-	// 8×8 transpose-reduce to Z1 = [r²0 … r²7].
-	// Level 1: adjacent-lane sums of row pairs, interleaved per 128-bit lane.
-	VUNPCKLPD Z1, Z0, Z8
-	VUNPCKHPD Z1, Z0, Z9
-	VADDPD    Z9, Z8, Z8         // p0 (rows 0,1)
-	VUNPCKLPD Z3, Z2, Z9
-	VUNPCKHPD Z3, Z2, Z10
-	VADDPD    Z10, Z9, Z9        // p1 (rows 2,3)
-	VUNPCKLPD Z5, Z4, Z10
-	VUNPCKHPD Z5, Z4, Z11
-	VADDPD    Z11, Z10, Z10      // p2 (rows 4,5)
-	VUNPCKLPD Z7, Z6, Z11
-	VUNPCKHPD Z7, Z6, Z12
-	VADDPD    Z12, Z11, Z11      // p3 (rows 6,7)
-	// Level 2: fold the four 128-bit blocks of each pair of p's.
-	VSHUFF64X2 $0x44, Z9, Z8, Z0
-	VSHUFF64X2 $0xEE, Z9, Z8, Z1
-	VADDPD     Z1, Z0, Z0        // S1 (rows 0..3)
-	VSHUFF64X2 $0x44, Z11, Z10, Z2
-	VSHUFF64X2 $0xEE, Z11, Z10, Z3
-	VADDPD     Z3, Z2, Z2        // S2 (rows 4..7)
-	// Level 3: final fold into row order.
-	VSHUFF64X2 $0x88, Z2, Z0, Z1
-	VSHUFF64X2 $0xDD, Z2, Z0, Z3
-	VADDPD     Z3, Z1, Z1        // r² per row
-
-	// Matérn-5/2 pipeline, 8-wide.
-	VSQRTPD Z1, Z2
-	VMULPD.BCST (DX), Z2, Z2     // s = sqrt5 * sqrt(r2)
-	VBROADCASTSD 32(DX), Z3
-	VADDPD  Z2, Z3, Z3           // 1 + s
-	VMULPD.BCST 64(DX), Z1, Z4
-	VADDPD  Z4, Z3, Z3           // A = 1 + s + (5/3) r2
-	VPXORQ  Z0, Z0, Z0
-	VSUBPD  Z2, Z0, Z0           // y = -s
-	VBROADCASTSD 96(DX), Z5      // expLo
-	VCMPPD  $0x0d, Z5, Z0, K1    // underflow mask: y >= expLo
-	VMAXPD  Z5, Z0, Z0
-	VMULPD.BCST 128(DX), Z0, Z4
-	VRNDSCALEPD $0, Z4, Z4       // k = round(y*log2e)
-	VMOVAPD Z0, Z5
-	VFNMADD231PD.BCST 160(DX), Z4, Z5 // r = y - k*ln2hi
-	VFNMADD231PD.BCST 192(DX), Z4, Z5 // r -= k*ln2lo
-	VBROADCASTSD 256(DX), Z6     // Horner from 1/11!
-	VFMADD213PD.BCST 288(DX), Z5, Z6
-	VFMADD213PD.BCST 320(DX), Z5, Z6
-	VFMADD213PD.BCST 352(DX), Z5, Z6
-	VFMADD213PD.BCST 384(DX), Z5, Z6
-	VFMADD213PD.BCST 416(DX), Z5, Z6
-	VFMADD213PD.BCST 448(DX), Z5, Z6
-	VFMADD213PD.BCST 480(DX), Z5, Z6
-	VFMADD213PD.BCST 512(DX), Z5, Z6
-	VFMADD213PD.BCST 544(DX), Z5, Z6
-	VFMADD213PD.BCST 576(DX), Z5, Z6
-	VFMADD213PD.BCST 608(DX), Z5, Z6 // P(r) = e^r
-	VCVTPD2DQ Z4, Y7
-	VPMOVSXDQ Y7, Z7
-	VPADDQ.BCST 224(DX), Z7, Z7
-	VPSLLQ  $52, Z7, Z7          // 2^k in the exponent bits
-	VMULPD  Z7, Z6, Z6
-	VMULPD  Z3, Z6, Z6
-	VMULPD  Z15, Z6, Z6
-	VPXORQ  Z8, Z8, Z8
-	VMOVAPD Z6, K1, Z8           // keep representable lanes, zero the rest
-	VMOVUPD Z8, (DI)
-	ADDQ $512, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  ard512loop
-
-ard512done:
 	VZEROUPPER
 	RET
 

@@ -21,18 +21,6 @@ func dotUnroll4Asm(a, b0, b1, b2, b3 *float64, n int, lanes *[16]float64) {
 	panic("simd: dotUnroll4Asm called without assembly support")
 }
 
-func matern52Asm(v *float64, n int, vr float64) {
-	panic("simd: matern52Asm called without assembly support")
-}
-
-func matern52ARD8Asm(dst, sqd, inv2 *float64, n int, vr float64) {
-	panic("simd: matern52ARD8Asm called without assembly support")
-}
-
-func matern52ARD8x512(dst, sqd, inv2 *float64, n int, vr float64) {
-	panic("simd: matern52ARD8x512 called without assembly support")
-}
-
 func axpyAsm(dst, x *float64, n int, a float64) {
 	panic("simd: axpyAsm called without assembly support")
 }

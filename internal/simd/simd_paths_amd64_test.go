@@ -24,8 +24,6 @@ func TestKernelsAcrossPaths(t *testing.T) {
 			testDot4EdgeLengths(t)
 			testDotUnroll4Bitwise(t)
 			testDotSelf4Bitwise(t)
-			testMatern52FromR2EdgeLengths(t)
-			testMatern52ARDMatchesScalar(t)
 			testRBFFromR2Bitwise(t)
 			testRBFARDBitwise(t)
 			testAxpyEdgeLengths(t)

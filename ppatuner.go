@@ -155,12 +155,6 @@ const (
 	ParetoOpt = core.Pareto
 )
 
-// Covariance families for the GP surrogates.
-const (
-	RBF      = gp.RBF
-	Matern52 = gp.Matern52
-)
-
 // NewTuner builds a PPATuner over a candidate pool of normalised parameter
 // points.
 func NewTuner(pool [][]float64, e Evaluator, opt TunerOptions) (*Tuner, error) {
