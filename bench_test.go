@@ -20,7 +20,6 @@ import (
 	"ppatuner"
 	"ppatuner/internal/core"
 	"ppatuner/internal/eval"
-	"ppatuner/internal/gp"
 	"ppatuner/internal/gpbench"
 	"ppatuner/internal/pareto"
 )
@@ -31,26 +30,6 @@ import (
 func BenchmarkFitRefit(b *testing.B)    { gpbench.FitRefit(b) }
 func BenchmarkPredictPool(b *testing.B) { gpbench.PredictPool(b) }
 func BenchmarkAddTarget(b *testing.B)   { gpbench.AddTarget(b) }
-
-// Scale suite: the same hot paths at n ∈ {200, 1000, 5000} for the exact GP
-// and the sparse:64 inducing-point surrogate. The exact rows stop at
-// gpbench.ExactScaleMax — one O(n³) refit at n=5000 takes minutes, which is
-// exactly the regime the sparse path exists for.
-func benchScale(b *testing.B, fn func(*testing.B, int, gp.Spec)) {
-	b.Helper()
-	for _, n := range gpbench.ScaleSizes {
-		for _, spec := range []gp.Spec{{}, gpbench.SparseScaleSpec} {
-			if !spec.Sparse && n > gpbench.ExactScaleMax {
-				continue
-			}
-			b.Run(fmt.Sprintf("n%d/%s", n, spec), func(b *testing.B) { fn(b, n, spec) })
-		}
-	}
-}
-
-func BenchmarkFitScale(b *testing.B)         { benchScale(b, gpbench.FitScale) }
-func BenchmarkPredictPoolScale(b *testing.B) { benchScale(b, gpbench.PredictPoolScale) }
-func BenchmarkAddTargetScale(b *testing.B)   { benchScale(b, gpbench.AddTargetScale) }
 
 // BenchmarkTable1Stats regenerates the Table 1 parameter statistics.
 func BenchmarkTable1Stats(b *testing.B) {

@@ -16,15 +16,11 @@
 // gates at -maxregress (a fraction; 0.25 allows +25%); PredictPool and
 // AddTarget are much shorter-running and therefore
 // noisier on shared CI hosts, so they gate at the wider -maxregress-micro.
-// A gated benchmark missing from either report fails the gate; every other
+// A gated benchmark missing from either report fails the gate, and so does
+// one whose fresh run timed fewer than minGateIters iterations; every other
 // benchmark is informational. The report records the SIMD level the kernels
 // ran at (avx512, avx2 or generic), and the gate notes a baseline taken at
 // another level or GOMAXPROCS, whose ratios then reflect the host.
-//
-// -scale additionally runs the exact-vs-sparse scale suite (FitScale etc. at
-// n ∈ {200, 1000, 5000}); pair it with -benchtime 1x to keep the run short.
-// Scale results are recorded but never gated — they exist to document the
-// complexity separation, not to police it per commit.
 package main
 
 import (
@@ -38,7 +34,6 @@ import (
 	"testing"
 	"time"
 
-	"ppatuner/internal/gp"
 	"ppatuner/internal/gpbench"
 	"ppatuner/internal/simd"
 )
@@ -115,12 +110,18 @@ func loadBaseline(path, out string) (Report, error) {
 	return base, nil
 }
 
+// minGateIters is the fewest iterations a gated benchmark's fresh run must
+// time for the gate to judge it. Fewer are cold samples: at -benchtime 1x
+// one PredictPool sweep read about 2x its baseline on a healthy tree.
+// FitRefit, the slowest, times 7 at the default -benchtime on a 2-vCPU host.
+const minGateIters = 3
+
 // gate compares the fresh measurements against a baseline report and returns
-// an error when a gated benchmark regressed beyond its allowed fraction or is
-// missing from either report. FitRefit is long-running and gates tightly
-// (maxRegress); PredictPool and AddTarget are microsecond-scale and gate at
-// the wider maxMicro. Scale-suite entries and other benchmarks are
-// informational.
+// an error when a gated benchmark regressed beyond its allowed fraction, was
+// timed over fewer than minGateIters iterations, or is missing from either
+// report. FitRefit is long-running and gates tightly (maxRegress);
+// PredictPool and AddTarget are microsecond-scale and gate at the wider
+// maxMicro. Other benchmarks are informational.
 func gate(fresh, base Report, maxRegress, maxMicro float64) error {
 	if base.GOMAXPROCS != 0 && base.GOMAXPROCS != fresh.GOMAXPROCS {
 		fmt.Printf("gate: note: GOMAXPROCS differs (baseline %d, fresh %d); ratios may reflect the host, not the code\n",
@@ -157,7 +158,12 @@ func gate(fresh, base Report, maxRegress, maxMicro float64) error {
 		verdict := "info"
 		if max, isGated := allowed[r.Name]; isGated {
 			verdict = "ok"
-			if ratio > 1+max {
+			switch {
+			case r.Iterations < minGateIters:
+				verdict = "TOO FEW ITERATIONS"
+				fail(fmt.Errorf("%s timed %d iterations, fewer than the %d the gate needs; raise -benchtime",
+					r.Name, r.Iterations, minGateIters))
+			case ratio > 1+max:
 				verdict = "REGRESSED"
 				fail(fmt.Errorf("%s regressed: %.0f ns/op vs baseline %.0f ns/op (%.2fx > allowed %.2fx)",
 					r.Name, r.NsPerOp, old, ratio, 1+max))
@@ -182,7 +188,6 @@ func main() {
 	against := flag.String("against", "", "baseline BENCH_gp.json to gate against; exit 1 if a gated benchmark regresses beyond its margin")
 	maxRegress := flag.Float64("maxregress", 0.25, "allowed FitRefit ns/op regression vs -against, as a fraction (0.25 = +25%)")
 	maxMicro := flag.Float64("maxregress-micro", 0.75, "allowed PredictPool/AddTarget ns/op regression vs -against; wider than -maxregress because microsecond-scale benchmarks are noisier on shared hosts")
-	scale := flag.Bool("scale", false, "also run the exact-vs-sparse scale suite (n up to 5000; pair with -benchtime 1x)")
 	workers := flag.Int("workers", 1, "SetWorkers value for every benchmarked surrogate (recorded in the report)")
 	testing.Init()
 	flag.Parse()
@@ -219,32 +224,6 @@ func main() {
 		{"FitRefit", gpbench.FitRefit},
 		{"PredictPool", gpbench.PredictPool},
 		{"AddTarget", gpbench.AddTarget},
-	}
-	if *scale {
-		for _, sb := range []struct {
-			name string
-			fn   func(*testing.B, int, gp.Spec)
-		}{
-			{"FitScale", gpbench.FitScale},
-			{"PredictPoolScale", gpbench.PredictPoolScale},
-			{"AddTargetScale", gpbench.AddTargetScale},
-		} {
-			for _, n := range gpbench.ScaleSizes {
-				for _, spec := range []gp.Spec{{}, gpbench.SparseScaleSpec} {
-					if !spec.Sparse && n > gpbench.ExactScaleMax {
-						continue
-					}
-					sb, n, spec := sb, n, spec
-					benches = append(benches, struct {
-						name string
-						fn   func(*testing.B)
-					}{
-						fmt.Sprintf("%s/n%d/%s", sb.name, n, spec),
-						func(b *testing.B) { sb.fn(b, n, spec) },
-					})
-				}
-			}
-		}
 	}
 	for _, bench := range benches {
 		res := run(bench.name, bench.fn)

@@ -9,12 +9,13 @@ import (
 )
 
 // report is a one-host report whose gated benchmarks FitRefit, PredictPool
-// and AddTarget all measure ns ns/op.
+// and AddTarget all measure ns ns/op, each over the iteration count the
+// default -benchtime times on a 2-vCPU host (BENCH_gp.json).
 func report(ns float64) Report {
 	return Report{GOMAXPROCS: 1, SIMD: "avx2", Results: []Result{
-		{Name: "FitRefit", NsPerOp: ns},
-		{Name: "PredictPool", NsPerOp: ns},
-		{Name: "AddTarget", NsPerOp: ns},
+		{Name: "FitRefit", Iterations: 7, NsPerOp: ns},
+		{Name: "PredictPool", Iterations: 4604, NsPerOp: ns},
+		{Name: "AddTarget", Iterations: 2775, NsPerOp: ns},
 	}}
 }
 
@@ -91,7 +92,7 @@ func TestGateFailsOnMissingGatedBenchmark(t *testing.T) {
 		}
 	}
 	extra := report(100)
-	extra.Results = append(extra.Results, Result{Name: "FitScale/n200/exact", NsPerOp: 1})
+	extra.Results = append(extra.Results, Result{Name: "Informational", Iterations: 1, NsPerOp: 1})
 	if err := gate(extra, report(100), 0.25, 0.75); err != nil {
 		t.Errorf("an ungated benchmark only in the fresh run failed the gate: %v", err)
 	}
@@ -110,5 +111,26 @@ func TestGateSIMDLevelIsANote(t *testing.T) {
 	}
 	if err := gate(report(200), base, 0.25, 0.75); err == nil {
 		t.Error("a 2x regression at another SIMD level passed the gate")
+	}
+}
+
+// TestGateRefusesTooFewIterations: a gated benchmark timed over fewer than
+// minGateIters iterations fails the gate whatever its ns/op, and the error
+// names the minimum. At -benchtime 1x one cold PredictPool sweep read about
+// 2x its baseline on a healthy tree; the gate must refuse to judge it rather
+// than report a regression or a pass.
+func TestGateRefusesTooFewIterations(t *testing.T) {
+	for _, ns := range []float64{100, 200} {
+		fresh := report(100)
+		fresh.Results[1].Iterations, fresh.Results[1].NsPerOp = 1, ns // PredictPool
+		err := gate(fresh, report(100), 0.25, 0.75)
+		if err == nil || !strings.Contains(err.Error(), "PredictPool timed 1 iterations, fewer than the 3 the gate needs") {
+			t.Errorf("1-iteration PredictPool at %v ns/op: err = %v", ns, err)
+		}
+	}
+	fresh := report(100)
+	fresh.Results[0].Iterations = minGateIters // FitRefit at the minimum
+	if err := gate(fresh, report(100), 0.25, 0.75); err != nil {
+		t.Errorf("FitRefit at %d iterations failed the gate: %v", minGateIters, err)
 	}
 }

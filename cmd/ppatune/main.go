@@ -52,7 +52,6 @@ func main() {
 	breakerN := flag.Int("breaker", 0, "circuit breaker: trip after N consecutive transient failures and pause instead of retrying (0 disables; outage-marked failures trip immediately)")
 	maxOutage := flag.Duration("max-outage", 5*time.Minute, "abort when one outage episode keeps the breaker open longer than this")
 	workers := flag.Int("workers", 0, "tuner concurrency: surrogate fits, pool sweeps and batched tool calls (0 = engine default; results are identical for any value)")
-	gpFlag := flag.String("gp", "exact", "PPATuner surrogate: exact | sparse | sparse:<m> (inducing-point approximation, O(n·m²) per refit)")
 	logJSON := flag.Bool("log", false, "stream evaluation-failure events as structured JSON logs on stderr")
 	flag.Parse()
 
@@ -76,11 +75,6 @@ func main() {
 		os.Exit(2)
 	}
 	policy, err := ppatuner.ParseFailurePolicy(*policyName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
-		os.Exit(2)
-	}
-	gpSpec, err := ppatuner.ParseGPSpec(*gpFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
 		os.Exit(2)
@@ -180,7 +174,7 @@ func main() {
 	m := eval.Method(*method)
 	fmt.Printf("%s | %s | %s (seed %d)\n", s.Name, space.Name, m, *seed)
 	start := time.Now()
-	out, err := eval.RunMethodOpts(m, s, space, *seed, eval.RunOpts{Wrap: wrap, Workers: *workers, GP: gpSpec})
+	out, err := eval.RunMethodOpts(m, s, space, *seed, eval.RunOpts{Wrap: wrap, Workers: *workers})
 	if err == nil && ckpt != nil {
 		// Fold the run's observation journal into the checkpoint file.
 		err = ckpt.Retire()

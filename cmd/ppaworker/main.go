@@ -55,14 +55,7 @@ func main() {
 	breakerN := flag.Int("breaker", 0, "circuit breaker: trip after N consecutive transient failures and park the unit (0 disables)")
 	maxOutage := flag.Duration("max-outage", 5*time.Minute, "abort when one outage episode keeps the breaker open longer than this")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the chaos injector's failure stream")
-	gpFlag := flag.String("gp", "exact", "PPATuner surrogate: exact | sparse | sparse:<m> (must match the coordinator's -gp for consistent cells)")
 	flag.Parse()
-
-	gpSpec, err := ppatuner.ParseGPSpec(*gpFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
-		os.Exit(2)
-	}
 
 	wrap, err := buildWrap(*outageSpec, *breakerN, *maxOutage, *chaosSeed)
 	if err != nil {
@@ -78,7 +71,7 @@ func main() {
 		ID:             *id,
 		Scenario:       cache.Resolve,
 		HeartbeatEvery: *heartbeat,
-		Run:            eval.RunOpts{Wrap: wrap, GP: gpSpec},
+		Run:            eval.RunOpts{Wrap: wrap},
 	}
 
 	if *connect == "" {

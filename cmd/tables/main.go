@@ -48,15 +48,9 @@ func main() {
 	outageSpec := flag.String("outage", "", "inject correlated downtime windows: PERIOD/DOWN (e.g. 60s/10s), empty or \"off\" disables")
 	breakerN := flag.Int("breaker", 0, "circuit breaker: trip after N consecutive transient failures and park affected cells (0 disables; outage-marked failures trip immediately)")
 	maxOutage := flag.Duration("max-outage", 5*time.Minute, "abort when one outage episode keeps the breaker open longer than this")
-	gpFlag := flag.String("gp", "exact", "PPATuner surrogate: exact | sparse | sparse:<m> (inducing-point approximation, O(n·m²) per refit)")
 	flag.Parse()
 
 	seeds, err := eval.ParseSeeds(*seedSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-		os.Exit(2)
-	}
-	gpSpec, err := ppatuner.ParseGPSpec(*gpFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(2)
@@ -141,7 +135,7 @@ func main() {
 		c := &ppatuner.Campaign{
 			Scenario: s, Seeds: seeds, Workers: *workers, Checkpoint: ck,
 			Breaker: brk,
-			Opts:    ppatuner.HarnessRunOpts{Wrap: wrap, GP: gpSpec},
+			Opts:    ppatuner.HarnessRunOpts{Wrap: wrap},
 		}
 		tbl, err := c.Run()
 		if err != nil {

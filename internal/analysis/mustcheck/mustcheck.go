@@ -28,7 +28,7 @@ A call to one of the curated functions whose error result is dropped — the
 call used as a statement, deferred, spawned with go, or assigned to the
 blank identifier — is flagged. The list: mat.NewCholesky,
 mat.CholeskyWithJitter, mat.SolveSPD, (*mat.Cholesky).Extend,
-(*mat.Cholesky).FactorizePacked; gp.SelectInducing;
+(*mat.Cholesky).FactorizePacked;
 robust.LoadCampaignCheckpoint, (*robust.CampaignCheckpoint).Complete,
 (*robust.CampaignCheckpoint).StartCell, (*robust.CampaignCheckpoint).Park,
 (*robust.CampaignCheckpoint).Unpark, (*robust.CampaignCheckpoint).Lease,
@@ -57,13 +57,7 @@ that the next garbage collection believes gone.
 
 The job-manifest mutators join with the manifest journal: a dropped error
 is a job transition a restarted server never sees, and after a failed
-append only the caller knows that the next mutation must compact.
-
-gp.SelectInducing joins with the sparse surrogate: its error is the only
-signal that the inducing-point selection was handed an empty point set, an
-out-of-range budget, or mismatched lengthscales — proceeding with the nil
-index slice builds an empty inducing set and every posterior from it is
-garbage.`,
+append only the caller knows that the next mutation must compact.`,
 	Run: run,
 }
 
@@ -76,9 +70,6 @@ var must = map[string]map[string]bool{
 		"SolveSPD":                 true,
 		"Cholesky.Extend":          true,
 		"Cholesky.FactorizePacked": true,
-	},
-	"ppatuner/internal/gp": {
-		"SelectInducing": true,
 	},
 	"ppatuner/internal/robust": {
 		"LoadCampaignCheckpoint":                   true,

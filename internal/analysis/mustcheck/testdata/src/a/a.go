@@ -3,7 +3,6 @@
 package a
 
 import (
-	"ppatuner/internal/gp"
 	"ppatuner/internal/mat"
 	"ppatuner/internal/robust"
 )
@@ -85,18 +84,4 @@ func good(a *mat.Matrix, c *mat.Cholesky, ck *robust.CampaignCheckpoint) error {
 		return err
 	}
 	return ck.Retire()
-}
-
-func badInducing(x [][]float64) {
-	gp.SelectInducing(x, nil, 4, 0)           // want `gp.SelectInducing discards its error`
-	idx, _ := gp.SelectInducing(x, nil, 4, 0) // want `gp.SelectInducing assigns its error to _`
-	_ = idx
-}
-
-func goodInducing(x [][]float64) ([]int, error) {
-	idx, err := gp.SelectInducing(x, []float64{1}, 4, 9)
-	if err != nil {
-		return nil, err
-	}
-	return idx, nil
 }

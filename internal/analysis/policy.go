@@ -21,10 +21,9 @@ var Deterministic = []string{
 	// The four re-implemented baselines produce Table 2/3 cells and the
 	// end-to-end benchmark's digests, so they answer to the same ban.
 	"ppatuner/internal/baselines",
-	// internal/gp includes the sparse inducing-point surrogate: its
-	// farthest-point selection is a pure function of (inputs, lengthscales,
-	// caller-provided seed), so the whole package stays under the ban — no
-	// RNG draws or wall-clock reads anywhere in the approximation.
+	// internal/gp's fits and posteriors feed every PPATuner, TCAD'19 and
+	// MLCAD'19 table cell and the end-to-end benchmark's golden digests, so
+	// its hyper-parameter search and pool sweeps answer to the same ban.
 	"ppatuner/internal/gp",
 	"ppatuner/internal/mat",
 	"ppatuner/internal/sample",

@@ -92,12 +92,6 @@ type Options struct {
 	Batch int
 	// ARD enables per-dimension lengthscales.
 	ARD bool
-	// GP selects the surrogate implementation (zero value: exact GP). With
-	// GP.Sparse the tuner uses the O(n·m²) inducing-point approximation; when
-	// GP.Seed is zero the inducing-selection seed is drawn from the tuner's
-	// RNG stream at initialisation, so runs stay reproducible per seed and
-	// the exact path consumes no extra draws.
-	GP gp.Spec
 	// FitMaxEvals bounds each hyper-parameter fit (default 160).
 	FitMaxEvals int
 	// FitSubsample caps points per marginal-likelihood evaluation
@@ -183,7 +177,7 @@ type Tuner struct {
 	pool [][]float64
 	eval Evaluator
 
-	gps    []gp.Model
+	gps    []*gp.GP
 	status []Status
 	// lo/hi are the uncertainty-region corners per candidate per objective.
 	lo, hi [][]float64
@@ -380,20 +374,13 @@ func (t *Tuner) initialise(ctx context.Context) error {
 	// only its own GP and reads shared inputs, and errors are reported in
 	// objective order, so the outcome is identical to the sequential build.
 	dim := len(t.pool[0])
-	t.gps = make([]gp.Model, t.opt.NumObjectives)
+	t.gps = make([]*gp.GP, t.opt.NumObjectives)
 	reserve := t.opt.MaxIter * t.opt.Batch
 	if reserve > len(t.pool) {
 		reserve = len(t.pool)
 	}
-	spec := t.opt.GP
-	if spec.Sparse && spec.Seed == 0 {
-		// One draw, taken before the concurrent builds so every worker count
-		// sees the same seed; the exact path skips it and stays byte-identical
-		// with pre-Spec runs.
-		spec.Seed = t.opt.Rng.Uint64()
-	}
 	buildGP := func(k int) error {
-		g := spec.New(gp.RBF, dim, t.opt.ARD)
+		g := gp.New(gp.RBF, dim, t.opt.ARD)
 		if len(t.opt.SourceX) > 0 {
 			if err := g.SetSource(t.opt.SourceX, t.opt.SourceY[k]); err != nil {
 				return err

@@ -17,7 +17,6 @@ import (
 	"ppatuner/internal/baselines/recsys"
 	"ppatuner/internal/benchdata"
 	"ppatuner/internal/core"
-	"ppatuner/internal/gp"
 	"ppatuner/internal/pareto"
 	"ppatuner/internal/pdtool"
 	"ppatuner/internal/sample"
@@ -168,10 +167,6 @@ type RunOpts struct {
 	// instead of re-deriving it from the seed. nil keeps legacy callers
 	// bit-for-bit unchanged.
 	Src rand.Source
-	// GP selects the PPATuner surrogate implementation (zero value: exact GP;
-	// see gp.ParseSpec for the -gp command-line syntax). Only the PPATuner
-	// arm consumes it — the baselines have no surrogate to swap.
-	GP gp.Spec
 }
 
 // RunMethod executes one tuner on one scenario and objective space.
@@ -216,7 +211,6 @@ func RunMethodOpts(m Method, s *Scenario, space ObjSpace, seed int64, opts RunOp
 			Tau:         9,
 			ARD:         true,
 			FitMaxEvals: 400,
-			GP:          opts.GP,
 			Workers:     opts.Workers,
 			Rng:         rng,
 			Src:         opts.Src,

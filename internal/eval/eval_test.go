@@ -137,13 +137,14 @@ func TestBuildTableAndFormat(t *testing.T) {
 	}
 }
 
-// TestPPATunerCompetitiveOnMini: on the miniature scenario PPATuner must not
-// be grossly worse than the weakest baseline — a cheap guard for the
-// relative ordering that the full-size benchmarks validate properly.
+// TestPPATunerCompetitiveOnMini: on the miniature scenario's Power-Delay
+// space, PPATuner's mean HV error and ADRS over seeds 5–7 must each stay
+// at or under 0.15 — a cheap guard on front quality that the full-size
+// benchmarks validate properly.
 func TestPPATunerCompetitiveOnMini(t *testing.T) {
 	s := miniScenario(t)
 	space := Spaces()[1]
-	rowP, err := Cell(PPATuner, s, space, []int64{5, 6})
+	rowP, err := Cell(PPATuner, s, space, []int64{5, 6, 7})
 	if err != nil {
 		t.Fatal(err)
 	}

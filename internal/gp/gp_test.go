@@ -23,6 +23,34 @@ func trainSet(rng *rand.Rand, n int, f func([]float64) float64) ([][]float64, []
 	return xs, ys
 }
 
+// transferSet builds correlated source/target datasets over [0,1]^dim, the
+// shape the paper's tuning campaigns produce.
+func transferSet(rng *rand.Rand, ns, nt, dim int) (xs [][]float64, ys []float64, xt [][]float64, yt []float64) {
+	f := func(x []float64, shift float64) float64 {
+		s := shift
+		for k, v := range x {
+			s += math.Sin(3*v+float64(k)) + 0.3*v*v
+		}
+		return s
+	}
+	mk := func(n int, shift float64) ([][]float64, []float64) {
+		x := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			xi := make([]float64, dim)
+			for k := range xi {
+				xi[k] = rng.Float64()
+			}
+			x[i] = xi
+			y[i] = f(xi, shift) + 0.01*rng.NormFloat64()
+		}
+		return x, y
+	}
+	xs, ys = mk(ns, 0)
+	xt, yt = mk(nt, 0.4)
+	return
+}
+
 func TestGPInterpolatesTrainingData(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := trainSet(rng, 30, fTest)
@@ -184,8 +212,8 @@ func TestGPPoolMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestExactDeterministic is the exact-GP twin of TestSparseDeterministic:
-// one Fit → AttachPool → AddTarget×k → Fit sequence must give bitwise-equal
+// TestExactDeterministic: one Fit → AttachPool → AddTarget×k → Fit
+// sequence, each run on a freshly built GP, must give bitwise-equal
 // PredictPool results at every step for any SetWorkers count. The pool
 // sizes cover every remainder mod 4, so shards end in every mix of
 // four-candidate batches and single candidates. At one worker each cached
@@ -435,5 +463,84 @@ func TestGPCounts(t *testing.T) {
 	}
 	if g.N() != 4 || g.NTarget() != 2 {
 		t.Errorf("after add: N = %d, NTarget = %d; want 4, 2", g.N(), g.NTarget())
+	}
+}
+
+func TestSubsampledDeterministicAndStructured(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	xs, ys, xt, yt := transferSet(rng, 40, 20, 2)
+	g := New(RBF, 2, true)
+	if err := g.SetSource(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetTarget(xt, yt); err != nil {
+		t.Fatal(err)
+	}
+	sub := g.subsampled(30)
+	sub2 := g.subsampled(30)
+	if sub.N() != 30 {
+		t.Fatalf("subsampled to %d points, want 30", sub.N())
+	}
+	// Proportional split: 30·40/60 = 20 source points.
+	if len(sub.xs) != 20 || len(sub.xt) != 10 {
+		t.Errorf("split %d/%d, want 20/10", len(sub.xs), len(sub.xt))
+	}
+	for i := range sub.xs {
+		if &sub.xs[i][0] != &sub2.xs[i][0] {
+			t.Fatal("subsampling is not deterministic (different source rows picked)")
+		}
+	}
+	// Stride subsampling picks views into the parent data, never copies.
+	for _, row := range sub.xs {
+		found := false
+		for _, orig := range xs {
+			if &row[0] == &orig[0] {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatal("subsampled source row is not a view into the parent dataset")
+		}
+	}
+	if sub.cov != g.cov {
+		t.Error("subsampled GP must share the parent covariance (Fit mutates it in place)")
+	}
+	if sub.a != g.a || sub.b != g.b || sub.noiseT != g.noiseT || sub.noiseS != g.noiseS {
+		t.Error("subsampled GP did not inherit transfer/noise hyper-parameters")
+	}
+}
+
+func TestSubsampledKeepsSourceTaskPresence(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	xs, ys, xt, yt := transferSet(rng, 3, 200, 2)
+	g := New(RBF, 2, true)
+	if err := g.SetSource(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetTarget(xt, yt); err != nil {
+		t.Fatal(err)
+	}
+	sub := g.subsampled(40)
+	if len(sub.xs) < 1 {
+		t.Fatal("subsampling dropped the source task entirely; packed hyper layout would change")
+	}
+	if !sub.hasSource {
+		t.Error("hasSource lost in subsample")
+	}
+}
+
+func TestSubsampledNoopWhenSmall(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	xt, yt := trainSet(rng, 10, fTest)
+	g := New(RBF, 2, true)
+	if err := g.SetTarget(xt, yt); err != nil {
+		t.Fatal(err)
+	}
+	if sub := g.subsampled(50); sub != g {
+		t.Error("subsampled(n >= N) must return the receiver unchanged")
+	}
+	if sub := g.subsampled(0); sub != g {
+		t.Error("subsampled(0) must return the receiver unchanged")
 	}
 }

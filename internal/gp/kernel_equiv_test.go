@@ -3,7 +3,6 @@ package gp
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"ppatuner/internal/mat"
@@ -186,114 +185,6 @@ func TestFitMatchesPairMajor(t *testing.T) {
 	}
 }
 
-// fillCovPerEntry is sparseFitWS.fillCov computed entry by entry from the
-// training inputs and the inducing indices idx (ascending): each entry is
-// Cov.EvalR2 of r² = Σ_k float64(d_k²·(1/ℓ_k²)) (ARD) or (Σ_k d_k²)·(1/ℓ²)
-// (isotropic), every square and product rounded by float64(), times ρ when
-// the pair crosses tasks, plus the jitter on K_uu's diagonal. It returns
-// packed K_uu and row-major K_fu.
-func fillCovPerEntry(s *SparseGP, idx []int) (kuu, kfu []float64) {
-	n := s.N()
-	x := make([][]float64, n)
-	for i := range x {
-		x[i], _ = s.trainX(i)
-	}
-	rho := TransferFactor(s.a, s.b)
-	k := func(i, j int) float64 {
-		var r2 float64
-		if len(s.cov.Len) > 1 {
-			for d, l := range s.cov.Len {
-				dk := x[i][d] - x[j][d]
-				r2 += float64(float64(dk*dk) * (1 / (l * l)))
-			}
-		} else {
-			var raw float64
-			for d := range x[i] {
-				dk := x[i][d] - x[j][d]
-				raw += float64(dk * dk)
-			}
-			r2 = raw * (1 / (s.cov.Len[0] * s.cov.Len[0]))
-		}
-		v := s.cov.EvalR2(r2)
-		if (i < len(s.xs)) != (j < len(s.xs)) {
-			v *= rho
-		}
-		return v
-	}
-	for a, i := range idx {
-		for _, j := range idx[:a] {
-			kuu = append(kuu, k(i, j))
-		}
-		kuu = append(kuu, k(i, i)+1e-8)
-	}
-	for i := 0; i < n; i++ {
-		for _, j := range idx {
-			kfu = append(kfu, k(i, j))
-		}
-	}
-	return kuu, kfu
-}
-
-// TestSparseFillCovMatchesPerEntry: the sparse fit workspace's K_uu and
-// K_fu fills (one dim-major cache, simd.RBFARD and simd.RBFFromR2) must
-// equal the per-entry reference bit for bit, ARD and isotropic, with and
-// without a source task, including lengthscales at the fit's limits 0.02
-// and 8.
-func TestSparseFillCovMatchesPerEntry(t *testing.T) {
-	for _, tc := range kernelCases {
-		for _, withSource := range []bool{true, false} {
-			rng := rand.New(rand.NewSource(27))
-			xs, ys, xt, yt := transferSet(rng, 36, 21, tc.dim)
-			s := NewSparse(RBF, tc.dim, tc.ard, 16, 5)
-			if withSource {
-				if err := s.SetSource(xs, ys); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.SetTarget(xt, yt); err != nil {
-				t.Fatal(err)
-			}
-			s.standardise()
-			w, err := newSparseFitWS(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all := make([][]float64, s.N())
-			for i := range all {
-				all[i], _ = s.trainX(i)
-			}
-			idx, err := SelectInducing(all, s.cov.Len, w.m, s.seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sort.Ints(idx)
-			for trial := 0; trial < 12; trial++ {
-				s.cov.Var = math.Exp(2 * rng.NormFloat64())
-				for k := range s.cov.Len {
-					s.cov.Len[k] = [...]float64{0.02, 8, 0.02 + 8*rng.Float64(), 0.2 + rng.Float64()}[(trial+k)%4]
-				}
-				s.a, s.b = math.Exp(rng.NormFloat64()), math.Exp(rng.NormFloat64())
-				w.fillCov(s)
-				kuu, kfu := fillCovPerEntry(s, idx)
-				if len(kuu) != len(w.kuu) || len(kfu) != len(w.kfu) {
-					t.Fatalf("%s source=%v: workspace holds %d K_uu and %d K_fu entries, reference %d and %d",
-						tc.name, withSource, len(w.kuu), len(w.kfu), len(kuu), len(kfu))
-				}
-				for p := range kuu {
-					if !sameBits(w.kuu[p], kuu[p]) {
-						t.Fatalf("%s source=%v trial %d: K_uu entry %d = %v, per-entry %v", tc.name, withSource, trial, p, w.kuu[p], kuu[p])
-					}
-				}
-				for p := range kfu {
-					if !sameBits(w.kfu[p], kfu[p]) {
-						t.Fatalf("%s source=%v trial %d: K_fu entry %d = %v, per-entry %v", tc.name, withSource, trial, p, w.kfu[p], kfu[p])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestKvecIntoMatchesEval: the batched kernel column (all r² first, one
 // transform, then ρ on the source block) must equal ρ·Cov.Eval and
 // Cov.Eval per training point bit for bit, near and far from the data.
@@ -328,64 +219,62 @@ func TestKvecIntoMatchesEval(t *testing.T) {
 	}
 }
 
-// TestPredictPool4MatchesPredictPool: on exact and sparse models, after
-// AttachPool, after incremental adds and after a refit, PredictPool4 must
-// equal four PredictPool calls bit for bit for pool sizes covering every
-// remainder mod 4, with repeated and out-of-order indices.
+// TestPredictPool4MatchesPredictPool: after AttachPool, after incremental
+// adds and after a refit, PredictPool4 must equal four PredictPool calls bit
+// for bit for pool sizes covering every remainder mod 4, with repeated and
+// out-of-order indices.
 func TestPredictPool4MatchesPredictPool(t *testing.T) {
-	for _, spec := range []Spec{{}, {Sparse: true, M: 16, Seed: 3}} {
-		for _, m := range []int{1, 4, 5, 203} {
-			rng := rand.New(rand.NewSource(26))
-			xs, ys, xt, yt := transferSet(rng, 30, 12, 9)
-			pool := make([][]float64, m)
-			for i := range pool {
-				pool[i] = make([]float64, 9)
-				for k := range pool[i] {
-					pool[i][k] = rng.Float64()
-				}
+	for _, m := range []int{1, 4, 5, 203} {
+		rng := rand.New(rand.NewSource(26))
+		xs, ys, xt, yt := transferSet(rng, 30, 12, 9)
+		pool := make([][]float64, m)
+		for i := range pool {
+			pool[i] = make([]float64, 9)
+			for k := range pool[i] {
+				pool[i][k] = rng.Float64()
 			}
-			g := spec.New(RBF, 9, true)
-			g.SetWorkers(3)
-			if err := g.SetSource(xs, ys); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.SetTarget(xt, yt); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.Fit(FitOptions{MaxEvals: 40}); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.AttachPool(pool); err != nil {
-				t.Fatal(err)
-			}
-			check := func(stage string) {
-				for s := 0; s < m; s++ {
-					p := [4]int{s, (s + 3) % m, (s + 1) % m, s}
-					mu, sd := g.PredictPool4(p)
-					for c, pc := range p {
-						wm, ws := g.PredictPool(pc)
-						if !sameBits(mu[c], wm) || !sameBits(sd[c], ws) {
-							t.Fatalf("%s pool %d %s, candidates %v slot %d: PredictPool4 (%v, %v), PredictPool (%v, %v)",
-								spec, m, stage, p, c, mu[c], sd[c], wm, ws)
-						}
+		}
+		g := New(RBF, 9, true)
+		g.SetWorkers(3)
+		if err := g.SetSource(xs, ys); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetTarget(xt, yt); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Fit(FitOptions{MaxEvals: 40}); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AttachPool(pool); err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			for s := 0; s < m; s++ {
+				p := [4]int{s, (s + 3) % m, (s + 1) % m, s}
+				mu, sd := g.PredictPool4(p)
+				for c, pc := range p {
+					wm, ws := g.PredictPool(pc)
+					if !sameBits(mu[c], wm) || !sameBits(sd[c], ws) {
+						t.Fatalf("pool %d %s, candidates %v slot %d: PredictPool4 (%v, %v), PredictPool (%v, %v)",
+							m, stage, p, c, mu[c], sd[c], wm, ws)
 					}
 				}
 			}
-			check("after AttachPool")
-			for i := 0; i < 5; i++ {
-				x := make([]float64, 9)
-				for k := range x {
-					x[k] = rng.Float64()
-				}
-				if err := g.AddTarget(x, rng.NormFloat64()); err != nil {
-					t.Fatal(err)
-				}
+		}
+		check("after AttachPool")
+		for i := 0; i < 5; i++ {
+			x := make([]float64, 9)
+			for k := range x {
+				x[k] = rng.Float64()
 			}
-			check("after AddTarget")
-			if err := g.Fit(FitOptions{MaxEvals: 40}); err != nil {
+			if err := g.AddTarget(x, rng.NormFloat64()); err != nil {
 				t.Fatal(err)
 			}
-			check("after refit")
 		}
+		check("after AddTarget")
+		if err := g.Fit(FitOptions{MaxEvals: 40}); err != nil {
+			t.Fatal(err)
+		}
+		check("after refit")
 	}
 }

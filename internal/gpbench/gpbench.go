@@ -166,126 +166,3 @@ func AddTarget(b *testing.B) {
 // cmd/bench sets it from -workers and records it in BENCH_gp.json so runs on
 // differently-sized hosts stay comparable.
 var Workers = 1
-
-// ---- Scale suite: exact vs sparse across training-set sizes ----
-//
-// The fixed-size suite above tracks the tuner's steady-state costs at the
-// paper's n≈200. The scale suite measures how those costs grow: the same
-// three operations at n ∈ ScaleSizes for both surrogates, which is where the
-// sparse approximation's O(n·m²) refit separates from the exact O(n³) one
-// (the acceptance bar is sparse:64 ≥ 5× faster at n=1000). Hyper-fits use
-// ScaleFitEvals so one exact n=1000 measurement stays in seconds.
-
-// ScaleSizes are the training-set sizes of the scale suite.
-var ScaleSizes = []int{200, 1000, 5000}
-
-const (
-	// ScaleFitEvals bounds each scale-suite hyper-parameter fit.
-	ScaleFitEvals = 60
-	// ScalePoolN is the candidate pool attached in the scale suite.
-	ScalePoolN = 1000
-	// ExactScaleMax is the largest n the exact surrogate is benchmarked at;
-	// beyond it one O(n³) refit takes minutes and the point is precisely that
-	// the sparse path does not.
-	ExactScaleMax = 1000
-)
-
-// SparseScaleSpec is the sparse configuration the scale suite runs against
-// the exact surrogate (the ISSUE acceptance configuration).
-var SparseScaleSpec = gp.Spec{Sparse: true, M: 64, Seed: 1}
-
-func scaleData(n int) (sx [][]float64, sy []float64, tx [][]float64, ty []float64, pool [][]float64) {
-	rng := rand.New(rand.NewSource(3))
-	sx, sy = points(rng, n/2, Dim)
-	tx, ty = points(rng, n-n/2, Dim)
-	pool, _ = points(rng, ScalePoolN, Dim)
-	return
-}
-
-func newModel(spec gp.Spec, sx [][]float64, sy []float64, tx [][]float64, ty []float64) gp.Model {
-	m := spec.New(gp.RBF, Dim, true)
-	if err := m.SetSource(sx, sy); err != nil {
-		panic(err)
-	}
-	if err := m.SetTarget(tx, ty); err != nil {
-		panic(err)
-	}
-	m.SetWorkers(Workers)
-	return m
-}
-
-// FitScale measures one full hyper-parameter fit at n training points for
-// the given surrogate spec.
-func FitScale(b *testing.B, n int, spec gp.Spec) {
-	sx, sy, tx, ty, _ := scaleData(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := newModel(spec, sx, sy, tx, ty)
-		b.StartTimer()
-		if err := m.Fit(gp.FitOptions{MaxEvals: ScaleFitEvals}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// PredictPoolScale measures one posterior sweep over ScalePoolN candidates
-// at n training points.
-func PredictPoolScale(b *testing.B, n int, spec gp.Spec) {
-	sx, sy, tx, ty, pool := scaleData(n)
-	m := newModel(spec, sx, sy, tx, ty)
-	if err := m.Rebuild(); err != nil {
-		b.Fatal(err)
-	}
-	if err := m.AttachPool(pool); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for p := 0; p < ScalePoolN; p++ {
-			mu, sd := m.PredictPool(p)
-			sink += mu + sd
-		}
-	}
-	if math.IsNaN(sink) {
-		b.Fatal("NaN prediction")
-	}
-}
-
-// AddTargetScale measures the incremental posterior + pool-cache update at n
-// training points.
-func AddTargetScale(b *testing.B, n int, spec gp.Spec) {
-	const resetEvery = 64
-	sx, sy, tx, ty, pool := scaleData(n)
-	rng := rand.New(rand.NewSource(4))
-	adds, _ := points(rng, resetEvery, Dim)
-
-	reset := func() gp.Model {
-		m := newModel(spec, sx, sy, tx, ty)
-		if err := m.Rebuild(); err != nil {
-			b.Fatal(err)
-		}
-		m.ReserveAdds(resetEvery)
-		if err := m.AttachPool(pool); err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	m := reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 && i%resetEvery == 0 {
-			b.StopTimer()
-			m = reset()
-			b.StartTimer()
-		}
-		x := adds[i%resetEvery]
-		if err := m.AddTarget(x, synth(x)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +154,36 @@ func TestParseSchedule(t *testing.T) {
 
 // Attempts inside a window fail with ErrOutage (and the Outage() marker);
 // outside they pass. The fake clock drives the whole timeline.
+// FuzzParseSchedule feeds ParseSchedule arbitrary specs, as the -outage
+// flags and every served job's outage field do. It must never panic. An
+// accepted spec is the disabled zero Schedule or a periodic one with
+// 0 < Down < Period and nothing else set, and its String form parses back
+// to the same schedule.
+func FuzzParseSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			return
+		}
+		want := Schedule{Period: s.Period, Down: s.Down}
+		if !s.Enabled() {
+			want = Schedule{}
+		} else if s.Down <= 0 || s.Down >= s.Period {
+			t.Fatalf("ParseSchedule(%q) = %v: want 0 < Down < Period", spec, s)
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Fatalf("ParseSchedule(%q) = %+v, want %+v", spec, s, want)
+		}
+		again, err := ParseSchedule(s.String())
+		if err != nil {
+			t.Fatalf("ParseSchedule(%q) = %v, but its String %q fails: %v", spec, s, s.String(), err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("ParseSchedule(%q) = %+v, but its String %q parses to %+v", spec, s, s.String(), again)
+		}
+	})
+}
+
 func TestInjectorOutageWindows(t *testing.T) {
 	fc := clock.NewFake(time.Unix(1000, 0))
 	in, err := New(Options{

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ppatuner/internal/eval"
-	"ppatuner/internal/gp"
 	"ppatuner/internal/pdtool/chaos"
 )
 
@@ -35,8 +34,9 @@ type JobRequest struct {
 	// Workers bounds the campaign's unit concurrency (0: server default).
 	// Purely a wall-clock knob.
 	Workers int `json:"workers,omitempty"`
-	// GP selects the PPATuner surrogate: "exact" | "sparse" | "sparse:<m>"
-	// (gp.ParseSpec syntax; empty: exact).
+	// GP names the PPATuner surrogate. The exact transfer GP is the only
+	// one, so only "exact" and empty are accepted. Any other value, the
+	// retired "sparse:<m>" included, is refused rather than run as exact.
 	GP string `json:"gp,omitempty"`
 	// Outage injects correlated downtime windows into the job's evaluation
 	// path: "PERIOD/DOWN" (chaos.ParseSchedule syntax; empty: disabled).
@@ -161,7 +161,6 @@ type jobPlan struct {
 	spaces   []eval.ObjSpace
 	methods  []eval.Method
 	seeds    []int64
-	gp       gp.Spec
 	outage   chaos.Schedule
 	breaker  int
 	workers  int
@@ -228,13 +227,8 @@ func (s *Server) plan(req JobRequest) (*jobPlan, error) {
 		return nil, fmt.Errorf("seeds: %v", err)
 	}
 	p.seeds = seeds
-	gpSpec := req.GP
-	if gpSpec == "" {
-		gpSpec = "exact"
-	}
-	p.gp, err = gp.ParseSpec(gpSpec)
-	if err != nil {
-		return nil, fmt.Errorf("gp: %v", err)
+	if req.GP != "" && req.GP != "exact" {
+		return nil, fmt.Errorf("gp: surrogate %q is not available; the exact GP is the only one (use \"exact\" or omit the field)", req.GP)
 	}
 	p.outage, err = chaos.ParseSchedule(req.Outage)
 	if err != nil {

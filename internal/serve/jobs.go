@@ -348,7 +348,7 @@ func (s *Server) runCampaign(j *job) error {
 	c := &eval.Campaign{
 		Scenario: scn, Seeds: p.seeds, Spaces: p.spaces, Methods: p.methods,
 		Workers: p.workers, Checkpoint: ck, Breaker: brk,
-		Opts:     eval.RunOpts{Wrap: wrap, GP: p.gp},
+		Opts:     eval.RunOpts{Wrap: wrap},
 		Gate:     func(eval.Unit) error { return s.interrupted(j) },
 		WrapUnit: wrapUnit,
 	}

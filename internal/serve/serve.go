@@ -1,6 +1,6 @@
 // Package serve is the tuning-as-a-service layer: a long-running HTTP job
 // server in front of the campaign engine. Clients submit tuning jobs (a
-// scenario, objective spaces, a method set, seeds, a GP spec, optional
+// scenario, objective spaces, a method set, seeds, optional
 // chaos/outage flags) over a JSON API; the server runs each job as an
 // eval.Campaign on a bounded pool of campaign slots, streams per-unit
 // progress and Pareto-front updates over SSE (with a long-poll fallback),

@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,9 +151,8 @@ func TestSubmitValidation(t *testing.T) {
 	defer ts.Close()
 
 	cases := []JobRequest{
-		{},                                    // no scenario
-		{Scenario: "table2", Seeds: "zero"},   // bad seeds
-		{Scenario: "table2", GP: "sparse:-1"}, // bad GP spec
+		{},                                  // no scenario
+		{Scenario: "table2", Seeds: "zero"}, // bad seeds
 		{Scenario: "table2", Methods: []string{"nope"}},
 		{Scenario: "table2", Spaces: []string{"nope"}},
 		{Scenario: "table2", Outage: "60s/10s"}, // outage without breaker
@@ -172,6 +172,109 @@ func TestSubmitValidation(t *testing.T) {
 	var health HealthDoc
 	if code := getJSON(t, ts, "/healthz", &health); code != http.StatusOK || !health.OK {
 		t.Errorf("healthz = %d %+v", code, health)
+	}
+}
+
+// TestSubmitSurrogate: the exact GP is the only surrogate. A job that
+// names it, or leaves the gp field out, is accepted. One that asks for the
+// retired sparse GP gets 400 with an error naming "exact", and the manifest
+// gains no job for it.
+func TestSubmitSurrogate(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(gpField string) (int, string) {
+		body := `{"scenario":"table2","spaces":["Area-Delay"],"methods":["DAC'19"],"seeds":"1"` + gpField + `}`
+		resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc ErrorDoc
+		if resp.StatusCode != http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, doc.Error
+	}
+	for _, field := range []string{``, `,"gp":"exact"`} {
+		if code, msg := post(field); code != http.StatusAccepted {
+			t.Errorf("gp field %q: status %d (%s), want 202", field, code, msg)
+		}
+	}
+	for _, field := range []string{`,"gp":"sparse"`, `,"gp":"sparse:32"`} {
+		code, msg := post(field)
+		if code != http.StatusBadRequest {
+			t.Errorf("gp field %q: status %d, want 400", field, code)
+		}
+		if !strings.Contains(msg, "gp: ") || !strings.Contains(msg, `"exact"`) {
+			t.Errorf("gp field %q: error %q, want a gp error naming \"exact\"", field, msg)
+		}
+	}
+	if n := len(s.manifest.Jobs()); n != 2 {
+		t.Errorf("manifest holds %d jobs, want the 2 accepted ones", n)
+	}
+}
+
+// TestRestartFailsStoredSparseJob: a queued job persisted with
+// "gp":"sparse:64" before the sparse GP was retired must not run as exact
+// after a restart. Start marks it failed with a requeue error, and no unit
+// of it runs, while a queued exact job beside it runs to completion. Its
+// view still echoes the stored gp string.
+func TestRestartFailsStoredSparseJob(t *testing.T) {
+	dir := t.TempDir()
+	m, err := robust.LoadJobManifest(robust.JobManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spec = `{"client":"alice","scenario":"table2","spaces":["Area-Delay"],"methods":["DAC'19"],"seeds":"1","gp":%q}`
+	ids := map[string]string{}
+	for _, gp := range []string{"sparse:64", "exact"} {
+		id, err := m.NextID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[gp] = id
+		rec := robust.JobRecord{
+			ID: id, Client: "alice", Status: StatusQueued,
+			Spec: []byte(fmt.Sprintf(spec, gp)), Checkpoint: checkpointName(id),
+		}
+		if err := m.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := New(Config{StateDir: dir, Resolve: miniResolve, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units atomic.Int32
+	s.wrapUnit = func(_ eval.Unit, ev core.Evaluator) core.Evaluator {
+		units.Add(1)
+		return ev
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Shutdown)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	waitStatus(t, ts, ids["exact"], StatusDone)
+	var v JobView
+	if code := getJSON(t, ts, "/jobs/"+ids["sparse:64"], &v); code != http.StatusOK {
+		t.Fatalf("job view returned %d", code)
+	}
+	if v.Status != StatusFailed || !strings.HasPrefix(v.Error, "requeue: gp:") {
+		t.Errorf("stored sparse job: status %q, error %q; want failed with a \"requeue: gp:\" error", v.Status, v.Error)
+	}
+	if v.GP != "sparse:64" || v.UnitsDone != 0 {
+		t.Errorf("stored sparse job view: gp %q, %d units done; want the stored \"sparse:64\" and none", v.GP, v.UnitsDone)
+	}
+	if n := units.Load(); n != 1 {
+		t.Errorf("%d units ran, want only the exact job's one", n)
 	}
 }
 

@@ -4,8 +4,8 @@
 // the kernel columns, and the batched dot products of the pool posterior.
 // On amd64 with AVX2+FMA (checked once at startup) they run in assembly;
 // everywhere else they fall back to portable Go with unrolled scalar loops.
-// Dot4 and Axpy compute the same quantities as their fallbacks with the same
-// operation order per element, but may differ from them in the last few
+// Dot4 computes the same quantities as its fallback with the same
+// operation order per element, but may differ from it in the last few
 // ulps (FMA contraction) — callers get deterministic results within one
 // process, not across architectures.
 //
@@ -203,23 +203,4 @@ func Dot4(p, q0, q1, q2, q3 []float64, n int) (s0, s1, s2, s3 float64) {
 	}
 	return DotUnroll(p[:n], q0[:n]), DotUnroll(p[:n], q1[:n]),
 		DotUnroll(p[:n], q2[:n]), DotUnroll(p[:n], q3[:n])
-}
-
-// Axpy accumulates dst[i] += a·x[i] over len(dst) elements. It is the
-// building block of the sparse-GP rank-1 updates (packed outer-product
-// accumulation), so on amd64 it runs as an AVX2+FMA loop.
-func Axpy(dst, x []float64, a float64) {
-	n := len(dst)
-	if len(x) < n {
-		panic("simd: Axpy x shorter than dst")
-	}
-	i := 0
-	if useAsm && n >= 4 {
-		q := n &^ 3
-		axpyAsm(&dst[0], &x[0], q, a)
-		i = q
-	}
-	for ; i < n; i++ {
-		dst[i] += a * x[i]
-	}
 }

@@ -17,9 +17,6 @@ func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64)
 //go:noescape
 func dotUnroll4Asm(a, b0, b1, b2, b3 *float64, n int, lanes *[16]float64)
 
-// axpyAsm accumulates dst[i] += a*x[i] for i < n (n a multiple of 4).
-func axpyAsm(dst, x *float64, n int, a float64)
-
 // rbfARDAsm and rbfARDx512 are the 4- and 8-lane RBFARD kernels in
 // simd_amd64.s: per pair p < n (a multiple of the lane count) they sum
 // r² = Σ_k sqd[k·stride+p]·inv2[k] over d ≥ 1 dimensions and write

@@ -211,43 +211,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func axpyAsm(dst, x *float64, n int, a float64)
-//
-// dst[i] += a*x[i] for i < n, n a multiple of 4. Two independent FMA
-// accumulator streams cover the FMA latency; the sparse-GP rank-1 updates
-// call this once per packed matrix row.
-TEXT ·axpyAsm(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y15
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   axquad
-
-axloop8:
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VFMADD231PD (SI), Y15, Y0
-	VFMADD231PD 32(SI), Y15, Y1
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ DX
-	JNZ  axloop8
-
-axquad:
-	TESTQ $4, CX
-	JZ    axdone
-	VMOVUPD (DI), Y0
-	VFMADD231PD (SI), Y15, Y0
-	VMOVUPD Y0, (DI)
-
-axdone:
-	VZEROUPPER
-	RET
-
 // ·expTab holds the RBF kernels' constants as 32-byte blocks (each value in
 // all four lanes; the AVX-512 kernel broadcasts lane 0 of a block). See its
 // comment in simd_amd64.go.

@@ -21,10 +21,6 @@ func dotUnroll4Asm(a, b0, b1, b2, b3 *float64, n int, lanes *[16]float64) {
 	panic("simd: dotUnroll4Asm called without assembly support")
 }
 
-func axpyAsm(dst, x *float64, n int, a float64) {
-	panic("simd: axpyAsm called without assembly support")
-}
-
 func rbfARDAsm(dst, sqd, inv2 *float64, d, stride, n int, vr float64) int {
 	panic("simd: rbfARDAsm called without assembly support")
 }

@@ -26,7 +26,6 @@ func TestKernelsAcrossPaths(t *testing.T) {
 			testDotSelf4Bitwise(t)
 			testRBFFromR2Bitwise(t)
 			testRBFARDBitwise(t)
-			testAxpyEdgeLengths(t)
 		})
 	}
 	run("portable", false, false)

@@ -88,33 +88,6 @@ func testDot4EdgeLengths(t *testing.T) {
 	}
 }
 
-// TestAxpyEdgeLengths checks the FMA accumulate kernel at every dispatch
-// boundary.
-func TestAxpyEdgeLengths(t *testing.T) { testAxpyEdgeLengths(t) }
-
-func testAxpyEdgeLengths(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range edgeLens {
-		dst := make([]float64, n)
-		x := make([]float64, n)
-		for i := 0; i < n; i++ {
-			dst[i] = rng.NormFloat64()
-			x[i] = rng.NormFloat64()
-		}
-		a := rng.NormFloat64()
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = dst[i] + a*x[i]
-		}
-		Axpy(dst, x, a)
-		for i := range dst {
-			if diff := math.Abs(dst[i] - want[i]); diff > 1e-13*(1+math.Abs(want[i])) {
-				t.Fatalf("n=%d i=%d: got %g want %g", n, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
 // wildFloat draws the operands of the bit-identity tests: magnitudes from
 // about 1e-15 to 1e15 of either sign, mixed with signed zeros and
 // subnormals, so rounding, cancellation and gradual underflow all occur.

@@ -156,7 +156,8 @@ const (
 )
 
 // NewTuner builds a PPATuner over a candidate pool of normalised parameter
-// points.
+// points. Each objective gets its own exact transfer GP (Eq. 5–7), the
+// only surrogate.
 func NewTuner(pool [][]float64, e Evaluator, opt TunerOptions) (*Tuner, error) {
 	return core.New(pool, e, opt)
 }
@@ -164,19 +165,6 @@ func NewTuner(pool [][]float64, e Evaluator, opt TunerOptions) (*Tuner, error) {
 // TransferFactor exposes Eq. (7): the cross-task correlation implied by the
 // Gamma dissimilarity parameters (a, b).
 var TransferFactor = gp.TransferFactor
-
-// GPSpec selects the surrogate implementation behind the tuner: the zero
-// value is the exact O(n³) transfer GP; Sparse selects the O(n·m²)
-// inducing-point approximation. Set TunerOptions.GP (or HarnessRunOpts.GP)
-// to switch; see DESIGN.md, "Sparse GP approximation".
-type GPSpec = gp.Spec
-
-// DefaultSparseM is the inducing budget used by the "sparse" spec shorthand.
-const DefaultSparseM = gp.DefaultSparseM
-
-// ParseGPSpec parses the -gp command-line syntax: "exact", "sparse" or
-// "sparse:<m>".
-var ParseGPSpec = gp.ParseSpec
 
 // ---- Fault-tolerant evaluation ----
 //
