@@ -17,18 +17,21 @@
 // -workers spawns N local ppaworker processes speaking the protocol on
 // their stdio pipes; -listen additionally (or instead) accepts remote
 // workers over TCP — start those with ppaworker -connect ADDR. -kill
-// SIGKILLs spawned workers mid-campaign (worker W at T after campaign
-// start) to rehearse lease reclaim: the killed worker's unit is parked,
-// requeued and re-granted under a higher lease epoch, and any result the
-// dead epoch might still deliver is rejected as a zombie. Two special
-// targets rehearse coordinator death instead: "coord@T" SIGKILLs this
-// process itself at T, and "split@T" mutes its beacon at T while it keeps
-// running (the split-brain drill — checkpoint fencing deposes it once a
-// standby adopts).
+// SIGKILLs spawned workers mid-campaign to rehearse lease reclaim: the
+// killed worker's unit is parked, requeued and re-granted under a higher
+// lease epoch, and any result the dead epoch might still deliver is
+// rejected as a zombie. Two special targets rehearse coordinator death
+// instead: "coord@T" SIGKILLs this process itself at T, and "split@T"
+// mutes its beacon at T while it keeps running (the split-brain drill —
+// checkpoint fencing deposes it once a standby adopts). Every T counts
+// from the first lease grant (a worker's W@T from its own campaign's first
+// grant), not from launch: grants go out only once the benchmark is
+// built, so a schedule lands mid-campaign however long that build takes.
 //
 // High availability: with -checkpoint, every run adopts the checkpoint
 // under a fresh coordinator generation (the fencing token stamped into
-// all of its writes), and announces liveness into the -beacon file. A
+// all of its writes), and announces liveness into the -beacon file from
+// adoption until it exits, benchmark builds included. A
 // second ppacoord started with -standby on the same checkpoint and beacon
 // waits until the beacon has been silent for -takeover-after, then adopts
 // the checkpoint — fencing the old primary's in-flight writes — re-arms
@@ -51,6 +54,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"ppatuner"
@@ -68,7 +72,7 @@ func main() {
 	workers := flag.Int("workers", 0, "local ppaworker processes to spawn (stdio transport)")
 	workerBin := flag.String("worker-bin", "", "ppaworker binary for -workers (default: next to this binary, then $PATH)")
 	workerFlags := flag.String("worker-flags", "", "extra flags passed to every spawned worker, e.g. \"-outage 60s/10s -breaker 2\"")
-	killSpec := flag.String("kill", "", "SIGKILL schedule for spawned workers: W@T[,W@T...] (e.g. 1@30s), empty or \"off\" disables")
+	killSpec := flag.String("kill", "", "SIGKILL schedule, T counted from the first lease grant: W@T[,W@T...] kills spawned worker W (e.g. 1@3s), coord@T this process, split@T mutes its beacon; empty or \"off\" disables")
 	listen := flag.String("listen", "", "TCP address to accept remote workers on (they run ppaworker -connect ADDR)")
 	workersRemote := flag.Int("workers-remote", 0, "remote workers expected on -listen (recorded in TABLES.json; grants start as soon as any worker connects)")
 	lease := flag.Duration("lease", 30*time.Second, "lease TTL: a worker silent for this long loses its unit to the requeue path")
@@ -147,26 +151,48 @@ func main() {
 			fail(1, err)
 		}
 		fmt.Fprintf(os.Stderr, "ppacoord: adopted checkpoint %s at generation %d\n", *ckptPath, gen)
+		if beacon != nil {
+			// Announce from adoption, not only while a campaign runs: a
+			// standby must not mistake the benchmark build for a dead
+			// primary.
+			go func() {
+				for {
+					// Best-effort: an announce failure must not kill the
+					// campaign, and silence only errs toward a takeover,
+					// which fencing makes safe.
+					_ = beacon.Announce(gen)
+					select {
+					case <-ctx.Done():
+						return
+					case <-time.After(*beaconEvery):
+					}
+				}
+			}()
+		}
 	}
 
-	// Coordinator-level chaos arms from adoption: coord@T self-SIGKILLs
-	// (the fail-over drill a standby must survive), split@T mutes the
-	// beacon while this process keeps serving (the split-brain drill
-	// checkpoint fencing must contain).
-	if faults.CoordKill {
-		time.AfterFunc(faults.CoordKillAt, func() {
-			fmt.Fprintf(os.Stderr, "ppacoord: chaos: SIGKILL self (pid %d)\n", os.Getpid())
-			if proc, err := os.FindProcess(os.Getpid()); err == nil {
-				_ = proc.Kill()
-			}
-		})
+	// Coordinator-level chaos arms at the first lease grant: coord@T
+	// self-SIGKILLs (the fail-over drill a standby must survive), split@T
+	// mutes the beacon while this process keeps serving (the split-brain
+	// drill checkpoint fencing must contain).
+	var procChaos sync.Once
+	armProcChaos := func() {
+		if faults.CoordKill {
+			time.AfterFunc(faults.CoordKillAt, func() {
+				fmt.Fprintf(os.Stderr, "ppacoord: chaos: SIGKILL self (pid %d)\n", os.Getpid())
+				if proc, err := os.FindProcess(os.Getpid()); err == nil {
+					_ = proc.Kill()
+				}
+			})
+		}
+		if faults.SplitBrain {
+			time.AfterFunc(faults.SplitBrainAt, func() {
+				fmt.Fprintf(os.Stderr, "ppacoord: chaos: muting beacon %s (split-brain)\n", *beaconPath)
+				beacon.Mute()
+			})
+		}
 	}
-	if faults.SplitBrain {
-		time.AfterFunc(faults.SplitBrainAt, func() {
-			fmt.Fprintf(os.Stderr, "ppacoord: chaos: muting beacon %s (split-brain)\n", *beaconPath)
-			beacon.Mute()
-		})
-	}
+	grants := &firstGrant{}
 
 	// One conns stream for the whole process: remote workers are forwarded
 	// in as they dial, local ones are pushed at each campaign start.
@@ -180,7 +206,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppacoord: accepting workers on %s (expecting %d; start them with: ppaworker -connect %s)\n", addr, *workersRemote, addr)
 		go func() {
 			for c := range remote {
-				conns <- c
+				conns <- grants.watch(c)
 			}
 		}()
 	}
@@ -201,13 +227,17 @@ func main() {
 			RequeueDelay: *requeue,
 			Log:          flog,
 			AdoptLeases:  *standby,
-			Beacon:       beacon,
-			BeaconEvery:  *beaconEvery,
 		})
 		if err != nil {
 			fail(1, err)
 		}
-		cmds := spawnWorkers(conns, *workers, *workerBin, *workerFlags, faults)
+		cmds, kills := spawnWorkers(conns, grants, *workers, *workerBin, *workerFlags, faults)
+		grants.set(func() {
+			procChaos.Do(armProcChaos)
+			for _, kill := range kills {
+				kill()
+			}
+		})
 		tbl, err := co.Run(ctx, conns)
 		for _, cmd := range cmds {
 			_ = cmd.Wait() // killed workers exit non-zero by design
@@ -256,12 +286,13 @@ func main() {
 	}
 }
 
-// spawnWorkers starts n local ppaworker processes on stdio pipes, pushes
-// their conns to the coordinator, and arms the SIGKILL schedule (At is
-// measured from this campaign's worker spawn).
-func spawnWorkers(conns chan<- shard.Conn, n int, bin, extraFlags string, faults chaos.ProcFaults) []*exec.Cmd {
+// spawnWorkers starts n local ppaworker processes on stdio pipes and pushes
+// their conns, watched by grants, to the coordinator. It returns the
+// processes and the SIGKILL schedule's arm functions, one per scheduled
+// worker, for the caller to run at the campaign's first lease grant.
+func spawnWorkers(conns chan<- shard.Conn, grants *firstGrant, n int, bin, extraFlags string, faults chaos.ProcFaults) ([]*exec.Cmd, []func()) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
 	if bin == "" {
 		bin = "ppaworker"
@@ -273,6 +304,7 @@ func spawnWorkers(conns chan<- shard.Conn, n int, bin, extraFlags string, faults
 	}
 	extra := strings.Fields(extraFlags)
 	var cmds []*exec.Cmd
+	var kills []func()
 	for i := 0; i < n; i++ {
 		args := append([]string{"-id", fmt.Sprintf("w%d", i)}, extra...)
 		conn, cmd, err := transport.Spawn(bin, args...)
@@ -280,17 +312,54 @@ func spawnWorkers(conns chan<- shard.Conn, n int, bin, extraFlags string, faults
 			fmt.Fprintf(os.Stderr, "ppacoord: %v\n", err)
 			os.Exit(1)
 		}
-		conns <- conn
+		conns <- grants.watch(conn)
 		cmds = append(cmds, cmd)
 		if at, ok := faults.KillAt(i); ok {
 			proc := cmd.Process
-			time.AfterFunc(at, func() {
-				fmt.Fprintf(os.Stderr, "ppacoord: chaos: SIGKILL worker w%d (pid %d)\n", i, proc.Pid)
-				_ = proc.Kill()
+			kills = append(kills, func() {
+				time.AfterFunc(at, func() {
+					fmt.Fprintf(os.Stderr, "ppacoord: chaos: SIGKILL worker w%d (pid %d)\n", i, proc.Pid)
+					_ = proc.Kill()
+				})
 			})
 		}
 	}
-	return cmds
+	return cmds, kills
+}
+
+// firstGrant runs the current campaign's arm function once, when the
+// coordinator sends the campaign's first lease grant over a watched conn.
+type firstGrant struct {
+	mu  sync.Mutex
+	arm func()
+}
+
+// set installs the arm function for the next campaign's first grant.
+func (g *firstGrant) set(arm func()) {
+	g.mu.Lock()
+	g.arm = arm
+	g.mu.Unlock()
+}
+
+// watch wraps a coordinator-side conn so that grants sent over it fire g.
+func (g *firstGrant) watch(c shard.Conn) shard.Conn { return &grantConn{Conn: c, g: g} }
+
+type grantConn struct {
+	shard.Conn
+	g *firstGrant
+}
+
+func (c *grantConn) Send(m shard.Msg) error {
+	if m.Type == shard.MsgGrant {
+		c.g.mu.Lock()
+		arm := c.g.arm
+		c.g.arm = nil
+		c.g.mu.Unlock()
+		if arm != nil {
+			arm()
+		}
+	}
+	return c.Conn.Send(m)
 }
 
 func isExecutable(path string) bool {

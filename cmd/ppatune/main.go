@@ -56,8 +56,8 @@ func main() {
 	flag.Parse()
 
 	// Validate every flag before the scenario build: generating the offline
-	// datasets takes ~30s (scenario 2) to minutes (scenario 1), and a typo
-	// should not cost that.
+	// datasets takes ~10s (scenario 2) to ~30s (scenario 1) on two cores,
+	// and a typo should not cost that.
 	if *scenario != 1 && *scenario != 2 {
 		fmt.Fprintln(os.Stderr, "ppatune: -scenario must be 1 or 2")
 		os.Exit(2)

@@ -21,7 +21,7 @@
 // unacknowledged observation. -rejoin keeps the process alive across
 // clean campaign shutdowns (multi-table runs): it redials and serves the
 // next campaign, reusing cached benchmark scenarios instead of spending
-// ~30s regenerating them.
+// ~10s (Table 3) to ~30s (Table 2) regenerating them.
 //
 // The outage flags mirror the tables command: they inject correlated
 // downtime into this worker's evaluation path and arm a park-mode breaker,
@@ -65,7 +65,7 @@ func main() {
 
 	// The scenario cache outlives individual RunWorker sessions, so a
 	// worker that rejoins or reconnects after a coordinator fail-over
-	// skips the ~30s benchmark regeneration it already paid for.
+	// skips the benchmark regeneration it already paid for.
 	cache := shard.NewScenarioCache(nil)
 	opts := shard.WorkerOptions{
 		ID:             *id,

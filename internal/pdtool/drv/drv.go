@@ -69,11 +69,10 @@ func Fix(nl *netlist.Netlist, l *lib.Library, pl *place.Result, lm Limits) (*Res
 	buf := l.Cell(lib.Buf)
 	res := &Result{Fix: make([]NetFix, len(nl.Nets))}
 	for id, net := range nl.Nets {
-		length := place.NetLength(nl, pl, id)
+		length := pl.NetLen[id]
 		var sinkCap float64
 		for _, s := range net.Sinks {
-			c := l.Scaled(nl.Cells[s].Kind, nl.Cells[s].Size)
-			sinkCap += c.InCap
+			sinkCap += l.InCap(nl.Cells[s].Kind, nl.Cells[s].Size)
 		}
 		load := sinkCap + l.WireCapPerUm*length
 
@@ -81,7 +80,7 @@ func Fix(nl *netlist.Netlist, l *lib.Library, pl *place.Result, lm Limits) (*Res
 		driveRes := 1.2
 		if net.Driver >= 0 {
 			dc := nl.Cells[net.Driver]
-			driveRes = l.Scaled(dc.Kind, dc.Size).DriveRes
+			driveRes = l.DriveRes(dc.Kind, dc.Size)
 		}
 		trans := 2.2 * driveRes * load // RC ramp estimate, ps
 
@@ -153,8 +152,7 @@ func (r *Result) NetCapFF(l *lib.Library, nl *netlist.Netlist, netID int, routed
 	f := r.Fix[netID]
 	var sinkCap float64
 	for _, s := range nl.Nets[netID].Sinks {
-		c := l.Scaled(nl.Cells[s].Kind, nl.Cells[s].Size)
-		sinkCap += c.InCap
+		sinkCap += l.InCap(nl.Cells[s].Kind, nl.Cells[s].Size)
 	}
 	capDetour := 1 + 0.3*(routedDetour-1)
 	wire := l.WireCapPerUm * f.StageLenUm * float64(f.Stages) * capDetour

@@ -126,9 +126,7 @@ func (l *Library) Kinds() []Kind {
 // leakage and internal energy grow linearly. This is the knob the timing
 // optimiser turns when it upsizes critical cells.
 func (l *Library) Scaled(k Kind, size float64) Cell {
-	if size < 1 {
-		size = 1
-	}
+	size = clampSize(size)
 	c := l.Cell(k)
 	c.Area *= size
 	c.InCap *= size
@@ -136,6 +134,29 @@ func (l *Library) Scaled(k Kind, size float64) Cell {
 	c.Leakage *= size
 	c.InternalEnergy *= size
 	return c
+}
+
+// InCap is Scaled(k, size).InCap without building the whole view.
+func (l *Library) InCap(k Kind, size float64) float64 {
+	return l.cells[k].InCap * clampSize(size)
+}
+
+// DriveRes is Scaled(k, size).DriveRes without building the whole view.
+func (l *Library) DriveRes(k Kind, size float64) float64 {
+	return l.cells[k].DriveRes / clampSize(size)
+}
+
+// Area is Scaled(k, size).Area without building the whole view.
+func (l *Library) Area(k Kind, size float64) float64 {
+	return l.cells[k].Area * clampSize(size)
+}
+
+// clampSize floors a drive strength at 1: a cell never shrinks below X1.
+func clampSize(size float64) float64 {
+	if size < 1 {
+		return 1
+	}
+	return size
 }
 
 // WireDelayPS returns the Elmore delay in ps of a wire of length µm driving

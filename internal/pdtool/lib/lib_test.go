@@ -62,6 +62,26 @@ func TestScaled(t *testing.T) {
 	}
 }
 
+// TestFieldAccessorsMatchScaled: InCap, DriveRes and Area must return the
+// bits of the matching Scaled field, below-X1 clamp included.
+func TestFieldAccessorsMatchScaled(t *testing.T) {
+	l := Default7nm()
+	for _, k := range l.Kinds() {
+		for _, size := range []float64{0, 0.5, 1, 1.5, 2.25, 3.375, 6, 8} {
+			sc := l.Scaled(k, size)
+			if got := l.InCap(k, size); got != sc.InCap {
+				t.Errorf("%v@%g: InCap %v, Scaled %v", k, size, got, sc.InCap)
+			}
+			if got := l.DriveRes(k, size); got != sc.DriveRes {
+				t.Errorf("%v@%g: DriveRes %v, Scaled %v", k, size, got, sc.DriveRes)
+			}
+			if got := l.Area(k, size); got != sc.Area {
+				t.Errorf("%v@%g: Area %v, Scaled %v", k, size, got, sc.Area)
+			}
+		}
+	}
+}
+
 func TestWireDelayMonotone(t *testing.T) {
 	l := Default7nm()
 	d1 := l.WireDelayPS(1.5, 10, 2)

@@ -19,11 +19,12 @@ func evalNets(t *testing.T, nl *Netlist, piVals []bool) []bool {
 		vals[pi] = piVals[i]
 		set[pi] = true
 	}
-	order, err := nl.TopoOrder()
+	topo, err := nl.Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ci := range order {
+	for i := 0; i < topo.Len(); i++ {
+		ci := topo.Order(i)
 		c := nl.Cells[ci]
 		in := func(k int) bool {
 			if !set[c.Inputs[k]] {

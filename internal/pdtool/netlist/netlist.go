@@ -35,6 +35,10 @@ type Netlist struct {
 	PINets []int
 	// PONets are nets observed by primary outputs.
 	PONets []int
+
+	// topo is the topology Build recorded; nil for a netlist assembled
+	// without Build.
+	topo *Topology
 }
 
 // Builder incrementally constructs a Netlist.
@@ -88,12 +92,17 @@ func (b *Builder) Connect(cellID, net int) {
 	b.nl.Nets[net].Sinks = append(b.nl.Nets[net].Sinks, cellID)
 }
 
-// Build finalises and validates the netlist.
+// Build finalises and validates the netlist, and records its topology.
 func (b *Builder) Build() (*Netlist, error) {
 	nl := b.nl
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
+	topo, err := nl.computeTopology()
+	if err != nil {
+		return nil, err
+	}
+	nl.topo = topo
 	return &nl, nil
 }
 
@@ -184,36 +193,61 @@ func (nl *Netlist) Levels() ([]int, error) {
 
 func isSequential(k lib.Kind) bool { return k == lib.DFF }
 
-// TopoOrder returns cell IDs in a combinationally consistent order
-// (registers first, then increasing logic depth).
-func (nl *Netlist) TopoOrder() ([]int, error) {
+// Topology is the combinational structure of a netlist: every cell's logic
+// level (as Levels reports it) and a topological cell order, registers
+// first, then increasing logic depth. Sizing never changes it, so a built
+// netlist computes it once and every flow stage shares it. It is read-only:
+// its accessors return values, never slices.
+type Topology struct {
+	level    []int
+	order    []int
+	maxLevel int
+}
+
+// Topology returns the topology Build recorded, or computes one for a
+// netlist assembled without Build. The connectivity of a built netlist
+// (Inputs, Out, Driver, Sinks, Kind) must not be edited afterwards; cell
+// sizes may be.
+func (nl *Netlist) Topology() (*Topology, error) {
+	if nl.topo != nil {
+		return nl.topo, nil
+	}
+	return nl.computeTopology()
+}
+
+// computeTopology levels the netlist and counting-sorts the cells by level,
+// registers first, for determinism and O(n).
+func (nl *Netlist) computeTopology() (*Topology, error) {
 	lvl, err := nl.Levels()
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int, len(nl.Cells))
-	for i := range order {
-		order[i] = i
-	}
-	// counting-sort by level for determinism and O(n)
-	maxL := 0
+	t := &Topology{level: lvl}
 	for _, l := range lvl {
-		if l > maxL {
-			maxL = l
-		}
+		t.maxLevel = max(t.maxLevel, l)
 	}
-	buckets := make([][]int, maxL+1)
-	for _, ci := range order {
-		buckets[lvl[ci]] = append(buckets[lvl[ci]], ci)
+	buckets := make([][]int, t.maxLevel+1)
+	for ci, l := range lvl {
+		buckets[l] = append(buckets[l], ci)
 	}
-	out := out0(len(order))
+	t.order = make([]int, 0, len(lvl))
 	for _, b := range buckets {
-		out = append(out, b...)
+		t.order = append(t.order, b...)
 	}
-	return out, nil
+	return t, nil
 }
 
-func out0(capacity int) []int { return make([]int, 0, capacity) }
+// Len returns the number of cells.
+func (t *Topology) Len() int { return len(t.order) }
+
+// Order returns the i-th cell of the topological order.
+func (t *Topology) Order(i int) int { return t.order[i] }
+
+// Level returns the combinational depth of cell ci.
+func (t *Topology) Level(ci int) int { return t.level[ci] }
+
+// MaxLevel returns the deepest cell's level.
+func (t *Topology) MaxLevel() int { return t.maxLevel }
 
 // Registers returns the cell IDs of all sequential cells.
 func (nl *Netlist) Registers() []int {
@@ -265,7 +299,7 @@ func (nl *Netlist) Stats() Stats {
 func (nl *Netlist) TotalArea(l *lib.Library) float64 {
 	var a float64
 	for _, c := range nl.Cells {
-		a += l.Scaled(c.Kind, c.Size).Area
+		a += l.Area(c.Kind, c.Size)
 	}
 	return a
 }

@@ -92,17 +92,17 @@ func TestTopoOrderRespectsLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := nl.TopoOrder()
+	topo, err := nl.Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != len(nl.Cells) {
-		t.Fatalf("order has %d cells, want %d", len(order), len(nl.Cells))
+	if topo.Len() != len(nl.Cells) {
+		t.Fatalf("order has %d cells, want %d", topo.Len(), len(nl.Cells))
 	}
 	lvl, _ := nl.Levels()
-	pos := make([]int, len(order))
-	for i, ci := range order {
-		pos[ci] = i
+	pos := make([]int, topo.Len())
+	for i := range pos {
+		pos[topo.Order(i)] = i
 	}
 	for ci, c := range nl.Cells {
 		if c.Kind == lib.DFF {
@@ -113,6 +113,52 @@ func TestTopoOrderRespectsLevels(t *testing.T) {
 			if d >= 0 && lvl[d] < lvl[ci] && pos[d] > pos[ci] {
 				t.Fatalf("cell %d (level %d) precedes its fan-in %d (level %d)", ci, lvl[ci], d, lvl[d])
 			}
+		}
+	}
+}
+
+// TestTopologyMatchesLevels: the topology Build records agrees with Levels,
+// is shared by copies of the netlist, and Levels hands out a fresh slice.
+// A netlist assembled without Build computes its own, equal topology.
+func TestTopologyMatchesLevels(t *testing.T) {
+	nl, err := MAC("m", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := nl.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *nl
+	if again, _ := cp.Topology(); again != topo {
+		t.Error("a copy of a built netlist recomputed its topology")
+	}
+	lvl, _ := nl.Levels()
+	maxL := 0
+	for ci := range nl.Cells {
+		if topo.Level(ci) != lvl[ci] {
+			t.Fatalf("cell %d: topology level %d, Levels %d", ci, topo.Level(ci), lvl[ci])
+		}
+		maxL = max(maxL, lvl[ci])
+	}
+	if topo.MaxLevel() != maxL {
+		t.Errorf("MaxLevel %d, want %d", topo.MaxLevel(), maxL)
+	}
+	lvl[0] = -1
+	if topo.Level(0) == -1 {
+		t.Error("Levels aliases the shared topology")
+	}
+	hand := &Netlist{Name: "hand", Cells: nl.Cells, Nets: nl.Nets, PINets: nl.PINets, PONets: nl.PONets}
+	fresh, err := hand.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == topo {
+		t.Fatal("a hand-assembled netlist reused a built one's topology")
+	}
+	for i := 0; i < topo.Len(); i++ {
+		if fresh.Order(i) != topo.Order(i) {
+			t.Fatalf("position %d: hand-assembled topology has cell %d, built %d", i, fresh.Order(i), topo.Order(i))
 		}
 	}
 }

@@ -42,6 +42,7 @@ type Result struct {
 	BinUtil      []float64 // row-major bin utilisation (area / bin capacity)
 	Overflow     float64   // fraction of cell area in overfull bins
 	HPWL         float64   // total half-perimeter wirelength, µm
+	NetLen       []float64 // per-net half-perimeter wirelength (NetLength), µm
 }
 
 // Bin returns the bin index containing coordinate (x, y).
@@ -78,7 +79,16 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 		opt.Iterations = 8
 	}
 
-	area := nl.TotalArea(l)
+	topo, err := nl.Topology()
+	if err != nil {
+		return nil, err
+	}
+	cellArea := make([]float64, n)
+	var area float64
+	for ci, c := range nl.Cells {
+		cellArea[ci] = l.Area(c.Kind, c.Size)
+		area += cellArea[ci]
+	}
 	coreArea := area / opt.TargetUtil
 	side := math.Sqrt(coreArea)
 	res := &Result{
@@ -90,15 +100,12 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 
 	// Initial placement: snake cells across the core in topological order so
 	// connected logic starts near its neighbours.
-	order, err := nl.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	pitchX := side / float64(cols)
 	rows := (n + cols - 1) / cols
 	pitchY := side / float64(rows)
-	for i, ci := range order {
+	for i := 0; i < topo.Len(); i++ {
+		ci := topo.Order(i)
 		r, c := i/cols, i%cols
 		if r%2 == 1 {
 			c = cols - 1 - c
@@ -109,21 +116,12 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 
 	// Net weights: deeper logic gets stronger attraction under timing-driven
 	// placement.
-	lvl, err := nl.Levels()
-	if err != nil {
-		return nil, err
-	}
-	maxLvl := 1
-	for _, lv := range lvl {
-		if lv > maxLvl {
-			maxLvl = lv
-		}
-	}
+	maxLvl := max(1, topo.MaxLevel())
 	netW := make([]float64, len(nl.Nets))
 	for id, net := range nl.Nets {
 		w := 1.0
 		if net.Driver >= 0 && opt.TimingWeight > 0 {
-			w += opt.TimingWeight * float64(lvl[net.Driver]) / float64(maxLvl)
+			w += opt.TimingWeight * float64(topo.Level(net.Driver)) / float64(maxLvl)
 		}
 		// Huge-fanout nets (e.g. operand broadcasts) attract weakly per pin.
 		if len(net.Sinks) > 8 {
@@ -136,49 +134,75 @@ func Place(nl *netlist.Netlist, l *lib.Library, opt Options) (*Result, error) {
 	bins := int(math.Sqrt(float64(n)/12)) + 4
 	res.BinsX, res.BinsY = bins, bins
 
-	cellArea := make([]float64, n)
-	for ci, c := range nl.Cells {
-		cellArea[ci] = l.Scaled(c.Kind, c.Size).Area
+	p := &placer{
+		nl: nl, res: res, netW: netW, cellArea: cellArea,
+		densCap: opt.MaxBinDensity,
+		sx:      make([]float64, n), sy: make([]float64, n), sw: make([]float64, n),
+		util:    make([]float64, bins*bins),
+		members: make([][]int, bins*bins),
 	}
-
+	if opt.UniformDensity {
+		// Even distribution: allow only a little headroom above average.
+		avg := area / (res.CoreW * res.CoreH)
+		p.densCap = math.Min(p.densCap, avg*1.15+0.02)
+	}
 	for iter := 0; iter < opt.Iterations; iter++ {
 		step := 0.7 * math.Pow(0.85, float64(iter))
-		forceStep(nl, res, netW, step)
-		spread(nl, res, cellArea, opt, iter == opt.Iterations-1)
+		p.forceStep(step)
+		p.spread(iter == opt.Iterations-1)
 	}
 
-	res.BinUtil, res.Overflow = binStats(res, cellArea, opt)
-	res.HPWL = hpwl(nl, res)
+	res.BinUtil, res.Overflow = binStats(res, cellArea, area, opt)
+	res.NetLen = make([]float64, len(nl.Nets))
+	for id := range nl.Nets {
+		res.NetLen[id] = NetLength(nl, res, id)
+		res.HPWL += res.NetLen[id]
+	}
 	return res, nil
+}
+
+// placer holds the refinement state, and the buffers forceStep and spread
+// reuse across rounds.
+type placer struct {
+	nl       *netlist.Netlist
+	res      *Result
+	netW     []float64
+	cellArea []float64
+	// densCap is the bin utilisation spread enforces.
+	densCap float64
+	// sx, sy, sw are forceStep's weighted pull sums per cell.
+	sx, sy, sw []float64
+	// util and members are spread's per-bin utilisation and cells.
+	util    []float64
+	members [][]int
 }
 
 // forceStep moves every cell a fraction of the way toward the weighted
 // centroid of its connected cells.
-func forceStep(nl *netlist.Netlist, res *Result, netW []float64, step float64) {
-	n := len(nl.Cells)
-	sx := make([]float64, n)
-	sy := make([]float64, n)
-	sw := make([]float64, n)
-	addPull := func(a, b int, w float64) {
-		sx[a] += w * res.X[b]
-		sy[a] += w * res.Y[b]
-		sw[a] += w
-		sx[b] += w * res.X[a]
-		sy[b] += w * res.Y[a]
-		sw[b] += w
-	}
+func (p *placer) forceStep(step float64) {
+	nl, res, sx, sy, sw := p.nl, p.res, p.sx, p.sy, p.sw
+	clear(sx)
+	clear(sy)
+	clear(sw)
 	for id, net := range nl.Nets {
 		if net.Driver < 0 {
 			continue
 		}
-		w := netW[id]
-		for _, s := range net.Sinks {
-			if s != net.Driver {
-				addPull(net.Driver, s, w)
+		w := p.netW[id]
+		a := net.Driver
+		for _, b := range net.Sinks {
+			if b == a {
+				continue
 			}
+			sx[a] += w * res.X[b]
+			sy[a] += w * res.Y[b]
+			sw[a] += w
+			sx[b] += w * res.X[a]
+			sy[b] += w * res.Y[a]
+			sw[b] += w
 		}
 	}
-	for ci := 0; ci < n; ci++ {
+	for ci := range sw {
 		if sw[ci] == 0 {
 			continue
 		}
@@ -191,29 +215,25 @@ func forceStep(nl *netlist.Netlist, res *Result, netW []float64, step float64) {
 	}
 }
 
+// neighbours are the eight bins around a bin, in the order spread tries
+// them.
+var neighbours = [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {-1, -1}, {1, -1}, {-1, 1}}
+
 // spread legalises bin density: cells in overfull bins are pushed to the
 // least-full neighbouring bin. The density cap is MaxBinDensity, or the
 // average utilisation when UniformDensity is set (even spreading). The final
 // round always enforces the cap so the result respects the constraint.
-func spread(nl *netlist.Netlist, res *Result, cellArea []float64, opt Options, final bool) {
+func (p *placer) spread(final bool) {
+	res, util, members, cellArea, cap := p.res, p.util, p.members, p.cellArea, p.densCap
 	bx, by := res.BinsX, res.BinsY
 	binW := res.CoreW / float64(bx)
 	binH := res.CoreH / float64(by)
 	binCap := binW * binH
 
-	cap := opt.MaxBinDensity
-	var total float64
-	for _, a := range cellArea {
-		total += a
+	clear(util)
+	for b := range members {
+		members[b] = members[b][:0]
 	}
-	avg := total / (res.CoreW * res.CoreH)
-	if opt.UniformDensity {
-		// Even distribution: allow only a little headroom above average.
-		cap = math.Min(cap, avg*1.15+0.02)
-	}
-
-	util := make([]float64, bx*by)
-	members := make([][]int, bx*by)
 	for ci := range cellArea {
 		b := res.Bin(res.X[ci], res.Y[ci])
 		util[b] += cellArea[ci] / binCap
@@ -223,7 +243,7 @@ func spread(nl *netlist.Netlist, res *Result, cellArea []float64, opt Options, f
 	if final {
 		passes = 3
 	}
-	for p := 0; p < passes; p++ {
+	for pass := 0; pass < passes; pass++ {
 		moved := false
 		for b := 0; b < bx*by; b++ {
 			if util[b] <= cap {
@@ -236,7 +256,7 @@ func spread(nl *netlist.Netlist, res *Result, cellArea []float64, opt Options, f
 				members[b] = members[b][:len(members[b])-1]
 				nb, nx, ny := b, cx, cy
 				bestU := math.Inf(1)
-				for _, d := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {-1, -1}, {1, -1}, {-1, 1}} {
+				for _, d := range neighbours {
 					tx, ty := cx+d[0], cy+d[1]
 					if tx < 0 || tx >= bx || ty < 0 || ty >= by {
 						continue
@@ -265,15 +285,14 @@ func spread(nl *netlist.Netlist, res *Result, cellArea []float64, opt Options, f
 	}
 }
 
-// binStats recomputes final utilisation and the overflow fraction.
-func binStats(res *Result, cellArea []float64, opt Options) ([]float64, float64) {
+// binStats recomputes final utilisation and the overflow fraction of the
+// total cell area.
+func binStats(res *Result, cellArea []float64, total float64, opt Options) ([]float64, float64) {
 	bx, by := res.BinsX, res.BinsY
 	binCap := (res.CoreW / float64(bx)) * (res.CoreH / float64(by))
 	util := make([]float64, bx*by)
-	var total float64
 	for ci, a := range cellArea {
 		util[res.Bin(res.X[ci], res.Y[ci])] += a / binCap
-		total += a
 	}
 	var over float64
 	for _, u := range util {
@@ -282,26 +301,6 @@ func binStats(res *Result, cellArea []float64, opt Options) ([]float64, float64)
 		}
 	}
 	return util, over / total
-}
-
-// hpwl sums the half-perimeter bounding box of every net.
-func hpwl(nl *netlist.Netlist, res *Result) float64 {
-	var total float64
-	for _, net := range nl.Nets {
-		if net.Driver < 0 || len(net.Sinks) == 0 {
-			continue
-		}
-		minX, maxX := res.X[net.Driver], res.X[net.Driver]
-		minY, maxY := res.Y[net.Driver], res.Y[net.Driver]
-		for _, s := range net.Sinks {
-			minX = math.Min(minX, res.X[s])
-			maxX = math.Max(maxX, res.X[s])
-			minY = math.Min(minY, res.Y[s])
-			maxY = math.Max(maxY, res.Y[s])
-		}
-		total += (maxX - minX) + (maxY - minY)
-	}
-	return total
 }
 
 // NetLength estimates the routed length of one net as its half-perimeter.

@@ -75,12 +75,13 @@ func Analyze(nl *netlist.Netlist, l *lib.Library, fix *drv.Result, rt *route.Res
 	for _, pi := range nl.PINets {
 		netAct[pi] = opt.InputActivity
 	}
-	order, err := nl.TopoOrder()
+	topo, err := nl.Topology()
 	if err != nil {
 		return nil, err
 	}
 	cellAct := make([]float64, len(nl.Cells))
-	for _, ci := range order {
+	for i := 0; i < topo.Len(); i++ {
+		ci := topo.Order(i)
 		c := nl.Cells[ci]
 		if c.Kind == lib.DFF {
 			// Register outputs toggle at half the D activity (value changes).

@@ -119,7 +119,7 @@ func Route(nl *netlist.Netlist, pl *place.Result, opt Options) (*Result, error) 
 			s.y1 = max(s.y1, y)
 		}
 		spans[id] = s
-		lengths[id] = place.NetLength(nl, pl, id)
+		lengths[id] = pl.NetLen[id]
 		addDemand(s, lengths[id])
 	}
 

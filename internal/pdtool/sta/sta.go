@@ -59,13 +59,25 @@ type Result struct {
 
 // engine holds the propagation state reused across passes.
 type engine struct {
-	nl    *netlist.Netlist
-	lib   *lib.Library
-	pl    *place.Result
-	fix   *drv.Result
-	rt    *route.Result
-	opt   Options
-	order []int
+	nl   *netlist.Netlist
+	lib  *lib.Library
+	pl   *place.Result
+	fix  *drv.Result
+	rt   *route.Result
+	opt  Options
+	topo *netlist.Topology
+	buf  lib.Cell
+	// regD lists the D-pin nets of the registers, in cell order: the
+	// capture endpoints besides the primary outputs.
+	regD []int
+	// inCap, driveRes and intrinsic are each cell's Scaled view at its
+	// current size. upsizeCritical refreshes the cells it resizes.
+	inCap, driveRes, intrinsic []float64
+	// dirty marks the nets whose delay is stale: every net before the
+	// first pass, then each net whose driver or some sink was resized.
+	dirty []bool
+	// seen marks the cells one upsizeCritical pass has visited.
+	seen []bool
 	// arrival[c] is the data arrival time at cell c's output, ps.
 	arrival []float64
 	// argmax[c] is the input net realising the arrival, for backtracing.
@@ -126,44 +138,73 @@ func newEngine(nl *netlist.Netlist, l *lib.Library, pl *place.Result, fix *drv.R
 	if opt.RCFactor <= 0 {
 		opt.RCFactor = 1
 	}
-	order, err := nl.TopoOrder()
+	topo, err := nl.Topology()
 	if err != nil {
 		return nil, err
 	}
-	return &engine{
+	nc, nn := len(nl.Cells), len(nl.Nets)
+	e := &engine{
 		nl: nl, lib: l, pl: pl, fix: fix, rt: rt, opt: opt,
-		order:        order,
-		arrival:      make([]float64, len(nl.Cells)),
-		argmax:       make([]int, len(nl.Cells)),
-		netArrive:    make([]float64, len(nl.Nets)),
-		netDelay:     make([]float64, len(nl.Nets)),
-		minArrival:   make([]float64, len(nl.Cells)),
-		minNetArrive: make([]float64, len(nl.Nets)),
-	}, nil
+		topo:         topo,
+		buf:          l.Cell(lib.Buf),
+		inCap:        make([]float64, nc),
+		driveRes:     make([]float64, nc),
+		intrinsic:    make([]float64, nc),
+		dirty:        make([]bool, nn),
+		seen:         make([]bool, nc),
+		arrival:      make([]float64, nc),
+		argmax:       make([]int, nc),
+		netArrive:    make([]float64, nn),
+		netDelay:     make([]float64, nn),
+		minArrival:   make([]float64, nc),
+		minNetArrive: make([]float64, nn),
+	}
+	for ci, c := range nl.Cells {
+		e.intrinsic[ci] = l.Cell(c.Kind).Intrinsic
+		e.resized(ci)
+		if c.Kind == lib.DFF && len(c.Inputs) > 0 {
+			e.regD = append(e.regD, c.Inputs[0])
+		}
+	}
+	return e, nil
+}
+
+// resized refreshes cell ci's view at its current size and marks stale the
+// delay of every net it drives or loads. A net lists a sink once per pin,
+// so every input net is marked, repeated pins included.
+func (e *engine) resized(ci int) {
+	c := &e.nl.Cells[ci]
+	e.inCap[ci] = e.lib.InCap(c.Kind, c.Size)
+	e.driveRes[ci] = e.lib.DriveRes(c.Kind, c.Size)
+	if c.Out >= 0 {
+		e.dirty[c.Out] = true
+	}
+	for _, in := range c.Inputs {
+		e.dirty[in] = true
+	}
 }
 
 // computeNetDelay returns the driver-cell-input to sink-pin delay of the
 // net: the driving cell's intrinsic and drive-resistance terms plus the
 // Elmore wire delay of each buffered stage. The RC factor scales the
-// extracted wire parasitics (place_rcfactor).
+// extracted wire parasitics (place_rcfactor). The pin-cap sum restarts from
+// zero in sink order on every call: a running total updated by deltas
+// would round differently.
 func (e *engine) computeNetDelay(netID int) float64 {
 	net := e.nl.Nets[netID]
 	f := e.fix.Fix[netID]
 	driveRes := 1.2 // pad driver for PI nets
 	var intrinsic float64
 	if net.Driver >= 0 {
-		dc := e.nl.Cells[net.Driver]
-		sc := e.lib.Scaled(dc.Kind, dc.Size)
-		driveRes = sc.DriveRes
-		intrinsic = sc.Intrinsic
+		driveRes = e.driveRes[net.Driver]
+		intrinsic = e.intrinsic[net.Driver]
 	}
 	var pinCap float64
 	for _, s := range net.Sinks {
-		c := e.lib.Scaled(e.nl.Cells[s].Kind, e.nl.Cells[s].Size)
-		pinCap += c.InCap
+		pinCap += e.inCap[s]
 	}
 	pinCap /= float64(f.Stages)
-	buf := e.lib.Cell(lib.Buf)
+	buf := &e.buf
 	if f.Stages > 1 {
 		pinCap += buf.InCap
 	}
@@ -179,11 +220,15 @@ func (e *engine) computeNetDelay(netID int) float64 {
 	return d
 }
 
-// propagate computes arrival times in topological order.
+// propagate recomputes the stale net delays, then arrival times in
+// topological order.
 func (e *engine) propagate() {
 	nl := e.nl
-	for id := range nl.Nets {
-		e.netDelay[id] = e.computeNetDelay(id)
+	for id, stale := range e.dirty {
+		if stale {
+			e.netDelay[id] = e.computeNetDelay(id)
+			e.dirty[id] = false
+		}
 	}
 	// PI nets launch at t=0 for setup analysis (conservative). For hold
 	// analysis, primary inputs come from upstream registered logic, so the
@@ -192,7 +237,8 @@ func (e *engine) propagate() {
 		e.netArrive[pi] = e.netDelay[pi]
 		e.minNetArrive[pi] = e.lib.ClkToQ + e.netDelay[pi]
 	}
-	for _, ci := range e.order {
+	for i := 0; i < e.topo.Len(); i++ {
+		ci := e.topo.Order(i)
 		c := nl.Cells[ci]
 		if c.Kind == lib.DFF {
 			// Launch: Q arrives clk-to-q plus its net delay.
@@ -232,11 +278,8 @@ func (e *engine) propagate() {
 // minEndpointArrival returns the earliest endpoint arrival (hold analysis).
 func (e *engine) minEndpointArrival() float64 {
 	best := math.Inf(1)
-	for _, c := range e.nl.Cells {
-		if c.Kind != lib.DFF || len(c.Inputs) == 0 {
-			continue
-		}
-		if a := e.minNetArrive[c.Inputs[0]]; a < best {
+	for _, d := range e.regD {
+		if a := e.minNetArrive[d]; a < best {
 			best = a
 		}
 	}
@@ -250,15 +293,11 @@ func (e *engine) minEndpointArrival() float64 {
 // primary outputs) and that endpoint's net.
 func (e *engine) criticalArrival() (float64, int) {
 	worst, arg := 0.0, -1
-	for ci, c := range e.nl.Cells {
-		if c.Kind != lib.DFF || len(c.Inputs) == 0 {
-			continue
-		}
-		if a := e.netArrive[c.Inputs[0]]; a > worst {
+	for _, d := range e.regD {
+		if a := e.netArrive[d]; a > worst {
 			worst = a
-			arg = c.Inputs[0]
+			arg = d
 		}
-		_ = ci
 	}
 	for _, po := range e.nl.PONets {
 		if a := e.netArrive[po]; a > worst {
@@ -284,20 +323,16 @@ func (e *engine) upsizeCritical() int {
 		return 0
 	}
 	// Collect endpoints within 3% of the worst arrival.
-	type endpoint struct{ net int }
-	var eps []endpoint
+	var eps []int
 	threshold := 0.97 * crit
-	for _, c := range e.nl.Cells {
-		if c.Kind != lib.DFF || len(c.Inputs) == 0 {
-			continue
-		}
-		if e.netArrive[c.Inputs[0]] >= threshold {
-			eps = append(eps, endpoint{c.Inputs[0]})
+	for _, d := range e.regD {
+		if e.netArrive[d] >= threshold {
+			eps = append(eps, d)
 		}
 	}
 	for _, po := range e.nl.PONets {
 		if e.netArrive[po] >= threshold {
-			eps = append(eps, endpoint{po})
+			eps = append(eps, po)
 		}
 	}
 	const maxEndpoints = 32
@@ -305,9 +340,8 @@ func (e *engine) upsizeCritical() int {
 		eps = eps[:maxEndpoints]
 	}
 	changed := 0
-	seen := make(map[int]bool)
-	for _, ep := range eps {
-		net := ep.net
+	clear(e.seen)
+	for _, net := range eps {
 		for net >= 0 {
 			ci := e.nl.Nets[net].Driver
 			if ci < 0 {
@@ -317,15 +351,16 @@ func (e *engine) upsizeCritical() int {
 			if c.Kind == lib.DFF {
 				break // launch point reached
 			}
-			if !seen[ci] && c.Size < e.opt.MaxSize {
+			if !e.seen[ci] && c.Size < e.opt.MaxSize {
 				ns := c.Size * 1.5
 				if ns > e.opt.MaxSize {
 					ns = e.opt.MaxSize
 				}
 				c.Size = ns
+				e.resized(ci)
 				changed++
 			}
-			seen[ci] = true
+			e.seen[ci] = true
 			net = e.argmax[ci]
 		}
 	}
@@ -353,15 +388,9 @@ func (e *engine) result(passes, upsized int) *Result {
 // PathDepthEstimatePS is a coarse lower bound on the design's critical path
 // from logic levels alone (diagnostic aid).
 func PathDepthEstimatePS(nl *netlist.Netlist, l *lib.Library) float64 {
-	lvl, err := nl.Levels()
+	topo, err := nl.Topology()
 	if err != nil {
 		return math.NaN()
 	}
-	maxL := 0
-	for _, v := range lvl {
-		if v > maxL {
-			maxL = v
-		}
-	}
-	return float64(maxL) * l.Cell(lib.Nand2).Intrinsic
+	return float64(topo.MaxLevel()) * l.Cell(lib.Nand2).Intrinsic
 }

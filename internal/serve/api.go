@@ -181,11 +181,40 @@ func canonicalScenario(name string) string {
 	return name
 }
 
-// plan validates a request against the server's configuration and resolves
-// its campaign axes. Validation is cheap (no benchmark construction):
-// scenario existence for custom resolvers is established when the job
-// first runs.
+// plan validates a request against the server's configuration: it decodes
+// the campaign axes, then checks the surrogate and the fault stack.
+// Validation is cheap (no benchmark construction): scenario existence for
+// custom resolvers is established when the job first runs.
 func (s *Server) plan(req JobRequest) (*jobPlan, error) {
+	p, err := s.axes(req)
+	if err != nil {
+		return nil, err
+	}
+	if req.GP != "" && req.GP != "exact" {
+		return nil, fmt.Errorf("gp: surrogate %q is not available; the exact GP is the only one (use \"exact\" or omit the field)", req.GP)
+	}
+	p.outage, err = chaos.ParseSchedule(req.Outage)
+	if err != nil {
+		return nil, fmt.Errorf("outage: %v", err)
+	}
+	if req.Breaker < 0 {
+		return nil, fmt.Errorf("breaker must be >= 0")
+	}
+	if p.outage.Enabled() && req.Breaker == 0 {
+		return nil, fmt.Errorf("outage requires a breaker: downtime without one burns retry budgets instead of parking units")
+	}
+	p.breaker = req.Breaker
+	p.workers = req.Workers
+	if p.workers <= 0 {
+		p.workers = s.cfg.UnitWorkers
+	}
+	return p, nil
+}
+
+// axes decodes a request's scenario, spaces, methods and seeds. Views and
+// fronts read a stored job through it alone, so a job whose spec no longer
+// passes plan's server-side checks still reports the axes it names.
+func (s *Server) axes(req JobRequest) (*jobPlan, error) {
 	p := &jobPlan{scenario: canonicalScenario(req.Scenario)}
 	if p.scenario == "" {
 		return nil, fmt.Errorf("scenario is required (table2, table3, or a full scenario name)")
@@ -227,24 +256,6 @@ func (s *Server) plan(req JobRequest) (*jobPlan, error) {
 		return nil, fmt.Errorf("seeds: %v", err)
 	}
 	p.seeds = seeds
-	if req.GP != "" && req.GP != "exact" {
-		return nil, fmt.Errorf("gp: surrogate %q is not available; the exact GP is the only one (use \"exact\" or omit the field)", req.GP)
-	}
-	p.outage, err = chaos.ParseSchedule(req.Outage)
-	if err != nil {
-		return nil, fmt.Errorf("outage: %v", err)
-	}
-	if req.Breaker < 0 {
-		return nil, fmt.Errorf("breaker must be >= 0")
-	}
-	if p.outage.Enabled() && req.Breaker == 0 {
-		return nil, fmt.Errorf("outage requires a breaker: downtime without one burns retry budgets instead of parking units")
-	}
-	p.breaker = req.Breaker
-	p.workers = req.Workers
-	if p.workers <= 0 {
-		p.workers = s.cfg.UnitWorkers
-	}
 	return p, nil
 }
 

@@ -469,7 +469,7 @@ func (s *Server) viewOf(rec robust.JobRecord) JobView {
 	v.GP = req.GP
 	v.Outage = req.Outage
 	v.Breaker = req.Breaker
-	if p, err := s.plan(req); err == nil {
+	if p, err := s.axes(req); err == nil {
 		v.Spaces = p.spaceNames()
 		v.Methods = p.methodNames()
 		v.Seeds = p.seeds
@@ -496,7 +496,7 @@ func (s *Server) Front(id string) (FrontDoc, bool) {
 	if err := json.Unmarshal(rec.Spec, &req); err != nil {
 		return doc, true
 	}
-	p, err := s.plan(req)
+	p, err := s.axes(req)
 	if err != nil {
 		return doc, true
 	}

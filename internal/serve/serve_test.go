@@ -222,7 +222,8 @@ func TestSubmitSurrogate(t *testing.T) {
 // "gp":"sparse:64" before the sparse GP was retired must not run as exact
 // after a restart. Start marks it failed with a requeue error, and no unit
 // of it runs, while a queued exact job beside it runs to completion. Its
-// view still echoes the stored gp string.
+// view still echoes the stored gp string and the axes its spec names, and
+// its front the scenario and spaces.
 func TestRestartFailsStoredSparseJob(t *testing.T) {
 	dir := t.TempDir()
 	m, err := robust.LoadJobManifest(robust.JobManifestPath(dir))
@@ -272,6 +273,18 @@ func TestRestartFailsStoredSparseJob(t *testing.T) {
 	}
 	if v.GP != "sparse:64" || v.UnitsDone != 0 {
 		t.Errorf("stored sparse job view: gp %q, %d units done; want the stored \"sparse:64\" and none", v.GP, v.UnitsDone)
+	}
+	if strings.Join(v.Spaces, ",") != "Area-Delay" || strings.Join(v.Methods, ",") != "DAC'19" ||
+		len(v.Seeds) != 1 || v.Seeds[0] != 1 || v.UnitsTotal != 1 {
+		t.Errorf("stored sparse job view: spaces %v, methods %v, seeds %v, %d units total; want its stored axes and 1 unit",
+			v.Spaces, v.Methods, v.Seeds, v.UnitsTotal)
+	}
+	var f FrontDoc
+	if code := getJSON(t, ts, "/jobs/"+ids["sparse:64"]+"/front", &f); code != http.StatusOK {
+		t.Fatalf("job front returned %d", code)
+	}
+	if f.Scenario != eval.ScenarioOneName || len(f.Spaces) != 1 || f.Spaces[0].Space != "Area-Delay" {
+		t.Errorf("stored sparse job front: scenario %q, spaces %+v; want %q with Area-Delay", f.Scenario, f.Spaces, eval.ScenarioOneName)
 	}
 	if n := units.Load(); n != 1 {
 		t.Errorf("%d units ran, want only the exact job's one", n)

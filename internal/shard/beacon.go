@@ -23,7 +23,7 @@ type BeaconState struct {
 }
 
 // Beacon is a primary coordinator's heartbeat file. The primary announces
-// into it on the coordinator clock; a standby watches it and promotes once
+// into it from adoption until it exits; a standby watches it and promotes once
 // the sequence number has been still for its takeover window. The file is
 // advisory — fencing on the checkpoint, not the beacon, is what makes a
 // mistimed takeover safe; the beacon only decides when to try.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"ppatuner/internal/clock"
@@ -51,12 +50,6 @@ type Options struct {
 	// default, false, is the boot-resume behaviour: only the epoch
 	// high-water marks are restored and every incomplete unit queues.
 	AdoptLeases bool
-	// Beacon, when non-nil, is announced (generation + advancing sequence
-	// number) every BeaconEvery while Run is live, so a standby watching
-	// the file can tell a healthy primary from a dead one.
-	Beacon *Beacon
-	// BeaconEvery paces beacon announcements (default LeaseTTL/3).
-	BeaconEvery time.Duration
 }
 
 func (o *Options) setDefaults() {
@@ -68,9 +61,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real()
-	}
-	if o.BeaconEvery <= 0 {
-		o.BeaconEvery = o.LeaseTTL / 3
 	}
 }
 
@@ -192,11 +182,13 @@ func (co *Coordinator) Stats() Stats { return co.ledger.Stats() }
 // is merged, and the assembled table is returned once every unit is done.
 // The first hard unit failure aborts deterministically; breaker-parked
 // failures, lease expiries and worker deaths requeue instead. Workers still
-// connected at the end are sent a shutdown message. A closed conns channel
+// connected at the end are sent a shutdown message, unless the coordinator
+// was deposed: then their connections only close, so reconnecting workers
+// move on to the standby that deposed it. A closed conns channel
 // stops registration but not the campaign. Once every unit is done, Run
 // retires a never-adopted checkpoint, folding its journal into the file; the
 // owner of an adopted one retires it (robust.CampaignCheckpoint.Retire).
-func (co *Coordinator) Run(ctx context.Context, conns <-chan Conn) (*eval.Table, error) {
+func (co *Coordinator) Run(ctx context.Context, conns <-chan Conn) (_ *eval.Table, err error) {
 	events := make(chan event, 64)
 	// readersDone releases every per-connection reader goroutine when Run
 	// returns: a reader parked on an events send would otherwise leak once
@@ -204,31 +196,7 @@ func (co *Coordinator) Run(ctx context.Context, conns <-chan Conn) (*eval.Table,
 	// reader stays parked in Recv either.
 	readersDone := make(chan struct{})
 	defer close(readersDone)
-	defer co.shutdownWorkers()
-
-	// Announce liveness while the loop runs: a standby watching the beacon
-	// promotes only after the sequence number stops advancing. The
-	// goroutine is joined before Run returns, so a finished (or deposed)
-	// coordinator stops announcing promptly.
-	if co.opt.Beacon != nil {
-		bctx, bcancel := context.WithCancel(ctx)
-		var bwg sync.WaitGroup
-		bwg.Add(1)
-		go func() {
-			defer bwg.Done()
-			for {
-				// Best-effort: an announce failure must not kill the
-				// campaign, and silence only errs toward a takeover —
-				// which fencing makes safe.
-				_ = co.opt.Beacon.Announce(co.gen)
-				if co.opt.Clock.Sleep(bctx, co.opt.BeaconEvery) != nil {
-					return
-				}
-			}
-		}()
-		defer bwg.Wait()
-		defer bcancel()
-	}
+	defer func() { co.shutdownWorkers(!errors.Is(err, ErrDeposed)) }()
 
 	var alarmCancel context.CancelFunc
 	var alarmAt time.Time
@@ -639,13 +607,13 @@ func (co *Coordinator) workerIndex(w *workerState) int {
 	return -1
 }
 
-// shutdownWorkers broadcasts shutdown to every live worker, then closes
-// every connection: the close unblocks the reader goroutines still parked
-// in Recv, so Run leaves no goroutine behind even when a worker never
-// acknowledges the shutdown.
-func (co *Coordinator) shutdownWorkers() {
+// shutdownWorkers broadcasts shutdown to every live worker when notify is
+// set, then closes every connection: the close unblocks the reader
+// goroutines still parked in Recv, so Run leaves no goroutine behind even
+// when a worker never acknowledges the shutdown.
+func (co *Coordinator) shutdownWorkers(notify bool) {
 	for _, w := range co.workers {
-		if w.alive {
+		if notify && w.alive {
 			_ = w.conn.Send(Msg{Type: MsgShutdown})
 		}
 	}

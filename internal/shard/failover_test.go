@@ -431,3 +431,142 @@ func miniCampaign2(t *testing.T, ck *robust.CampaignCheckpoint) *eval.Campaign {
 		Checkpoint: ck,
 	}
 }
+
+// shutdownWatch flags a shutdown message reaching the worker.
+type shutdownWatch struct {
+	shard.Conn
+	seen *atomic.Bool
+}
+
+func (s *shutdownWatch) Recv() (shard.Msg, error) {
+	m, err := s.Conn.Recv()
+	if err == nil && m.Type == shard.MsgShutdown {
+		s.seen.Store(true)
+	}
+	return m, err
+}
+
+// TestDeposedPrimaryHandsWorkerToStandby: a standby adopts the checkpoint
+// mid-campaign while the primary still runs, with a worker attached through
+// Reconn. The primary's next write is fenced and it stands down with
+// ErrDeposed, closing its connection without a shutdown message. The
+// worker redials into the standby, re-attaches its lease, and the campaign
+// finishes to the single-process table and retired checkpoint.
+func TestDeposedPrimaryHandsWorkerToStandby(t *testing.T) {
+	wantTable, wantCk := referenceRun(t)
+
+	path := filepath.Join(t.TempDir(), "fo.json")
+	ck1, err := robust.LoadCampaignCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck1.Adopt(); err != nil {
+		t.Fatal(err)
+	}
+	co1, err := shard.New(shard.Options{Campaign: miniCampaign2(t, ck1), LeaseTTL: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+
+	conns1 := make(chan shard.Conn, 16)
+	conns2 := make(chan shard.Conn, 16)
+	d := &foDialer{target: conns1, enough: make(chan struct{}), want: 5}
+	var shutdownSeen atomic.Bool
+	dial := func() (shard.Conn, error) {
+		d.mu.Lock()
+		toPrimary := d.target == conns1
+		d.mu.Unlock()
+		c, err := d.dial()
+		if err != nil || !toPrimary {
+			return c, err
+		}
+		return &shutdownWatch{Conn: c, seen: &shutdownSeen}, nil
+	}
+
+	primaryDone := make(chan error, 1)
+	go func() {
+		_, err := co1.Run(ctx, conns1)
+		primaryDone <- err
+	}()
+	workerDone := make(chan error, 1)
+	go func() {
+		r, err := shard.Connect(ctx, shard.ReconnOptions{
+			Dial:    dial,
+			Backoff: shard.Backoff{Base: 20 * time.Millisecond, Cap: 200 * time.Millisecond, Salt: "w0"},
+			MaxDown: time.Minute,
+		})
+		if err != nil {
+			workerDone <- err
+			return
+		}
+		workerDone <- shard.RunWorker(ctx, r, shard.WorkerOptions{ID: "w0", Scenario: resolveMini(t)})
+	}()
+
+	select {
+	case <-d.enough:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("no observations flowed before the takeover")
+	}
+	// Future dials reach the standby; the primary's connection stays up
+	// until the primary itself stands down.
+	d.mu.Lock()
+	d.target = conns2
+	d.mu.Unlock()
+	ck2, err := robust.LoadCampaignCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck2.Adopt(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-primaryDone; !errors.Is(err, shard.ErrDeposed) {
+		t.Fatalf("primary returned %v after the takeover, want ErrDeposed", err)
+	}
+
+	co2, err := shard.New(shard.Options{Campaign: miniCampaign2(t, ck2), LeaseTTL: 30 * time.Second, AdoptLeases: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		table *eval.Table
+		err   error
+	}
+	standbyDone := make(chan outcome, 1)
+	go func() {
+		table, err := co2.Run(ctx, conns2)
+		standbyDone <- outcome{table, err}
+	}()
+	var got outcome
+	select {
+	case err := <-workerDone:
+		t.Fatalf("worker left before the standby finished (err %v, shutdown from the deposed primary: %v)", err, shutdownSeen.Load())
+	case got = <-standbyDone:
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if err := <-workerDone; err != nil {
+		t.Fatal(err)
+	}
+	if shutdownSeen.Load() {
+		t.Fatal("the deposed primary sent the worker a shutdown")
+	}
+	if st := co2.Stats(); st.Adopted == 0 {
+		t.Fatalf("standby stats = %+v, want the worker's lease adopted", st)
+	}
+	if table := got.table.Format(); table != wantTable {
+		t.Fatalf("post-takeover table differs:\n%s\n--- want ---\n%s", table, wantTable)
+	}
+	if err := ck2.Retire(); err != nil {
+		t.Fatal(err)
+	}
+	gotCk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotCk) != string(wantCk) {
+		t.Fatalf("post-takeover checkpoint differs:\n%s\n--- want ---\n%s", gotCk, wantCk)
+	}
+}

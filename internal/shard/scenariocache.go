@@ -16,12 +16,12 @@ type scenEntry struct {
 
 // ScenarioCache memoises scenario resolution across RunWorker sessions by
 // the scenario identity carried in UnitSpec.Scenario. Building a scenario
-// regenerates its benchmark datasets (~30s of synthesis and characterisation
-// per scenario), which RunWorker already avoids repeating *within* one
-// session; this cache extends that across sessions, so a worker that
-// rejoins after a coordinator fail-over — or serves several campaigns
-// under -rejoin — pays the regeneration exactly once per scenario for the
-// life of the process.
+// regenerates its benchmark datasets (~10s of synthesis and
+// characterisation for Scenario Two, ~30s for Scenario One, on two cores),
+// which RunWorker already avoids repeating *within* one session; this cache
+// extends that across sessions, so a worker that rejoins after a
+// coordinator fail-over — or serves several campaigns under -rejoin — pays
+// the regeneration exactly once per scenario for the life of the process.
 type ScenarioCache struct {
 	resolve func(name string) (*eval.Scenario, error)
 	mu      sync.Mutex
