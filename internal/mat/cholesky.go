@@ -105,46 +105,95 @@ func (c *Cholesky) LRow(i int) []float64 {
 
 // factorRows runs the left-looking Cholesky recurrence over rows
 // [start, end), which must already hold the packed source values of A; rows
-// before start must already be factored. Columns are processed four at a time
-// through the dot4 kernel so the inner loop runs at SIMD speed where
-// available. On a non-positive pivot it stops and reports the row and pivot
-// value; rows before start are untouched either way.
+// before start must already be factored. On a non-positive pivot it stops
+// and reports the row and pivot value; rows before start are untouched
+// either way.
+//
+// Rows are factored in aligned groups [g, g+4), g a multiple of 4, whatever
+// start is. Every entry keeps the operations, and the order of them, of the
+// row-at-a-time recurrence, so the factor is the same to the bit:
+//
+//   - Columns [0, g) of a row are solved in blocks of four through Dot4 and
+//     the blocks' triangular coupling. Each column block runs for all the
+//     group's rows before the next block, so their divide chains overlap;
+//     a full group takes the block's sixteen dot products from one Dot4x4
+//     call, a group cut short by start or end one Dot4 call per row.
+//   - A row's entries in [g, i) and its diagonal are DotUnroll sums whose
+//     stride-4 lanes cover [0, g) and whose tails, at most three products,
+//     cover [g, j). One DotUnrollLanes4 call per row gives the lanes of all
+//     of them; the tails and the final sums are added here in DotUnroll's
+//     order.
 func (c *Cholesky) factorRows(start, end int) (pivot int, d float64, ok bool) {
 	l := c.l
-	for i := start; i < end; i++ {
-		off := rowOff(i)
-		row := l[off : off+i+1]
-		j := 0
-		for ; j+4 <= i; j += 4 {
+	var s, lanes [16]float64
+	for g := start &^ 3; g < end; g += 4 {
+		lo, hi := max(g, start)-g, min(g+4, end)-g // the group's rows factored here, less g
+		var rows [4][]float64                      // rows[r] is row g+r
+		for r := lo; r < hi; r++ {
+			rows[r] = l[rowOff(g+r) : rowOff(g+r)+g+r+1]
+		}
+		full := hi-lo == 4
+		for j := 0; j+4 <= g; j += 4 {
 			c0 := l[rowOff(j):]
 			c1 := l[rowOff(j+1):]
 			c2 := l[rowOff(j+2):]
 			c3 := l[rowOff(j+3):]
-			s0, s1, s2, s3 := simd.Dot4(row, c0, c1, c2, c3, j)
-			// The four columns couple triangularly: each solved entry feeds
-			// the dots of the columns to its right (the k ∈ [j, j+3) terms
-			// dot4 could not see).
-			v0 := (row[j] - s0) / c0[j]
-			row[j] = v0
-			s1 += v0 * c1[j]
-			v1 := (row[j+1] - s1) / c1[j+1]
-			row[j+1] = v1
-			s2 += v0*c2[j] + v1*c2[j+1]
-			v2 := (row[j+2] - s2) / c2[j+2]
-			row[j+2] = v2
-			s3 += v0*c3[j] + v1*c3[j+1] + v2*c3[j+2]
-			row[j+3] = (row[j+3] - s3) / c3[j+3]
+			if full {
+				simd.Dot4x4(rows[0], rows[1], rows[2], rows[3], c0, c1, c2, c3, j, &s)
+			}
+			for r := lo; r < hi; r++ {
+				row := rows[r]
+				var s0, s1, s2, s3 float64
+				if full {
+					s0, s1, s2, s3 = s[4*r], s[4*r+1], s[4*r+2], s[4*r+3]
+				} else {
+					s0, s1, s2, s3 = simd.Dot4(row, c0, c1, c2, c3, j)
+				}
+				// The four columns couple triangularly: each solved entry
+				// feeds the dots of the columns to its right (the
+				// k ∈ [j, j+3) terms the dot products could not see).
+				v0 := (row[j] - s0) / c0[j]
+				row[j] = v0
+				s1 += v0 * c1[j]
+				v1 := (row[j+1] - s1) / c1[j+1]
+				row[j+1] = v1
+				s2 += v0*c2[j] + v1*c2[j+1]
+				v2 := (row[j+2] - s2) / c2[j+2]
+				row[j+2] = v2
+				s3 += v0*c3[j] + v1*c3[j+1] + v2*c3[j+2]
+				row[j+3] = (row[j+3] - s3) / c3[j+3]
+			}
 		}
-		for ; j < i; j++ {
-			jo := rowOff(j)
-			lj := l[jo : jo+j+1]
-			row[j] = (row[j] - simd.DotUnroll(row[:j], lj[:j])) / lj[j]
+		for r := lo; r < hi; r++ {
+			i, row := g+r, rows[r]
+			// Column block g's rows: the group's rows up to i, which are
+			// factored by now, and row i itself in the slots past it.
+			var b [4][]float64
+			for q := range b {
+				m := min(g+q, i)
+				b[q] = l[rowOff(m) : rowOff(m)+m+1]
+			}
+			simd.DotUnrollLanes4(row[:g], b[0], b[1], b[2], b[3], &lanes)
+			for j := g; j < i; j++ {
+				lj := b[j-g]
+				var t float64
+				for k := g; k < j; k++ {
+					t += float64(row[k] * lj[k])
+				}
+				m := 4 * (j - g)
+				row[j] = (row[j] - (t + lanes[m] + lanes[m+1] + lanes[m+2] + lanes[m+3])) / lj[j]
+			}
+			var t float64
+			for k := g; k < i; k++ {
+				t += float64(row[k] * row[k])
+			}
+			m := 4 * (i - g)
+			diag := row[i] - (t + lanes[m] + lanes[m+1] + lanes[m+2] + lanes[m+3])
+			if diag <= 0 {
+				return i, diag, false
+			}
+			row[i] = math.Sqrt(diag)
 		}
-		diag := row[i] - simd.DotUnroll(row[:i], row[:i])
-		if diag <= 0 {
-			return i, diag, false
-		}
-		row[i] = math.Sqrt(diag)
 	}
 	return 0, 0, true
 }
@@ -210,15 +259,33 @@ func (c *Cholesky) FactorizePacked(a []float64, n int, jitter float64, maxAttemp
 }
 
 // SolveLInto solves L x = b into x, which must have length Size() and may
-// alias b.
+// alias b. Rows go in aligned groups of four, as in factorRows: one
+// DotUnrollLanes4 pass over x[:g] gives the lanes of all four rows' dot
+// products, and each row adds its tail over [g, i) and finishes the sum in
+// DotUnroll's order, so x is the row-by-row substitution's to the bit.
 func (c *Cholesky) SolveLInto(x, b []float64) {
-	if len(b) != c.n || len(x) != c.n {
-		panic(fmt.Sprintf("mat: SolveLInto lengths %d/%d, want %d", len(x), len(b), c.n))
+	n := c.n
+	if len(b) != n || len(x) != n {
+		panic(fmt.Sprintf("mat: SolveLInto lengths %d/%d, want %d", len(x), len(b), n))
 	}
-	for i := 0; i < c.n; i++ {
-		off := rowOff(i)
-		li := c.l[off : off+i+1]
-		x[i] = (b[i] - simd.DotUnroll(li[:i], x[:i])) / li[i]
+	var lanes [16]float64
+	for g := 0; g < n; g += 4 {
+		// rows[r] is row g+r of L; past the last row, a placeholder.
+		var rows [4][]float64
+		for r := range rows {
+			i := min(g+r, n-1)
+			rows[r] = c.l[rowOff(i) : rowOff(i)+i+1]
+		}
+		simd.DotUnrollLanes4(x[:g], rows[0], rows[1], rows[2], rows[3], &lanes)
+		for i := g; i < min(g+4, n); i++ {
+			li := rows[i-g]
+			var t float64
+			for k := g; k < i; k++ {
+				t += float64(li[k] * x[k])
+			}
+			m := 4 * (i - g)
+			x[i] = (b[i] - (t + lanes[m] + lanes[m+1] + lanes[m+2] + lanes[m+3])) / li[i]
+		}
 	}
 }
 

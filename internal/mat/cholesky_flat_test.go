@@ -1,9 +1,12 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"ppatuner/internal/simd"
 )
 
 // naiveCholesky is the textbook per-row-slice factorisation the flat layout
@@ -321,19 +324,234 @@ func TestSolveLInto4LengthPanics(t *testing.T) {
 	ch.SolveLInto4(ok, ok, ok, ok, ok, ok, short, ok)
 }
 
-func BenchmarkFactorizePacked200(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	a := randomSPD(rng, 200)
-	packed := make([]float64, PackedLen(200))
-	for i := 0; i < 200; i++ {
-		copy(packed[rowOff(i):rowOff(i)+i+1], a.Data[i*a.Cols:i*a.Cols+i+1])
+// refFactorRows is the row-at-a-time recurrence factorRows replaced, kept
+// as the reference the four-row groups must match bit for bit. It
+// factors rows [start, end) of c.l in place, rows before start already
+// factored.
+func refFactorRows(c *Cholesky, start, end int) (pivot int, d float64, ok bool) {
+	l := c.l
+	for i := start; i < end; i++ {
+		off := rowOff(i)
+		row := l[off : off+i+1]
+		j := 0
+		for ; j+4 <= i; j += 4 {
+			c0 := l[rowOff(j):]
+			c1 := l[rowOff(j+1):]
+			c2 := l[rowOff(j+2):]
+			c3 := l[rowOff(j+3):]
+			s0, s1, s2, s3 := simd.Dot4(row, c0, c1, c2, c3, j)
+			v0 := (row[j] - s0) / c0[j]
+			row[j] = v0
+			s1 += v0 * c1[j]
+			v1 := (row[j+1] - s1) / c1[j+1]
+			row[j+1] = v1
+			s2 += v0*c2[j] + v1*c2[j+1]
+			v2 := (row[j+2] - s2) / c2[j+2]
+			row[j+2] = v2
+			s3 += v0*c3[j] + v1*c3[j+1] + v2*c3[j+2]
+			row[j+3] = (row[j+3] - s3) / c3[j+3]
+		}
+		for ; j < i; j++ {
+			jo := rowOff(j)
+			lj := l[jo : jo+j+1]
+			row[j] = (row[j] - simd.DotUnroll(row[:j], lj[:j])) / lj[j]
+		}
+		diag := row[i] - simd.DotUnroll(row[:i], row[:i])
+		if diag <= 0 {
+			return i, diag, false
+		}
+		row[i] = math.Sqrt(diag)
 	}
-	var ws Cholesky
+	return 0, 0, true
+}
+
+// refSolveLInto is the row-at-a-time forward substitution SolveLInto
+// replaced, the reference for its four-row groups.
+func refSolveLInto(c *Cholesky, x, b []float64) {
+	for i := 0; i < c.n; i++ {
+		off := rowOff(i)
+		li := c.l[off : off+i+1]
+		x[i] = (b[i] - simd.DotUnroll(li[:i], x[:i])) / li[i]
+	}
+}
+
+// groupSizes and groupStarts cover every position of a row in its group
+// of four, groups cut short by n, and Extend starts at and off a group
+// boundary.
+var groupSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 33, 64, 127, 140, 141, 200, 215}
+
+func groupStarts(n int) []int {
+	var out []int
+	for _, s := range []int{0, 1, 2, 3, 5, n / 2, n - 1} {
+		if s < n && (len(out) == 0 || s > out[len(out)-1]) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// packedSPD returns the packed lower triangle of a random SPD matrix.
+func packedSPD(rng *rand.Rand, n int) []float64 {
+	a := randomSPD(rng, n)
+	p := make([]float64, PackedLen(n))
+	for i := 0; i < n; i++ {
+		copy(p[rowOff(i):rowOff(i)+i+1], a.Data[i*n:i*n+i+1])
+	}
+	return p
+}
+
+// sameFactor fails t unless got and want hold the same bits.
+func sameFactor(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, reference %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s: entry %d is %v (%#x), reference %v (%#x)",
+				what, k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+		}
+	}
+}
+
+// TestFactorRowsMatchesReference pins the grouped factorisation to the
+// row-at-a-time recurrence bit for bit: whole factorisations, and Extend
+// from every start in groupStarts on top of a prefix factored by the
+// reference.
+func TestFactorRowsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range groupSizes {
+		a := packedSPD(rng, n)
+		ref := &Cholesky{l: append([]float64(nil), a...)}
+		if _, _, ok := refFactorRows(ref, 0, n); !ok {
+			t.Fatalf("n=%d: reference factorisation failed", n)
+		}
+		for _, start := range groupStarts(n) {
+			got := &Cholesky{l: append([]float64(nil), ref.l[:rowOff(start)]...)}
+			got.l = append(got.l, a[rowOff(start):]...)
+			if piv, d, ok := got.factorRows(start, n); !ok {
+				t.Fatalf("n=%d start=%d: pivot %d failed at %v", n, start, piv, d)
+			}
+			sameFactor(t, fmt.Sprintf("n=%d start=%d", n, start), got.l, ref.l)
+		}
+	}
+}
+
+// TestFactorRowsNotPDMatchesReference makes the matrix non-positive-
+// definite at a row in every position of its group and checks that the
+// grouped factorisation stops at the same pivot with the same pivot value
+// as the reference, and leaves the rows before start as they were.
+func TestFactorRowsNotPDMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range groupSizes {
+		a := packedSPD(rng, n)
+		for _, start := range groupStarts(n) {
+			for bad := start; bad < min(start+5, n); bad++ {
+				b := append([]float64(nil), a...)
+				// The row's pivot is A_ii minus a sum of squares: a small
+				// A_ii makes it negative.
+				b[rowOff(bad)+bad] = 1e-3 * float64(bad)
+				ref := &Cholesky{l: append([]float64(nil), b...)}
+				if _, _, ok := refFactorRows(ref, 0, start); !ok {
+					t.Fatalf("n=%d start=%d: reference prefix failed", n, start)
+				}
+				prefix := append([]float64(nil), ref.l[:rowOff(start)]...)
+				got := &Cholesky{l: append([]float64(nil), ref.l...)}
+				wantPiv, wantD, wantOK := refFactorRows(ref, start, n)
+				piv, d, ok := got.factorRows(start, n)
+				what := fmt.Sprintf("n=%d start=%d bad=%d", n, start, bad)
+				if ok != wantOK || piv != wantPiv || math.Float64bits(d) != math.Float64bits(wantD) {
+					t.Fatalf("%s: factorRows = (%d, %v, %v), reference (%d, %v, %v)", what, piv, d, ok, wantPiv, wantD, wantOK)
+				}
+				sameFactor(t, what+" rows before start", got.l[:rowOff(start)], prefix)
+			}
+		}
+	}
+}
+
+// TestSolveLIntoMatchesReference pins the grouped forward substitution to
+// the row-at-a-time one bit for bit, into a separate x and with x aliasing
+// b.
+func TestSolveLIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range append([]int{0}, groupSizes...) {
+		ch := &Cholesky{l: packedSPD(rng, n), n: n}
+		if _, _, ok := ch.factorRows(0, n); !ok {
+			t.Fatalf("n=%d: factorisation failed", n)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3)
+		}
+		want := make([]float64, n)
+		refSolveLInto(ch, want, b)
+		got := make([]float64, n)
+		ch.SolveLInto(got, b)
+		sameFactor(t, fmt.Sprintf("n=%d", n), got, want)
+		alias := append([]float64(nil), b...)
+		ch.SolveLInto(alias, alias)
+		sameFactor(t, fmt.Sprintf("n=%d aliased", n), alias, want)
+	}
+}
+
+// factorSizes are the Gram sizes table3's campaigns factorise: 35, 74 and
+// 214 points, and the 140-point fit subsample (about half of all
+// factorisations), plus the 200 the benchmark ran at before.
+var factorSizes = []int{35, 74, 140, 200, 214}
+
+func BenchmarkFactorizePacked(b *testing.B) {
+	for _, n := range factorSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			packed := packedSPD(rand.New(rand.NewSource(12)), n)
+			var ws Cholesky
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ws.FactorizePacked(packed, n, 1e-8, 6); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExtendOneRow140 appends one row to a 140-row factor, the path
+// of every AddTarget.
+func BenchmarkExtendOneRow140(b *testing.B) {
+	const n = 140
+	a := packedSPD(rand.New(rand.NewSource(12)), n+1)
+	var ch Cholesky
+	if err := ch.FactorizePacked(a[:PackedLen(n)], n, 0, 0); err != nil {
+		b.Fatal(err)
+	}
+	ch.Reserve(n + 1)
+	rows := [][]float64{a[PackedLen(n):]}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ws.FactorizePacked(packed, 200, 1e-8, 6); err != nil {
+		if err := ch.Extend(rows); err != nil {
 			b.Fatal(err)
 		}
+		ch.reset(n)
+	}
+}
+
+// BenchmarkSolveInto140 is one A x = b solve against a 140-row factor.
+func BenchmarkSolveInto140(b *testing.B) {
+	const n = 140
+	rng := rand.New(rand.NewSource(12))
+	ch, err := NewCholesky(randomSPD(rng, n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	x := make([]float64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.SolveInto(x, rhs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -69,7 +70,8 @@ type BreakerOptions struct {
 	Threshold int
 	// RetryAfter is the open dwell before a half-open probe is admitted
 	// (default 1s). It doubles per consecutive failed probe up to
-	// 8×RetryAfter, then holds.
+	// 8×RetryAfter, then holds, and each dwell after a failed probe is
+	// offset by less than RetryAfter/2 (see dwellLocked).
 	RetryAfter time.Duration
 	// MaxOutage bounds one outage episode, measured from the trip that
 	// opened the breaker until it closes again (default 5m). Past it,
@@ -173,7 +175,14 @@ func (b *Breaker) tripLocked(now time.Time, reason string) {
 }
 
 // dwellLocked is the open dwell before the next probe: RetryAfter doubled
-// per failed probe, capped at 8×. Callers hold b.mu.
+// per failed probe, capped at 8×, and after the episode's k-th failed probe
+// offset by frac(k·φ)·RetryAfter/2, φ = (√5−1)/2. Dwells of whole multiples
+// of RetryAfter would land every probe at the phase of the trip in an
+// outage that recurs with a period dividing RetryAfter, so a licence
+// server down for the first half of every second kept every probe in a
+// down half until MaxOutage. The golden-ratio offsets move each probe's
+// phase on by a different amount, deterministically. The episode's first
+// dwell stays RetryAfter. Callers hold b.mu.
 func (b *Breaker) dwellLocked() time.Duration {
 	d := b.opt.RetryAfter
 	for i := 0; i < b.failedProbes && d < 8*b.opt.RetryAfter; i++ {
@@ -182,8 +191,15 @@ func (b *Breaker) dwellLocked() time.Duration {
 	if d > 8*b.opt.RetryAfter {
 		d = 8 * b.opt.RetryAfter
 	}
+	if b.failedProbes > 0 {
+		_, frac := math.Modf(float64(b.failedProbes) * invGolden)
+		d += time.Duration(frac * float64(b.opt.RetryAfter/2))
+	}
 	return d
 }
+
+// invGolden is φ = (√5−1)/2, whose multiples modulo 1 spread evenly.
+const invGolden = 0.6180339887498949
 
 // Acquire gates one evaluation attempt. Closed: passes immediately.
 // Open: pauses the caller (on the breaker's clock) until a half-open probe

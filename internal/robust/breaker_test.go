@@ -362,3 +362,43 @@ func TestBreakerDwellResetsAfterFullRecovery(t *testing.T) {
 		t.Fatalf("state after base dwell = %v, want half-open", b.State())
 	}
 }
+
+// TestBreakerProbesEscapePeriodicOutage runs a licence server that is down
+// for the first 500 ms of every second against RetryAfter 1 s. Open dwells
+// of whole seconds would land every probe at the phase of the trip, inside
+// the down half, until MaxOutage aborts the run. The breaker must instead
+// keep closing: each trip is followed by a probe in an up half, well
+// before the deadline.
+func TestBreakerProbesEscapePeriodicOutage(t *testing.T) {
+	origin := time.Unix(0, 0)
+	fc := clock.NewFake(origin)
+	b := NewBreaker(BreakerOptions{Threshold: 1, RetryAfter: time.Second, MaxOutage: 120 * time.Second, Clock: fc})
+	down := func() bool { return fc.Now().Sub(origin)%time.Second < 500*time.Millisecond }
+	const evalTime = 5 * time.Millisecond
+	fc.Advance(100 * time.Millisecond)
+	b.OnFailure(fakeOutage{}) // tripped at 100 ms, inside the first outage
+	probes, recoveries := 0, 0
+	for recoveries < 5 {
+		probing := b.State() != BreakerClosed
+		if err := b.Acquire(context.Background()); err != nil {
+			t.Fatalf("after %d probes and %d recoveries, at %v: %v", probes, recoveries, fc.Now().Sub(origin), err)
+		}
+		if probing {
+			probes++
+		}
+		failed := down()
+		fc.Advance(evalTime)
+		if failed {
+			b.OnFailure(fakeOutage{})
+			continue
+		}
+		if probing {
+			recoveries++
+		}
+		b.OnSuccess()
+	}
+	if elapsed := fc.Now().Sub(origin); elapsed > 2*time.Minute {
+		t.Fatalf("5 recoveries took %v", elapsed)
+	}
+	t.Logf("5 recoveries after %d probes, %v of virtual time", probes, fc.Now().Sub(origin))
+}

@@ -1,5 +1,5 @@
 // Package simd hosts the hand-vectorised kernels behind the GP hot path:
-// the fused multi-dot product that drives the packed Cholesky factorisation,
+// the fused multi-dot products that drive the packed Cholesky factorisation,
 // the RBF distance→covariance transforms that drive the cached Gram fill and
 // the kernel columns, and the batched dot products of the pool posterior.
 // On amd64 with AVX2+FMA (checked once at startup) they run in assembly;
@@ -15,7 +15,16 @@
 //   - DotUnroll4 and DotSelf4 return four DotUnroll results. They stay at 4
 //     lanes with a separate multiply and add: FMA would drop the product's
 //     rounding, and an 8-lane AVX-512 accumulator would change which
-//     products share a partial sum.
+//     products share a partial sum. DotUnrollLanes4 returns the four
+//     columns' stride-4 lane sums themselves, for callers that finish each
+//     DotUnroll with tail products they compute later.
+//   - Dot4x4 returns four Dot4 results, the sixteen dot products of four
+//     rows against four columns, bit for bit on each path. Its AVX-512
+//     kernel keeps 16 ZMM accumulators, one per (row, column) pair, whose
+//     low and high halves are exactly Dot4's even and odd YMM accumulators:
+//     the same FMA per lane, the 4-element step merge-masked to the low
+//     half, and Dot4's merge, reduce and scalar tail. Elsewhere it is four
+//     Dot4 calls.
 //   - RBFFromR2 and RBFARD return vr·math.Exp(−r²/2). Their exp is
 //     math.Exp's own amd64 FMA path run lane by lane, so FMA is allowed
 //     here: it is the rounding math.Exp itself performs, and the kernels run
@@ -87,6 +96,45 @@ func DotUnroll4(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 	}
 	return t0 + l[0] + l[1] + l[2] + l[3], t1 + l[4] + l[5] + l[6] + l[7],
 		t2 + l[8] + l[9] + l[10] + l[11], t3 + l[12] + l[13] + l[14] + l[15]
+}
+
+// DotUnrollLanes4 writes DotUnroll(a, b_c)'s four stride-4 lane sums
+// s0..s3, taken over the first len(a)&^3 elements, into lanes[4c:4c+4]
+// for c = 0..3. Each b_c must be at least as long as a. With t the sum of
+// the remaining products, added from zero in index order, DotUnroll(a, b_c)
+// is t + s0 + s1 + s2 + s3 bit for bit; callers whose tail products are
+// not known before the lanes are (a triangular recurrence's own row)
+// finish the sum themselves. On amd64 with AVX2 the lanes come from
+// DotUnroll4's kernel.
+//
+//ppalint:noalloc
+func DotUnrollLanes4(a, b0, b1, b2, b3 []float64, lanes *[16]float64) {
+	n := len(a)
+	if len(b0) < n || len(b1) < n || len(b2) < n || len(b3) < n {
+		panic("simd: DotUnrollLanes4 column shorter than a")
+	}
+	q := n &^ 3
+	if useAsm && q > 0 {
+		dotUnroll4Asm(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], q, lanes)
+		return
+	}
+	dotLanes(a[:q], b0, lanes[0:4])
+	dotLanes(a[:q], b1, lanes[4:8])
+	dotLanes(a[:q], b2, lanes[8:12])
+	dotLanes(a[:q], b3, lanes[12:16])
+}
+
+// dotLanes writes DotUnroll(a, b)'s four lane sums into l, for len(a) a
+// multiple of 4.
+func dotLanes(a, b, l []float64) {
+	var s0, s1, s2, s3 float64
+	for k := 0; k < len(a); k += 4 {
+		s0 += float64(a[k] * b[k])
+		s1 += float64(a[k+1] * b[k+1])
+		s2 += float64(a[k+2] * b[k+2])
+		s3 += float64(a[k+3] * b[k+3])
+	}
+	l[0], l[1], l[2], l[3] = s0, s1, s2, s3
 }
 
 // DotSelf4 returns DotUnroll(v0, v0) … DotUnroll(v3, v3), bit for bit, in
@@ -193,7 +241,8 @@ func rbfARDScalar(dst, sqd, inv2 []float64, vr float64, lo, hi int) {
 // Dot4 computes the four dot products p[:n]·q0[:n] … p[:n]·q3[:n] in one
 // pass. Sharing the p loads across four columns is what lifts a triangular
 // factorisation's inner loop from load-bound scalar speed to SIMD speed.
-// Every operand must hold at least n elements.
+// Every operand must hold at least n elements. Below 8 elements, and
+// without AVX2, the sums are DotUnroll's, from one DotUnroll4 call.
 func Dot4(p, q0, q1, q2, q3 []float64, n int) (s0, s1, s2, s3 float64) {
 	if len(p) < n || len(q0) < n || len(q1) < n || len(q2) < n || len(q3) < n {
 		panic("simd: Dot4 operand shorter than n")
@@ -201,6 +250,37 @@ func Dot4(p, q0, q1, q2, q3 []float64, n int) (s0, s1, s2, s3 float64) {
 	if useAsm && n >= 8 {
 		return dot4Asm(&p[0], &q0[0], &q1[0], &q2[0], &q3[0], n)
 	}
-	return DotUnroll(p[:n], q0[:n]), DotUnroll(p[:n], q1[:n]),
-		DotUnroll(p[:n], q2[:n]), DotUnroll(p[:n], q3[:n])
+	return DotUnroll4(p[:n], q0, q1, q2, q3)
+}
+
+// Dot4x4 sets out[4r+c] to the c-th result of Dot4(p_r, q0, q1, q2, q3, n)
+// for r = 0..3, bit for bit on every path: the sixteen dot products of
+// four rows against four columns, the block a four-row Cholesky group
+// needs per column block. Every operand must hold at least n elements. On
+// AVX-512 one pass loads each operand once for all sixteen sums. Its
+// sixteen ZMM accumulators hold dot4Asm's accumulators for one (row,
+// column) pair each: the even 4-element chunks in the low half, the odd
+// ones in the high half, with the same FMA per lane. The 4-element step
+// after the 8-element loop is masked to the low half, as dot4Asm adds it
+// to its even accumulators, and the merge, horizontal reduce and scalar
+// tail are dot4Asm's. Elsewhere it makes the four Dot4 calls.
+//
+//ppalint:noalloc
+func Dot4x4(p0, p1, p2, p3, q0, q1, q2, q3 []float64, n int, out *[16]float64) {
+	if len(p0) < n || len(p1) < n || len(p2) < n || len(p3) < n ||
+		len(q0) < n || len(q1) < n || len(q2) < n || len(q3) < n {
+		panic("simd: Dot4x4 operand shorter than n")
+	}
+	if n == 0 {
+		clear(out[:]) // Dot4 over no elements is +0
+		return
+	}
+	if useAVX512 && n >= 8 {
+		dot4x4x512(&p0[0], &p1[0], &p2[0], &p3[0], &q0[0], &q1[0], &q2[0], &q3[0], n, out)
+		return
+	}
+	out[0], out[1], out[2], out[3] = Dot4(p0, q0, q1, q2, q3, n)
+	out[4], out[5], out[6], out[7] = Dot4(p1, q0, q1, q2, q3, n)
+	out[8], out[9], out[10], out[11] = Dot4(p2, q0, q1, q2, q3, n)
+	out[12], out[13], out[14], out[15] = Dot4(p3, q0, q1, q2, q3, n)
 }

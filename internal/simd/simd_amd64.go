@@ -9,6 +9,13 @@ import "math"
 // from each pointer.
 func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64)
 
+// dot4x4x512 is the AVX-512 kernel in simd_amd64.s behind Dot4x4. It
+// writes dot4Asm(p_r, q0, q1, q2, q3, n)'s four sums to out[4r:4r+4] for
+// r = 0..3, bit for bit, reading exactly n entries from each pointer.
+//
+//go:noescape
+func dot4x4x512(p0, p1, p2, p3, q0, q1, q2, q3 *float64, n int, out *[16]float64)
+
 // dotUnroll4Asm is the AVX2 kernel in simd_amd64.s behind DotUnroll4. For
 // n a multiple of 4 it writes DotUnroll's four stride-4 lane sums s0..s3 of
 // a·b_c into lanes[4c:4c+4], each lane a VMULPD then VADDPD per step (never

@@ -463,3 +463,209 @@ ds4store:
 	VMOVUPD Y3, 96(DI)
 	VZEROUPPER
 	RET
+
+// D4X4SUM finishes one (row, column) sum of dot4x4x512 the way dot4Asm
+// finishes a column: the odd accumulator (high half of ZACC) is added to
+// the even one (low half), the upper pair to the lower, the two lanes to
+// each other, then the scalar tail XTAIL, and the result is stored at
+// OFF(R13). The operands keep dot4Asm's order. dot4Asm's VEX instructions
+// cannot address X16–X31, and VHADDPD has no EVEX form, so each step is an
+// AVX512F equivalent on the low lanes: VEXTRACTF64X4 plus a 512-bit VADDPD
+// for the merge, VEXTRACTF32X4 plus VADDPD for VEXTRACTF128 plus VADDPD,
+// and VUNPCKHPD plus VADDSD for VHADDPD.
+#define D4X4SUM(ZACC, XACC, XTAIL, OFF) \
+	VEXTRACTF64X4 $1, ZACC, Y16; \
+	VADDPD        Z16, ZACC, ZACC; \
+	VEXTRACTF32X4 $1, ZACC, X16; \
+	VADDPD        Z16, ZACC, ZACC; \
+	VUNPCKHPD     ZACC, ZACC, Z16; \
+	VADDSD        X16, XACC, XACC; \
+	VADDSD        XTAIL, XACC, XACC; \
+	VMOVSD        XACC, OFF(R13)
+
+// func dot4x4x512(p0, p1, p2, p3, q0, q1, q2, q3 *float64, n int, out *[16]float64)
+//
+// dot4Asm for four rows p0..p3 at once: out[4r+c] = p_r·q_c over n
+// elements. Z(4r+c) accumulates pair (r, c): its low half is dot4Asm's
+// even accumulator Y(c) for row r and its high half the odd one Y(c+4),
+// so one 512-bit FMA per pair and 8-element step does what dot4Asm's two
+// 256-bit FMAs do, with the same operands per lane. Each operand is loaded
+// once per step for all four pairs that use it. The 4-element step is
+// merge-masked (K1 = 0x0f) to the low half, dot4Asm's even accumulators;
+// its masked loads read only those four elements. The scalar tail runs in
+// two passes of eight accumulators, rows 0–1 then rows 2–3, each a
+// VFMADD231SD from zero in index order as in dot4Asm. Only AVX512F
+// instructions are used, matching the useAVX512 gate.
+TEXT ·dot4x4x512(SB), NOSPLIT, $0-80
+	MOVQ p0+0(FP), SI
+	MOVQ p1+8(FP), DI
+	MOVQ p2+16(FP), BX
+	MOVQ p3+24(FP), R12
+	MOVQ q0+32(FP), R8
+	MOVQ q1+40(FP), R9
+	MOVQ q2+48(FP), R10
+	MOVQ q3+56(FP), R11
+	MOVQ n+64(FP), CX
+	MOVQ out+72(FP), R13
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	XORQ AX, AX
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   d4x4quad
+
+d4x4loop8:
+	VMOVUPD (R8)(AX*1), Z16
+	VMOVUPD (R9)(AX*1), Z17
+	VMOVUPD (R10)(AX*1), Z18
+	VMOVUPD (R11)(AX*1), Z19
+	VMOVUPD (SI)(AX*1), Z20
+	VMOVUPD (DI)(AX*1), Z21
+	VMOVUPD (BX)(AX*1), Z22
+	VMOVUPD (R12)(AX*1), Z23
+	VFMADD231PD Z16, Z20, Z0
+	VFMADD231PD Z17, Z20, Z1
+	VFMADD231PD Z18, Z20, Z2
+	VFMADD231PD Z19, Z20, Z3
+	VFMADD231PD Z16, Z21, Z4
+	VFMADD231PD Z17, Z21, Z5
+	VFMADD231PD Z18, Z21, Z6
+	VFMADD231PD Z19, Z21, Z7
+	VFMADD231PD Z16, Z22, Z8
+	VFMADD231PD Z17, Z22, Z9
+	VFMADD231PD Z18, Z22, Z10
+	VFMADD231PD Z19, Z22, Z11
+	VFMADD231PD Z16, Z23, Z12
+	VFMADD231PD Z17, Z23, Z13
+	VFMADD231PD Z18, Z23, Z14
+	VFMADD231PD Z19, Z23, Z15
+	ADDQ $64, AX
+	DECQ DX
+	JNZ  d4x4loop8
+
+d4x4quad:
+	TESTQ $4, CX
+	JZ    d4x4tails
+	MOVQ  $0x0f, DX
+	KMOVW DX, K1
+	VMOVUPD.Z (R8)(AX*1), K1, Z16
+	VMOVUPD.Z (R9)(AX*1), K1, Z17
+	VMOVUPD.Z (R10)(AX*1), K1, Z18
+	VMOVUPD.Z (R11)(AX*1), K1, Z19
+	VMOVUPD.Z (SI)(AX*1), K1, Z20
+	VMOVUPD.Z (DI)(AX*1), K1, Z21
+	VMOVUPD.Z (BX)(AX*1), K1, Z22
+	VMOVUPD.Z (R12)(AX*1), K1, Z23
+	VFMADD231PD Z16, Z20, K1, Z0
+	VFMADD231PD Z17, Z20, K1, Z1
+	VFMADD231PD Z18, Z20, K1, Z2
+	VFMADD231PD Z19, Z20, K1, Z3
+	VFMADD231PD Z16, Z21, K1, Z4
+	VFMADD231PD Z17, Z21, K1, Z5
+	VFMADD231PD Z18, Z21, K1, Z6
+	VFMADD231PD Z19, Z21, K1, Z7
+	VFMADD231PD Z16, Z22, K1, Z8
+	VFMADD231PD Z17, Z22, K1, Z9
+	VFMADD231PD Z18, Z22, K1, Z10
+	VFMADD231PD Z19, Z22, K1, Z11
+	VFMADD231PD Z16, Z23, K1, Z12
+	VFMADD231PD Z17, Z23, K1, Z13
+	VFMADD231PD Z18, Z23, K1, Z14
+	VFMADD231PD Z19, Z23, K1, Z15
+
+d4x4tails:
+	// AX = 8·(n &^ 3) is the tail's byte offset, CX its length.
+	MOVQ CX, AX
+	ANDQ $-4, AX
+	SHLQ $3, AX
+	ANDQ $3, CX
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	MOVQ CX, DX
+	TESTQ DX, DX
+	JZ    d4x4sumA
+
+d4x4tailA:
+	VMOVSD (SI)(AX*1), X16
+	VMOVSD (DI)(AX*1), X17
+	VFMADD231SD (R8)(AX*1), X16, X24
+	VFMADD231SD (R9)(AX*1), X16, X25
+	VFMADD231SD (R10)(AX*1), X16, X26
+	VFMADD231SD (R11)(AX*1), X16, X27
+	VFMADD231SD (R8)(AX*1), X17, X28
+	VFMADD231SD (R9)(AX*1), X17, X29
+	VFMADD231SD (R10)(AX*1), X17, X30
+	VFMADD231SD (R11)(AX*1), X17, X31
+	ADDQ $8, AX
+	DECQ DX
+	JNZ  d4x4tailA
+
+d4x4sumA:
+	D4X4SUM(Z0, X0, X24, 0)
+	D4X4SUM(Z1, X1, X25, 8)
+	D4X4SUM(Z2, X2, X26, 16)
+	D4X4SUM(Z3, X3, X27, 24)
+	D4X4SUM(Z4, X4, X28, 32)
+	D4X4SUM(Z5, X5, X29, 40)
+	D4X4SUM(Z6, X6, X30, 48)
+	D4X4SUM(Z7, X7, X31, 56)
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	MOVQ n+64(FP), AX
+	ANDQ $-4, AX
+	SHLQ $3, AX
+	TESTQ CX, CX
+	JZ    d4x4sumB
+
+d4x4tailB:
+	VMOVSD (BX)(AX*1), X16
+	VMOVSD (R12)(AX*1), X17
+	VFMADD231SD (R8)(AX*1), X16, X24
+	VFMADD231SD (R9)(AX*1), X16, X25
+	VFMADD231SD (R10)(AX*1), X16, X26
+	VFMADD231SD (R11)(AX*1), X16, X27
+	VFMADD231SD (R8)(AX*1), X17, X28
+	VFMADD231SD (R9)(AX*1), X17, X29
+	VFMADD231SD (R10)(AX*1), X17, X30
+	VFMADD231SD (R11)(AX*1), X17, X31
+	ADDQ $8, AX
+	DECQ CX
+	JNZ  d4x4tailB
+
+d4x4sumB:
+	D4X4SUM(Z8, X8, X24, 64)
+	D4X4SUM(Z9, X9, X25, 72)
+	D4X4SUM(Z10, X10, X26, 80)
+	D4X4SUM(Z11, X11, X27, 88)
+	D4X4SUM(Z12, X12, X28, 96)
+	D4X4SUM(Z13, X13, X29, 104)
+	D4X4SUM(Z14, X14, X30, 112)
+	D4X4SUM(Z15, X15, X31, 120)
+	VZEROUPPER
+	RET

@@ -23,6 +23,8 @@ func TestKernelsAcrossPaths(t *testing.T) {
 			useAsm, useAVX512, useExp = asm, avx512, asm && saveExp
 			testDot4EdgeLengths(t)
 			testDotUnroll4Bitwise(t)
+			testDotUnrollLanes4Bitwise(t)
+			testDot4x4MatchesDot4(t)
 			testDotSelf4Bitwise(t)
 			testRBFFromR2Bitwise(t)
 			testRBFARDBitwise(t)

@@ -68,6 +68,10 @@ func testDot4EdgeLengths(t *testing.T) {
 			if diff := math.Abs(got[k] - want); diff > 1e-12*(1+math.Abs(want)) {
 				t.Fatalf("n=%d col=%d: got %g want %g (diff %g)", n, k, got[k], want, diff)
 			}
+			// Below 8 elements every path returns DotUnroll itself.
+			if n < 8 && !sameBits(got[k], DotUnroll(p, qs[k])) {
+				t.Fatalf("n=%d col=%d: got %v, DotUnroll %v", n, k, got[k], DotUnroll(p, qs[k]))
+			}
 		}
 	}
 	// An operand shorter than n is a caller bug on every path, not a read
@@ -137,6 +141,120 @@ func testDotUnroll4Bitwise(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDotUnrollLanes4Bitwise pins the lane sums: finished with the tail
+// products added from zero in index order, as DotUnroll adds them, each
+// column's lanes give DotUnroll(a, b_c) bit for bit, at every length 0–70.
+func TestDotUnrollLanes4Bitwise(t *testing.T) { testDotUnrollLanes4Bitwise(t) }
+
+func testDotUnrollLanes4Bitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for n := 0; n <= 70; n++ {
+		a := make([]float64, n)
+		for k := range a {
+			a[k] = wildFloat(rng)
+		}
+		var bs [4][]float64
+		for c := range bs {
+			bs[c] = make([]float64, n+c%2)
+			for k := range bs[c] {
+				bs[c][k] = wildFloat(rng)
+			}
+		}
+		var l [16]float64
+		for k := range l {
+			l[k] = math.NaN() // every lane must be written
+		}
+		DotUnrollLanes4(a, bs[0], bs[1], bs[2], bs[3], &l)
+		for c, b := range bs {
+			var s float64
+			for k := n &^ 3; k < n; k++ {
+				s += float64(a[k] * b[k])
+			}
+			got := s + l[4*c] + l[4*c+1] + l[4*c+2] + l[4*c+3]
+			if want := DotUnroll(a, b); !sameBits(got, want) {
+				t.Fatalf("n=%d col=%d: lanes give %v, DotUnroll %v", n, c, got, want)
+			}
+		}
+	}
+}
+
+// TestDot4x4MatchesDot4 pins the sixteen-sum block to four Dot4 calls bit
+// for bit at every n in 0–300, so every 8-element loop count, the masked
+// 4-element step and every 0–3 tail are covered. Operands run past n
+// with NaN, which any read beyond n would carry into a sum. One trial per
+// n draws every operand from ±0, so the signs of zero sums are checked
+// too.
+func TestDot4x4MatchesDot4(t *testing.T) { testDot4x4MatchesDot4(t) }
+
+func testDot4x4MatchesDot4(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for n := 0; n <= 300; n++ {
+		for trial := 0; trial < 3; trial++ {
+			var ops [8][]float64
+			for o := range ops {
+				ops[o] = make([]float64, n+1+o%3)
+				for k := range ops[o] {
+					switch {
+					case k >= n:
+						ops[o][k] = math.NaN()
+					case trial == 2:
+						ops[o][k] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+					default:
+						ops[o][k] = wildFloat(rng)
+					}
+				}
+			}
+			p, q := ops[:4], ops[4:]
+			var got [16]float64
+			Dot4x4(p[0], p[1], p[2], p[3], q[0], q[1], q[2], q[3], n, &got)
+			for r := range p {
+				var want [4]float64
+				want[0], want[1], want[2], want[3] = Dot4(p[r], q[0], q[1], q[2], q[3], n)
+				for c := range want {
+					if g := got[4*r+c]; !sameBits(g, want[c]) {
+						t.Fatalf("n=%d trial=%d row=%d col=%d: Dot4x4 %v (%#x), Dot4 %v (%#x)",
+							n, trial, r, c, g, math.Float64bits(g), want[c], math.Float64bits(want[c]))
+					}
+				}
+			}
+		}
+	}
+	// An operand shorter than n is a caller bug on every path.
+	ok := make([]float64, 16)
+	for o := 0; o < 8; o++ {
+		var ops [8][]float64
+		for k := range ops {
+			ops[k] = ok
+		}
+		ops[o] = ok[:15]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Dot4x4 with operand %d of length 15 and n=16 did not panic", o)
+				}
+			}()
+			var out [16]float64
+			Dot4x4(ops[0], ops[1], ops[2], ops[3], ops[4], ops[5], ops[6], ops[7], 16, &out)
+		}()
+	}
+}
+
+// TestDot4x4NoAlloc backs the //ppalint:noalloc annotations of Dot4x4 and
+// DotUnrollLanes4.
+func TestDot4x4NoAlloc(t *testing.T) {
+	a := make([]float64, 67)
+	for k := range a {
+		a[k] = float64(k)
+	}
+	var out, lanes [16]float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		Dot4x4(a, a, a, a, a, a, a, a, len(a), &out)
+		DotUnrollLanes4(a, a, a, a, a, &lanes)
+	}); allocs != 0 {
+		t.Fatalf("Dot4x4 and DotUnrollLanes4 allocate %v times per call", allocs)
 	}
 }
 
