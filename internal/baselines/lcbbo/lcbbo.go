@@ -106,6 +106,10 @@ func Run(pool [][]float64, eval func(int) ([]float64, error), opt Options) (*Res
 		if err := g.SetTarget(xs, ys); err != nil {
 			return nil, err
 		}
+		// Size the posterior and pool caches for the whole campaign, so
+		// AddTarget appends in place instead of regrowing the pool's
+		// columns and copying the Cholesky factor at every observation.
+		g.ReserveAdds(opt.Budget - init)
 		if err := g.Fit(gp.FitOptions{MaxEvals: 120, Subsample: 120}); err != nil {
 			return nil, fmt.Errorf("lcbbo: initial fit: %w", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -38,6 +39,19 @@ func pinPool() [][]float64 {
 	return pool
 }
 
+// quantise snaps knobs 1, 2 and 4 of x to 2, 3 and 16 evenly spaced levels
+// in [0, 1], the way enum, bool and integer knobs normalise, so those
+// features repeat values and the trees' split scans meet ties.
+func quantise(x []float64) []float64 {
+	for _, q := range [...]struct {
+		d      int
+		levels float64
+	}{{1, 2}, {2, 3}, {4, 16}} {
+		x[q.d] = math.Min(math.Floor(x[q.d]*q.levels), q.levels-1) / (q.levels - 1)
+	}
+	return x
+}
+
 // pinDigest hashes EvaluatedIdx ‖ ParetoIdx.
 func pinDigest(evaluated, front []int) string {
 	h := sha256.New()
@@ -53,7 +67,9 @@ func pinDigest(evaluated, front []int) string {
 
 // outputPins holds SHA-256(EvaluatedIdx ‖ ParetoIdx) per run, recorded
 // from the version that re-predicted the whole pool at every step; the
-// per-retrain prediction caches must reproduce every one.
+// per-retrain prediction caches must reproduce every one. The fist-q
+// (quantised pool) digests were recorded from the tree grower that sorted
+// every feature at every node with sort.Slice, at GOAMD64 v1 and v3 alike.
 var outputPins = map[string]string{
 	"fist/m2/seed1":   "9e6f40fb980fe7c7e738027bae97d4a522c962397d4ce2724ac995eeaeac73ca",
 	"fist/m2/seed2":   "35f5dedf95466efd1b9aa4ece46b31d3f1ff63871ff21fac527c17e70acc8f97",
@@ -71,6 +87,22 @@ var outputPins = map[string]string{
 	"fist/m3/seed6":   "c4571d60773f7bf87c129e61d342aed8e2d1f8255f69256287f0dc5d5a301ac2",
 	"fist/m3/seed7":   "de69af2e322aaa0d25b9ab59863bed2c94f8d2a232f9e5275a011017bd815cc8",
 	"fist/m3/seed8":   "36017d96e6a0b1f98d10bda9f67c72d6ad3df9f5be7498427d2dc2af909f7170",
+	"fist-q/m2/seed1": "d91f5bc24a85548a39f27b5c5d30117af73d8657fa191a8668a595a99aeff282",
+	"fist-q/m2/seed2": "242a8a42b222cff815444f6702ca58f0bc67e59a8e8f081527868675b71cad68",
+	"fist-q/m2/seed3": "efc8abef89accb7c04de0729cb2237d52e6ec53651a16a8a1aea69f6a725c955",
+	"fist-q/m2/seed4": "91d2327d1e154d67756216a1b6ab690e165dc116f8e46058649c0258740ff8dd",
+	"fist-q/m2/seed5": "79117317b36857bd53bc63608e330e87a5739681902ae0f238a37ee529e3b6bc",
+	"fist-q/m2/seed6": "78779fda4d3ded201267de55eb67c23e7289537f8bac9ced45954efb2d0087e1",
+	"fist-q/m2/seed7": "2a9d792fa403ca791f12c0cd80365307ae294fc1d76ca45d117867c6177ff195",
+	"fist-q/m2/seed8": "919620d620c26f5c722208b06071ac34fd2d5ced7328940083d985f74cee640c",
+	"fist-q/m3/seed1": "67360b9eb941c4380618701efb600c48b9458b01d7cf8f52720335907c34b434",
+	"fist-q/m3/seed2": "4c649743c5ab708d3bf67e8b20cf3b3c3071b0535b3554cb324c6c6e5d8a03bb",
+	"fist-q/m3/seed3": "2228c48e868b3f362e6c9591124118738335ea5b9b9e05de93311fdaa9edf726",
+	"fist-q/m3/seed4": "965a39434736ea998085665906cf739850e7d21dbad63b4a2f47c4293cacf63f",
+	"fist-q/m3/seed5": "214ab0d6f03c2918d5e7833dda382fa883e5de00e98e2b89307a68be0029b79e",
+	"fist-q/m3/seed6": "8d30649f8df0cba0f46ad33aee5eda21397b837126edcff33127db654e83c339",
+	"fist-q/m3/seed7": "baa61af8a016fdd74e16c00766a51eed014ba91eba1c9bec9318eb474f64a894",
+	"fist-q/m3/seed8": "fb473191682a449dd72d9fcf56dadb553f8bac5bbae172c3576b354acba42e13",
 	"recsys/m2/seed1": "110d6e81dbb3afd803f2e5e6992704ae294ee82b817f19bbec2cece21693a2ca",
 	"recsys/m2/seed2": "1cf2256292d1fd1c5050d1293db335b60b590ba03c6ae9a74deecb86764db979",
 	"recsys/m2/seed3": "d8e2d12ac01aa100a3c2c3c46d6639073218656c6265adf6edbe5ad75b5c7856",
@@ -97,16 +129,28 @@ var outputPins = map[string]string{
 // seeds (importance from the source, as eval wires it) and none on even
 // seeds (importance learned at the first refit).
 //
+// Every pool and source feature above is continuous, so no split scan sees
+// a tie. The fist-q runs repeat the FIST runs on a pool whose knobs
+// 1, 2 and 4 take 2, 3 and 16 levels (quantise), so the trees' split scans
+// sum tied values in the sort's order, and a grower that breaks ties by
+// index moves two of their digests.
+//
 // Any change to the models' floating-point operations, to the RNG draws or
 // to which predictions a sweep reads moves these digests.
 func TestBaselineOutputPins(t *testing.T) {
 	pool := pinPool()
+	qpool := pinPool()
+	for _, x := range qpool {
+		quantise(x)
+	}
 	got := map[string]string{}
 	for _, m := range []int{2, 3} {
 		evalm := func(i int) ([]float64, error) { return pinObj(pool[i], m), nil }
+		evalq := func(i int) ([]float64, error) { return pinObj(qpool[i], m), nil }
 		srcRng := rand.New(rand.NewSource(41))
-		var srcX [][]float64
+		var srcX, srcQX [][]float64
 		srcY := make([][]float64, m)
+		srcQY := make([][]float64, m)
 		for i := 0; i < 150; i++ {
 			x := make([]float64, 6)
 			for d := range x {
@@ -115,6 +159,11 @@ func TestBaselineOutputPins(t *testing.T) {
 			srcX = append(srcX, x)
 			for k, v := range pinObj(x, m) {
 				srcY[k] = append(srcY[k], v)
+			}
+			qx := quantise(slices.Clone(x))
+			srcQX = append(srcQX, qx)
+			for k, v := range pinObj(qx, m) {
+				srcQY[k] = append(srcQY[k], v)
 			}
 		}
 		for seed := int64(1); seed <= 8; seed++ {
@@ -132,6 +181,15 @@ func TestBaselineOutputPins(t *testing.T) {
 				t.Fatal(err)
 			}
 			got[fmt.Sprintf("fist/m%d/seed%d", m, seed)] = pinDigest(fr.EvaluatedIdx, fr.ParetoIdx)
+			fq := fist.Options{NumObjectives: m, Budget: 90, Rng: rand.New(rand.NewSource(seed))}
+			if seed%2 == 1 {
+				fq.SourceX, fq.SourceY = srcQX, srcQY
+			}
+			fr, err = fist.Run(qpool, evalq, fq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[fmt.Sprintf("fist-q/m%d/seed%d", m, seed)] = pinDigest(fr.EvaluatedIdx, fr.ParetoIdx)
 		}
 	}
 	for _, k := range sortedKeys(got) {

@@ -20,12 +20,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"ppatuner/internal/gp"
@@ -595,7 +596,7 @@ func (t *Tuner) decide() {
 // non-dominated (minimal). It sorts by coordinate sum, ties broken by index,
 // so each point only needs testing against the skyline found so far. Each
 // sum is stored beside its index in the sorted slice, so the comparator
-// does no lookups.
+// does no lookups, and the typed slices.SortFunc makes no reflective swaps.
 func skyline(idx []int, corner [][]float64) []int {
 	type keyed struct {
 		sum float64
@@ -609,11 +610,14 @@ func skyline(idx []int, corner [][]float64) []int {
 		}
 		order[k] = keyed{s, i}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].sum != order[b].sum {
-			return order[a].sum < order[b].sum
+	slices.SortFunc(order, func(a, b keyed) int {
+		switch {
+		case a.sum < b.sum:
+			return -1
+		case a.sum != b.sum:
+			return 1
 		}
-		return order[a].i < order[b].i
+		return cmp.Compare(a.i, b.i)
 	})
 	var nd []int
 	for _, o := range order {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ppatuner/internal/mat"
 	"ppatuner/internal/par"
@@ -67,8 +68,9 @@ type GP struct {
 
 // ReserveAdds declares how many future AddTarget observations the posterior
 // should make room for. The next Rebuild (and every pool-cache build) then
-// preallocates Cholesky and per-candidate cache capacity so the incremental
-// updates of a whole tuning campaign append in place.
+// preallocates Cholesky, target-set and per-candidate cache capacity so the
+// incremental updates of a whole tuning campaign append in place: with one
+// worker, AddTarget then allocates nothing.
 func (g *GP) ReserveAdds(n int) {
 	if n > 0 {
 		g.growth = n
@@ -331,6 +333,15 @@ func (g *GP) Rebuild() error {
 	}
 	g.alpha = g.alpha[:n]
 	g.chol.SolveInto(g.alpha, g.yBuf)
+	// The target set and Extend's row buffer get the same headroom, so
+	// AddTarget allocates nothing within the reserve.
+	if g.growth > 0 {
+		g.xt = slices.Grow(g.xt, g.growth)
+		g.yt = slices.Grow(g.yt, g.growth)
+		if cap(g.rowBuf) < n+1 {
+			g.rowBuf = make([]float64, 0, n+1+g.growth)
+		}
+	}
 	if g.pool != nil {
 		g.rebuildPool()
 	}
@@ -373,31 +384,41 @@ func (g *GP) AddTarget(x []float64, y float64) error {
 	g.chol.SolveInto(g.alpha, g.yBuf)
 
 	// Extend the pool cache with one entry per candidate, sharded like
-	// rebuildPool and four candidates per pass over the new row of L.
-	// AttachPool sized the per-candidate columns with ReserveAdds headroom,
-	// so these appends stay in place for a whole campaign.
+	// rebuildPool. AttachPool sized the per-candidate columns with
+	// ReserveAdds headroom, so these appends stay in place for a whole
+	// campaign. A single worker calls extendPools directly: the closure
+	// par.Do takes would escape to the heap on every add.
 	if g.pool != nil {
 		ln := g.chol.LRow(n)
-		par.Do(g.workers, len(g.pool), func(lo, hi int) {
-			p := lo
-			for ; p+4 <= hi; p += 4 {
-				d0, d1, d2, d3 := simd.DotUnroll4(ln[:n], g.poolV[p], g.poolV[p+1], g.poolV[p+2], g.poolV[p+3])
-				var kp [4]float64
-				for c := range kp {
-					kp[c] = g.cov.r2(x, g.pool[p+c])
-				}
-				g.cov.fromR2(kp[:])
-				g.extendPool(p, ln, kp[0], d0)
-				g.extendPool(p+1, ln, kp[1], d1)
-				g.extendPool(p+2, ln, kp[2], d2)
-				g.extendPool(p+3, ln, kp[3], d3)
-			}
-			for ; p < hi; p++ {
-				g.extendPool(p, ln, g.cov.Eval(x, g.pool[p]), mat.Dot(ln[:n], g.poolV[p]))
-			}
-		})
+		if g.workers <= 1 {
+			g.extendPools(x, ln, 0, len(g.pool))
+		} else {
+			par.Do(g.workers, len(g.pool), func(lo, hi int) { g.extendPools(x, ln, lo, hi) })
+		}
 	}
 	return nil
+}
+
+// extendPools extends candidates [lo, hi) of the pool cache with the new
+// training point x, four candidates per pass over ln, the new row of L.
+func (g *GP) extendPools(x, ln []float64, lo, hi int) {
+	n := len(ln) - 1
+	p := lo
+	for ; p+4 <= hi; p += 4 {
+		d0, d1, d2, d3 := simd.DotUnroll4(ln[:n], g.poolV[p], g.poolV[p+1], g.poolV[p+2], g.poolV[p+3])
+		var kp [4]float64
+		for c := range kp {
+			kp[c] = g.cov.r2(x, g.pool[p+c])
+		}
+		g.cov.fromR2(kp[:])
+		g.extendPool(p, ln, kp[0], d0)
+		g.extendPool(p+1, ln, kp[1], d1)
+		g.extendPool(p+2, ln, kp[2], d2)
+		g.extendPool(p+3, ln, kp[3], d3)
+	}
+	for ; p < hi; p++ {
+		g.extendPool(p, ln, g.cov.Eval(x, g.pool[p]), mat.Dot(ln[:n], g.poolV[p]))
+	}
 }
 
 // extendPool appends the new training point's entries to candidate p's

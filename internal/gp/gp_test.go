@@ -544,3 +544,46 @@ func TestSubsampledNoopWhenSmall(t *testing.T) {
 		t.Error("subsampled(0) must return the receiver unchanged")
 	}
 }
+
+// TestAddTargetWithinReserveAllocatesNothing: a GP told ReserveAdds(k)
+// before its posterior is built, with a pool attached, makes k AddTarget
+// calls without one allocation. Without the reserve, every add regrows the
+// pool's per-candidate columns and copies the Cholesky factor.
+func TestAddTargetWithinReserveAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	x, y := trainSet(rng, 20, fTest)
+	pool, _ := trainSet(rng, 50, fTest)
+	const k = 16
+	xn, yn := trainSet(rng, k, fTest)
+	g := New(RBF, 2, false)
+	if err := g.SetTarget(x, y); err != nil {
+		t.Fatal(err)
+	}
+	g.ReserveAdds(k)
+	if err := g.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AttachPool(pool); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls the function once before it counts; that call adds
+	// nothing, so the counted call makes all k adds.
+	warm := true
+	allocs := testing.AllocsPerRun(1, func() {
+		if warm {
+			warm = false
+			return
+		}
+		for i := range xn {
+			if err := g.AddTarget(xn[i], yn[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if g.NTarget() != len(x)+k {
+		t.Fatalf("%d target points after %d adds, want %d", g.NTarget(), k, len(x)+k)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d AddTarget calls within ReserveAdds(%d) allocated %v times, want 0", k, k, allocs)
+	}
+}

@@ -7,7 +7,7 @@ package tree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Node is one node of a regression tree.
@@ -58,13 +58,7 @@ func FitTree(x [][]float64, y []float64, opt TreeOptions) (*Tree, error) {
 		opt.NumFeatures = len(x[0])
 	}
 	opt.setDefaults()
-	t := &Tree{Importance: make([]float64, opt.NumFeatures)}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.Root = t.grow(x, y, idx, opt, 0)
-	return t, nil
+	return newGrower(x, opt).fit(y), nil
 }
 
 func mean(y []float64, idx []int) float64 {
@@ -85,7 +79,129 @@ func sse(y []float64, idx []int) float64 {
 	return s
 }
 
-func (t *Tree) grow(x [][]float64, y []float64, idx []int, opt TreeOptions, depth int) *Node {
+// pair is one sample's value of the feature being ordered, and its index.
+type pair struct {
+	v float64
+	i int
+}
+
+// byValue orders pairs by value alone, negative exactly where a.v < b.v.
+// slices.SortFunc and sort.Slice run the same pdqsort, which tests only
+// that sign, so byValue leaves tied values in the order sort.Slice leaves
+// them in under the less function a.v < b.v.
+func byValue(a, b pair) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
+}
+
+// grower grows every tree of one fit over the inputs x. Each node owns a
+// range [lo, hi) of members, its samples in ascending index order, and a
+// split partitions that range stably in place, so mean, sse and every
+// per-node sort see the members in index order.
+//
+// A split scan's prefix sums add tied values in the order the sort left
+// them, so a node's order of each feature must be the one sort.Slice gives
+// over the node's members in index order. Each feature's root order is
+// sorted once per fit. A feature that repeats no value has exactly one
+// sorted order over any node, so it keeps a list whose node ranges every
+// split partitions stably. A feature that repeats a value is sorted again
+// at every node below the root, which keeps pdqsort's unstable tie order.
+type grower struct {
+	x   [][]float64
+	opt TreeOptions
+	// root[f] is feature f's (value, index) pairs over all samples, sorted
+	// by byValue from index order.
+	root [][]pair
+	// sorted[f], for a feature f that repeats no value, holds node
+	// [lo, hi)'s order of f in sorted[f][lo:hi]; nil for the others.
+	sorted [][]pair
+
+	// Per-tree state and scratch, allocated once per fit.
+	y       []float64
+	members []int
+	left    []bool // left[i]: sample i goes to the left child of the split
+	spill   []int
+	pairs   []pair
+}
+
+func newGrower(x [][]float64, opt TreeOptions) *grower {
+	n, d := len(x), opt.NumFeatures
+	g := &grower{
+		x:       x,
+		opt:     opt,
+		root:    make([][]pair, d),
+		sorted:  make([][]pair, d),
+		members: make([]int, n),
+		left:    make([]bool, n),
+		spill:   make([]int, n),
+		pairs:   make([]pair, n),
+	}
+	for f := range g.root {
+		r := make([]pair, n)
+		for i, xi := range x {
+			r[i] = pair{xi[f], i}
+		}
+		slices.SortFunc(r, byValue)
+		g.root[f] = r
+		unique := true
+		for k := 1; k < n && unique; k++ {
+			unique = r[k-1].v < r[k].v
+		}
+		if unique {
+			g.sorted[f] = make([]pair, n)
+		}
+	}
+	return g
+}
+
+// fit grows one tree on targets y (one per input).
+func (g *grower) fit(y []float64) *Tree {
+	t := &Tree{Importance: make([]float64, g.opt.NumFeatures)}
+	g.y = y
+	for i := range g.members {
+		g.members[i] = i
+	}
+	for f, s := range g.sorted {
+		if s != nil {
+			copy(s, g.root[f])
+		}
+	}
+	t.Root = g.grow(t, 0, len(g.members), 0)
+	return t
+}
+
+// order returns node [lo, hi)'s (value, index) pairs of feature f in the
+// order sort.Slice gives them over the node's members in index order, or
+// nil when f is constant over the node and so offers no threshold.
+func (g *grower) order(f, lo, hi int) []pair {
+	switch {
+	case g.sorted[f] != nil:
+		return g.sorted[f][lo:hi]
+	case hi-lo == len(g.members):
+		return g.root[f]
+	}
+	ps := g.pairs[:0]
+	first := g.x[g.members[lo]][f]
+	varied := false
+	for _, i := range g.members[lo:hi] {
+		v := g.x[i][f]
+		varied = varied || v != first
+		ps = append(ps, pair{v, i})
+	}
+	if !varied {
+		return nil
+	}
+	slices.SortFunc(ps, byValue)
+	return ps
+}
+
+func (g *grower) grow(t *Tree, lo, hi, depth int) *Node {
+	y, idx, opt := g.y, g.members[lo:hi], &g.opt
 	node := &Node{Value: mean(y, idx), Feature: -1}
 	if depth >= opt.MaxDepth || len(idx) < opt.MinSamples {
 		return node
@@ -96,28 +212,29 @@ func (t *Tree) grow(x [][]float64, y []float64, idx []int, opt TreeOptions, dept
 	}
 	bestGain := opt.MinGain
 	bestF, bestThr := -1, 0.0
-	order := make([]int, len(idx))
 	for f := 0; f < opt.NumFeatures; f++ {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
+		order := g.order(f, lo, hi)
+		if order == nil {
+			continue
+		}
 		// Prefix sums over the sorted order for O(n) split evaluation.
 		var sumL, sumSqL float64
 		var sumR, sumSqR float64
-		for _, i := range order {
-			sumR += y[i]
-			sumSqR += y[i] * y[i]
+		for _, p := range order {
+			sumR += y[p.i]
+			sumSqR += y[p.i] * y[p.i]
 		}
 		nL := 0
 		nR := len(order)
 		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
+			i := order[k].i
 			sumL += y[i]
 			sumSqL += y[i] * y[i]
 			sumR -= y[i]
 			sumSqR -= y[i] * y[i]
 			nL++
 			nR--
-			if x[order[k]][f] == x[order[k+1]][f] {
+			if order[k].v == order[k+1].v {
 				continue // no valid threshold between equal values
 			}
 			sseL := sumSqL - sumL*sumL/float64(nL)
@@ -126,30 +243,68 @@ func (t *Tree) grow(x [][]float64, y []float64, idx []int, opt TreeOptions, dept
 			if gain > bestGain {
 				bestGain = gain
 				bestF = f
-				bestThr = (x[order[k]][f] + x[order[k+1]][f]) / 2
+				bestThr = (order[k].v + order[k+1].v) / 2
 			}
 		}
 	}
 	if bestF < 0 {
 		return node
 	}
-	var left, right []int
-	for _, i := range idx {
-		if x[i][bestF] <= bestThr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
+	mid := g.split(lo, hi, bestF, bestThr)
+	if mid == lo || mid == hi {
 		return node
 	}
 	t.Importance[bestF] += bestGain
 	node.Feature = bestF
 	node.Threshold = bestThr
-	node.Left = t.grow(x, y, left, opt, depth+1)
-	node.Right = t.grow(x, y, right, opt, depth+1)
+	node.Left = g.grow(t, lo, mid, depth+1)
+	node.Right = g.grow(t, mid, hi, depth+1)
 	return node
+}
+
+// split sends node [lo, hi)'s members with x[f] <= thr to [lo, mid) and
+// the rest to [mid, hi), both in their previous order, and partitions every
+// sorted list the same way. It returns mid, and leaves everything in place
+// when one side would be empty.
+func (g *grower) split(lo, hi, f int, thr float64) (mid int) {
+	mid = lo
+	for _, i := range g.members[lo:hi] {
+		g.left[i] = g.x[i][f] <= thr
+		if g.left[i] {
+			mid++
+		}
+	}
+	if mid == lo || mid == hi {
+		return mid
+	}
+	l, r := lo, 0
+	for _, i := range g.members[lo:hi] {
+		if g.left[i] {
+			g.members[l] = i
+			l++
+		} else {
+			g.spill[r] = i
+			r++
+		}
+	}
+	copy(g.members[mid:hi], g.spill[:r])
+	for _, s := range g.sorted {
+		if s == nil {
+			continue
+		}
+		l, r := lo, 0
+		for _, p := range s[lo:hi] {
+			if g.left[p.i] {
+				s[l] = p
+				l++
+			} else {
+				g.pairs[r] = p
+				r++
+			}
+		}
+		copy(s[mid:hi], g.pairs[:r])
+	}
+	return mid
 }
 
 // Predict evaluates the tree at x.
@@ -196,6 +351,8 @@ func FitBoost(x [][]float64, y []float64, opt BoostOptions) (*Boost, error) {
 	}
 	opt.setDefaults()
 	opt.Tree.NumFeatures = len(x[0])
+	opt.Tree.setDefaults()
+	g := newGrower(x, opt.Tree)
 	b := &Boost{rate: opt.LearningRate, dim: len(x[0])}
 	var base float64
 	for _, v := range y {
@@ -211,10 +368,7 @@ func FitBoost(x [][]float64, y []float64, opt BoostOptions) (*Boost, error) {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
 		}
-		tr, err := FitTree(x, resid, opt.Tree)
-		if err != nil {
-			return nil, err
-		}
+		tr := g.fit(resid)
 		b.trees = append(b.trees, tr)
 		improved := false
 		for i := range pred {
