@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -51,10 +52,14 @@ func cloneRegions(r [][]float64) [][]float64 {
 
 // TestRegionSweepMatchesPerCandidate drives a tuner through its first
 // iterations by hand. Before each region update it runs the per-candidate
-// reference on a copy of the regions, then the batched sweep at Workers 1,
-// 2 and 7, and requires bitwise-equal regions. The 203-candidate pool,
-// with evaluated and dropped candidates interleaved, leaves every shard a
-// different mix of full batches and a remainder.
+// reference over the whole pool on a copy of the regions, then the batched
+// sweep over the live list at Workers 1, 2 and 7, and requires
+// bitwise-equal regions for every candidate. After each decide the live
+// list must be exactly the alive, unevaluated candidates, and the
+// evaluations and pool-cache updates that follow run at Workers 1, 2 and 7
+// in turn. The 203-candidate pool, with evaluated and dropped candidates
+// interleaved, leaves every shard a different mix of full batches and a
+// remainder.
 func TestRegionSweepMatchesPerCandidate(t *testing.T) {
 	pool := synthPool(rand.New(rand.NewSource(51)), 203)
 	opt := defaultOpts(rand.New(rand.NewSource(52)))
@@ -85,8 +90,15 @@ func TestRegionSweepMatchesPerCandidate(t *testing.T) {
 			}
 		}
 		tn.decide()
+		if want := aliveUnevaluated(tn); !slices.Equal(tn.live, want) {
+			t.Fatalf("iteration %d: live list %v after decide, want the alive, unevaluated %v", iter, tn.live, want)
+		}
 		if !tn.anyUndecided() {
 			break
+		}
+		tn.opt.Workers = []int{1, 2, 7}[iter%3]
+		for _, g := range tn.gps {
+			g.SetWorkers(tn.opt.Workers)
 		}
 		picks := tn.selectBatch()
 		if len(picks) == 0 {
@@ -108,6 +120,18 @@ func TestRegionSweepMatchesPerCandidate(t *testing.T) {
 	if len(tn.known) == 0 || dropped == 0 {
 		t.Fatalf("the sweep saw %d evaluated and %d dropped candidates; the test needs both", len(tn.known), dropped)
 	}
+}
+
+// aliveUnevaluated lists, in ascending order, the candidates still in the
+// race that the tool has not evaluated.
+func aliveUnevaluated(t *Tuner) []int {
+	var out []int
+	for i, s := range t.status {
+		if _, done := t.known[i]; s.alive() && !done {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

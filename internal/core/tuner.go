@@ -192,6 +192,16 @@ type Tuner struct {
 	failed    []int
 	refitAt   []int
 	iters     int
+
+	// live lists, in ascending order, the candidates the region sweep still
+	// predicts: alive and unevaluated as of the last decide (keepLive), so it
+	// also holds the candidates evaluated or failed since. Every GP's pool
+	// cache is restricted to it.
+	live []int
+	// inNdLo is decide's classification skyline: the alive candidates whose
+	// optimistic corners are non-dominated. selectBatch's frontier is the
+	// same set, since classification changes neither the alive set nor lo.
+	inNdLo map[int]bool
 }
 
 // New validates inputs and builds a tuner over the candidate pool (points in
@@ -412,6 +422,9 @@ func (t *Tuner) initialise(ctx context.Context) error {
 	// Refit schedule: geometric in target-observation count.
 	base := len(t.evaluated)
 	t.refitAt = []int{base + 20, base + 60, base + 140, base + 300}
+	// The initial design stays in the live list until the first sweep has
+	// copied its golden QoR into its regions.
+	t.live = t.aliveIndices()
 	return nil
 }
 
@@ -446,25 +459,27 @@ func (t *Tuner) eachObjective(fn func(k int) error) error {
 	return nil
 }
 
-// updateRegions intersects each alive candidate's region with the current
-// posterior hyper-rectangle. Candidates touch disjoint state, so the sweep is
-// sharded across Workers goroutines; each candidate's arithmetic is the same
-// as in the serial sweep, so any worker count produces identical regions.
+// updateRegions intersects each live candidate's region with the current
+// posterior hyper-rectangle. The other candidates' regions are final (see
+// keepLive). Candidates touch disjoint state, so the live list is sharded
+// across Workers goroutines; each candidate's arithmetic is the same as in
+// the serial sweep, so any worker count produces identical regions.
 func (t *Tuner) updateRegions() {
 	beta := math.Sqrt(t.opt.Tau)
-	par.Do(t.opt.Workers, len(t.pool), func(lo, hi int) {
-		t.updateRegionRange(beta, lo, hi)
+	par.Do(t.opt.Workers, len(t.live), func(lo, hi int) {
+		t.updateRegionRange(beta, t.live[lo:hi])
 	})
 }
 
-// updateRegionRange updates candidates from..to-1. Alive, unevaluated
-// candidates are predicted four at a time through PredictPool4, which
-// equals four PredictPool calls bit for bit; the last one to three go
-// through PredictPool.
-func (t *Tuner) updateRegionRange(beta float64, from, to int) {
+// updateRegionRange updates candidates idx. Those evaluated or failed since
+// the last decide are still listed, so the alive and known checks stay.
+// Alive, unevaluated candidates are predicted four at a time through
+// PredictPool4, which equals four PredictPool calls bit for bit; the last
+// one to three go through PredictPool.
+func (t *Tuner) updateRegionRange(beta float64, idx []int) {
 	var batch [4]int
 	nb := 0
-	for i := from; i < to; i++ {
+	for _, i := range idx {
 		if !t.status[i].alive() {
 			continue
 		}
@@ -514,7 +529,7 @@ func (t *Tuner) intersectRegion(i, k int, beta, mu, sd float64) {
 }
 
 // decide applies the dropping rule (Eq. 11) and the Pareto classification
-// rule (Eq. 12).
+// rule (Eq. 12), then shrinks the live list to what is left (keepLive).
 //
 // Both rules quantify over all alive candidates, but only the non-dominated
 // corners matter: if any alive x' pessimistically δ-dominates x, then some
@@ -556,6 +571,7 @@ func (t *Tuner) decide() {
 	for _, j := range ndLo {
 		inNdLo[j] = true
 	}
+	t.inNdLo = inNdLo
 	par.Do(t.opt.Workers, len(alive), func(from, to int) {
 		for _, i := range alive[from:to] {
 			if t.status[i] != Undecided {
@@ -590,6 +606,7 @@ func (t *Tuner) decide() {
 			}
 		}
 	})
+	t.keepLive()
 }
 
 // skyline returns the indices (subset of idx) whose corner vectors are
@@ -633,6 +650,26 @@ func skyline(idx []int, corner [][]float64) []int {
 		}
 	}
 	return nd
+}
+
+// keepLive drops from the live list every candidate that is no longer alive
+// or has been evaluated, and releases their pool caches in every GP. No
+// candidate that leaves comes back, so its cache is never read again:
+// Dropped and Failed are terminal (the only status writes are decide's,
+// which only move Undecided candidates, and fail's), an evaluated
+// candidate's region is its golden QoR, copied in by the sweep after its
+// evaluation, and known only grows.
+func (t *Tuner) keepLive() {
+	live := t.live[:0]
+	for _, i := range t.live {
+		if _, done := t.known[i]; !done && t.status[i].alive() {
+			live = append(live, i)
+		}
+	}
+	t.live = live
+	for _, g := range t.gps {
+		g.KeepPool(live)
+	}
 }
 
 func weaklyDominates(a, b []float64) bool {
@@ -707,39 +744,23 @@ func (t *Tuner) diameter(i int) float64 {
 // dominated by another alive candidate's optimistic corner: only those can
 // still "benefit searching the Pareto set" (Sec. 3.2.4); resolving the
 // uncertainty of a point that is optimistically dominated cannot change the
-// front.
+// front. That front is decide's classification skyline (inNdLo), and the
+// unevaluated alive candidates are the live list keepLive just made.
 func (t *Tuner) selectBatch() []int {
 	type cand struct {
 		idx int
 		d   float64
 	}
-	alive := t.aliveIndices()
-	inFrontier := map[int]bool{}
-	if !t.opt.GlobalSelection {
-		for _, i := range skyline(alive, t.lo) {
-			inFrontier[i] = true
-		}
-	}
 	var cands []cand
-	for i, s := range t.status {
-		if !s.alive() || (!t.opt.GlobalSelection && !inFrontier[i]) {
-			continue
+	for _, i := range t.live {
+		if t.opt.GlobalSelection || t.inNdLo[i] {
+			cands = append(cands, cand{i, t.diameter(i)})
 		}
-		if _, done := t.known[i]; done {
-			continue
-		}
-		cands = append(cands, cand{i, t.diameter(i)})
 	}
 	if len(cands) == 0 {
 		// Every frontier point is already evaluated: fall back to the widest
 		// alive region anywhere, so undecided points still get resolved.
-		for i, s := range t.status {
-			if !s.alive() {
-				continue
-			}
-			if _, done := t.known[i]; done {
-				continue
-			}
+		for _, i := range t.live {
 			cands = append(cands, cand{i, t.diameter(i)})
 		}
 	}
@@ -903,7 +924,7 @@ func (t *Tuner) DebugState() string {
 			k, g.Rho(), g.Cov().Var, g.Cov().Len, nt, t.scale[k], t.delta[k])
 	}
 	// Region width stats over alive unevaluated points.
-	var wsum [8]float64
+	wsum := make([]float64, len(t.delta))
 	cnt := 0
 	for i := range t.pool {
 		if !t.status[i].alive() {

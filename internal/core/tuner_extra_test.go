@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -107,6 +108,31 @@ func TestDebugState(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("DebugState missing %q in:\n%s", want, got)
 		}
+	}
+
+	// More objectives than the eight its width sums once had room for:
+	// distances to nine centres around a circle, so every pair conflicts.
+	obj9 := func(x []float64) []float64 {
+		y := make([]float64, 9)
+		for k := range y {
+			a := 2 * math.Pi * float64(k) / 9
+			dx, dy := x[0]-0.5-0.4*math.Cos(a), x[1]-0.5-0.4*math.Sin(a)
+			y[k] = dx*dx + dy*dy
+		}
+		return y
+	}
+	opt := defaultOpts(rng)
+	opt.NumObjectives = 9
+	opt.MaxIter = 1
+	tn, err = New(pool, poolEval(pool, obj9, nil), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tn.DebugState(); !strings.Contains(got, "obj 8: avg region width") {
+		t.Errorf("9-objective DebugState has no width line for objective 8:\n%s", got)
 	}
 }
 

@@ -49,6 +49,10 @@ type GP struct {
 	poolK   [][]float64 // poolK[p][i] = k̃(x_i, pool_p)
 	poolV   [][]float64 // poolV[p]    = L⁻¹ poolK[p]
 	poolKpp []float64   // prior variance k(p,p) + βt⁻¹
+	// live lists, in ascending order, the candidates whose poolK and poolV
+	// are kept current: every candidate after AttachPool, fewer after
+	// KeepPool. The others' slots are nil.
+	live []int
 
 	// Reused buffers: the packed Gram workspace and standardised-output /
 	// Extend-row scratch. They make Rebuild and AddTarget allocation-free
@@ -383,7 +387,7 @@ func (g *GP) AddTarget(x []float64, y float64) error {
 	g.alpha = g.alpha[:n+1]
 	g.chol.SolveInto(g.alpha, g.yBuf)
 
-	// Extend the pool cache with one entry per candidate, sharded like
+	// Extend the kept candidates' caches with one entry each, sharded like
 	// rebuildPool. AttachPool sized the per-candidate columns with
 	// ReserveAdds headroom, so these appends stay in place for a whole
 	// campaign. A single worker calls extendPools directly: the closure
@@ -391,32 +395,34 @@ func (g *GP) AddTarget(x []float64, y float64) error {
 	if g.pool != nil {
 		ln := g.chol.LRow(n)
 		if g.workers <= 1 {
-			g.extendPools(x, ln, 0, len(g.pool))
+			g.extendPools(x, ln, g.live)
 		} else {
-			par.Do(g.workers, len(g.pool), func(lo, hi int) { g.extendPools(x, ln, lo, hi) })
+			par.Do(g.workers, len(g.live), func(lo, hi int) { g.extendPools(x, ln, g.live[lo:hi]) })
 		}
 	}
 	return nil
 }
 
-// extendPools extends candidates [lo, hi) of the pool cache with the new
-// training point x, four candidates per pass over ln, the new row of L.
-func (g *GP) extendPools(x, ln []float64, lo, hi int) {
+// extendPools extends the caches of candidates ps with the new training
+// point x, four candidates per pass over ln, the new row of L, and the last
+// one to three singly (the same bits either way).
+func (g *GP) extendPools(x, ln []float64, ps []int) {
 	n := len(ln) - 1
-	p := lo
-	for ; p+4 <= hi; p += 4 {
-		d0, d1, d2, d3 := simd.DotUnroll4(ln[:n], g.poolV[p], g.poolV[p+1], g.poolV[p+2], g.poolV[p+3])
+	for ; len(ps) >= 4; ps = ps[4:] {
+		p := [4]int(ps)
+		v := g.poolV
+		d0, d1, d2, d3 := simd.DotUnroll4(ln[:n], v[p[0]], v[p[1]], v[p[2]], v[p[3]])
 		var kp [4]float64
-		for c := range kp {
-			kp[c] = g.cov.r2(x, g.pool[p+c])
+		for c, pc := range p {
+			kp[c] = g.cov.r2(x, g.pool[pc])
 		}
 		g.cov.fromR2(kp[:])
-		g.extendPool(p, ln, kp[0], d0)
-		g.extendPool(p+1, ln, kp[1], d1)
-		g.extendPool(p+2, ln, kp[2], d2)
-		g.extendPool(p+3, ln, kp[3], d3)
+		g.extendPool(p[0], ln, kp[0], d0)
+		g.extendPool(p[1], ln, kp[1], d1)
+		g.extendPool(p[2], ln, kp[2], d2)
+		g.extendPool(p[3], ln, kp[3], d3)
 	}
-	for ; p < hi; p++ {
+	for _, p := range ps {
 		g.extendPool(p, ln, g.cov.Eval(x, g.pool[p]), mat.Dot(ln[:n], g.poolV[p]))
 	}
 }
@@ -442,18 +448,52 @@ func (g *GP) AttachPool(pool [][]float64) error {
 		}
 	}
 	g.pool = pool
+	g.live = g.live[:0]
+	for p := range pool {
+		g.live = append(g.live, p)
+	}
 	g.rebuildPool()
 	return nil
 }
 
-// rebuildPool recomputes the per-candidate kernel columns and solve vectors.
-// Candidates are sharded across SetWorkers goroutines, and each shard solves
-// four candidates per pass over L (SolveLInto4, bit-identical to four
-// SolveLInto calls). Every worker writes only its own candidates' slots and
-// the per-candidate arithmetic is identical in any sharding or grouping, so
-// the cache is bit-identical for any worker count. Existing per-candidate
-// buffers are reused when the training size still fits (a refit at constant
-// N allocates nothing).
+// KeepPool restricts the pool cache to the candidates in live, which must
+// be an ascending subset of the candidates kept so far (every candidate
+// after AttachPool); it panics otherwise. The other candidates' kernel
+// columns and solve vectors are released: later AddTarget and Rebuild calls
+// no longer update them, and PredictPool or PredictPool4 on one of them
+// panics on its length check instead of reading a stale cache. The kept
+// candidates' caches, and so their predictions, keep their bits.
+func (g *GP) KeepPool(live []int) {
+	j := 0
+	for _, p := range live {
+		for j < len(g.live) && g.live[j] < p {
+			j++
+		}
+		if j == len(g.live) || g.live[j] != p {
+			panic(fmt.Sprintf("gp: KeepPool: candidate %d is out of order or not kept", p))
+		}
+		j++
+	}
+	k := 0
+	for _, p := range g.live {
+		if k < len(live) && live[k] == p {
+			k++
+			continue
+		}
+		g.poolK[p], g.poolV[p] = nil, nil
+	}
+	g.live = append(g.live[:0], live...)
+}
+
+// rebuildPool recomputes the kept candidates' kernel columns and solve
+// vectors. The live list is sharded across SetWorkers goroutines, and each
+// shard solves four candidates per pass over L (SolveLInto4, bit-identical
+// to four SolveLInto calls) and the last one to three singly. Every worker
+// writes only its own candidates' slots and the per-candidate arithmetic is
+// identical in any sharding or grouping, so the cache is bit-identical for
+// any worker count and any live set. Existing per-candidate buffers are
+// reused when the training size still fits (a refit at constant N
+// allocates nothing).
 func (g *GP) rebuildPool() {
 	n := g.N()
 	m := len(g.pool)
@@ -463,17 +503,17 @@ func (g *GP) rebuildPool() {
 		g.poolKpp = make([]float64, m)
 	}
 	rho := g.Rho()
-	par.Do(g.workers, m, func(lo, hi int) {
-		p := lo
-		for ; p+4 <= hi; p += 4 {
-			g.fillPoolCol(p, n, rho)
-			g.fillPoolCol(p+1, n, rho)
-			g.fillPoolCol(p+2, n, rho)
-			g.fillPoolCol(p+3, n, rho)
+	par.Do(g.workers, len(g.live), func(lo, hi int) {
+		ps := g.live[lo:hi]
+		for ; len(ps) >= 4; ps = ps[4:] {
+			p := [4]int(ps)
+			for _, pc := range p {
+				g.fillPoolCol(pc, n, rho)
+			}
 			v, k := g.poolV, g.poolK
-			g.chol.SolveLInto4(v[p], v[p+1], v[p+2], v[p+3], k[p], k[p+1], k[p+2], k[p+3])
+			g.chol.SolveLInto4(v[p[0]], v[p[1]], v[p[2]], v[p[3]], k[p[0]], k[p[1]], k[p[2]], k[p[3]])
 		}
-		for ; p < hi; p++ {
+		for _, p := range ps {
 			g.fillPoolCol(p, n, rho)
 			g.chol.SolveLInto(g.poolV[p], g.poolK[p])
 		}
