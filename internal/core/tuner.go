@@ -888,15 +888,16 @@ func (t *Tuner) observeBatch(ctx context.Context, picks []int) error {
 	return nil
 }
 
-// maybeRefit re-optimises the GP hyper-parameters at scheduled points.
+// maybeRefit re-optimises the GP hyper-parameters at scheduled points: once
+// when the evaluated count first reaches or passes each count in refitAt,
+// so a batch that steps over a count refits at the end of that batch, and
+// one that passes two counts refits once.
 func (t *Tuner) maybeRefit() error {
 	n := len(t.evaluated)
 	due := false
-	for _, at := range t.refitAt {
-		if n == at {
-			due = true
-			break
-		}
+	for len(t.refitAt) > 0 && n >= t.refitAt[0] {
+		t.refitAt = t.refitAt[1:]
+		due = true
 	}
 	if !due {
 		return nil

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,6 +196,55 @@ func TestRunsNeverExceedBudget(t *testing.T) {
 		}
 		if res.Runs > opt.InitTarget+opt.MaxIter*batch {
 			t.Errorf("batch=%d: %d runs exceed budget %d", batch, res.Runs, opt.InitTarget+opt.MaxIter*batch)
+		}
+	}
+}
+
+// TestRefitWhenBatchStepsOverSchedule drives the tuner loop by hand from
+// an 8-point initial design, so the first refit is scheduled at 28
+// evaluations. With Batch 1 the count reaches 28 exactly and refits
+// there; with Batch 3 it runs 26, 29 and must refit once, at 29, instead
+// of skipping the refit. A refit must move the fitted hyper-parameters.
+func TestRefitWhenBatchStepsOverSchedule(t *testing.T) {
+	for _, tc := range []struct{ batch, want int }{{1, 28}, {3, 29}} {
+		pool := synthPool(rand.New(rand.NewSource(51)), 203)
+		opt := defaultOpts(rand.New(rand.NewSource(52)))
+		opt.Batch = tc.batch
+		tn, err := New(pool, poolEval(pool, synthObj, nil), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := tn.initialise(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if len(tn.evaluated) != 8 || tn.refitAt[0] != 28 {
+			t.Fatalf("batch %d: initial design of %d points, first refit at %d; want 8 and 28", tc.batch, len(tn.evaluated), tn.refitAt[0])
+		}
+		var refits []int
+		for len(tn.evaluated) < 40 {
+			tn.updateRegions()
+			tn.decide()
+			picks := tn.selectBatch()
+			if !tn.anyUndecided() || len(picks) == 0 {
+				t.Fatalf("batch %d: the run stopped at %d evaluations", tc.batch, len(tn.evaluated))
+			}
+			if err := tn.observeBatch(ctx, picks); err != nil {
+				t.Fatal(err)
+			}
+			pending, before := len(tn.refitAt), tn.gps[0].Cov().Clone()
+			if err := tn.maybeRefit(); err != nil {
+				t.Fatal(err)
+			}
+			if len(tn.refitAt) < pending {
+				refits = append(refits, len(tn.evaluated))
+				if after := tn.gps[0].Cov(); after.Var == before.Var && slices.Equal(after.Len, before.Len) {
+					t.Fatalf("batch %d: refit at %d left the hyper-parameters as they were", tc.batch, len(tn.evaluated))
+				}
+			}
+		}
+		if !slices.Equal(refits, []int{tc.want}) {
+			t.Errorf("batch %d: refits at evaluation counts %v, want [%d]", tc.batch, refits, tc.want)
 		}
 	}
 }

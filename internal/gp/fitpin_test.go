@@ -15,9 +15,10 @@ import (
 // fitPins holds the SHA-256 of fitPinDigest per (GOARCH, SIMD path,
 // GOAMD64 level) triple on which it was recorded. The fit's arithmetic may
 // depend on all three: simd.Dot4's assembly fuses the multiply-adds that
-// its portable fallback rounds twice, and at GOAMD64=v3 the compiler may
-// fuse a*b + c in the Go code around the kernels. The AVX-512 kernels give
-// the AVX2 ones' bits, so both are the "asm" path and check one digest.
+// its portable fallback rounds twice, and a compiler may fuse a*b + c in
+// the Go code around the kernels at GOAMD64=v3 (Go 1.24 does not, so v1
+// and v3 record the same digest). The AVX-512 kernels give the AVX2 ones'
+// bits, so both are the "asm" path and check one digest.
 var fitPins = map[string]string{
 	"amd64/asm/v1":      "55e34ac19cbb2aa45b04de0e30b72fbeaf12794c42c7b1d65e14686c0bb7ea89",
 	"amd64/asm/v3":      "55e34ac19cbb2aa45b04de0e30b72fbeaf12794c42c7b1d65e14686c0bb7ea89",

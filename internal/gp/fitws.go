@@ -11,9 +11,9 @@ import (
 // about them that the hyper-parameters cannot change is computed once here:
 // the pairwise squared differences (Cov.cachePair) and the standardised
 // outputs. Each NLML evaluation is then only a vectorised transform of the
-// cached distances plus one packed factorisation, with the Gram, Cholesky and
-// solve buffers reused across all evaluations — the hot loop allocates
-// nothing.
+// cached distances, written straight into the factor's packed storage, and
+// one factorisation in place, with the Cholesky and solve buffers reused
+// across all evaluations — the hot loop allocates nothing.
 type fitWS struct {
 	n, ns int
 	// dist caches every packed pair p = (i,j), j ≤ i, of the training set:
@@ -22,7 +22,6 @@ type fitWS struct {
 	// squared distance dist[p] when isotropic.
 	dist  []float64
 	y     []float64 // outputs standardised per task, training order
-	gram  []float64 // packed Gram workspace, rewritten every evaluation
 	inv2  []float64 // per-dimension 1/ℓ² for the current hyper-parameters
 	alpha []float64
 	chol  mat.Cholesky
@@ -48,20 +47,19 @@ func newFitWS(g *GP) *fitWS {
 		}
 	}
 	w.y = g.yStdInto(nil)
-	w.gram = make([]float64, np)
 	w.inv2 = make([]float64, g.dim)
 	w.alpha = make([]float64, n)
 	return w
 }
 
-// fillGram rebuilds the packed noisy Gram matrix K̃ + Λ for g's current
-// hyper-parameters from the cached distances. It matches (*GP).gram entry
-// for entry up to the ulp-level difference of accumulating Σ d²·(1/ℓ²)
-// instead of Σ (d/ℓ)².
+// fillGram writes the packed noisy Gram matrix K̃ + Λ for g's current
+// hyper-parameters into gm (PackedLen(n) entries) from the cached
+// distances. It matches (*GP).gram entry for entry up to the ulp-level
+// difference of accumulating Σ d²·(1/ℓ²) instead of Σ (d/ℓ)².
 //
 //ppalint:noalloc
-func (w *fitWS) fillGram(g *GP) {
-	gm := w.gram[:mat.PackedLen(w.n)]
+func (w *fitWS) fillGram(g *GP, gm []float64) {
+	gm = gm[:mat.PackedLen(w.n)]
 	g.cov.fromDist(gm, w.dist, w.inv2)
 	// Scale the cross-task block (target rows × source columns) by ρ. The
 	// block is contiguous per row in packed layout, and hoisting ρ here keeps
@@ -90,16 +88,21 @@ func (w *fitWS) fillGram(g *GP) {
 }
 
 // nlml evaluates the negative log marginal likelihood of the cached data
-// under g's current hyper-parameters, reusing all workspace buffers. It
-// applies the same jitter-retry ladder as the non-workspace path and returns
-// +Inf when the Gram matrix is not positive definite even with jitter.
+// under g's current hyper-parameters, reusing all workspace buffers. The
+// Gram is filled straight into the factor's storage and factorised in
+// place, through FactorizePacked's jitter ladder (1e-8, six steps); a
+// failed attempt leaves the storage half factored, so each retry refills
+// it first. It returns +Inf when the Gram matrix is not positive definite
+// even with jitter.
 //
 //ppalint:noalloc
 func (w *fitWS) nlml(g *GP) float64 {
-	w.fillGram(g)
-	if err := w.chol.FactorizePacked(w.gram, w.n, 1e-8, 6); err != nil {
-		return math.Inf(1)
+	for attempt := -1; attempt < 6; attempt++ {
+		w.fillGram(g, w.chol.Packed(w.n))
+		if w.chol.FactorizeInPlace(w.n, 1e-8, attempt) {
+			w.chol.SolveInto(w.alpha, w.y)
+			return 0.5*mat.Dot(w.y, w.alpha) + 0.5*w.chol.LogDet() + 0.5*float64(w.n)*log2pi
+		}
 	}
-	w.chol.SolveInto(w.alpha, w.y)
-	return 0.5*mat.Dot(w.y, w.alpha) + 0.5*w.chol.LogDet() + 0.5*float64(w.n)*log2pi
+	return math.Inf(1)
 }

@@ -371,8 +371,11 @@ func (g *GP) AddTarget(x []float64, y float64) error {
 	g.kvecInto(x, row[:n], g.Rho())
 	row[n] = g.cov.Eval(x, x) + g.noiseT + 1e-8
 	if err := g.chol.Extend([][]float64{row}); err != nil {
-		// Degenerate extension (e.g. duplicate point): fall back to a full
-		// rebuild with stronger jitter.
+		// The new row's pivot is not positive. Fit keeps the target noise
+		// at 1e-4 or more and the row adds 1e-8 of jitter, so no real
+		// point, a duplicate included, fails here; a noise set below zero
+		// can. Fall back to a full rebuild, whose factorisation retries
+		// with growing jitter.
 		g.xt = append(g.xt, x)
 		g.yt = append(g.yt, y)
 		g.chol = nil

@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -421,6 +422,11 @@ func TestGPErrors(t *testing.T) {
 	}
 }
 
+// TestGPAddTargetDuplicatePointSurvives adds a training point twice more.
+// The target noise and the 1e-8 of jitter keep the duplicates' rows
+// positive definite, so both adds take the incremental path, extending
+// the factor in place, and the posterior must stay sound.
+// TestGPAddTargetRebuildFallback covers the rebuild fallback.
 func TestGPAddTargetDuplicatePointSurvives(t *testing.T) {
 	g := New(RBF, 2, false)
 	if err := g.SetTarget([][]float64{{0.5, 0.5}}, []float64{1}); err != nil {
@@ -430,9 +436,13 @@ func TestGPAddTargetDuplicatePointSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Adding the identical point twice must not corrupt the posterior.
+	chol := g.chol
 	for i := 0; i < 2; i++ {
 		if err := g.AddTarget([]float64{0.5, 0.5}, 1); err != nil {
 			t.Fatalf("duplicate add %d: %v", i, err)
+		}
+		if g.chol != chol || g.chol.Size() != 2+i {
+			t.Fatalf("duplicate add %d rebuilt the factor instead of extending it", i)
 		}
 	}
 	mu, sd := g.Predict([]float64{0.5, 0.5})
@@ -441,6 +451,76 @@ func TestGPAddTargetDuplicatePointSurvives(t *testing.T) {
 	}
 	if math.Abs(mu-1) > 0.05 {
 		t.Errorf("mu = %g, want ~1", mu)
+	}
+}
+
+// TestGPAddTargetRebuildFallback forces AddTarget's rebuild fallback as
+// TestKeepPoolMatchesFullCache does: a negative target noise for one add
+// makes a duplicate point's extension fail. The posterior AddTarget
+// rebuilds must equal, bit for bit, a fresh Rebuild of the same data under
+// the same hyper-parameters: α, the factor and predictions.
+func TestGPAddTargetRebuildFallback(t *testing.T) {
+	const dim = 4
+	rng := rand.New(rand.NewSource(61))
+	xs, ys, xt, yt := transferSet(rng, 30, 12, dim)
+	g := New(RBF, dim, true)
+	if err := g.SetSource(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetTarget(xt, yt); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Fit(FitOptions{MaxEvals: 40}); err != nil {
+		t.Fatal(err)
+	}
+	chol := g.chol
+	g.noiseT = -1e-3
+	if err := g.AddTarget(xt[0], yt[0]); err != nil {
+		t.Fatal(err)
+	}
+	if g.chol == chol {
+		t.Fatal("the duplicate add extended the factor instead of rebuilding it")
+	}
+	fresh := New(RBF, dim, true)
+	if err := fresh.SetSource(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	allX := append(append([][]float64(nil), xt...), xt[0])
+	allY := append(append([]float64(nil), yt...), yt[0])
+	if err := fresh.SetTarget(allX, allY); err != nil {
+		t.Fatal(err)
+	}
+	fresh.cov = g.cov.Clone()
+	fresh.noiseT, fresh.noiseS, fresh.a, fresh.b = g.noiseT, g.noiseS, g.a, g.b
+	if err := fresh.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, fresh Rebuild %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s[%d] = %v, fresh Rebuild %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	same("alpha", g.alpha, fresh.alpha)
+	if g.chol.Size() != fresh.chol.Size() {
+		t.Fatalf("factor of %d rows, fresh Rebuild %d", g.chol.Size(), fresh.chol.Size())
+	}
+	for i := 0; i < g.chol.Size(); i++ {
+		same(fmt.Sprintf("L row %d", i), g.chol.LRow(i), fresh.chol.LRow(i))
+	}
+	x := make([]float64, dim)
+	for i := 0; i < 8; i++ {
+		for k := range x {
+			x[k] = rng.Float64()
+		}
+		mu, sd := g.Predict(x)
+		wmu, wsd := fresh.Predict(x)
+		same(fmt.Sprintf("prediction %d", i), []float64{mu, sd}, []float64{wmu, wsd})
 	}
 }
 

@@ -28,10 +28,9 @@ func pairMajorSqd(g *GP) []float64 {
 }
 
 // fillGramPairMajor is fitWS.fillGram as it was before the RBF kernels: a
-// pair-major tensor sqd (pairMajorSqd) and one Cov.EvalR2 per pair. It is
-// the reference the dim-major fill must match bit for bit.
-func fillGramPairMajor(w *fitWS, g *GP, sqd []float64) {
-	gm := w.gram
+// pair-major tensor sqd (pairMajorSqd) and one Cov.EvalR2 per pair, into
+// gm. It is the reference the dim-major fill must match bit for bit.
+func fillGramPairMajor(w *fitWS, g *GP, sqd, gm []float64) {
 	if len(g.cov.Len) > 1 {
 		d := g.dim
 		inv2 := make([]float64, d)
@@ -73,17 +72,22 @@ func fillGramPairMajor(w *fitWS, g *GP, sqd []float64) {
 	}
 }
 
-// pairMajorNLML returns an NLML evaluation for fit that fills the Gram
-// through fillGramPairMajor and otherwise runs fitWS.nlml's steps.
+// pairMajorNLML returns an NLML evaluation for fit that fills a separate
+// Gram buffer through fillGramPairMajor and factorises a copy of it with
+// FactorizePacked, as fitWS.nlml did before it filled the factor's storage
+// in place, and otherwise runs fitWS.nlml's steps.
 func pairMajorNLML() func(*fitWS, *GP) float64 {
-	var sqd []float64
+	var sqd, gram []float64
 	var owner *fitWS
 	return func(w *fitWS, g *GP) float64 {
-		if w != owner && len(g.cov.Len) > 1 {
-			sqd, owner = pairMajorSqd(g), w
+		if w != owner {
+			owner, gram = w, make([]float64, mat.PackedLen(w.n))
+			if len(g.cov.Len) > 1 {
+				sqd = pairMajorSqd(g)
+			}
 		}
-		fillGramPairMajor(w, g, sqd)
-		if err := w.chol.FactorizePacked(w.gram, w.n, 1e-8, 6); err != nil {
+		fillGramPairMajor(w, g, sqd, gram)
+		if err := w.chol.FactorizePacked(gram, w.n, 1e-8, 6); err != nil {
 			return math.Inf(1)
 		}
 		w.chol.SolveInto(w.alpha, w.y)
@@ -131,6 +135,7 @@ func TestFillGramMatchesPairMajor(t *testing.T) {
 			g := newEquivGP(t, tc.dim, tc.ard, 21)
 			w := newFitWS(g)
 			ref := newFitWS(g)
+			gram, refGram := make([]float64, mat.PackedLen(w.n)), make([]float64, mat.PackedLen(w.n))
 			refNLML := pairMajorNLML()
 			rng := rand.New(rand.NewSource(22))
 			for trial := 0; trial < 12; trial++ {
@@ -140,11 +145,11 @@ func TestFillGramMatchesPairMajor(t *testing.T) {
 				}
 				g.a, g.b = math.Exp(rng.NormFloat64()), math.Exp(rng.NormFloat64())
 				g.noiseT, g.noiseS = 1e-4+rng.Float64()*1e-2, 1e-4+rng.Float64()*1e-2
-				w.fillGram(g)
-				fillGramPairMajor(ref, g, pairMajorSqd(g))
-				for p := range w.gram {
-					if !sameBits(w.gram[p], ref.gram[p]) {
-						t.Fatalf("trial %d: Gram entry %d = %v, pair-major %v", trial, p, w.gram[p], ref.gram[p])
+				w.fillGram(g, gram)
+				fillGramPairMajor(ref, g, pairMajorSqd(g), refGram)
+				for p := range gram {
+					if !sameBits(gram[p], refGram[p]) {
+						t.Fatalf("trial %d: Gram entry %d = %v, pair-major %v", trial, p, gram[p], refGram[p])
 					}
 				}
 				if got, want := w.nlml(g), refNLML(ref, g); !sameBits(got, want) {
@@ -276,5 +281,97 @@ func TestPredictPool4MatchesPredictPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("after refit")
+	}
+}
+
+// TestNLMLRefillsBeforeJitterRetry drives fitWS.nlml through its jitter
+// ladder: the target noise is set just below the point where the Gram
+// stops being positive definite, so the first attempts fail part-way
+// through the in-place factorisation and a later one succeeds. Each retry
+// must start from a freshly filled Gram, so the NLML must equal, bit for
+// bit, that of a separate Gram copy taken through FactorizePacked's
+// ladder, as nlml ran before it filled the factor in place.
+func TestNLMLRefillsBeforeJitterRetry(t *testing.T) {
+	g := newEquivGP(t, 9, true, 31)
+	w := newFitWS(g)
+	gram := make([]float64, mat.PackedLen(w.n))
+	var ch mat.Cholesky
+	pd := func(noise float64, attempts int) bool {
+		g.noiseT = noise
+		w.fillGram(g, gram)
+		return ch.FactorizePacked(gram, w.n, 1e-8, attempts) == nil
+	}
+	// Bisect for the target noise at which the Gram stops being positive
+	// definite without jitter.
+	lo, hi := 0.0, -2*g.cov.Var
+	if !pd(lo, 0) || pd(hi, 0) {
+		t.Fatal("bisection bounds do not bracket the loss of definiteness")
+	}
+	for k := 0; k < 60; k++ {
+		if mid := (lo + hi) / 2; pd(mid, 0) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	noise := hi - 1e-5
+	if pd(noise, 2) || !pd(noise, 6) {
+		t.Fatalf("target noise %v: want the first three attempts to fail and a later one to succeed", noise)
+	}
+	g.noiseT = noise
+	want := pairMajorNLML()(newFitWS(g), g)
+	if math.IsInf(want, 0) {
+		t.Fatal("reference NLML is infinite")
+	}
+	if got := w.nlml(g); !sameBits(got, want) {
+		t.Fatalf("NLML %v, separate Gram %v", got, want)
+	}
+}
+
+// TestNLMLAllocatesNothing backs fitWS.nlml's //ppalint:noalloc across
+// the packages it calls: once the factor's storage has its size, an
+// evaluation, the in-place factorisation and both solves included,
+// allocates nothing.
+func TestNLMLAllocatesNothing(t *testing.T) {
+	g := newEquivGP(t, 12, true, 33)
+	w := newFitWS(g)
+	if allocs := testing.AllocsPerRun(20, func() { w.nlml(g) }); allocs != 0 {
+		t.Fatalf("fitWS.nlml allocates %v times per call", allocs)
+	}
+}
+
+// BenchmarkNLML times one likelihood evaluation of the transfer GP's fit
+// at the campaigns' first-fit shapes: table 3's, 130 source and 10 target
+// points at d = 9, and table 2's, 112 source and 28 target points (its
+// 140-point subsample) at d = 12.
+func BenchmarkNLML(b *testing.B) {
+	for _, tc := range []struct {
+		name        string
+		ns, nt, dim int
+	}{{"table3", 130, 10, 9}, {"table2", 112, 28, 12}} {
+		b.Run(tc.name, func(b *testing.B) {
+			xs, ys, xt, yt := transferSet(rand.New(rand.NewSource(41)), tc.ns, tc.nt, tc.dim)
+			g := New(RBF, tc.dim, true)
+			if err := g.SetSource(xs, ys); err != nil {
+				b.Fatal(err)
+			}
+			if err := g.SetTarget(xt, yt); err != nil {
+				b.Fatal(err)
+			}
+			g.standardise()
+			for k := range g.cov.Len {
+				g.cov.Len[k] = 0.4 + 0.05*float64(k)
+			}
+			g.noiseT, g.noiseS, g.a, g.b = 1e-2, 1e-2, 0.3, 1.2
+			w := newFitWS(g)
+			if math.IsInf(w.nlml(g), 0) {
+				b.Fatal("NLML is infinite")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.nlml(g)
+			}
+		})
 	}
 }

@@ -113,87 +113,127 @@ func (c *Cholesky) LRow(i int) []float64 {
 // start is. Every entry keeps the operations, and the order of them, of the
 // row-at-a-time recurrence, so the factor is the same to the bit:
 //
-//   - Columns [0, g) of a row are solved in blocks of four through Dot4 and
-//     the blocks' triangular coupling. Each column block runs for all the
-//     group's rows before the next block, so their divide chains overlap;
-//     a full group takes the block's sixteen dot products from one Dot4x4
-//     call, a group cut short by start or end one Dot4 call per row.
+//   - Columns [0, g) of a row are solved in blocks of four: the block's dot
+//     products and its triangular coupling. A full group takes a block from
+//     one simd.Dot4x4Solve call; a row of a group cut short by start or end
+//     takes one Dot4 call and the coupling per block, row by row (the rows
+//     are independent there).
+//   - Two full groups go together, rows [g, g+8): their blocks j < g are
+//     independent, so both groups' blocks are issued column block by
+//     column block, then group g's diagonal block, then group g+4's block
+//     g and diagonal block.
 //   - A row's entries in [g, i) and its diagonal are DotUnroll sums whose
 //     stride-4 lanes cover [0, g) and whose tails, at most three products,
 //     cover [g, j). One DotUnrollLanes4 call per row gives the lanes of all
 //     of them; the tails and the final sums are added here in DotUnroll's
 //     order.
 func (c *Cholesky) factorRows(start, end int) (pivot int, d float64, ok bool) {
-	l := c.l
-	var s, lanes [16]float64
-	for g := start &^ 3; g < end; g += 4 {
+	var a, b, q [4][]float64 // two groups' rows and a column block's
+	for g := start &^ 3; g < end; {
+		if g >= start && g+8 <= end {
+			c.group(&a, g, 0, 4)
+			c.group(&b, g+4, 0, 4)
+			for j := 0; j < g; j += 4 {
+				c.group(&q, j, 0, 4)
+				simd.Dot4x4Solve(&a, &q, j)
+				simd.Dot4x4Solve(&b, &q, j)
+			}
+			if pivot, d, ok = c.diagBlock(g, 0, 4, &a); !ok {
+				return pivot, d, false
+			}
+			simd.Dot4x4Solve(&b, &a, g)
+			if pivot, d, ok = c.diagBlock(g+4, 0, 4, &b); !ok {
+				return pivot, d, false
+			}
+			g += 8
+			continue
+		}
 		lo, hi := max(g, start)-g, min(g+4, end)-g // the group's rows factored here, less g
-		var rows [4][]float64                      // rows[r] is row g+r
-		for r := lo; r < hi; r++ {
-			rows[r] = l[rowOff(g+r) : rowOff(g+r)+g+r+1]
-		}
-		full := hi-lo == 4
-		for j := 0; j+4 <= g; j += 4 {
-			c0 := l[rowOff(j):]
-			c1 := l[rowOff(j+1):]
-			c2 := l[rowOff(j+2):]
-			c3 := l[rowOff(j+3):]
-			if full {
-				simd.Dot4x4(rows[0], rows[1], rows[2], rows[3], c0, c1, c2, c3, j, &s)
+		c.group(&a, g, lo, hi)
+		if hi-lo == 4 {
+			for j := 0; j < g; j += 4 {
+				c.group(&q, j, 0, 4)
+				simd.Dot4x4Solve(&a, &q, j)
 			}
+		} else {
 			for r := lo; r < hi; r++ {
-				row := rows[r]
-				var s0, s1, s2, s3 float64
-				if full {
-					s0, s1, s2, s3 = s[4*r], s[4*r+1], s[4*r+2], s[4*r+3]
-				} else {
-					s0, s1, s2, s3 = simd.Dot4(row, c0, c1, c2, c3, j)
-				}
-				// The four columns couple triangularly: each solved entry
-				// feeds the dots of the columns to its right (the
-				// k ∈ [j, j+3) terms the dot products could not see).
-				v0 := (row[j] - s0) / c0[j]
-				row[j] = v0
-				s1 += v0 * c1[j]
-				v1 := (row[j+1] - s1) / c1[j+1]
-				row[j+1] = v1
-				s2 += v0*c2[j] + v1*c2[j+1]
-				v2 := (row[j+2] - s2) / c2[j+2]
-				row[j+2] = v2
-				s3 += v0*c3[j] + v1*c3[j+1] + v2*c3[j+2]
-				row[j+3] = (row[j+3] - s3) / c3[j+3]
+				c.rowBlocks(a[r], g)
 			}
 		}
-		for r := lo; r < hi; r++ {
-			i, row := g+r, rows[r]
-			// Column block g's rows: the group's rows up to i, which are
-			// factored by now, and row i itself in the slots past it.
-			var b [4][]float64
-			for q := range b {
-				m := min(g+q, i)
-				b[q] = l[rowOff(m) : rowOff(m)+m+1]
-			}
-			simd.DotUnrollLanes4(row[:g], b[0], b[1], b[2], b[3], &lanes)
-			for j := g; j < i; j++ {
-				lj := b[j-g]
-				var t float64
-				for k := g; k < j; k++ {
-					t += float64(row[k] * lj[k])
-				}
-				m := 4 * (j - g)
-				row[j] = (row[j] - (t + lanes[m] + lanes[m+1] + lanes[m+2] + lanes[m+3])) / lj[j]
-			}
+		if pivot, d, ok = c.diagBlock(g, lo, hi, &a); !ok {
+			return pivot, d, false
+		}
+		g += 4
+	}
+	return 0, 0, true
+}
+
+// group sets rows[lo:hi] to rows g+lo..g+hi-1 of the packed factor; a
+// full group's rows are also the columns of its column block.
+func (c *Cholesky) group(rows *[4][]float64, g, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		rows[r] = c.l[rowOff(g+r) : rowOff(g+r)+g+r+1]
+	}
+}
+
+// rowBlocks solves columns [0, g) of one row block by block: per block
+// Dot4, then the triangular coupling, where each solved entry feeds the
+// dots of the columns to its right (the k ∈ [j, j+3) terms Dot4 could not
+// see).
+func (c *Cholesky) rowBlocks(row []float64, g int) {
+	l := c.l
+	for j := 0; j < g; j += 4 {
+		c0 := l[rowOff(j):]
+		c1 := l[rowOff(j+1):]
+		c2 := l[rowOff(j+2):]
+		c3 := l[rowOff(j+3):]
+		s0, s1, s2, s3 := simd.Dot4(row, c0, c1, c2, c3, j)
+		v0 := (row[j] - s0) / c0[j]
+		row[j] = v0
+		s1 += v0 * c1[j]
+		v1 := (row[j+1] - s1) / c1[j+1]
+		row[j+1] = v1
+		s2 += v0*c2[j] + v1*c2[j+1]
+		v2 := (row[j+2] - s2) / c2[j+2]
+		row[j+2] = v2
+		s3 += v0*c3[j] + v1*c3[j+1] + v2*c3[j+2]
+		row[j+3] = (row[j+3] - s3) / c3[j+3]
+	}
+}
+
+// diagBlock factors the entries [g, i] of rows g+lo..g+hi-1, i = g+r,
+// whose columns [0, g) are solved: column block g's rows are the group's
+// rows up to i, factored by now, and row i itself in the slots past it.
+func (c *Cholesky) diagBlock(g, lo, hi int, rows *[4][]float64) (pivot int, d float64, ok bool) {
+	l := c.l
+	var lanes [16]float64
+	for r := lo; r < hi; r++ {
+		i, row := g+r, rows[r]
+		var b [4][]float64
+		for q := range b {
+			m := min(g+q, i)
+			b[q] = l[rowOff(m) : rowOff(m)+m+1]
+		}
+		simd.DotUnrollLanes4(row[:g], b[0], b[1], b[2], b[3], &lanes)
+		for j := g; j < i; j++ {
+			lj := b[j-g]
 			var t float64
-			for k := g; k < i; k++ {
-				t += float64(row[k] * row[k])
+			for k := g; k < j; k++ {
+				t += float64(row[k] * lj[k])
 			}
-			m := 4 * (i - g)
-			diag := row[i] - (t + lanes[m] + lanes[m+1] + lanes[m+2] + lanes[m+3])
-			if diag <= 0 {
-				return i, diag, false
-			}
-			row[i] = math.Sqrt(diag)
+			m := 4 * (j - g)
+			row[j] = (row[j] - (t + lanes[m] + lanes[m+1] + lanes[m+2] + lanes[m+3])) / lj[j]
 		}
+		var t float64
+		for k := g; k < i; k++ {
+			t += float64(row[k] * row[k])
+		}
+		m := 4 * (i - g)
+		diag := row[i] - (t + lanes[m] + lanes[m+1] + lanes[m+2] + lanes[m+3])
+		if diag <= 0 {
+			return i, diag, false
+		}
+		row[i] = math.Sqrt(diag)
 	}
 	return 0, 0, true
 }
@@ -239,23 +279,57 @@ func (c *Cholesky) FactorizePacked(a []float64, n int, jitter float64, maxAttemp
 	var lastPiv int
 	var lastD float64
 	for attempt := -1; attempt < maxAttempts; attempt++ {
-		c.resize(n)
-		copy(c.l, a)
-		if attempt >= 0 {
-			add := jitter * math.Pow(10, float64(attempt))
-			for i := 0; i < n; i++ {
-				c.l[rowOff(i)+i] += add
-			}
-		}
-		piv, d, ok := c.factorRows(0, n)
+		copy(c.Packed(n), a)
+		piv, d, ok := c.factorAttempt(n, jitter, attempt)
 		if ok {
-			c.n = n
 			return nil
 		}
 		lastPiv, lastD = piv, d
 	}
 	c.reset(0)
 	return fmt.Errorf("%w (pivot %d: %g)", ErrNotPositiveDefinite, lastPiv, lastD)
+}
+
+// Packed empties the factor and returns its backing array resized to the
+// packed lower triangle of an n×n matrix (PackedLen(n) entries), for the
+// caller to write A into and FactorizeInPlace to factorise without a copy.
+// It allocates only when the array must grow.
+func (c *Cholesky) Packed(n int) []float64 {
+	c.resize(n)
+	c.n = 0
+	return c.l
+}
+
+// FactorizeInPlace factorises the n×n matrix whose packed lower triangle
+// the caller has written into Packed(n), in place: attempt of
+// FactorizePacked's jitter ladder, which adds nothing to the diagonal for
+// attempt < 0 and jitter·10^attempt otherwise. The factor has the bits
+// FactorizePacked gives at that attempt. On a non-positive pivot it
+// reports false and leaves the factor empty and its storage partly
+// factored: write A into Packed(n) again before the next attempt.
+//
+//ppalint:noalloc
+func (c *Cholesky) FactorizeInPlace(n int, jitter float64, attempt int) bool {
+	_, _, ok := c.factorAttempt(n, jitter, attempt)
+	return ok
+}
+
+// factorAttempt is FactorizeInPlace, reporting a failed pivot.
+func (c *Cholesky) factorAttempt(n int, jitter float64, attempt int) (pivot int, d float64, ok bool) {
+	if len(c.l) != rowOff(n) {
+		panic(fmt.Sprintf("mat: FactorizeInPlace of %d rows over %d packed entries", n, len(c.l)))
+	}
+	if attempt >= 0 {
+		add := jitter * math.Pow(10, float64(attempt))
+		for i := 0; i < n; i++ {
+			c.l[rowOff(i)+i] += add
+		}
+	}
+	c.n = 0
+	if pivot, d, ok = c.factorRows(0, n); ok {
+		c.n = n
+	}
+	return pivot, d, ok
 }
 
 // SolveLInto solves L x = b into x, which must have length Size() and may
@@ -322,7 +396,11 @@ func (c *Cholesky) SolveL(b []float64) []float64 {
 }
 
 // SolveLTInto solves Lᵀ x = b into x, which must have length Size() and may
-// alias b.
+// alias b. Column by column from the last, it divides x_i by L_ii and
+// subtracts x_i times column i of L, row i's first i entries, from x[:i]
+// in one simd.SubScaled call, each entry the scalar loop's to the bit.
+//
+//ppalint:noalloc
 func (c *Cholesky) SolveLTInto(x, b []float64) {
 	if len(b) != c.n || len(x) != c.n {
 		panic(fmt.Sprintf("mat: SolveLTInto lengths %d/%d, want %d", len(x), len(b), c.n))
@@ -332,11 +410,7 @@ func (c *Cholesky) SolveLTInto(x, b []float64) {
 		off := rowOff(i)
 		li := c.l[off : off+i+1]
 		x[i] /= li[i]
-		xi := x[i]
-		// Subtract column i of L from the remaining rhs entries.
-		for k := 0; k < i; k++ {
-			x[k] -= li[k] * xi
-		}
+		simd.SubScaled(x[:i], li, x[i])
 	}
 }
 

@@ -494,6 +494,102 @@ func TestSolveLIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// refSolveLTInto is the scalar column loop SolveLTInto replaced, the
+// reference for its simd.SubScaled updates.
+func refSolveLTInto(c *Cholesky, x, b []float64) {
+	copy(x, b)
+	for i := c.n - 1; i >= 0; i-- {
+		li := c.LRow(i)
+		x[i] /= li[i]
+		xi := x[i]
+		for k := 0; k < i; k++ {
+			x[k] -= li[k] * xi
+		}
+	}
+}
+
+// TestSolveLTIntoMatchesReference pins the back-substitution to the scalar
+// column loop bit for bit at every n from 0 to 215, so every 4- and
+// 8-element step count and every remainder of the column updates occurs,
+// into a separate x and with x aliasing b.
+func TestSolveLTIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for n := 0; n <= 215; n++ {
+		ch := &Cholesky{l: packedSPD(rng, n), n: n}
+		if _, _, ok := ch.factorRows(0, n); !ok {
+			t.Fatalf("n=%d: factorisation failed", n)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3)
+		}
+		want := make([]float64, n)
+		refSolveLTInto(ch, want, b)
+		got := make([]float64, n)
+		ch.SolveLTInto(got, b)
+		sameFactor(t, fmt.Sprintf("n=%d", n), got, want)
+		alias := append([]float64(nil), b...)
+		ch.SolveLTInto(alias, alias)
+		sameFactor(t, fmt.Sprintf("n=%d aliased", n), alias, want)
+	}
+}
+
+// TestFactorizeInPlaceJitterRetry runs FactorizePacked's jitter ladder by
+// hand through Packed and FactorizeInPlace, refilling the storage before
+// each attempt, on matrices that need no jitter, some jitter and more than
+// the ladder has. Each attempt must leave the factor FactorizePacked
+// leaves: the same bits and size on success, an empty factor on failure.
+func TestFactorizeInPlaceJitterRetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const n = 37
+	spd := packedSPD(rng, n)
+	// Rank one, x xᵀ: singular, so only jitter makes it positive definite.
+	rank1 := make([]float64, PackedLen(n))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		for j := 0; j <= i; j++ {
+			rank1[rowOff(i)+j] = x[i] * x[j]
+		}
+	}
+	// Indefinite beyond any jitter on the ladder.
+	indef := append([]float64(nil), spd...)
+	indef[rowOff(n/2)+n/2] = -1
+	for _, tc := range []struct {
+		name string
+		a    []float64
+	}{{"spd", spd}, {"rank1", rank1}, {"indefinite", indef}} {
+		var want Cholesky
+		wantErr := want.FactorizePacked(tc.a, n, 1e-8, 6)
+		var got Cholesky
+		ok := false
+		tries := 0
+		for attempt := -1; attempt < 6 && !ok; attempt++ {
+			copy(got.Packed(n), tc.a)
+			if got.Size() != 0 {
+				t.Fatalf("%s: Packed left Size %d", tc.name, got.Size())
+			}
+			ok = got.FactorizeInPlace(n, 1e-8, attempt)
+			tries++
+			if !ok && got.Size() != 0 {
+				t.Fatalf("%s attempt %d: failed attempt left Size %d", tc.name, attempt, got.Size())
+			}
+		}
+		if ok != (wantErr == nil) {
+			t.Fatalf("%s: in place ok=%v after %d attempts, FactorizePacked err=%v", tc.name, ok, tries, wantErr)
+		}
+		if tc.name == "rank1" && (!ok || tries < 2) {
+			t.Fatalf("rank1: ok=%v after %d attempts; the case must need a retry", ok, tries)
+		}
+		if ok {
+			if got.Size() != n {
+				t.Fatalf("%s: Size %d, want %d", tc.name, got.Size(), n)
+			}
+			sameFactor(t, tc.name, got.l, want.l)
+		}
+	}
+}
+
 // factorSizes are the Gram sizes table3's campaigns factorise: 35, 74 and
 // 214 points, and the 140-point fit subsample (about half of all
 // factorisations), plus the 200 the benchmark ran at before.

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -184,4 +185,38 @@ func TestProcFaultsValidateCoordinatorTimes(t *testing.T) {
 	if err := ok.validate(); err != nil {
 		t.Errorf("valid coordinator faults rejected: %v", err)
 	}
+}
+
+// FuzzParseKillSchedule feeds ParseKillSchedule arbitrary specs, as the
+// -kill flags of ppacoord and the proof jobs do. It must never panic.
+// The empty and "off" specs, surrounding space aside, are the disabled
+// schedule; every other accepted spec enables something, holds only
+// worker kills and coordinator targets at non-negative times, and its
+// String form parses back to an equal schedule.
+func FuzzParseKillSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseKillSchedule(spec)
+		if s := strings.TrimSpace(spec); s == "" || s == "off" {
+			if err != nil || !reflect.DeepEqual(p, ProcFaults{}) {
+				t.Fatalf("ParseKillSchedule(%q) = %+v, %v; want the disabled schedule", spec, p, err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		if !p.Enabled() || len(p.DropHeartbeats) > 0 || p.ResultDelay != 0 || p.DuplicateResults {
+			t.Fatalf("ParseKillSchedule(%q) = %+v: want kills or coordinator targets only", spec, p)
+		}
+		if err := p.validate(); err != nil {
+			t.Fatalf("ParseKillSchedule(%q) = %+v, which fails validation: %v", spec, p, err)
+		}
+		again, err := ParseKillSchedule(p.String())
+		if err != nil {
+			t.Fatalf("ParseKillSchedule(%q) = %+v, but its String %q fails: %v", spec, p, p.String(), err)
+		}
+		if !reflect.DeepEqual(again, p) {
+			t.Fatalf("ParseKillSchedule(%q) = %+v, but its String %q parses to %+v", spec, p, p.String(), again)
+		}
+	})
 }

@@ -18,13 +18,21 @@
 //     products share a partial sum. DotUnrollLanes4 returns the four
 //     columns' stride-4 lane sums themselves, for callers that finish each
 //     DotUnroll with tail products they compute later.
-//   - Dot4x4 returns four Dot4 results, the sixteen dot products of four
-//     rows against four columns, bit for bit on each path. Its AVX-512
-//     kernel keeps 16 ZMM accumulators, one per (row, column) pair, whose
-//     low and high halves are exactly Dot4's even and odd YMM accumulators:
-//     the same FMA per lane, the 4-element step merge-masked to the low
-//     half, and Dot4's merge, reduce and scalar tail. Elsewhere it is four
-//     Dot4 calls.
+//   - Dot4x4Solve runs one 4×4 block of a Cholesky recurrence for four
+//     rows: four Dot4 results per row, then the block's triangular solve,
+//     bit for bit on each path. Its AVX-512 kernel keeps 16 ZMM
+//     accumulators, one per (row, column) pair, whose low and high halves
+//     are exactly Dot4's even and odd YMM accumulators: the same FMA per
+//     lane, the 4-element step merge-masked to the low half, and Dot4's
+//     merge, reduce and scalar tail, four rows per instruction. The solve
+//     then runs in registers with the rows as lanes: a VDIVPD per column
+//     and a separate VMULPD, VADDPD or VSUBPD per product and sum of the Go
+//     coupling, in its association. Go 1.24 fuses no a*b + c on amd64 at
+//     any GOAMD64 level (only math.FMA becomes an FMA), so the Go coupling
+//     rounds every product too. Elsewhere it is four Dot4 calls and the
+//     coupling in Go.
+//   - SubScaled is a back-substitution's column update x −= y·a, a VMULPD
+//     then a VSUBPD per lane: lane-wise, so it may run 8 wide on AVX-512.
 //   - RBFFromR2 and RBFARD return vr·math.Exp(−r²/2). Their exp is
 //     math.Exp's own amd64 FMA path run lane by lane, so FMA is allowed
 //     here: it is the rounding math.Exp itself performs, and the kernels run
@@ -190,8 +198,8 @@ var unitInv2 = [1]float64{1}
 // rounded product per dimension, in dimension order, and the result equals
 // that scalar loop followed by vr·math.Exp(−r²/2) bit for bit on every
 // path. On amd64, where math.Exp takes its FMA path, blocks of 4 (AVX2) or
-// 8 (AVX-512) pairs run in assembly: the r² sums lane-wise, then math.Exp's
-// own steps. A block with a pair whose exponent −r²/2 lies outside
+// 8 (AVX-512, two blocks side by side) pairs run in assembly: the r² sums
+// lane-wise, then math.Exp's own steps. A block with a pair whose exponent −r²/2 lies outside
 // [−708, 709] (and above −746, where math.Exp is exactly 0), or is NaN,
 // goes to math.Exp, as does the tail. Each block is read before it is
 // written, so with one dimension dst may be sqd itself.
@@ -253,34 +261,83 @@ func Dot4(p, q0, q1, q2, q3 []float64, n int) (s0, s1, s2, s3 float64) {
 	return DotUnroll4(p[:n], q0, q1, q2, q3)
 }
 
-// Dot4x4 sets out[4r+c] to the c-th result of Dot4(p_r, q0, q1, q2, q3, n)
-// for r = 0..3, bit for bit on every path: the sixteen dot products of
-// four rows against four columns, the block a four-row Cholesky group
-// needs per column block. Every operand must hold at least n elements. On
-// AVX-512 one pass loads each operand once for all sixteen sums. Its
-// sixteen ZMM accumulators hold dot4Asm's accumulators for one (row,
-// column) pair each: the even 4-element chunks in the low half, the odd
-// ones in the high half, with the same FMA per lane. The 4-element step
-// after the 8-element loop is masked to the low half, as dot4Asm adds it
-// to its even accumulators, and the merge, horizontal reduce and scalar
-// tail are dot4Asm's. Elsewhere it makes the four Dot4 calls.
+// Dot4x4Solve runs one 4×4 block of a left-looking Cholesky recurrence
+// for the four rows p[0..3] against the four columns q[0..3]. With s_c the
+// c-th result of Dot4(p[r], q[0], q[1], q[2], q[3], n), row r's entries
+// n..n+3 become
+//
+//	v0 = (p[r][n] − s_0) / q[0][n]
+//	s_1 += v0·q[1][n];                              v1 = (p[r][n+1] − s_1) / q[1][n+1]
+//	s_2 += v0·q[2][n] + v1·q[2][n+1];               v2 = (p[r][n+2] − s_2) / q[2][n+2]
+//	s_3 += v0·q[3][n] + v1·q[3][n+1] + v2·q[3][n+2]; v3 = (p[r][n+3] − s_3) / q[3][n+3]
+//
+// each product rounded and each sum taken left to right, bit for bit on
+// every path. Each row must hold n+4 elements and column c n+c+1, and no
+// row may overlap a column. On AVX-512, for n ≥ 8 and for n = 0 and 4,
+// one kernel does it all in registers: the sixteen sums, then the solve
+// with the four rows as the lanes of each column's vector. Elsewhere it
+// makes four Dot4 calls and runs the solve in Go, step by step across the
+// rows so their divide chains overlap.
 //
 //ppalint:noalloc
-func Dot4x4(p0, p1, p2, p3, q0, q1, q2, q3 []float64, n int, out *[16]float64) {
-	if len(p0) < n || len(p1) < n || len(p2) < n || len(p3) < n ||
-		len(q0) < n || len(q1) < n || len(q2) < n || len(q3) < n {
-		panic("simd: Dot4x4 operand shorter than n")
+func Dot4x4Solve(p, q *[4][]float64, n int) {
+	if len(p[0]) < n+4 || len(p[1]) < n+4 || len(p[2]) < n+4 || len(p[3]) < n+4 ||
+		len(q[0]) < n+1 || len(q[1]) < n+2 || len(q[2]) < n+3 || len(q[3]) < n+4 {
+		panic("simd: Dot4x4Solve operand too short")
+	}
+	if useAVX512 && (n >= 8 || n == 0 || n == 4) {
+		dot4x4Solve512(p, q, n)
+		return
+	}
+	var s [4][4]float64 // s[c][r] = p[r]·q[c]
+	for r, row := range p {
+		s[0][r], s[1][r], s[2][r], s[3][r] = Dot4(row, q[0], q[1], q[2], q[3], n)
+	}
+	var v0, v1, v2 [4]float64
+	for r, row := range p {
+		v0[r] = (row[n] - s[0][r]) / q[0][n]
+	}
+	for r, row := range p {
+		row[n] = v0[r]
+		s[1][r] += v0[r] * q[1][n]
+		v1[r] = (row[n+1] - s[1][r]) / q[1][n+1]
+	}
+	for r, row := range p {
+		row[n+1] = v1[r]
+		s[2][r] += v0[r]*q[2][n] + v1[r]*q[2][n+1]
+		v2[r] = (row[n+2] - s[2][r]) / q[2][n+2]
+	}
+	for r, row := range p {
+		row[n+2] = v2[r]
+		s[3][r] += v0[r]*q[3][n] + v1[r]*q[3][n+1] + v2[r]*q[3][n+2]
+		row[n+3] = (row[n+3] - s[3][r]) / q[3][n+3]
+	}
+}
+
+// SubScaled sets x[k] −= y[k]·a for every k < len(x): the column update of
+// a back-substitution. y must be at least as long as x. Each element takes
+// the scalar loop's rounded product and difference, bit for bit on every
+// path; on amd64 8 (AVX-512) or 4 (AVX2) elements go per step.
+//
+//ppalint:noalloc
+func SubScaled(x, y []float64, a float64) {
+	n := len(x)
+	if len(y) < n {
+		panic("simd: SubScaled y shorter than x")
 	}
 	if n == 0 {
-		clear(out[:]) // Dot4 over no elements is +0
 		return
 	}
-	if useAVX512 && n >= 8 {
-		dot4x4x512(&p0[0], &p1[0], &p2[0], &p3[0], &q0[0], &q1[0], &q2[0], &q3[0], n, out)
+	if useAVX512 {
+		subScaled512(&x[0], &y[0], n, a)
 		return
 	}
-	out[0], out[1], out[2], out[3] = Dot4(p0, q0, q1, q2, q3, n)
-	out[4], out[5], out[6], out[7] = Dot4(p1, q0, q1, q2, q3, n)
-	out[8], out[9], out[10], out[11] = Dot4(p2, q0, q1, q2, q3, n)
-	out[12], out[13], out[14], out[15] = Dot4(p3, q0, q1, q2, q3, n)
+	k := 0
+	if useAsm && n >= 4 {
+		k = n &^ 3
+		subScaledAsm(&x[0], &y[0], k, a)
+	}
+	for ; k < n; k++ {
+		x[k] -= y[k] * a
+	}
 }

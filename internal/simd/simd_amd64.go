@@ -9,12 +9,23 @@ import "math"
 // from each pointer.
 func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64)
 
-// dot4x4x512 is the AVX-512 kernel in simd_amd64.s behind Dot4x4. It
-// writes dot4Asm(p_r, q0, q1, q2, q3, n)'s four sums to out[4r:4r+4] for
-// r = 0..3, bit for bit, reading exactly n entries from each pointer.
+// dot4x4Solve512 is the AVX-512 kernel in simd_amd64.s behind
+// Dot4x4Solve for n ≥ 8, n = 0 and n = 4: the sixteen sums p[r]·q[c] over
+// n elements, as Dot4 takes them, then the block solve over p[r][n:n+4],
+// reading p[r][:n+4] and q[c][:n+c+1] through the slices' data pointers.
 //
 //go:noescape
-func dot4x4x512(p0, p1, p2, p3, q0, q1, q2, q3 *float64, n int, out *[16]float64)
+func dot4x4Solve512(p, q *[4][]float64, n int)
+
+// subScaledAsm and subScaled512 are SubScaled's kernels in simd_amd64.s:
+// x[k] −= y[k]·a for k < n, n a multiple of 4 for subScaledAsm and any
+// n ≥ 1 for subScaled512.
+//
+//go:noescape
+func subScaledAsm(x, y *float64, n int, a float64)
+
+//go:noescape
+func subScaled512(x, y *float64, n int, a float64)
 
 // dotUnroll4Asm is the AVX2 kernel in simd_amd64.s behind DotUnroll4. For
 // n a multiple of 4 it writes DotUnroll's four stride-4 lane sums s0..s3 of

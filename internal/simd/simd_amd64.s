@@ -330,12 +330,61 @@ arddone4:
 	VZEROUPPER
 	RET
 
+// RBFRANGE8 turns the r² sums in ZX into x = −r²/2 and classifies the
+// lanes: KIN gets those math.Exp's normal return covers, x in [−708, 709]
+// (false for NaN), and KOK those plus the x ≤ −746 lanes, where e^x is +0.
+#define RBFRANGE8(ZX, KIN, KOK) \
+	VMULPD Z14, ZX, ZX; \
+	VCMPPD $0x1d, Z13, ZX, KIN; \
+	VCMPPD $0x12, Z12, ZX, KIN, KIN; \
+	VCMPPD $0x12, Z11, ZX, KOK; \
+	KORW   KIN, KOK, KOK
+
+// RBFEXP8 replaces x in ZX by vr·e^x, rbfARDAsm's steps eight lanes wide
+// (see there), with +0 in the lanes outside KIN; ZK, YK (ZK's low half),
+// ZP, ZE and ZM are scratch.
+#define RBFEXP8(ZX, ZK, YK, ZP, ZE, ZM, KIN) \
+	VMULPD.BCST       EXP_LOG2E(DX), ZX, ZK; \
+	VCVTPD2DQ         ZK, YK; \
+	VCVTDQ2PD         YK, ZK; \
+	VFNMADD231PD.BCST EXP_LN2U(DX), ZK, ZX; \
+	VFNMADD231PD.BCST EXP_LN2L(DX), ZK, ZX; \
+	VMULPD.BCST       EXP_SIXTEENTH(DX), ZX, ZX; \
+	VBROADCASTSD      EXP_C8(DX), ZP; \
+	VFMADD213PD.BCST  EXP_C7(DX), ZX, ZP; \
+	VFMADD213PD.BCST  EXP_C6(DX), ZX, ZP; \
+	VFMADD213PD.BCST  EXP_C5(DX), ZX, ZP; \
+	VFMADD213PD.BCST  EXP_C4(DX), ZX, ZP; \
+	VFMADD213PD.BCST  EXP_C3(DX), ZX, ZP; \
+	VFMADD213PD.BCST  EXP_HALF(DX), ZX, ZP; \
+	VFMADD213PD.BCST  EXP_ONE(DX), ZX, ZP; \
+	VMULPD            ZP, ZX, ZX; \
+	VADDPD.BCST       EXP_TWO(DX), ZX, ZP; \
+	VMULPD            ZP, ZX, ZX; \
+	VADDPD.BCST       EXP_TWO(DX), ZX, ZP; \
+	VMULPD            ZP, ZX, ZX; \
+	VADDPD.BCST       EXP_TWO(DX), ZX, ZP; \
+	VMULPD            ZP, ZX, ZX; \
+	VADDPD.BCST       EXP_TWO(DX), ZX, ZP; \
+	VFMADD213PD.BCST  EXP_ONE(DX), ZP, ZX; \
+	VPMOVSXDQ         YK, ZE; \
+	VPADDQ.BCST       EXP_BIAS(DX), ZE, ZE; \
+	VPSLLQ            $52, ZE, ZE; \
+	VMULPD            ZE, ZX, ZX; \
+	VPXORQ            ZM, ZM, ZM; \
+	VMOVAPD           ZX, KIN, ZM; \
+	VMULPD            Z15, ZM, ZX
+
 // func rbfARDx512(dst, sqd, inv2 *float64, d, stride, n int, vr float64) int
 //
 // rbfARDAsm eight pairs per block, with the range masks in K registers; n
-// is a multiple of 8. Only AVX512F instructions are used, matching the
-// useAVX512 gate: a merge-masked move into a zeroed register replaces
-// VANDPD, which needs DQ on ZMM.
+// is a multiple of 8. Two blocks run side by side while both fit, so their
+// r² chains (one add per dimension) and exp steps overlap; a pair of
+// blocks with a lane that needs math.Exp goes back to one block at a time,
+// which stops at that block. Every lane takes the same operations either
+// way. Only AVX512F instructions are used, matching the useAVX512 gate: a
+// merge-masked move into a zeroed register replaces VANDPD, which needs DQ
+// on ZMM.
 TEXT ·rbfARDx512(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ sqd+8(FP), SI
@@ -351,6 +400,39 @@ TEXT ·rbfARDx512(SB), NOSPLIT, $0-64
 	VBROADCASTSD EXP_HI(DX), Z12
 	VBROADCASTSD EXP_ZERO(DX), Z11
 	XORQ AX, AX
+
+ardloop16:
+	LEAQ 16(AX), R13
+	CMPQ R13, CX
+	JGT  ardloop8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z16, Z16, Z16
+	LEAQ (SI)(AX*8), R11
+	XORQ R12, R12
+
+ardk16:
+	VBROADCASTSD (R8)(R12*8), Z5
+	VMULPD       (R11), Z5, Z1
+	VMULPD       64(R11), Z5, Z17
+	VADDPD       Z1, Z0, Z0      // r² += sqd·inv2[k]
+	VADDPD       Z17, Z16, Z16
+	ADDQ R10, R11
+	INCQ R12
+	CMPQ R12, R9
+	JLT  ardk16
+
+	RBFRANGE8(Z0, K1, K2)
+	RBFRANGE8(Z16, K3, K4)
+	KANDW K2, K4, K4
+	KMOVW K4, BX
+	CMPL  BX, $0xff
+	JNE   ardloop8               // a lane needs math.Exp
+	RBFEXP8(Z0, Z1, Y2, Z3, Z4, Z6, K1)
+	RBFEXP8(Z16, Z17, Y18, Z19, Z20, Z21, K3)
+	VMOVUPD Z0, (DI)(AX*8)
+	VMOVUPD Z16, 64(DI)(AX*8)
+	ADDQ $16, AX
+	JMP  ardloop16
 
 ardloop8:
 	CMPQ AX, CX
@@ -368,45 +450,11 @@ ardk8:
 	CMPQ R12, R9
 	JLT  ardk8
 
-	VMULPD Z14, Z0, Z0            // x = −r²/2
-	VCMPPD $0x1d, Z13, Z0, K1     // x ≥ −708 (false for NaN)
-	VCMPPD $0x12, Z12, Z0, K1, K1 // and x ≤ 709
-	VCMPPD $0x12, Z11, Z0, K2     // x ≤ −746: e^x is +0
-	KORW   K1, K2, K2
-	KMOVW  K2, BX
-	CMPL   BX, $0xff
-	JNE    arddone8               // a lane needs math.Exp
-
-	VMULPD.BCST       EXP_LOG2E(DX), Z0, Z1
-	VCVTPD2DQ         Z1, Y2      // k
-	VCVTDQ2PD         Y2, Z1
-	VFNMADD231PD.BCST EXP_LN2U(DX), Z1, Z0 // x − k·ln2u
-	VFNMADD231PD.BCST EXP_LN2L(DX), Z1, Z0 // − k·ln2l
-	VMULPD.BCST       EXP_SIXTEENTH(DX), Z0, Z0
-	VBROADCASTSD      EXP_C8(DX), Z3 // Horner from 1/8!
-	VFMADD213PD.BCST  EXP_C7(DX), Z0, Z3
-	VFMADD213PD.BCST  EXP_C6(DX), Z0, Z3
-	VFMADD213PD.BCST  EXP_C5(DX), Z0, Z3
-	VFMADD213PD.BCST  EXP_C4(DX), Z0, Z3
-	VFMADD213PD.BCST  EXP_C3(DX), Z0, Z3
-	VFMADD213PD.BCST  EXP_HALF(DX), Z0, Z3
-	VFMADD213PD.BCST  EXP_ONE(DX), Z0, Z3
-	VMULPD            Z3, Z0, Z0
-	VADDPD.BCST       EXP_TWO(DX), Z0, Z3 // four squarings r·(r+2)
-	VMULPD            Z3, Z0, Z0
-	VADDPD.BCST       EXP_TWO(DX), Z0, Z3
-	VMULPD            Z3, Z0, Z0
-	VADDPD.BCST       EXP_TWO(DX), Z0, Z3
-	VMULPD            Z3, Z0, Z0
-	VADDPD.BCST       EXP_TWO(DX), Z0, Z3
-	VFMADD213PD.BCST  EXP_ONE(DX), Z3, Z0 // the last one + 1, fused
-	VPMOVSXDQ         Y2, Z4
-	VPADDQ.BCST       EXP_BIAS(DX), Z4, Z4
-	VPSLLQ            $52, Z4, Z4 // 2^k
-	VMULPD            Z4, Z0, Z0
-	VPXORQ            Z6, Z6, Z6
-	VMOVAPD           Z0, K1, Z6  // +0 in the x ≤ −746 lanes
-	VMULPD            Z15, Z6, Z0 // · vr
+	RBFRANGE8(Z0, K1, K2)
+	KMOVW K2, BX
+	CMPL  BX, $0xff
+	JNE   arddone8               // a lane needs math.Exp
+	RBFEXP8(Z0, Z1, Y2, Z3, Z4, Z6, K1)
 	VMOVUPD Z0, (DI)(AX*8)
 	ADDQ $8, AX
 	JMP  ardloop8
@@ -464,49 +512,118 @@ ds4store:
 	VZEROUPPER
 	RET
 
-// D4X4SUM finishes one (row, column) sum of dot4x4x512 the way dot4Asm
-// finishes a column: the odd accumulator (high half of ZACC) is added to
-// the even one (low half), the upper pair to the lower, the two lanes to
-// each other, then the scalar tail XTAIL, and the result is stored at
-// OFF(R13). The operands keep dot4Asm's order. dot4Asm's VEX instructions
-// cannot address X16–X31, and VHADDPD has no EVEX form, so each step is an
-// AVX512F equivalent on the low lanes: VEXTRACTF64X4 plus a 512-bit VADDPD
-// for the merge, VEXTRACTF32X4 plus VADDPD for VEXTRACTF128 plus VADDPD,
-// and VUNPCKHPD plus VADDSD for VHADDPD.
-#define D4X4SUM(ZACC, XACC, XTAIL, OFF) \
-	VEXTRACTF64X4 $1, ZACC, Y16; \
-	VADDPD        Z16, ZACC, ZACC; \
-	VEXTRACTF32X4 $1, ZACC, X16; \
-	VADDPD        Z16, ZACC, ZACC; \
-	VUNPCKHPD     ZACC, ZACC, Z16; \
-	VADDSD        X16, XACC, XACC; \
-	VADDSD        XTAIL, XACC, XACC; \
-	VMOVSD        XACC, OFF(R13)
 
-// func dot4x4x512(p0, p1, p2, p3, q0, q1, q2, q3 *float64, n int, out *[16]float64)
+// D4X4ROWS loads element OFF(AX) of the rows p0..p3 into elements 0–3 of
+// ZD (EVEX, so Z16–Z31 may be used), zeroing the rest; XT is scratch.
+#define D4X4ROWS(OFF, ZD, XD, XT) \
+	VMOVSD       OFF(SI)(AX*1), XD; \
+	VMOVHPD      OFF(DI)(AX*1), XD, XD; \
+	VMOVSD       OFF(BX)(AX*1), XT; \
+	VMOVHPD      OFF(R12)(AX*1), XT, XT; \
+	VINSERTF32X4 $1, XT, ZD, ZD
+
+// D4X4ROWSY is D4X4ROWS into the YMM register YD (VEX, Y0–Y15 only).
+#define D4X4ROWSY(OFF, YD, XD, XT) \
+	VMOVSD      OFF(SI)(AX*1), XD; \
+	VMOVHPD     OFF(DI)(AX*1), XD, XD; \
+	VMOVSD      OFF(BX)(AX*1), XT; \
+	VMOVHPD     OFF(R12)(AX*1), XT, XT; \
+	VINSERTF128 $1, XT, YD, YD
+
+// D4X4LANES sets YS, already +0, to n = 4's DotUnroll sums of the rows
+// p0..p3, whose elements k = 0..3 are in Y4..Y7 as rows-as-lanes
+// vectors, against the column at QC: each lane +0 + p[k]·q[k] (Y15 is
+// +0), added to YS in k order.
+#define D4X4LANES(QC, YS) \
+	VBROADCASTSD (QC), Y8; \
+	VMULPD       Y8, Y4, Y8; \
+	VADDPD       Y15, Y8, Y8; \
+	VADDPD       Y8, YS, YS; \
+	VBROADCASTSD 8(QC), Y8; \
+	VMULPD       Y8, Y5, Y8; \
+	VADDPD       Y15, Y8, Y8; \
+	VADDPD       Y8, YS, YS; \
+	VBROADCASTSD 16(QC), Y8; \
+	VMULPD       Y8, Y6, Y8; \
+	VADDPD       Y15, Y8, Y8; \
+	VADDPD       Y8, YS, YS; \
+	VBROADCASTSD 24(QC), Y8; \
+	VMULPD       Y8, Y7, Y8; \
+	VADDPD       Y15, Y8, Y8; \
+	VADDPD       Y8, YS, YS
+
+// D4X4STORE stores the four elements of YS to element OFF(AX) of the rows
+// p0..p3; XT is scratch.
+#define D4X4STORE(OFF, YS, XS, XT) \
+	VMOVSD       XS, OFF(SI)(AX*1); \
+	VMOVHPD      XS, OFF(DI)(AX*1); \
+	VEXTRACTF128 $1, YS, XT; \
+	VMOVSD       XT, OFF(BX)(AX*1); \
+	VMOVHPD      XT, OFF(R12)(AX*1)
+
+// D4X4COL finishes column c's four sums, rows 0–3 in the accumulators
+// ZR0..ZR3, into elements 0–3 of ZOUT (the rest zero), the way dot4Asm
+// finishes a column: per row, the odd accumulator (high half) is added to
+// the even one (low half), the upper pair of what is left to the lower
+// pair, the two remaining lanes to each other, and then the scalar tail,
+// element r of ZTAIL. Each step is one 512-bit add over two or four rows,
+// with dot4Asm's operand order (the lower part first): VSHUFF64X2 and
+// VUNPCKHPD line the operands up, and VCOMPRESSPD under K2 = 0x55 packs
+// the rows' sums, left in elements 0, 2, 4 and 6, into elements 0–3.
+#define D4X4COL(ZR0, ZR1, ZR2, ZR3, ZTAIL, ZOUT) \
+	VSHUFF64X2    $0x44, ZR1, ZR0, Z16; \
+	VSHUFF64X2    $0xee, ZR1, ZR0, Z17; \
+	VADDPD        Z17, Z16, Z16; \
+	VSHUFF64X2    $0x44, ZR3, ZR2, Z17; \
+	VSHUFF64X2    $0xee, ZR3, ZR2, Z18; \
+	VADDPD        Z18, Z17, Z17; \
+	VSHUFF64X2    $0x88, Z17, Z16, Z18; \
+	VSHUFF64X2    $0xdd, Z17, Z16, Z19; \
+	VADDPD        Z19, Z18, Z18; \
+	VUNPCKHPD     Z18, Z18, Z19; \
+	VADDPD        Z19, Z18, Z18; \
+	VCOMPRESSPD.Z Z18, K2, ZOUT; \
+	VADDPD        ZTAIL, ZOUT, ZOUT
+
+// func dot4x4Solve512(p, q *[4][]float64, n int)
 //
-// dot4Asm for four rows p0..p3 at once: out[4r+c] = p_r·q_c over n
-// elements. Z(4r+c) accumulates pair (r, c): its low half is dot4Asm's
-// even accumulator Y(c) for row r and its high half the odd one Y(c+4),
-// so one 512-bit FMA per pair and 8-element step does what dot4Asm's two
-// 256-bit FMAs do, with the same operands per lane. Each operand is loaded
-// once per step for all four pairs that use it. The 4-element step is
-// merge-masked (K1 = 0x0f) to the low half, dot4Asm's even accumulators;
-// its masked loads read only those four elements. The scalar tail runs in
-// two passes of eight accumulators, rows 0–1 then rows 2–3, each a
-// VFMADD231SD from zero in index order as in dot4Asm. Only AVX512F
-// instructions are used, matching the useAVX512 gate.
-TEXT ·dot4x4x512(SB), NOSPLIT, $0-80
-	MOVQ p0+0(FP), SI
-	MOVQ p1+8(FP), DI
-	MOVQ p2+16(FP), BX
-	MOVQ p3+24(FP), R12
-	MOVQ q0+32(FP), R8
-	MOVQ q1+40(FP), R9
-	MOVQ q2+48(FP), R10
-	MOVQ q3+56(FP), R11
-	MOVQ n+64(FP), CX
-	MOVQ out+72(FP), R13
+// One 4×4 block of the Cholesky recurrence for four rows: the sixteen dot
+// products p_r·q_c over n elements, each Dot4's sum bit for bit, then the
+// block's triangular solve, which overwrites p_r[n:n+4]. p_r and q_c are
+// the data pointers of the slices p[r] and q[c].
+//
+// For n ≥ 8 the sums are dot4Asm's. Z(4r+c) accumulates pair (r, c): its
+// low half is dot4Asm's even accumulator Y(c) for row r and its high half
+// the odd one Y(c+4), so one 512-bit FMA per pair and 8-element step does
+// what dot4Asm's two 256-bit FMAs do, with the same operands per lane.
+// Each operand is loaded once per step for all four pairs that use it. The
+// 4-element step is merge-masked (K1 = 0x0f) to the low half, dot4Asm's
+// even accumulators; its masked loads read only those four elements. The
+// scalar tail runs with the rows as lanes: one FMA from zero per element,
+// in index order, as in dot4Asm. D4X4COL then finishes each column's four
+// sums. For n = 0 and 4 the sums are DotUnroll's, as Dot4 takes them below
+// 8 elements (see d4ssmall).
+//
+// The solve keeps the rows as lanes too: one vector per column, element r
+// for row r. It is the Go coupling, operation for operation: per column
+// one VDIVPD by the broadcast diagonal entry q_c[n+c], and every product
+// and sum a separate VMULPD, VADDPD or VSUBPD, in the association of the
+// Go expressions. Only AVX512F instructions are used, matching the
+// useAVX512 gate.
+TEXT ·dot4x4Solve512(SB), NOSPLIT, $0-24
+	MOVQ p+0(FP), AX
+	MOVQ 0(AX), SI
+	MOVQ 24(AX), DI
+	MOVQ 48(AX), BX
+	MOVQ 72(AX), R12
+	MOVQ q+8(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 24(AX), R9
+	MOVQ 48(AX), R10
+	MOVQ 72(AX), R11
+	MOVQ n+16(FP), CX
+	CMPQ CX, $8
+	JLT  d4ssmall
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -526,9 +643,8 @@ TEXT ·dot4x4x512(SB), NOSPLIT, $0-80
 	XORQ AX, AX
 	MOVQ CX, DX
 	SHRQ $3, DX
-	JZ   d4x4quad
 
-d4x4loop8:
+d4sloop8:
 	VMOVUPD (R8)(AX*1), Z16
 	VMOVUPD (R9)(AX*1), Z17
 	VMOVUPD (R10)(AX*1), Z18
@@ -555,11 +671,11 @@ d4x4loop8:
 	VFMADD231PD Z19, Z23, Z15
 	ADDQ $64, AX
 	DECQ DX
-	JNZ  d4x4loop8
+	JNZ  d4sloop8
 
-d4x4quad:
+d4squad:
 	TESTQ $4, CX
-	JZ    d4x4tails
+	JZ    d4stails
 	MOVQ  $0x0f, DX
 	KMOVW DX, K1
 	VMOVUPD.Z (R8)(AX*1), K1, Z16
@@ -587,85 +703,175 @@ d4x4quad:
 	VFMADD231PD Z18, Z23, K1, Z14
 	VFMADD231PD Z19, Z23, K1, Z15
 
-d4x4tails:
-	// AX = 8·(n &^ 3) is the tail's byte offset, CX its length.
+d4stails:
+	// AX = 8·(n &^ 3) is the tail's byte offset, DX its length. Column
+	// c's tails accumulate in Z(24+c), row r in element r.
 	MOVQ CX, AX
 	ANDQ $-4, AX
 	SHLQ $3, AX
-	ANDQ $3, CX
+	MOVQ CX, DX
+	ANDQ $3, DX
 	VPXORQ Z24, Z24, Z24
 	VPXORQ Z25, Z25, Z25
 	VPXORQ Z26, Z26, Z26
 	VPXORQ Z27, Z27, Z27
-	VPXORQ Z28, Z28, Z28
-	VPXORQ Z29, Z29, Z29
-	VPXORQ Z30, Z30, Z30
-	VPXORQ Z31, Z31, Z31
-	MOVQ CX, DX
 	TESTQ DX, DX
-	JZ    d4x4sumA
+	JZ    d4sreduce
 
-d4x4tailA:
-	VMOVSD (SI)(AX*1), X16
-	VMOVSD (DI)(AX*1), X17
-	VFMADD231SD (R8)(AX*1), X16, X24
-	VFMADD231SD (R9)(AX*1), X16, X25
-	VFMADD231SD (R10)(AX*1), X16, X26
-	VFMADD231SD (R11)(AX*1), X16, X27
-	VFMADD231SD (R8)(AX*1), X17, X28
-	VFMADD231SD (R9)(AX*1), X17, X29
-	VFMADD231SD (R10)(AX*1), X17, X30
-	VFMADD231SD (R11)(AX*1), X17, X31
+d4stail:
+	D4X4ROWS(0, Z20, X20, X21)
+	VFMADD231PD.BCST (R8)(AX*1), Z20, Z24
+	VFMADD231PD.BCST (R9)(AX*1), Z20, Z25
+	VFMADD231PD.BCST (R10)(AX*1), Z20, Z26
+	VFMADD231PD.BCST (R11)(AX*1), Z20, Z27
 	ADDQ $8, AX
 	DECQ DX
-	JNZ  d4x4tailA
+	JNZ  d4stail
 
-d4x4sumA:
-	D4X4SUM(Z0, X0, X24, 0)
-	D4X4SUM(Z1, X1, X25, 8)
-	D4X4SUM(Z2, X2, X26, 16)
-	D4X4SUM(Z3, X3, X27, 24)
-	D4X4SUM(Z4, X4, X28, 32)
-	D4X4SUM(Z5, X5, X29, 40)
-	D4X4SUM(Z6, X6, X30, 48)
-	D4X4SUM(Z7, X7, X31, 56)
-	VPXORQ Z24, Z24, Z24
-	VPXORQ Z25, Z25, Z25
-	VPXORQ Z26, Z26, Z26
-	VPXORQ Z27, Z27, Z27
-	VPXORQ Z28, Z28, Z28
-	VPXORQ Z29, Z29, Z29
-	VPXORQ Z30, Z30, Z30
-	VPXORQ Z31, Z31, Z31
-	MOVQ n+64(FP), AX
-	ANDQ $-4, AX
+d4sreduce:
+	// AX = 8n now: the block's first column. s_c lands in Y(c), each
+	// column's sums written after its accumulators are read.
+	MOVQ  $0x55, DX
+	KMOVW DX, K2
+	D4X4COL(Z0, Z4, Z8, Z12, Z24, Z0)
+	D4X4COL(Z1, Z5, Z9, Z13, Z25, Z1)
+	D4X4COL(Z2, Z6, Z10, Z14, Z26, Z2)
+	D4X4COL(Z3, Z7, Z11, Z15, Z27, Z3)
+	JMP d4ssolve
+
+d4ssmall:
+	// n is 0 or 4. Each sum is DotUnroll's: (((t + l0) + l1) + l2) + l3,
+	// its stride-4 lanes l_k = +0 + p[k]·q_c[k] for n = 4 and +0 for n = 0,
+	// and its tail t = +0.
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ CX, AX
 	SHLQ $3, AX
 	TESTQ CX, CX
-	JZ    d4x4sumB
+	JZ    d4ssolve
+	XORQ AX, AX
+	VXORPD Y15, Y15, Y15
+	D4X4ROWSY(0, Y4, X4, X8)
+	D4X4ROWSY(8, Y5, X5, X8)
+	D4X4ROWSY(16, Y6, X6, X8)
+	D4X4ROWSY(24, Y7, X7, X8)
+	D4X4LANES(R8, Y0)
+	D4X4LANES(R9, Y1)
+	D4X4LANES(R10, Y2)
+	D4X4LANES(R11, Y3)
+	MOVQ $32, AX
 
-d4x4tailB:
-	VMOVSD (BX)(AX*1), X16
-	VMOVSD (R12)(AX*1), X17
-	VFMADD231SD (R8)(AX*1), X16, X24
-	VFMADD231SD (R9)(AX*1), X16, X25
-	VFMADD231SD (R10)(AX*1), X16, X26
-	VFMADD231SD (R11)(AX*1), X16, X27
-	VFMADD231SD (R8)(AX*1), X17, X28
-	VFMADD231SD (R9)(AX*1), X17, X29
-	VFMADD231SD (R10)(AX*1), X17, X30
-	VFMADD231SD (R11)(AX*1), X17, X31
-	ADDQ $8, AX
+d4ssolve:
+	// The solve runs on YMM registers, whose divides are about twice as
+	// fast as ZMM ones. a_c = p_r[n+c] lands in Y(4+c), the diagonal
+	// entries q_c[n+c] in Y(12+c); v_c overwrites a_c.
+	D4X4ROWSY(0, Y4, X4, X8)
+	D4X4ROWSY(8, Y5, X5, X9)
+	D4X4ROWSY(16, Y6, X6, X10)
+	D4X4ROWSY(24, Y7, X7, X11)
+	VBROADCASTSD (R8)(AX*1), Y12
+	VBROADCASTSD 8(R9)(AX*1), Y13
+	VBROADCASTSD 16(R10)(AX*1), Y14
+	VBROADCASTSD 24(R11)(AX*1), Y15
+	VSUBPD       Y0, Y4, Y4
+	VDIVPD       Y12, Y4, Y4        // v0 = (a0 − s0) / q0[n]
+	VBROADCASTSD (R9)(AX*1), Y8
+	VMULPD       Y8, Y4, Y8
+	VADDPD       Y8, Y1, Y1         // s1 += v0·q1[n]
+	VSUBPD       Y1, Y5, Y5
+	VDIVPD       Y13, Y5, Y5        // v1 = (a1 − s1) / q1[n+1]
+	VBROADCASTSD (R10)(AX*1), Y8
+	VMULPD       Y8, Y4, Y8
+	VBROADCASTSD 8(R10)(AX*1), Y9
+	VMULPD       Y9, Y5, Y9
+	VADDPD       Y9, Y8, Y8
+	VADDPD       Y8, Y2, Y2         // s2 += v0·q2[n] + v1·q2[n+1]
+	VSUBPD       Y2, Y6, Y6
+	VDIVPD       Y14, Y6, Y6        // v2 = (a2 − s2) / q2[n+2]
+	VBROADCASTSD (R11)(AX*1), Y8
+	VMULPD       Y8, Y4, Y8
+	VBROADCASTSD 8(R11)(AX*1), Y9
+	VMULPD       Y9, Y5, Y9
+	VADDPD       Y9, Y8, Y8
+	VBROADCASTSD 16(R11)(AX*1), Y9
+	VMULPD       Y9, Y6, Y9
+	VADDPD       Y9, Y8, Y8
+	VADDPD       Y8, Y3, Y3         // s3 += v0·q3[n] + v1·q3[n+1] + v2·q3[n+2]
+	VSUBPD       Y3, Y7, Y7
+	VDIVPD       Y15, Y7, Y7        // v3 = (a3 − s3) / q3[n+3]
+	D4X4STORE(0, Y4, X4, X8)
+	D4X4STORE(8, Y5, X5, X9)
+	D4X4STORE(16, Y6, X6, X10)
+	D4X4STORE(24, Y7, X7, X11)
+	VZEROUPPER
+	RET
+
+// func subScaledAsm(x, y *float64, n int, a float64)
+//
+// x[k] −= y[k]·a for k < n, a multiple of 4, four elements per step: a
+// VMULPD then a VSUBPD per lane (never FMA), the scalar loop's two
+// roundings, so each element is the scalar loop's to the bit.
+TEXT ·subScaledAsm(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), DI
+	MOVQ y+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD a+24(FP), Y15
+	XORQ AX, AX
+	SHRQ $2, CX
+	JZ   ssdone4
+
+ssloop4:
+	VMULPD  (SI)(AX*8), Y15, Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VSUBPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
 	DECQ CX
-	JNZ  d4x4tailB
+	JNZ  ssloop4
 
-d4x4sumB:
-	D4X4SUM(Z8, X8, X24, 64)
-	D4X4SUM(Z9, X9, X25, 72)
-	D4X4SUM(Z10, X10, X26, 80)
-	D4X4SUM(Z11, X11, X27, 88)
-	D4X4SUM(Z12, X12, X28, 96)
-	D4X4SUM(Z13, X13, X29, 104)
-	D4X4SUM(Z14, X14, X30, 112)
-	D4X4SUM(Z15, X15, X31, 120)
+ssdone4:
+	VZEROUPPER
+	RET
+
+// func subScaled512(x, y *float64, n int, a float64)
+//
+// subScaledAsm eight elements per step, for any n ≥ 1: the last 1–8
+// elements run under a mask (K1), whose loads and stores touch only those
+// elements.
+TEXT ·subScaled512(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), DI
+	MOVQ y+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD a+24(FP), Z15
+	XORQ AX, AX
+	DECQ CX
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   sslast8
+
+ssloop8:
+	VMULPD  (SI)(AX*8), Z15, Z0
+	VMOVUPD (DI)(AX*8), Z1
+	VSUBPD  Z0, Z1, Z1
+	VMOVUPD Z1, (DI)(AX*8)
+	ADDQ $8, AX
+	DECQ DX
+	JNZ  ssloop8
+
+sslast8:
+	// (n−1)&7 + 1 elements are left.
+	ANDQ  $7, CX
+	INCQ  CX
+	MOVQ  $1, DX
+	SHLQ  CX, DX
+	DECQ  DX
+	KMOVW DX, K1
+	VMOVUPD.Z (SI)(AX*8), K1, Z2
+	VMULPD    Z2, Z15, Z0
+	VMOVUPD.Z (DI)(AX*8), K1, Z1
+	VSUBPD    Z0, Z1, Z1
+	VMOVUPD   Z1, K1, (DI)(AX*8)
 	VZEROUPPER
 	RET

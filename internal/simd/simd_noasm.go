@@ -17,8 +17,16 @@ func dot4Asm(p, q0, q1, q2, q3 *float64, n int) (s0, s1, s2, s3 float64) {
 	panic("simd: dot4Asm called without assembly support")
 }
 
-func dot4x4x512(p0, p1, p2, p3, q0, q1, q2, q3 *float64, n int, out *[16]float64) {
-	panic("simd: dot4x4x512 called without assembly support")
+func dot4x4Solve512(p, q *[4][]float64, n int) {
+	panic("simd: dot4x4Solve512 called without assembly support")
+}
+
+func subScaledAsm(x, y *float64, n int, a float64) {
+	panic("simd: subScaledAsm called without assembly support")
+}
+
+func subScaled512(x, y *float64, n int, a float64) {
+	panic("simd: subScaled512 called without assembly support")
 }
 
 func dotUnroll4Asm(a, b0, b1, b2, b3 *float64, n int, lanes *[16]float64) {

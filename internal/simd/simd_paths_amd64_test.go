@@ -24,7 +24,8 @@ func TestKernelsAcrossPaths(t *testing.T) {
 			testDot4EdgeLengths(t)
 			testDotUnroll4Bitwise(t)
 			testDotUnrollLanes4Bitwise(t)
-			testDot4x4MatchesDot4(t)
+			testDot4x4SolveMatchesReference(t)
+			testSubScaledBitwise(t)
 			testDotSelf4Bitwise(t)
 			testRBFFromR2Bitwise(t)
 			testRBFARDBitwise(t)

@@ -181,80 +181,178 @@ func testDotUnrollLanes4Bitwise(t *testing.T) {
 	}
 }
 
-// TestDot4x4MatchesDot4 pins the sixteen-sum block to four Dot4 calls bit
-// for bit at every n in 0–300, so every 8-element loop count, the masked
-// 4-element step and every 0–3 tail are covered. Operands run past n
-// with NaN, which any read beyond n would carry into a sum. One trial per
-// n draws every operand from ±0, so the signs of zero sums are checked
-// too.
-func TestDot4x4MatchesDot4(t *testing.T) { testDot4x4MatchesDot4(t) }
+// specialFloat is wildFloat with IEEE specials mixed in: ±Inf and NaN.
+func specialFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(12) {
+	case 0:
+		return math.Inf(1)
+	case 1:
+		return math.Inf(-1)
+	case 2:
+		return math.NaN()
+	}
+	return wildFloat(rng)
+}
 
-func testDot4x4MatchesDot4(t *testing.T) {
+// sameOrNaN is sameBits, except that any two NaNs match: which operand's
+// payload a NaN result carries is not pinned.
+func sameOrNaN(a, b float64) bool { return sameBits(a, b) || math.IsNaN(a) && math.IsNaN(b) }
+
+// refDot4x4Solve is factorRows' block step as it ran row by row before
+// Dot4x4Solve: one Dot4 call, then the row's triangular coupling.
+func refDot4x4Solve(p, q [4][]float64, n int) {
+	c0, c1, c2, c3 := q[0], q[1], q[2], q[3]
+	for _, row := range p {
+		s0, s1, s2, s3 := Dot4(row, c0, c1, c2, c3, n)
+		v0 := (row[n] - s0) / c0[n]
+		row[n] = v0
+		s1 += v0 * c1[n]
+		v1 := (row[n+1] - s1) / c1[n+1]
+		row[n+1] = v1
+		s2 += v0*c2[n] + v1*c2[n+1]
+		v2 := (row[n+2] - s2) / c2[n+2]
+		row[n+2] = v2
+		s3 += v0*c3[n] + v1*c3[n+1] + v2*c3[n+2]
+		row[n+3] = (row[n+3] - s3) / c3[n+3]
+	}
+}
+
+// TestDot4x4SolveMatchesReference pins the block step to four Dot4 calls
+// and the Go coupling, row by row, bit for bit (any NaN matches any NaN)
+// at every n in 0–300, so every 8-element loop count, the masked
+// 4-element step and every 0–3 tail are covered. Operands run past the
+// lengths the kernel may read with NaN, which any read beyond them would
+// carry into a result. Of the four trials per n, one draws every operand
+// from ±0, so the signs of zero sums are checked, and one mixes in ±Inf
+// and NaN.
+func TestDot4x4SolveMatchesReference(t *testing.T) { testDot4x4SolveMatchesReference(t) }
+
+func testDot4x4SolveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for n := 0; n <= 300; n++ {
-		for trial := 0; trial < 3; trial++ {
-			var ops [8][]float64
-			for o := range ops {
-				ops[o] = make([]float64, n+1+o%3)
-				for k := range ops[o] {
+		for trial := 0; trial < 4; trial++ {
+			var p, q, ref [4][]float64
+			fill := func(v []float64, used int) {
+				for k := range v {
 					switch {
-					case k >= n:
-						ops[o][k] = math.NaN()
+					case k >= used:
+						v[k] = math.NaN()
 					case trial == 2:
-						ops[o][k] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+						v[k] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+					case trial == 3:
+						v[k] = specialFloat(rng)
 					default:
-						ops[o][k] = wildFloat(rng)
+						v[k] = wildFloat(rng)
 					}
 				}
 			}
-			p, q := ops[:4], ops[4:]
-			var got [16]float64
-			Dot4x4(p[0], p[1], p[2], p[3], q[0], q[1], q[2], q[3], n, &got)
 			for r := range p {
-				var want [4]float64
-				want[0], want[1], want[2], want[3] = Dot4(p[r], q[0], q[1], q[2], q[3], n)
-				for c := range want {
-					if g := got[4*r+c]; !sameBits(g, want[c]) {
-						t.Fatalf("n=%d trial=%d row=%d col=%d: Dot4x4 %v (%#x), Dot4 %v (%#x)",
-							n, trial, r, c, g, math.Float64bits(g), want[c], math.Float64bits(want[c]))
+				p[r] = make([]float64, n+4+1+r%3)
+				fill(p[r], n+4)
+				ref[r] = append([]float64(nil), p[r]...)
+			}
+			for c := range q {
+				q[c] = make([]float64, n+c+1+1+c%2)
+				fill(q[c], n+c+1)
+			}
+			Dot4x4Solve(&p, &q, n)
+			refDot4x4Solve(ref, q, n)
+			for r := range p {
+				for k := range p[r] {
+					if g, w := p[r][k], ref[r][k]; !sameOrNaN(g, w) {
+						t.Fatalf("n=%d trial=%d row=%d entry %d: Dot4x4Solve %v (%#x), reference %v (%#x)",
+							n, trial, r, k, g, math.Float64bits(g), w, math.Float64bits(w))
 					}
 				}
 			}
 		}
 	}
-	// An operand shorter than n is a caller bug on every path.
-	ok := make([]float64, 16)
+	// An operand shorter than it must be is a caller bug on every path.
+	long := make([]float64, 20)
 	for o := 0; o < 8; o++ {
-		var ops [8][]float64
-		for k := range ops {
-			ops[k] = ok
+		p := [4][]float64{long, long, long, long}
+		q := p
+		if o < 4 {
+			p[o] = long[:16+3] // rows need n+4
+		} else {
+			q[o-4] = long[:16+o-4] // column c needs n+c+1
 		}
-		ops[o] = ok[:15]
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Dot4x4 with operand %d of length 15 and n=16 did not panic", o)
+					t.Fatalf("Dot4x4Solve with operand %d one element short and n=16 did not panic", o)
 				}
 			}()
-			var out [16]float64
-			Dot4x4(ops[0], ops[1], ops[2], ops[3], ops[4], ops[5], ops[6], ops[7], 16, &out)
+			Dot4x4Solve(&p, &q, 16)
 		}()
 	}
 }
 
-// TestDot4x4NoAlloc backs the //ppalint:noalloc annotations of Dot4x4 and
-// DotUnrollLanes4.
-func TestDot4x4NoAlloc(t *testing.T) {
-	a := make([]float64, 67)
-	for k := range a {
-		a[k] = float64(k)
+// TestSubScaledBitwise pins SubScaled to the scalar loop x[k] −= y[k]·a
+// bit for bit (any NaN matches any NaN) at every length 0–70, with ±0,
+// ±Inf and NaN among the operands, and checks that it leaves x's backing
+// array past len(x) alone.
+func TestSubScaledBitwise(t *testing.T) { testSubScaledBitwise(t) }
+
+func testSubScaledBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for n := 0; n <= 70; n++ {
+		for trial := 0; trial < 6; trial++ {
+			draw := wildFloat
+			if trial%2 == 1 {
+				draw = specialFloat
+			}
+			x := make([]float64, n+3)
+			y := make([]float64, n+trial%3)
+			for k := range x {
+				x[k] = draw(rng)
+			}
+			for k := range y {
+				y[k] = draw(rng)
+			}
+			a := draw(rng)
+			want := append([]float64(nil), x...)
+			for k := 0; k < n; k++ {
+				want[k] -= y[k] * a
+			}
+			SubScaled(x[:n], y, a)
+			for k := range x {
+				if !sameOrNaN(x[k], want[k]) {
+					t.Fatalf("n=%d trial=%d k=%d: SubScaled %v (%#x), scalar %v (%#x)",
+						n, trial, k, x[k], math.Float64bits(x[k]), want[k], math.Float64bits(want[k]))
+				}
+			}
+		}
 	}
-	var out, lanes [16]float64
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SubScaled with y shorter than x did not panic")
+		}
+	}()
+	SubScaled(make([]float64, 9), make([]float64, 8), 1)
+}
+
+// TestDot4x4SolveNoAlloc backs the //ppalint:noalloc annotations of
+// Dot4x4Solve, SubScaled and DotUnrollLanes4.
+func TestDot4x4SolveNoAlloc(t *testing.T) {
+	a := make([]float64, 71)
+	for k := range a {
+		a[k] = float64(k + 1)
+	}
+	var p [4][]float64
+	for r := range p {
+		p[r] = make([]float64, len(a))
+	}
+	q := [4][]float64{a, a, a, a}
+	var lanes [16]float64
 	if allocs := testing.AllocsPerRun(100, func() {
-		Dot4x4(a, a, a, a, a, a, a, a, len(a), &out)
+		Dot4x4Solve(&p, &q, 67)
+		Dot4x4Solve(&p, &q, 4)
+		Dot4x4Solve(&p, &q, 5)
+		SubScaled(p[0], a, 1e-3)
 		DotUnrollLanes4(a, a, a, a, a, &lanes)
 	}); allocs != 0 {
-		t.Fatalf("Dot4x4 and DotUnrollLanes4 allocate %v times per call", allocs)
+		t.Fatalf("Dot4x4Solve, SubScaled and DotUnrollLanes4 allocate %v times per call", allocs)
 	}
 }
 
