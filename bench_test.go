@@ -14,7 +14,6 @@ package ppatuner_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"ppatuner"
@@ -119,48 +118,13 @@ func ablationRun(b *testing.B, name string, seed int64, mutate func(*core.Option
 	if err != nil {
 		b.Fatal(err)
 	}
-	space := ppatuner.ObjSpaces()[1]
-	pool := s.Target.UnitX()
-	objVecs := s.Target.Objectives(space.Metrics)
-	ev := func(i int) ([]float64, error) { return objVecs[i], nil }
-	rng := rand.New(rand.NewSource(seed))
-
-	// Source slice identical to the harness protocol.
-	srcIdx := rng.Perm(s.Source.N())[:s.SourceN]
-	var sx [][]float64
-	sy := make([][]float64, len(space.Metrics))
-	for _, j := range srcIdx {
-		p := s.Source.Points[j]
-		sx = append(sx, p.Config.EncodeInto(s.Target.Space))
-		for k, m := range space.Metrics {
-			sy[k] = append(sy[k], p.QoR.Get(m))
-		}
-	}
-	opt := core.Options{
-		NumObjectives: len(space.Metrics),
-		SourceX:       sx,
-		SourceY:       sy,
-		InitTarget:    14,
-		MaxIter:       51,
-		DeltaFrac:     0.02,
-		Tau:           9,
-		ARD:           true,
-		FitMaxEvals:   400,
-		Rng:           rng,
-	}
-	mutate(&opt)
-	tn, err := core.New(pool, ev, opt)
+	row, err := eval.Ablation(s, ppatuner.ObjSpaces()[1], seed, mutate)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := tn.Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	hv, adrs := eval.Score(s, space, &eval.Outcome{ParetoIdx: res.ParetoIdx, Runs: res.Runs})
-	b.ReportMetric(hv, "hv-"+name)
-	b.ReportMetric(adrs, "adrs-"+name)
-	b.ReportMetric(float64(res.Runs), "runs-"+name)
+	b.ReportMetric(row.HV, "hv-"+name)
+	b.ReportMetric(row.ADRS, "adrs-"+name)
+	b.ReportMetric(row.Runs, "runs-"+name)
 }
 
 // BenchmarkAblationTransfer isolates the transfer kernel (Eq. 7): identical

@@ -27,6 +27,9 @@
 // from the first lease grant (a worker's W@T from its own campaign's first
 // grant), not from launch: grants go out only once the benchmark is
 // built, so a schedule lands mid-campaign however long that build takes.
+// Without -listen, once every spawned worker has exited before the campaign
+// finished (a -worker-flags value they refuse, or a -kill of them all),
+// nothing can finish it: ppacoord exits 1 and names their exit statuses.
 //
 // High availability: with -checkpoint, every run adopts the checkpoint
 // under a fresh coordinator generation (the fencing token stamped into
@@ -238,15 +241,28 @@ func main() {
 				kill()
 			}
 		})
-		tbl, err := co.Run(ctx, conns)
+		runCtx, stop := context.WithCancel(ctx)
+		orphaned := func() {}
+		if *listen == "" {
+			// No remote worker can join, so once every spawned worker has
+			// exited nothing can finish the campaign.
+			orphaned = stop
+		}
+		exits := watchExits(cmds, orphaned)
+		tbl, err := co.Run(runCtx, conns)
+		stop()
+		exited := <-exits
 		for _, cmd := range cmds {
-			_ = cmd.Wait() // killed workers exit non-zero by design
+			_ = cmd.Wait() // releases the pipes; watchExits reaped the process
 		}
 		if errors.Is(err, shard.ErrDeposed) {
 			// A newer generation adopted the checkpoint out from under us:
 			// every result is safe with the new primary, so stand down
 			// loudly but without masquerading as a campaign failure.
 			fail(3, fmt.Errorf("deposed: %v", err))
+		}
+		if errors.Is(err, context.Canceled) {
+			fail(1, fmt.Errorf("every spawned worker exited before the campaign finished (%s)", exited))
 		}
 		if err != nil {
 			fail(1, err)
@@ -325,6 +341,28 @@ func spawnWorkers(conns chan<- shard.Conn, grants *firstGrant, n int, bin, extra
 		}
 	}
 	return cmds, kills
+}
+
+// watchExits waits for the spawned workers in the background and returns a
+// channel that yields their exit statuses ("w0: exit status 2, ...") once
+// all have exited, after calling onExit. It waits on the processes, not the
+// Cmds, so their pipes stay open for the coordinator to read what the
+// workers wrote before exiting.
+func watchExits(cmds []*exec.Cmd, onExit func()) <-chan string {
+	out := make(chan string, 1)
+	go func() {
+		status := make([]string, len(cmds))
+		for i, cmd := range cmds {
+			if st, err := cmd.Process.Wait(); err != nil {
+				status[i] = fmt.Sprintf("w%d: %v", i, err)
+			} else {
+				status[i] = fmt.Sprintf("w%d: %v", i, st)
+			}
+		}
+		onExit()
+		out <- strings.Join(status, ", ")
+	}()
+	return out
 }
 
 // firstGrant runs the current campaign's arm function once, when the

@@ -16,16 +16,23 @@
 // persists every observation to FILE so a killed run resumes without
 // re-running the tool, and -chaos injects transient faults at the given rate
 // (plus occasional hangs/crashes/corrupt QoR at a tenth of it) to rehearse
-// all of the above. -outage adds time-correlated downtime windows (a
-// DOWN-long outage inside every PERIOD stripe, e.g. 60s/10s) on top of the
-// i.i.d. -chaos faults; -breaker arms a circuit breaker that trips after N
-// consecutive transient failures (outage-marked failures trip it at once)
-// and pauses evaluations — for at most -max-outage — instead of burning
-// retry budgets, so an outage stretches wall-clock time but never changes
-// results.
+// all of the above.
+//
+// The outage flags are declared once, in eval.FaultConfig, for every
+// command that takes them: -outage PERIOD/DOWN injects a DOWN-long licence
+// outage inside every PERIOD stripe of the evaluation path, -breaker N arms
+// a circuit breaker that trips after N consecutive transient failures (an
+// outage-marked one trips it at once), and -max-outage D (default 5m)
+// bounds one outage episode. Here the windows come on top of the i.i.d.
+// -chaos faults, and the breaker pauses evaluations instead of parking
+// them, so an outage stretches wall-clock time but never changes results.
+// Unlike a campaign, a single run takes -outage without -breaker, with a
+// note: its -policy decides what a candidate that exhausts its retries in
+// a window does.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -35,6 +42,7 @@ import (
 
 	"ppatuner"
 	"ppatuner/internal/eval"
+	"ppatuner/internal/pdtool/chaos"
 	"ppatuner/internal/robust"
 )
 
@@ -48,9 +56,8 @@ func main() {
 	policyName := flag.String("policy", "skip", "failure policy after retries: retry | skip | abort")
 	ckptPath := flag.String("checkpoint", "", "JSON checkpoint file: observations are persisted there and resumed from it")
 	chaosRate := flag.Float64("chaos", 0, "injected transient-fault rate in [0,1) (hangs/panics/corrupt QoR injected at rate/10 each)")
-	outageSpec := flag.String("outage", "", "inject correlated downtime windows: PERIOD/DOWN (e.g. 60s/10s), empty or \"off\" disables")
-	breakerN := flag.Int("breaker", 0, "circuit breaker: trip after N consecutive transient failures and pause instead of retrying (0 disables; outage-marked failures trip immediately)")
-	maxOutage := flag.Duration("max-outage", 5*time.Minute, "abort when one outage episode keeps the breaker open longer than this")
+	var faults eval.FaultConfig
+	faults.RegisterFlags(flag.CommandLine)
 	workers := flag.Int("workers", 0, "tuner concurrency: surrogate fits, pool sweeps and batched tool calls (0 = engine default; results are identical for any value)")
 	logJSON := flag.Bool("log", false, "stream evaluation-failure events as structured JSON logs on stderr")
 	flag.Parse()
@@ -79,26 +86,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
 		os.Exit(2)
 	}
-	sched, err := ppatuner.ParseOutageSchedule(*outageSpec)
+	// A single run takes -outage without -breaker: its -policy decides what
+	// a candidate that exhausts its retries in a window does.
+	sched, err := faults.Schedule()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
 		os.Exit(2)
 	}
-	if sched.Enabled() && *breakerN <= 0 {
+	if sched.Enabled() && faults.Breaker == 0 {
 		fmt.Fprintln(os.Stderr, "ppatune: note: -outage without -breaker burns retry budgets during downtime; pass -breaker to pause instead")
 	}
-	var inj *ppatuner.ChaosInjector
+	var inj *chaos.Injector
 	if *chaosRate > 0 || sched.Enabled() {
-		rates := ppatuner.ChaosRates{}
+		rates := chaos.Rates{}
 		if *chaosRate > 0 {
-			rates = ppatuner.ChaosRates{
+			rates = chaos.Rates{
 				Transient: *chaosRate,
 				Hang:      *chaosRate / 10,
 				Panic:     *chaosRate / 10,
 				Corrupt:   *chaosRate / 10,
 			}
 		}
-		inj, err = ppatuner.NewChaos(ppatuner.ChaosOptions{
+		inj, err = chaos.New(chaos.Options{
 			Seed:    *seed,
 			Rates:   rates,
 			Outage:  sched,
@@ -137,15 +146,17 @@ func main() {
 	// Fault-tolerance middleware around the pool evaluator, innermost first:
 	// chaos injection (optional rehearsal) -> checkpoint write-through ->
 	// resilient retry/deadline/validation layer.
-	flog := &ppatuner.FailureLog{}
+	flog := &robust.FailureLog{}
 	if *logJSON {
 		flog.Stream(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 	}
-	var brk *ppatuner.CircuitBreaker
-	if *breakerN > 0 {
-		brk = ppatuner.NewCircuitBreaker(ppatuner.CircuitBreakerOptions{
-			Threshold: *breakerN,
-			MaxOutage: *maxOutage,
+	// A single run's breaker pauses instead of parking: there is no
+	// campaign scheduler to requeue the run.
+	var brk *robust.Breaker
+	if faults.Breaker > 0 {
+		brk = robust.NewBreaker(robust.BreakerOptions{
+			Threshold: faults.Breaker,
+			MaxOutage: faults.MaxOutage,
 			Log:       flog,
 		})
 	}
@@ -156,7 +167,7 @@ func main() {
 		if ckpt != nil {
 			ev = ckpt.WrapCell(robust.RunKey, ev)
 		}
-		re, err := ppatuner.WrapEvaluator(nil, ev, ppatuner.ResilientOptions{
+		re, _ := robust.Wrap(context.Background(), ev, robust.Options{ // fails only on a nil evaluator
 			Timeout:    *timeout,
 			MaxRetries: *retries,
 			Policy:     policy,
@@ -164,10 +175,6 @@ func main() {
 			Breaker:    brk,
 			Log:        flog,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
-			os.Exit(2)
-		}
 		return re.Evaluate
 	}
 

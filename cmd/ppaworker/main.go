@@ -9,7 +9,7 @@
 //
 //	ppaworker [-id NAME] [-connect ADDR[,ADDR...]] [-dial-timeout D] [-rejoin]
 //	          [-heartbeat D]
-//	          [-outage PERIOD/DOWN] [-breaker N] [-max-outage D] [-chaos-seed N]
+//	          [-breaker N [-outage PERIOD/DOWN]] [-max-outage D]
 //
 // With -connect the worker survives coordinator fail-over: the initial
 // dial and every reconnection retry with capped exponential backoff
@@ -23,10 +23,14 @@
 // next campaign, reusing cached benchmark scenarios instead of spending
 // ~10s (Table 3) to ~30s (Table 2) regenerating them.
 //
-// The outage flags mirror the tables command: they inject correlated
-// downtime into this worker's evaluation path and arm a park-mode breaker,
-// so units hitting the open breaker are reported as parked failures for the
-// coordinator to requeue rather than aborting the campaign.
+// The outage flags are declared once, in eval.FaultConfig, for every
+// command that takes them: -outage PERIOD/DOWN injects a DOWN-long licence
+// outage inside every PERIOD stripe of the evaluation path, -breaker N arms
+// a circuit breaker that trips after N consecutive transient failures (an
+// outage-marked one trips it at once), and -max-outage D (default 5m)
+// bounds one outage episode. A campaign's -outage needs -breaker: a unit
+// the breaker stops is reported as a parked failure for the coordinator to
+// requeue rather than aborting the campaign.
 //
 // Everything diagnostic goes to stderr; stdout belongs to the protocol.
 package main
@@ -39,7 +43,6 @@ import (
 	"strings"
 	"time"
 
-	"ppatuner"
 	"ppatuner/internal/eval"
 	"ppatuner/internal/shard"
 	"ppatuner/internal/shard/transport"
@@ -51,13 +54,13 @@ func main() {
 	dialTimeout := flag.Duration("dial-timeout", 2*time.Minute, "give up after this much continuous dial failure (set past the standby's -takeover-after)")
 	rejoin := flag.Bool("rejoin", false, "after a clean campaign shutdown, redial and serve the next campaign instead of exiting")
 	heartbeat := flag.Duration("heartbeat", 0, "lease renewal period while a unit computes (0 derives a third of the granted TTL)")
-	outageSpec := flag.String("outage", "", "inject correlated downtime windows: PERIOD/DOWN (e.g. 60s/10s), empty or \"off\" disables")
-	breakerN := flag.Int("breaker", 0, "circuit breaker: trip after N consecutive transient failures and park the unit (0 disables)")
-	maxOutage := flag.Duration("max-outage", 5*time.Minute, "abort when one outage episode keeps the breaker open longer than this")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the chaos injector's failure stream")
+	var faults eval.FaultConfig
+	faults.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	wrap, err := buildWrap(*outageSpec, *breakerN, *maxOutage, *chaosSeed)
+	// A worker learns its units' seeds only from grants, so seed 1 keys
+	// the retry jitter, which never reaches a result.
+	stack, err := faults.Build(context.Background(), 1, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
 		os.Exit(2)
@@ -71,7 +74,7 @@ func main() {
 		ID:             *id,
 		Scenario:       cache.Resolve,
 		HeartbeatEvery: *heartbeat,
-		Run:            eval.RunOpts{Wrap: wrap},
+		Run:            eval.RunOpts{Wrap: stack.Wrap},
 	}
 
 	if *connect == "" {
@@ -125,47 +128,4 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "ppaworker: campaign over, rejoining (scenarios cached)\n")
 	}
-}
-
-// buildWrap assembles the per-unit evaluation middleware: chaos injection
-// under the resilience layer with a shared park-mode breaker — the same
-// stack the tables command arms for single-process campaigns.
-func buildWrap(outageSpec string, breakerN int, maxOutage time.Duration, chaosSeed int64) (func(ppatuner.Evaluator) ppatuner.Evaluator, error) {
-	sched, err := ppatuner.ParseOutageSchedule(outageSpec)
-	if err != nil {
-		return nil, err
-	}
-	var inj *ppatuner.ChaosInjector
-	if sched.Enabled() {
-		inj, err = ppatuner.NewChaos(ppatuner.ChaosOptions{Seed: chaosSeed, Outage: sched})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var brk *ppatuner.CircuitBreaker
-	if breakerN > 0 {
-		brk = ppatuner.NewCircuitBreaker(ppatuner.CircuitBreakerOptions{
-			Threshold: breakerN,
-			MaxOutage: maxOutage,
-			Park:      true,
-		})
-	}
-	if inj == nil && brk == nil {
-		return nil, nil
-	}
-	return func(ev ppatuner.Evaluator) ppatuner.Evaluator {
-		if inj != nil {
-			ev = inj.Wrap(ev)
-		}
-		re, err := ppatuner.WrapEvaluator(nil, ev, ppatuner.ResilientOptions{
-			Policy:  ppatuner.PolicySkip,
-			Seed:    chaosSeed,
-			Breaker: brk,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
-			os.Exit(1)
-		}
-		return re.Evaluate
-	}, nil
 }

@@ -10,25 +10,29 @@
 //
 //	tables [-table 2|3|both] [-seeds N|s1,s2,...] [-workers N]
 //	       [-checkpoint FILE [-resume]] [-json FILE]
-//	       [-outage PERIOD/DOWN] [-breaker N] [-max-outage D]
+//	       [-breaker N [-outage PERIOD/DOWN]] [-max-outage D]
 //
 // -seeds takes either a count N (averages over seeds 1..N) or an explicit
 // comma-separated seed list such as 1,2,5 (a trailing comma forces list
 // form: "7," runs just seed 7). -json writes the machine-readable
 // TABLES.json document alongside the text tables.
 //
-// The outage flags rehearse campaign resilience: -outage injects correlated
-// downtime windows (a DOWN-long outage inside every PERIOD stripe) into the
-// evaluation path, and -breaker arms a shared circuit breaker in park mode —
-// cells that hit the open breaker are parked (persisted in -checkpoint) and
-// requeued after recovery, bounded by -max-outage, so the regenerated
-// tables are bit-identical to an outage-free run.
+// The outage flags are declared once, in eval.FaultConfig, for every
+// command that takes them: -outage PERIOD/DOWN injects a DOWN-long licence
+// outage inside every PERIOD stripe of the evaluation path, -breaker N arms
+// a circuit breaker that trips after N consecutive transient failures (an
+// outage-marked one trips it at once), and -max-outage D (default 5m)
+// bounds one outage episode. A campaign's -outage needs -breaker: the
+// breaker parks the cells it stops (persisted in -checkpoint) and requeues
+// them after recovery, so the regenerated tables are bit-identical to an
+// outage-free run.
 //
 // To distribute the units over worker processes instead, use the ppacoord
 // command: its output is byte-identical to this one's.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -45,9 +49,8 @@ func main() {
 	ckptPath := flag.String("checkpoint", "", "campaign checkpoint file: completed cells and mid-run tuner state persist there")
 	resume := flag.Bool("resume", false, "continue from an existing -checkpoint file (without it, a pre-existing file is an error)")
 	jsonPath := flag.String("json", "", "write the machine-readable TABLES.json document to this path")
-	outageSpec := flag.String("outage", "", "inject correlated downtime windows: PERIOD/DOWN (e.g. 60s/10s), empty or \"off\" disables")
-	breakerN := flag.Int("breaker", 0, "circuit breaker: trip after N consecutive transient failures and park affected cells (0 disables; outage-marked failures trip immediately)")
-	maxOutage := flag.Duration("max-outage", 5*time.Minute, "abort when one outage episode keeps the breaker open longer than this")
+	var faults eval.FaultConfig
+	faults.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	seeds, err := eval.ParseSeeds(*seedSpec)
@@ -55,54 +58,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(2)
 	}
-	sched, err := ppatuner.ParseOutageSchedule(*outageSpec)
+	// The outage windows' timeline starts here, before the benchmark build.
+	stack, err := faults.Build(context.Background(), seeds[0], nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(2)
-	}
-	if sched.Enabled() && *breakerN <= 0 {
-		fmt.Fprintln(os.Stderr, "tables: note: -outage without -breaker burns retry budgets during downtime; pass -breaker to park and requeue cells instead")
-	}
-
-	// Outage middleware: chaos injection (correlated windows on the shared
-	// virtual timeline) under the resilience layer, which shares one
-	// park-mode breaker with the campaign scheduler.
-	flog := &ppatuner.FailureLog{}
-	var inj *ppatuner.ChaosInjector
-	if sched.Enabled() {
-		inj, err = ppatuner.NewChaos(ppatuner.ChaosOptions{Seed: seeds[0], Outage: sched})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	var brk *ppatuner.CircuitBreaker
-	if *breakerN > 0 {
-		brk = ppatuner.NewCircuitBreaker(ppatuner.CircuitBreakerOptions{
-			Threshold: *breakerN,
-			MaxOutage: *maxOutage,
-			Park:      true,
-			Log:       flog,
-		})
-	}
-	var wrap func(ppatuner.Evaluator) ppatuner.Evaluator
-	if inj != nil || brk != nil {
-		wrap = func(ev ppatuner.Evaluator) ppatuner.Evaluator {
-			if inj != nil {
-				ev = inj.Wrap(ev)
-			}
-			re, err := ppatuner.WrapEvaluator(nil, ev, ppatuner.ResilientOptions{
-				Policy:  ppatuner.PolicySkip,
-				Seed:    seeds[0],
-				Breaker: brk,
-				Log:     flog,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-				os.Exit(2)
-			}
-			return re.Evaluate
-		}
 	}
 
 	var ck *ppatuner.CampaignCheckpoint
@@ -134,8 +94,8 @@ func main() {
 		t0 = time.Now()
 		c := &ppatuner.Campaign{
 			Scenario: s, Seeds: seeds, Workers: *workers, Checkpoint: ck,
-			Breaker: brk,
-			Opts:    ppatuner.HarnessRunOpts{Wrap: wrap},
+			Breaker: stack.Breaker,
+			Opts:    ppatuner.HarnessRunOpts{Wrap: stack.Wrap},
 		}
 		tbl, err := c.Run()
 		if err != nil {
@@ -159,13 +119,8 @@ func main() {
 		fmt.Printf("checkpoint: resumed %d completed cells, replayed %d observations, %d fresh evaluations (now %d cells in %s)\n",
 			resumedCells, replayed, fresh, ck.Cells(), *ckptPath)
 	}
-	if brk != nil {
-		outages := 0
-		if inj != nil {
-			outages = inj.Counts().Outage
-		}
-		fmt.Printf("outage: schedule %s, %d outage failures injected, %d breaker trip(s), failures: %s\n",
-			sched, outages, brk.Trips(), flog.Summary())
+	if stack.Breaker != nil {
+		fmt.Printf("outage: %s\n", stack.Summary())
 	}
 
 	if *jsonPath != "" {

@@ -10,30 +10,15 @@ import (
 
 // Ablation runs PPATuner on a scenario/objective-space with one option
 // mutated, for the design-choice studies DESIGN.md calls out (transfer
-// on/off, δ, τ, source size, batch). It is the programmatic counterpart of
-// the BenchmarkAblation* benchmarks.
+// on/off, δ, τ, source size, batch). mutate edits a copy of the options
+// RunMethod runs PPATuner with, so a no-op mutation reproduces RunMethod's
+// run. The BenchmarkAblation* benchmarks call it.
 func Ablation(s *Scenario, space ObjSpace, seed int64, mutate func(*core.Options)) (Row, error) {
 	rng := rand.New(rand.NewSource(seed))
 	pool := s.Target.UnitX()
 	objVecs := s.Target.Objectives(space.Metrics)
 	ev := func(i int) ([]float64, error) { return objVecs[i], nil }
-	sx, sy := sourceSlice(s, space.Metrics, rng)
-	init := int(s.InitFrac * float64(s.Target.N()))
-	if init < 5 {
-		init = 5
-	}
-	opt := core.Options{
-		NumObjectives: len(space.Metrics),
-		SourceX:       sx,
-		SourceY:       sy,
-		InitTarget:    init,
-		MaxIter:       s.Budgets[PPATuner] - init,
-		DeltaFrac:     0.02,
-		Tau:           9,
-		ARD:           true,
-		FitMaxEvals:   400,
-		Rng:           rng,
-	}
+	opt := ppatunerOptions(s, space, rng)
 	mutate(&opt)
 	tn, err := core.New(pool, ev, opt)
 	if err != nil {

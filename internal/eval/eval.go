@@ -147,6 +147,37 @@ func sourceSlice(s *Scenario, objs []pdtool.Metric, rng *rand.Rand) (x [][]float
 	return x, y
 }
 
+// initTarget is the scenario's initial target sample: InitFrac of the
+// target pool, at least 5 points.
+func initTarget(s *Scenario) int {
+	return max(int(s.InitFrac*float64(s.Target.N())), 5)
+}
+
+// ppatunerOptions is the harness's PPATuner configuration on one scenario
+// and objective space: the source slice drawn from rng, the initial sample
+// of initTarget and the rest of the scenario's PPATuner budget as
+// iterations. RunMethodOpts and Ablation both run it.
+func ppatunerOptions(s *Scenario, space ObjSpace, rng *rand.Rand) core.Options {
+	sx, sy := sourceSlice(s, space.Metrics, rng)
+	init := initTarget(s)
+	return core.Options{
+		NumObjectives: len(space.Metrics),
+		SourceX:       sx,
+		SourceY:       sy,
+		InitTarget:    init,
+		MaxIter:       s.Budgets[PPATuner] - init,
+		// Harness settings: τ = 9 (±3σ regions), δ at the default 2% of
+		// range (the paper calls δ the user's precision controller), ARD
+		// lengthscales so the surrogate can discover which of the 9–12
+		// knobs interact.
+		DeltaFrac:   0.02,
+		Tau:         9,
+		ARD:         true,
+		FitMaxEvals: 400,
+		Rng:         rng,
+	}
+}
+
 // RunOpts carries optional harness knobs for RunMethodOpts.
 type RunOpts struct {
 	// Wrap, when non-nil, wraps the pool evaluator before it reaches the
@@ -188,33 +219,14 @@ func RunMethodOpts(m Method, s *Scenario, space ObjSpace, seed int64, opts RunOp
 	if opts.Wrap != nil {
 		eval = opts.Wrap(eval)
 	}
-	init := int(s.InitFrac * float64(s.Target.N()))
-	if init < 5 {
-		init = 5
-	}
+	init := initTarget(s)
 	budget := s.Budgets[m]
 
 	switch m {
 	case PPATuner:
-		sx, sy := sourceSlice(s, space.Metrics, rng)
-		tn, err := core.New(pool, eval, core.Options{
-			NumObjectives: len(space.Metrics),
-			SourceX:       sx,
-			SourceY:       sy,
-			InitTarget:    init,
-			MaxIter:       budget - init,
-			// Harness settings: τ = 4 (±2σ regions), δ at the default 2% of
-			// range (the paper calls δ the user's precision controller), ARD
-			// lengthscales so the surrogate can discover which of the 9–12
-			// knobs interact.
-			DeltaFrac:   0.02,
-			Tau:         9,
-			ARD:         true,
-			FitMaxEvals: 400,
-			Workers:     opts.Workers,
-			Rng:         rng,
-			Src:         opts.Src,
-		})
+		o := ppatunerOptions(s, space, rng)
+		o.Workers, o.Src = opts.Workers, opts.Src
+		tn, err := core.New(pool, eval, o)
 		if err != nil {
 			return nil, err
 		}

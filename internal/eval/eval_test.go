@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ppatuner/internal/benchdata"
+	"ppatuner/internal/core"
 	"ppatuner/internal/param"
 	"ppatuner/internal/pdtool"
 )
@@ -79,6 +80,27 @@ func TestRunMethodAllMethods(t *testing.T) {
 		}
 		if math.IsNaN(adrs) || adrs < 0 {
 			t.Errorf("%s: ADRS = %g", m, adrs)
+		}
+	}
+}
+
+// TestAblationNoOpMatchesRunMethod: Ablation mutates a copy of the options
+// RunMethod runs PPATuner with, so without a mutation it is the same run.
+func TestAblationNoOpMatchesRunMethod(t *testing.T) {
+	s := miniScenario(t)
+	space := Spaces()[1]
+	for _, seed := range []int64{1, 2} {
+		row, err := Ablation(s, space, seed, func(*core.Options) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := RunMethod(PPATuner, s, space, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hv, adrs := Score(s, space, out)
+		if math.Float64bits(row.HV) != math.Float64bits(hv) || math.Float64bits(row.ADRS) != math.Float64bits(adrs) || row.Runs != float64(out.Runs) {
+			t.Errorf("seed %d: Ablation HV %v ADRS %v runs %v, RunMethod HV %v ADRS %v runs %d", seed, row.HV, row.ADRS, row.Runs, hv, adrs, out.Runs)
 		}
 	}
 }

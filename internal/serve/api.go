@@ -2,10 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"ppatuner/internal/eval"
-	"ppatuner/internal/pdtool/chaos"
 )
 
 // The request/response structs below are the server's JSON wire surface.
@@ -161,14 +159,9 @@ type jobPlan struct {
 	spaces   []eval.ObjSpace
 	methods  []eval.Method
 	seeds    []int64
-	outage   chaos.Schedule
-	breaker  int
+	faults   eval.FaultConfig
 	workers  int
 }
-
-// jobMaxOutage bounds how long one outage episode may keep a job's breaker
-// open before the job fails (mirrors the tables CLI default).
-const jobMaxOutage = 5 * time.Minute
 
 // canonicalScenario resolves submission aliases to stable scenario names.
 func canonicalScenario(name string) string {
@@ -193,17 +186,10 @@ func (s *Server) plan(req JobRequest) (*jobPlan, error) {
 	if req.GP != "" && req.GP != "exact" {
 		return nil, fmt.Errorf("gp: surrogate %q is not available; the exact GP is the only one (use \"exact\" or omit the field)", req.GP)
 	}
-	p.outage, err = chaos.ParseSchedule(req.Outage)
-	if err != nil {
-		return nil, fmt.Errorf("outage: %v", err)
+	p.faults = eval.FaultConfig{Outage: req.Outage, Breaker: req.Breaker, MaxOutage: eval.DefaultMaxOutage}
+	if err := p.faults.Validate(); err != nil {
+		return nil, err
 	}
-	if req.Breaker < 0 {
-		return nil, fmt.Errorf("breaker must be >= 0")
-	}
-	if p.outage.Enabled() && req.Breaker == 0 {
-		return nil, fmt.Errorf("outage requires a breaker: downtime without one burns retry budgets instead of parking units")
-	}
-	p.breaker = req.Breaker
 	p.workers = req.Workers
 	if p.workers <= 0 {
 		p.workers = s.cfg.UnitWorkers

@@ -10,7 +10,6 @@ import (
 
 	"ppatuner/internal/core"
 	"ppatuner/internal/eval"
-	"ppatuner/internal/pdtool/chaos"
 	"ppatuner/internal/robust"
 )
 
@@ -284,50 +283,23 @@ func (s *Server) runCampaign(j *job) error {
 		return err
 	}
 
-	// Chaos-enabled jobs get the full resilience stack (injector under a
-	// park-mode breaker under the checkpoint cache, exactly the tables CLI
-	// composition) wired to a per-job context: cancellation aborts the
-	// in-flight evaluation without charging the candidate's retry budget,
-	// so a drain can never be misread as a tool failure and skipped.
-	var wrap func(core.Evaluator) core.Evaluator
-	var brk *robust.Breaker
-	if p.outage.Enabled() || p.breaker > 0 {
-		jobCtx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		j.setCancel(cancel)
-		defer j.setCancel(nil)
-		flog := &robust.FailureLog{}
-		var inj *chaos.Injector
-		if p.outage.Enabled() {
-			inj, err = chaos.New(chaos.Options{Seed: p.seeds[0], Outage: p.outage, Clock: s.clk})
-			if err != nil {
-				return err
-			}
-		}
-		if p.breaker > 0 {
-			brk = robust.NewBreaker(robust.BreakerOptions{
-				Threshold: p.breaker, MaxOutage: jobMaxOutage,
-				Park: true, Log: flog, Clock: s.clk,
-			})
-		}
-		wrap = func(ev core.Evaluator) core.Evaluator {
-			if inj != nil {
-				ev = inj.Wrap(ev)
-			}
-			re, werr := robust.Wrap(jobCtx, ev, robust.Options{
-				Policy: robust.PolicySkip, Seed: p.seeds[0],
-				Breaker: brk, Log: flog, Clock: s.clk,
-			})
-			if werr != nil {
-				return ev // unreachable: ev is never nil
-			}
-			return re.Evaluate
-		}
+	// A job with faults set gets the campaign fault stack (injector under a
+	// park-mode breaker under the checkpoint cache, as the tables command
+	// builds it) on a per-job context: cancellation aborts the in-flight
+	// evaluation without charging the candidate's retry budget, so a drain
+	// can never be misread as a tool failure and skipped.
+	jobCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j.setCancel(cancel)
+	defer j.setCancel(nil)
+	stack, err := p.faults.Build(jobCtx, p.seeds[0], s.clk)
+	if err != nil {
+		return err
 	}
 
 	wrapUnit := s.wrapUnit
-	if wrap == nil {
-		// Without a resilience layer there is no context to cancel, so
+	if stack.Wrap == nil {
+		// Without a resilience layer nothing watches the job context, so
 		// drain mid-unit through the evaluator instead: innermost, beneath
 		// the checkpoint cache, so the abort error is never cached and
 		// never replayed.
@@ -347,8 +319,8 @@ func (s *Server) runCampaign(j *job) error {
 
 	c := &eval.Campaign{
 		Scenario: scn, Seeds: p.seeds, Spaces: p.spaces, Methods: p.methods,
-		Workers: p.workers, Checkpoint: ck, Breaker: brk,
-		Opts:     eval.RunOpts{Wrap: wrap},
+		Workers: p.workers, Checkpoint: ck, Breaker: stack.Breaker,
+		Opts:     eval.RunOpts{Wrap: stack.Wrap},
 		Gate:     func(eval.Unit) error { return s.interrupted(j) },
 		WrapUnit: wrapUnit,
 	}

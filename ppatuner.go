@@ -40,7 +40,6 @@ import (
 	"ppatuner/internal/param"
 	"ppatuner/internal/pareto"
 	"ppatuner/internal/pdtool"
-	"ppatuner/internal/pdtool/chaos"
 	"ppatuner/internal/robust"
 )
 
@@ -82,24 +81,21 @@ type QoR = pdtool.QoR
 // Metric names one QoR axis.
 type Metric = pdtool.Metric
 
-// The three QoR metrics of interest.
+// Two of the QoR metrics; ObjSpaces lists every objective space, area
+// included.
 const (
 	Power = pdtool.Power
 	Delay = pdtool.Delay
-	Area  = pdtool.Area
 )
 
 // Design is a benchmark circuit.
 type Design = pdtool.Design
 
 // SmallMAC and LargeMAC return the built-in benchmark designs (panicking on
-// a failed build); NewSmallMAC and NewLargeMAC are the error-returning
-// variants for library embedders.
+// a failed build).
 var (
-	SmallMAC    = pdtool.SmallMAC
-	LargeMAC    = pdtool.LargeMAC
-	NewSmallMAC = pdtool.NewSmallMAC
-	NewLargeMAC = pdtool.NewLargeMAC
+	SmallMAC = pdtool.SmallMAC
+	LargeMAC = pdtool.LargeMAC
 )
 
 // FlowReport carries per-stage diagnostics of a flow run.
@@ -142,18 +138,8 @@ type Evaluator = core.Evaluator
 // TunerOptions configures PPATuner; see core.Options for field docs.
 type TunerOptions = core.Options
 
-// TunerResult is the tuning outcome.
-type TunerResult = core.Result
-
 // Tuner is the PPATuner engine.
 type Tuner = core.Tuner
-
-// Candidate classification statuses.
-const (
-	Undecided = core.Undecided
-	Dropped   = core.Dropped
-	ParetoOpt = core.Pareto
-)
 
 // NewTuner builds a PPATuner over a candidate pool of normalised parameter
 // points. Each objective gets its own exact transfer GP (Eq. 5–7), the
@@ -170,8 +156,8 @@ var TransferFactor = gp.TransferFactor
 //
 // Real PD tools fail: licences drop, runs hang, adapters crash, QoR reports
 // come back corrupted. ResilientEvaluator hardens any Evaluator against all
-// of that; CampaignCheckpoint makes runs crash-safe; the chaos Injector lets
-// you rehearse the failure paths. See DESIGN.md, "Fault tolerance".
+// of that, and CampaignCheckpoint makes runs crash-safe. See DESIGN.md,
+// "Fault tolerance".
 
 // ResilientEvaluator wraps an Evaluator with deadlines, bounded retries,
 // panic recovery, QoR validation and a failure policy. Pass its Evaluate
@@ -184,12 +170,9 @@ type ResilientOptions = robust.Options
 // FailurePolicy decides the fate of a candidate that exhausts its retries.
 type FailurePolicy = robust.FailurePolicy
 
-// The three failure policies.
-const (
-	PolicyRetry = robust.PolicyRetry
-	PolicySkip  = robust.PolicySkip
-	PolicyAbort = robust.PolicyAbort
-)
+// PolicySkip surrenders a candidate that exhausts its retries: the tuner
+// marks it Failed and keeps tuning. ParseFailurePolicy spells the others.
+const PolicySkip = robust.PolicySkip
 
 // ParseFailurePolicy maps the CLI spelling ("retry", "skip", "abort") to a
 // FailurePolicy.
@@ -198,20 +181,12 @@ var ParseFailurePolicy = robust.ParsePolicy
 // FailureLog collects per-attempt failure events across a run.
 type FailureLog = robust.FailureLog
 
-// FailureEvent is one recorded evaluation failure.
-type FailureEvent = robust.Event
-
 // NewResilientEvaluator builds a fault-tolerant evaluator around a
 // context-aware tool function; WrapEvaluator lifts a plain Evaluator.
 var (
 	NewResilientEvaluator = robust.New
 	WrapEvaluator         = robust.Wrap
 )
-
-// ErrSkipCandidate marks a terminal per-candidate evaluation failure that
-// the tuner survives: the candidate is marked Failed (see TunerResult's
-// FailedIdx) and the PAL loop continues.
-var ErrSkipCandidate = core.ErrSkipCandidate
 
 // CampaignCheckpoint is the crash-safe store behind resumable table
 // regeneration and resumable single runs: completed (space × method ×
@@ -221,111 +196,18 @@ var ErrSkipCandidate = core.ErrSkipCandidate
 // instead of re-invoking the tool.
 type CampaignCheckpoint = robust.CampaignCheckpoint
 
-// CampaignCellResult is one completed campaign cell as persisted.
-type CampaignCellResult = robust.CampaignCell
-
-// NewCampaignCheckpoint builds an empty campaign checkpoint;
-// LoadCampaignCheckpoint restores one (a missing file yields an empty
-// checkpoint, serving fresh start and resume alike).
-var (
-	NewCampaignCheckpoint  = robust.NewCampaignCheckpoint
-	LoadCampaignCheckpoint = robust.LoadCampaignCheckpoint
-)
-
-// PCGSource is a math/rand/v2 PCG generator adapted to math/rand's
-// Source64, with serialisable state (encoding.BinaryMarshaler) — the
-// random source that makes mid-run RNG state checkpointable. Plumb one
-// through TunerOptions.Src and snapshot it with Tuner.RandState.
-type PCGSource = core.PCGSource
-
-// NewPCGSource builds a PCGSource from two seed words.
-var NewPCGSource = core.NewPCGSource
-
-// ChaosInjector deterministically injects tool faults (transient errors,
-// hangs, panics, corrupted QoR) into an evaluator — the test harness for
-// every failure path above.
-type ChaosInjector = chaos.Injector
-
-// ChaosOptions configures a ChaosInjector; ChaosRates sets the per-attempt
-// injection probabilities.
-type (
-	ChaosOptions = chaos.Options
-	ChaosRates   = chaos.Rates
-)
-
-// NewChaos builds a chaos injector.
-var NewChaos = chaos.New
-
-// OutageSchedule describes time-correlated downtime windows (periodic
-// licence-server maintenance, bursty farm preemption) on the injector's
-// virtual timeline, composable with the i.i.d. ChaosRates; OutageWindow is
-// one downtime interval. Set ChaosOptions.Outage to inject them.
-type (
-	OutageSchedule = chaos.Schedule
-	OutageWindow   = chaos.Window
-)
-
-// ErrToolOutage is the injected correlated-outage failure: every attempt
-// inside a downtime window fails with an error wrapping it. It carries the
-// Outage() bool marker that IsOutageError (and the circuit breaker) detect,
-// so real tool adapters can mark their own licence-server errors the same
-// way without depending on the chaos package.
-var ErrToolOutage = chaos.ErrOutage
-
-// ParseOutageSchedule reads the CLI "PERIOD/DOWN" outage spelling (e.g.
-// "60s/10s"); "" and "off" are the disabled schedule.
-var ParseOutageSchedule = chaos.ParseSchedule
-
-// IsOutageError reports whether an error is marked as a correlated
-// infrastructure outage (any error in its chain implements Outage() bool
-// returning true).
-var IsOutageError = robust.IsOutage
+// LoadCampaignCheckpoint restores a campaign checkpoint (a missing file
+// yields an empty checkpoint, serving fresh start and resume alike).
+var LoadCampaignCheckpoint = robust.LoadCampaignCheckpoint
 
 // CircuitBreaker converts per-call failures into a run-level "the
-// infrastructure is down" signal: consecutive transient failures (or a
-// single outage-marked one) trip it open, evaluations pause — bounded by
-// MaxOutage — instead of burning per-candidate retry budgets, and a
-// half-open probe re-admits work. Share one breaker per run via
-// ResilientOptions.Breaker and, for parked campaign scheduling, via
-// Campaign.Breaker.
-type (
-	CircuitBreaker        = robust.Breaker
-	CircuitBreakerOptions = robust.BreakerOptions
-	CircuitBreakerState   = robust.BreakerState
-)
+// infrastructure is down" signal; ResilientOptions.Breaker and
+// Campaign.Breaker take one.
+type CircuitBreaker = robust.Breaker
 
-// The circuit breaker's positions.
-const (
-	BreakerClosed   = robust.BreakerClosed
-	BreakerOpen     = robust.BreakerOpen
-	BreakerHalfOpen = robust.BreakerHalfOpen
-)
-
-// NewCircuitBreaker builds a circuit breaker.
-var NewCircuitBreaker = robust.NewBreaker
-
-// ErrBreakerOpen is the scheduling signal a Park-mode breaker returns while
-// refusing evaluations; ErrOutageDeadline reports an outage episode that
-// outlived CircuitBreakerOptions.MaxOutage.
-var (
-	ErrBreakerOpen    = robust.ErrBreakerOpen
-	ErrOutageDeadline = robust.ErrOutageDeadline
-)
-
-// Clock abstracts wall-clock access (now/sleep) for everything in the
-// fault-tolerance stack; RealClock is the wall clock, and NewFakeClock
-// builds the deterministic test clock that makes outage scenarios run in
-// microseconds.
+// Clock abstracts wall-clock access (now/sleep) for the fault-tolerance
+// stack; ResilientOptions.Clock takes one.
 type Clock = clock.Clock
-
-// FakeClock is the deterministic jump-ahead Clock for tests.
-type FakeClock = clock.Fake
-
-// RealClock returns the wall clock; NewFakeClock a deterministic fake.
-var (
-	RealClock    = clock.Real
-	NewFakeClock = clock.NewFake
-)
 
 // ---- Multi-objective metrics ----
 
@@ -355,8 +237,6 @@ type (
 	Scenario = eval.Scenario
 	// ObjSpace is one of the paper's objective spaces.
 	ObjSpace = eval.ObjSpace
-	// HarnessTable is a regenerated comparison table.
-	HarnessTable = eval.Table
 	// HarnessMethod identifies one of the five compared tuners.
 	HarnessMethod = eval.Method
 	// HarnessRunOpts carries optional harness knobs (evaluator middleware,
@@ -371,8 +251,6 @@ type (
 	CampaignUnit = eval.Unit
 	// CampaignUnitResult is one unit's scored outcome.
 	CampaignUnitResult = eval.UnitResult
-	// TableReport is the machine-readable (TABLES.json) form of a table.
-	TableReport = eval.TableReport
 )
 
 // Harness functions.
@@ -381,7 +259,6 @@ var (
 	ScenarioTwo = eval.ScenarioTwo
 	ObjSpaces   = eval.Spaces
 	Methods     = eval.Methods
-	BuildTable  = eval.BuildTable
 	Figure3     = eval.Figure3
 	Figure3Opts = eval.Figure3Opts
 )
