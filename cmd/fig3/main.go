@@ -1,17 +1,20 @@
 // Command fig3 regenerates the paper's Figure 3: the golden Pareto front of
 // the Target2 benchmark versus the front PPATuner learns, in power-vs-delay
 // space. It prints both series as CSV and renders an ASCII scatter plot.
+// The learned front is Table 3's Power-Delay PPATuner cell for the seed:
+// the run draws from that cell's random stream.
 //
 // Usage:
 //
 //	fig3 [-seed N] [-csv PATH] [-json PATH] [-workers N]
 //	     [-checkpoint FILE [-resume]]
 //
-// -checkpoint persists every paid-for observation plus the tuner's RNG
-// state (one partial cell of a campaign checkpoint; a per-run schema-v2
+// -checkpoint persists every paid-for observation plus the tuner's starting
+// RNG state (one partial cell of a campaign checkpoint; a per-run schema-v2
 // file from earlier versions still resumes) so a killed run, restarted with
-// -resume, replays from the file instead of re-running the tool; -workers
-// bounds the engine's concurrency (identical output for any value).
+// -resume, restores the recorded state and replays from the file instead of
+// re-running the tool; -workers bounds the engine's concurrency (identical
+// output for any value).
 package main
 
 import (
@@ -36,48 +39,31 @@ func main() {
 	resume := flag.Bool("resume", false, "continue from an existing -checkpoint file (without it, a pre-existing file is an error)")
 	flag.Parse()
 
-	opts := ppatuner.HarnessRunOpts{Workers: *workers}
-	var ck *ppatuner.CampaignCheckpoint
-	if *ckptPath != "" {
-		if !*resume {
-			if fi, err := os.Stat(*ckptPath); err == nil && fi.Size() > 0 {
-				fmt.Fprintf(os.Stderr, "fig3: checkpoint %s already exists; pass -resume to continue it or remove the file\n", *ckptPath)
-				os.Exit(2)
-			}
+	if *ckptPath != "" && !*resume {
+		if fi, err := os.Stat(*ckptPath); err == nil && fi.Size() > 0 {
+			fmt.Fprintf(os.Stderr, "fig3: checkpoint %s already exists; pass -resume to continue it or remove the file\n", *ckptPath)
+			os.Exit(2)
 		}
-		var err error
-		ck, err = ppatuner.LoadCampaignCheckpoint(*ckptPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
-			os.Exit(1)
-		}
-		// Restore the recorded RNG state when resuming; otherwise record the
-		// fresh source's starting state so a later resume does not depend on
-		// re-deriving the generator from the seed.
-		src := eval.Figure3Source(*seed)
-		if state, _ := ck.PartialRandState(robust.RunKey); state != nil {
-			if err := src.UnmarshalBinary(state); err != nil {
-				fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("checkpoint: resuming with %d cached observations from %s\n", len(ck.PartialObservations(robust.RunKey)), *ckptPath)
-		} else {
-			state, err := src.MarshalBinary()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
-				os.Exit(1)
-			}
-			if err := ck.StartCell(robust.RunKey, state); err != nil {
-				fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		opts.Src = src
-		opts.Wrap = func(ev ppatuner.Evaluator) ppatuner.Evaluator { return ck.WrapCell(robust.RunKey, ev) }
+	}
+	// Without -checkpoint the run's cell lives in memory.
+	ck, err := ppatuner.LoadCampaignCheckpoint(*ckptPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
+		os.Exit(1)
+	}
+	if n := len(ck.PartialObservations(robust.RunKey)); n > 0 {
+		fmt.Printf("checkpoint: resuming with %d cached observations from %s\n", n, *ckptPath)
 	}
 
-	golden, learned, err := ppatuner.Figure3Opts(*seed, opts)
-	if err == nil && ck != nil {
+	s, err := ppatuner.ScenarioTwo()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
+		os.Exit(1)
+	}
+	space := ppatuner.ObjSpaces()[1] // Power-Delay
+	spec := eval.UnitSpec{Scenario: s.Name, Space: space.Name, Method: eval.PPATuner, Seed: *seed}
+	out, _, _, err := eval.RunCell(s, space, spec, ck, robust.RunKey, nil, ppatuner.HarnessRunOpts{Workers: *workers})
+	if err == nil {
 		// Fold the run's observation journal into the checkpoint file.
 		err = ck.Retire()
 	}
@@ -85,10 +71,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fig3: %v\n", err)
 		os.Exit(1)
 	}
-	if ck != nil {
+	if *ckptPath != "" {
 		replayed, fresh := ck.Stats()
 		fmt.Printf("checkpoint: %d replayed, %d fresh (now %d cached in %s)\n", replayed, fresh, len(ck.PartialObservations(robust.RunKey)), *ckptPath)
 	}
+	golden, learned := eval.Figure3Fronts(s, out)
 
 	var b strings.Builder
 	b.WriteString("series,power_mw,delay_ns\n")

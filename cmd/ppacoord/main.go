@@ -27,8 +27,10 @@
 // from the first lease grant (a worker's W@T from its own campaign's first
 // grant), not from launch: grants go out only once the benchmark is
 // built, so a schedule lands mid-campaign however long that build takes.
-// Without -listen, once every spawned worker has exited before the campaign
-// finished (a -worker-flags value they refuse, or a -kill of them all),
+// -worker-flags is parsed against ppaworker's own flag set, with its
+// fault-configuration checks, before any dataset is built: a value the
+// workers would refuse exits 2 at once. Without -listen, once every spawned
+// worker has exited before the campaign finished (a -kill of them all, say),
 // nothing can finish it: ppacoord exits 1 and names their exit statuses.
 //
 // High availability: with -checkpoint, every run adopts the checkpoint
@@ -97,6 +99,10 @@ func main() {
 	seeds, err := eval.ParseSeeds(*seedSpec)
 	if err != nil {
 		fail(2, err)
+	}
+	workerArgs := strings.Fields(*workerFlags)
+	if err := shard.CheckWorkerFlags(workerArgs); err != nil {
+		fail(2, fmt.Errorf("-worker-flags: %v", err))
 	}
 	faults, err := chaos.ParseKillSchedule(*killSpec)
 	if err != nil {
@@ -234,7 +240,7 @@ func main() {
 		if err != nil {
 			fail(1, err)
 		}
-		cmds, kills := spawnWorkers(conns, grants, *workers, *workerBin, *workerFlags, faults)
+		cmds, kills := spawnWorkers(conns, grants, *workers, *workerBin, workerArgs, faults)
 		grants.set(func() {
 			procChaos.Do(armProcChaos)
 			for _, kill := range kills {
@@ -306,7 +312,7 @@ func main() {
 // their conns, watched by grants, to the coordinator. It returns the
 // processes and the SIGKILL schedule's arm functions, one per scheduled
 // worker, for the caller to run at the campaign's first lease grant.
-func spawnWorkers(conns chan<- shard.Conn, grants *firstGrant, n int, bin, extraFlags string, faults chaos.ProcFaults) ([]*exec.Cmd, []func()) {
+func spawnWorkers(conns chan<- shard.Conn, grants *firstGrant, n int, bin string, extra []string, faults chaos.ProcFaults) ([]*exec.Cmd, []func()) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -318,7 +324,6 @@ func spawnWorkers(conns chan<- shard.Conn, grants *firstGrant, n int, bin, extra
 			}
 		}
 	}
-	extra := strings.Fields(extraFlags)
 	var cmds []*exec.Cmd
 	var kills []func()
 	for i := 0; i < n; i++ {

@@ -1,6 +1,8 @@
 // Command ppatune runs one tuner (PPATuner or a baseline) on one benchmark
 // scenario and objective space, printing the hyper-volume error, ADRS and
-// tool-run count — one cell of the paper's Table 2 / Table 3.
+// tool-run count — one cell of the paper's Table 2 / Table 3: the run draws
+// from the cell's own random stream, so for a seed it prints that seed's
+// cell of the table (tables -seeds N,).
 //
 // Usage:
 //
@@ -37,6 +39,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -81,6 +84,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppatune: unknown objective space %q\n", *spaceName)
 		os.Exit(2)
 	}
+	m := eval.Method(*method)
+	if !slices.Contains(eval.Methods(), m) {
+		fmt.Fprintf(os.Stderr, "ppatune: unknown method %q\n", *method)
+		os.Exit(2)
+	}
 	policy, err := ppatuner.ParseFailurePolicy(*policyName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
@@ -119,16 +127,14 @@ func main() {
 		}
 	}
 
-	var ckpt *ppatuner.CampaignCheckpoint
-	if *ckptPath != "" {
-		ckpt, err = ppatuner.LoadCampaignCheckpoint(*ckptPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
-			os.Exit(1)
-		}
-		if n := len(ckpt.PartialObservations(robust.RunKey)); n > 0 {
-			fmt.Printf("checkpoint: resuming with %d cached observations from %s\n", n, *ckptPath)
-		}
+	// Without -checkpoint the run's cell lives in memory.
+	ckpt, err := ppatuner.LoadCampaignCheckpoint(*ckptPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
+		os.Exit(1)
+	}
+	if n := len(ckpt.PartialObservations(robust.RunKey)); n > 0 {
+		fmt.Printf("checkpoint: resuming with %d cached observations from %s\n", n, *ckptPath)
 	}
 
 	var s *ppatuner.Scenario
@@ -144,7 +150,7 @@ func main() {
 	}
 
 	// Fault-tolerance middleware around the pool evaluator, innermost first:
-	// chaos injection (optional rehearsal) -> checkpoint write-through ->
+	// chaos injection (optional rehearsal) -> the cell's replay cache ->
 	// resilient retry/deadline/validation layer.
 	flog := &robust.FailureLog{}
 	if *logJSON {
@@ -160,13 +166,11 @@ func main() {
 			Log:       flog,
 		})
 	}
+	var inner func(ppatuner.Evaluator) ppatuner.Evaluator
+	if inj != nil {
+		inner = func(ev ppatuner.Evaluator) ppatuner.Evaluator { return inj.Wrap(ev) }
+	}
 	wrap := func(ev ppatuner.Evaluator) ppatuner.Evaluator {
-		if inj != nil {
-			ev = inj.Wrap(ev)
-		}
-		if ckpt != nil {
-			ev = ckpt.WrapCell(robust.RunKey, ev)
-		}
 		re, _ := robust.Wrap(context.Background(), ev, robust.Options{ // fails only on a nil evaluator
 			Timeout:    *timeout,
 			MaxRetries: *retries,
@@ -178,11 +182,11 @@ func main() {
 		return re.Evaluate
 	}
 
-	m := eval.Method(*method)
 	fmt.Printf("%s | %s | %s (seed %d)\n", s.Name, space.Name, m, *seed)
 	start := time.Now()
-	out, err := eval.RunMethodOpts(m, s, space, *seed, eval.RunOpts{Wrap: wrap, Workers: *workers})
-	if err == nil && ckpt != nil {
+	spec := eval.UnitSpec{Scenario: s.Name, Space: space.Name, Method: m, Seed: *seed}
+	out, res, _, err := eval.RunCell(s, space, spec, ckpt, robust.RunKey, inner, eval.RunOpts{Wrap: wrap, Workers: *workers})
+	if err == nil {
 		// Fold the run's observation journal into the checkpoint file.
 		err = ckpt.Retire()
 	}
@@ -190,10 +194,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppatune: %v\n", err)
 		os.Exit(1)
 	}
-	hv, adrs := eval.Score(s, space, out)
-	fmt.Printf("hyper-volume error: %.4f\n", hv)
-	fmt.Printf("ADRS:               %.4f\n", adrs)
-	fmt.Printf("tool runs:          %d\n", out.Runs)
+	fmt.Printf("hyper-volume error: %.4f\n", res.HV)
+	fmt.Printf("ADRS:               %.4f\n", res.ADRS)
+	fmt.Printf("tool runs:          %d\n", res.Runs)
 	fmt.Printf("wall time:          %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("failures:           %s\n", flog.Summary())
 	if brk != nil {
@@ -202,7 +205,7 @@ func main() {
 	if inj != nil && inj.Counts().Outage > 0 {
 		fmt.Printf("outages injected:   %d (schedule %s)\n", inj.Counts().Outage, sched)
 	}
-	if ckpt != nil {
+	if *ckptPath != "" {
 		replayed, fresh := ckpt.Stats()
 		fmt.Printf("checkpoint:         %d replayed, %d fresh (now %d cached in %s)\n", replayed, fresh, len(ckpt.PartialObservations(robust.RunKey)), *ckptPath)
 	}

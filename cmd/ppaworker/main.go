@@ -20,8 +20,9 @@
 // unit is re-attached rather than double-granted, and re-streams every
 // unacknowledged observation. -rejoin keeps the process alive across
 // clean campaign shutdowns (multi-table runs): it redials and serves the
-// next campaign, reusing cached benchmark scenarios instead of spending
-// ~10s (Table 3) to ~30s (Table 2) regenerating them.
+// next campaign, reusing the benchmark datasets it built (once per
+// process) instead of spending ~10s (Table 3) to ~30s (Table 2)
+// regenerating them.
 //
 // The outage flags are declared once, in eval.FaultConfig, for every
 // command that takes them: -outage PERIOD/DOWN injects a DOWN-long licence
@@ -41,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"ppatuner/internal/eval"
 	"ppatuner/internal/shard"
@@ -49,35 +49,28 @@ import (
 )
 
 func main() {
-	id := flag.String("id", "", "worker name used in lease records and coordinator logs (default: w-<pid> with -connect, else assigned by the coordinator)")
-	connect := flag.String("connect", "", "coordinator TCP address(es), comma-separated in preference order; empty speaks the protocol on stdin/stdout")
-	dialTimeout := flag.Duration("dial-timeout", 2*time.Minute, "give up after this much continuous dial failure (set past the standby's -takeover-after)")
-	rejoin := flag.Bool("rejoin", false, "after a clean campaign shutdown, redial and serve the next campaign instead of exiting")
-	heartbeat := flag.Duration("heartbeat", 0, "lease renewal period while a unit computes (0 derives a third of the granted TTL)")
-	var faults eval.FaultConfig
-	faults.RegisterFlags(flag.CommandLine)
+	var wf shard.WorkerFlags
+	wf.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	// A worker learns its units' seeds only from grants, so seed 1 keys
 	// the retry jitter, which never reaches a result.
-	stack, err := faults.Build(context.Background(), 1, nil)
+	stack, err := wf.Faults.Build(context.Background(), 1, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
 		os.Exit(2)
 	}
 
-	// The scenario cache outlives individual RunWorker sessions, so a
-	// worker that rejoins or reconnects after a coordinator fail-over
-	// skips the benchmark regeneration it already paid for.
-	cache := shard.NewScenarioCache(nil)
+	// The benchmark datasets are built once per process, so a worker that
+	// rejoins or reconnects after a coordinator fail-over skips the
+	// regeneration it already paid for.
 	opts := shard.WorkerOptions{
-		ID:             *id,
-		Scenario:       cache.Resolve,
-		HeartbeatEvery: *heartbeat,
+		ID:             wf.ID,
+		HeartbeatEvery: wf.Heartbeat,
 		Run:            eval.RunOpts{Wrap: stack.Wrap},
 	}
 
-	if *connect == "" {
+	if wf.Connect == "" {
 		// Stdio workers live exactly as long as their pipe; reconnection
 		// is meaningless when the far end owns this process.
 		conn := transport.Stream(os.Stdin, os.Stdout)
@@ -94,7 +87,7 @@ func main() {
 		// worker needs an identity that survives redials.
 		opts.ID = fmt.Sprintf("w-%d", os.Getpid())
 	}
-	addrs := strings.Split(*connect, ",")
+	addrs := strings.Split(wf.Connect, ",")
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
@@ -112,7 +105,7 @@ func main() {
 		conn, err := shard.Connect(ctx, shard.ReconnOptions{
 			Dial:    dial,
 			Backoff: shard.Backoff{Salt: opts.ID},
-			MaxDown: *dialTimeout,
+			MaxDown: wf.DialTimeout,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
@@ -123,9 +116,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
 			os.Exit(1)
 		}
-		if !*rejoin {
+		if !wf.Rejoin {
 			return
 		}
-		fmt.Fprintf(os.Stderr, "ppaworker: campaign over, rejoining (scenarios cached)\n")
+		fmt.Fprintf(os.Stderr, "ppaworker: campaign over, rejoining (benchmark datasets cached)\n")
 	}
 }

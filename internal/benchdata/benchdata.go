@@ -132,6 +132,9 @@ var (
 	cache   = map[string]*Dataset{}
 )
 
+// cached returns the dataset built under name, building it on first use.
+// Concurrent callers wait for one build; a failed build is not kept, so
+// the next call builds again.
 func cached(name string, build func() (*Dataset, error)) (*Dataset, error) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()

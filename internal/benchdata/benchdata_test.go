@@ -2,7 +2,9 @@ package benchdata
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"ppatuner/internal/param"
@@ -137,5 +139,62 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("a,b,c\n1,2,3\n"), "x", param.Source2Space()); err == nil {
 		t.Error("wrong column count accepted")
+	}
+}
+
+// cached builds a dataset once however many callers race for it, and a
+// failed build is retried rather than kept.
+func TestCachedBuildsOncePerName(t *testing.T) {
+	var mu sync.Mutex
+	builds := map[string]int{}
+	build := func(name string, fail bool) func() (*Dataset, error) {
+		return func() (*Dataset, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			builds[name]++
+			if fail {
+				return nil, errors.New("transient build failure")
+			}
+			return &Dataset{Name: name}, nil
+		}
+	}
+	t.Cleanup(func() {
+		cacheMu.Lock()
+		defer cacheMu.Unlock()
+		delete(cache, "test-once")
+		delete(cache, "test-flaky")
+	})
+
+	got := make([]*Dataset, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d, err := cached("test-once", build("test-once", false))
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = d
+		}()
+	}
+	wg.Wait()
+	if builds["test-once"] != 1 {
+		t.Fatalf("8 concurrent calls built the dataset %d times, want 1", builds["test-once"])
+	}
+	for _, d := range got {
+		if d != got[0] {
+			t.Fatal("concurrent calls returned different datasets")
+		}
+	}
+
+	if _, err := cached("test-flaky", build("test-flaky", true)); err == nil {
+		t.Fatal("a failed build returned no error")
+	}
+	if d, err := cached("test-flaky", build("test-flaky", false)); err != nil || d == nil {
+		t.Fatalf("retry after a failed build = (%v, %v), want the dataset", d, err)
+	}
+	if builds["test-flaky"] != 2 {
+		t.Fatalf("flaky dataset built %d times, want 2 (the failure, then the retry)", builds["test-flaky"])
 	}
 }

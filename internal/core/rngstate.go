@@ -57,20 +57,3 @@ func (s *PCGSource) UnmarshalBinary(data []byte) error {
 	}
 	return nil
 }
-
-// RandState serialises the tuner's random source (Options.Src) when it
-// implements encoding.BinaryMarshaler — e.g. a *PCGSource. It returns
-// (nil, nil) when the tuner was built from a bare Options.Rng or from a
-// source without serialisable state; callers treat nil as "state not
-// available, fall back to seed replay".
-func (t *Tuner) RandState() ([]byte, error) {
-	m, ok := t.opt.Src.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, nil
-	}
-	return m.MarshalBinary()
-}
-
-// Iters reports the number of tuning iterations executed so far; together
-// with RandState it is the mid-run progress a schema-v2 checkpoint records.
-func (t *Tuner) Iters() int { return t.iters }

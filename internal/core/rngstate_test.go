@@ -70,80 +70,11 @@ func TestPCGSourceDrivesRandDeterministically(t *testing.T) {
 	}
 }
 
-// Options.Src alone must be enough to build a tuner, and runs from the same
-// source seeds must be identical to runs from an equally-seeded Rng built
-// from the same source.
+// A tuner needs Options.Rng: without it New refuses to build.
 func TestNewWithSrcOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pool := synthPool(rng, 120)
-
-	runWith := func(opt Options) *Result {
-		t.Helper()
-		tn, err := New(pool, poolEval(pool, synthObj, nil), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tn.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	a := runWith(Options{NumObjectives: 2, InitTarget: 8, MaxIter: 40, Src: NewPCGSource(6, 6)})
-	b := runWith(Options{NumObjectives: 2, InitTarget: 8, MaxIter: 40, Rng: rand.New(NewPCGSource(6, 6))})
-	if a.Runs != b.Runs || len(a.ParetoIdx) != len(b.ParetoIdx) {
-		t.Fatalf("Src-built and Rng-built runs diverged: %d/%d runs, %d/%d Pareto",
-			a.Runs, b.Runs, len(a.ParetoIdx), len(b.ParetoIdx))
-	}
-	for i := range a.ParetoIdx {
-		if a.ParetoIdx[i] != b.ParetoIdx[i] {
-			t.Fatalf("Pareto sets diverged: %v vs %v", a.ParetoIdx, b.ParetoIdx)
-		}
-	}
-
 	if _, err := New(pool, poolEval(pool, synthObj, nil), Options{NumObjectives: 2}); err == nil {
-		t.Fatal("tuner built without Rng or Src")
-	}
-}
-
-// RandState exports the source state when it is serialisable and reports
-// progress via Iters; a bare Rng yields (nil, nil).
-func TestTunerRandStateExport(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pool := synthPool(rng, 120)
-
-	tn, err := New(pool, poolEval(pool, synthObj, nil), Options{
-		NumObjectives: 2, InitTarget: 8, MaxIter: 30, Src: NewPCGSource(2, 4),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tn.Run(); err != nil {
-		t.Fatal(err)
-	}
-	state, err := tn.RandState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state == nil {
-		t.Fatal("RandState = nil for a PCG-backed tuner")
-	}
-	if tn.Iters() <= 0 {
-		t.Errorf("Iters = %d after a completed run", tn.Iters())
-	}
-
-	tn2, err := New(pool, poolEval(pool, synthObj, nil), Options{
-		NumObjectives: 2, InitTarget: 8, MaxIter: 30, Rng: rand.New(rand.NewSource(2)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state2, err := tn2.RandState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state2 != nil {
-		t.Fatalf("RandState = %v for a bare-Rng tuner, want nil", state2)
+		t.Fatal("tuner built without Rng")
 	}
 }

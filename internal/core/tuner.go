@@ -113,15 +113,10 @@ type Options struct {
 	// results in deterministic order, so any worker count reproduces the
 	// serial run exactly.
 	Workers int
-	// Rng drives the initial design. Either Rng or Src is required; when Rng
-	// is nil a generator is built from Src.
+	// Rng drives the initial design; it is required. A checkpointing caller
+	// builds it over a source with serialisable state (e.g. *PCGSource) and
+	// snapshots that source itself.
 	Rng *rand.Rand
-	// Src, when non-nil, is the random source behind the tuner's generator.
-	// Supplying a source with serialisable state (e.g. *PCGSource, backed by
-	// math/rand/v2's PCG) lets checkpointing layers snapshot and restore the
-	// exact RNG state via Tuner.RandState, so a resumed run replays the same
-	// draws without re-deriving the generator from a seed.
-	Src rand.Source
 }
 
 func (o *Options) setDefaults() {
@@ -191,7 +186,6 @@ type Tuner struct {
 	evaluated []int
 	failed    []int
 	refitAt   []int
-	iters     int
 
 	// live lists, in ascending order, the candidates the region sweep still
 	// predicts: alive and unevaluated as of the last decide (keepLive), so it
@@ -216,11 +210,8 @@ func New(pool [][]float64, eval Evaluator, opt Options) (*Tuner, error) {
 	if opt.NumObjectives < 1 {
 		return nil, fmt.Errorf("core: NumObjectives = %d", opt.NumObjectives)
 	}
-	if opt.Rng == nil && opt.Src != nil {
-		opt.Rng = rand.New(opt.Src)
-	}
 	if opt.Rng == nil {
-		return nil, errors.New("core: Options.Rng (or Options.Src) is required for reproducibility")
+		return nil, errors.New("core: Options.Rng is required for reproducibility")
 	}
 	if len(opt.SourceY) != 0 && len(opt.SourceY) != opt.NumObjectives {
 		return nil, fmt.Errorf("core: SourceY has %d objectives, want %d", len(opt.SourceY), opt.NumObjectives)
@@ -254,7 +245,8 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 	if err := t.initialise(ctx); err != nil {
 		return nil, err
 	}
-	for t.iters = 0; t.iters < t.opt.MaxIter; t.iters++ {
+	iters := 0
+	for ; iters < t.opt.MaxIter; iters++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -281,7 +273,7 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 		EvaluatedIdx: append([]int(nil), t.evaluated...),
 		FailedIdx:    append([]int(nil), t.failed...),
 		Runs:         len(t.evaluated),
-		Iters:        t.iters,
+		Iters:        iters,
 		Status:       append([]Status(nil), t.status...),
 	}
 	// The predicted Pareto set is the classified candidates plus the

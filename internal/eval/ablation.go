@@ -10,11 +10,12 @@ import (
 
 // Ablation runs PPATuner on a scenario/objective-space with one option
 // mutated, for the design-choice studies DESIGN.md calls out (transfer
-// on/off, δ, τ, source size, batch). mutate edits a copy of the options
-// RunMethod runs PPATuner with, so a no-op mutation reproduces RunMethod's
-// run. The BenchmarkAblation* benchmarks call it.
+// on/off, δ, τ, source size, batch). It draws from the PPATuner cell's
+// unit stream and mutate edits a copy of the options that cell runs with,
+// so a no-op mutation reproduces the table's cell for seed. The
+// BenchmarkAblation* benchmarks call it.
 func Ablation(s *Scenario, space ObjSpace, seed int64, mutate func(*core.Options)) (Row, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(unitSource(UnitSpec{Scenario: s.Name, Space: space.Name, Method: PPATuner, Seed: seed}))
 	pool := s.Target.UnitX()
 	objVecs := s.Target.Objectives(space.Metrics)
 	ev := func(i int) ([]float64, error) { return objVecs[i], nil }

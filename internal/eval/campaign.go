@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -65,7 +66,7 @@ type Campaign struct {
 	Workers int
 	// Checkpoint, when non-nil, makes the campaign crash-safe and
 	// resumable. Load it with robust.LoadCampaignCheckpoint so an existing
-	// file resumes.
+	// file resumes. Nil keeps the campaign's progress in memory.
 	Checkpoint *robust.CampaignCheckpoint
 	// Breaker, when non-nil, makes the campaign outage-tolerant: it must be
 	// the same circuit breaker the Wrap middleware's robust.Evaluator uses
@@ -80,8 +81,7 @@ type Campaign struct {
 	// fault-free run.
 	Breaker *robust.Breaker
 	// Opts is the base harness configuration applied to every unit (Wrap
-	// middleware, engine workers). Opts.Src is ignored: each unit supplies
-	// its own checkpointable source, and Opts.Workers is raised for the
+	// middleware, engine workers). Opts.Workers is raised for the
 	// campaign's last units (see Workers).
 	Opts RunOpts
 	// WrapUnit, when non-nil, wraps each unit's evaluator with the unit's
@@ -141,10 +141,10 @@ func (c *Campaign) Units() []Unit {
 }
 
 // UnitKey is the stable checkpoint identity of a unit: scenario, space,
-// method and seed spelled out, so a checkpoint file is self-describing and
-// one file can hold several tables' campaigns.
+// method and seed spelled out (UnitSpec.Key), so a checkpoint file is
+// self-describing and one file can hold several tables' campaigns.
 func (c *Campaign) UnitKey(u Unit) string {
-	return fmt.Sprintf("%s|%s|%s|seed=%d", c.Scenario.Name, c.spaces()[u.SpaceIdx].Name, u.Method, u.Seed)
+	return c.Spec(u).Key()
 }
 
 // unitSalt folds a unit key into the second PCG seed word, decorrelating
@@ -155,10 +155,10 @@ func unitSalt(key string) uint64 {
 	return h.Sum64()
 }
 
-// Figure3Source is the seed-derived checkpointable random source behind
-// Figure3Opts, exported so cmd/fig3 can snapshot its state for resume.
-func Figure3Source(seed int64) *core.PCGSource {
-	return core.NewPCGSource(uint64(seed), unitSalt("Figure 3"))
+// unitSource is the unit's random stream: a PCG seeded by its seed and
+// its key. Every run of a cell draws from it.
+func unitSource(spec UnitSpec) *core.PCGSource {
+	return core.NewPCGSource(uint64(spec.Seed), unitSalt(spec.Key()))
 }
 
 // Run executes every unit (skipping ones the checkpoint has completed) and
@@ -178,8 +178,12 @@ func (c *Campaign) Run() (*Table, error) {
 	if len(c.Seeds) == 0 {
 		return nil, fmt.Errorf("eval: campaign has no seeds")
 	}
-	if s, dup := repeatedSeed(c.Seeds); dup {
-		return nil, fmt.Errorf("eval: campaign lists seed %d twice; both units would share one checkpoint cell", s)
+	if err := CheckAxes(c.spaces(), c.methods(), c.Seeds); err != nil {
+		return nil, fmt.Errorf("eval: campaign: %w", err)
+	}
+	ck := c.Checkpoint
+	if ck == nil {
+		ck = robust.NewCampaignCheckpoint("")
 	}
 	units := c.Units()
 	results := make([]UnitResult, len(units))
@@ -189,7 +193,7 @@ func (c *Campaign) Run() (*Table, error) {
 		pending[x] = x
 	}
 	for len(pending) > 0 {
-		c.runLanes(units, pending, results, errs)
+		c.runLanes(ck, units, pending, results, errs)
 		// Partition this round's outcomes in enumeration order: breaker
 		// refusals park the unit; anything else aborts the campaign.
 		var parked []int
@@ -207,10 +211,8 @@ func (c *Campaign) Run() (*Table, error) {
 			break
 		}
 		for _, x := range parked {
-			if c.Checkpoint != nil {
-				if err := c.Checkpoint.Park(c.UnitKey(units[x])); err != nil {
-					return nil, c.unitError(units[x], err)
-				}
+			if err := ck.Park(c.UnitKey(units[x])); err != nil {
+				return nil, c.unitError(units[x], err)
 			}
 		}
 		// Wait out the outage (bounded by the breaker's MaxOutage
@@ -219,16 +221,14 @@ func (c *Campaign) Run() (*Table, error) {
 			return nil, c.unitError(units[parked[0]], err)
 		}
 		for _, x := range parked {
-			if c.Checkpoint != nil {
-				if err := c.Checkpoint.Unpark(c.UnitKey(units[x])); err != nil {
-					return nil, c.unitError(units[x], err)
-				}
+			if err := ck.Unpark(c.UnitKey(units[x])); err != nil {
+				return nil, c.unitError(units[x], err)
 			}
 			errs[x] = nil
 		}
 		pending = parked
 	}
-	if ck := c.Checkpoint; ck != nil && ck.Generation() == 0 {
+	if ck.Generation() == 0 {
 		if err := ck.Retire(); err != nil {
 			return nil, err
 		}
@@ -264,7 +264,7 @@ func (c *Campaign) Assemble(results []UnitResult) *Table {
 // their random streams and results slots, and the engine's parallel
 // sections give the same result at any worker count, so only wall time
 // depends on the lanes.
-func (c *Campaign) runLanes(units []Unit, idx []int, results []UnitResult, errs []error) {
+func (c *Campaign) runLanes(ck *robust.CampaignCheckpoint, units []Unit, idx []int, results []UnitResult, errs []error) {
 	lanes := min(max(c.Workers, 1), len(idx))
 	var next atomic.Int64
 	lane := func() {
@@ -275,7 +275,7 @@ func (c *Campaign) runLanes(units []Unit, idx []int, results []UnitResult, errs 
 			}
 			opts := c.Opts
 			opts.Workers = max(opts.Workers, lanes-(len(idx)-k-1))
-			results[idx[k]], errs[idx[k]] = c.runUnit(units[idx[k]], opts)
+			results[idx[k]], errs[idx[k]] = c.runUnit(ck, units[idx[k]], opts)
 		}
 	}
 	var wg sync.WaitGroup
@@ -296,78 +296,85 @@ func (c *Campaign) unitError(u Unit, err error) error {
 		c.Scenario.Name, c.spaces()[u.SpaceIdx].Name, u.Method, u.Seed, err)
 }
 
-// runUnit executes one unit under base (the campaign's Opts with the
-// unit's engine share), consulting and feeding the checkpoint.
-func (c *Campaign) runUnit(u Unit, base RunOpts) (UnitResult, error) {
-	key := c.UnitKey(u)
-	ck := c.Checkpoint
-	if ck != nil {
-		if cell, ok := ck.Done(key); ok {
-			return UnitResult{HV: cell.HV, ADRS: cell.ADRS, Runs: cell.Runs}, nil
-		}
+// runUnit executes one unit on ck under base (the campaign's Opts with the
+// unit's engine share) and completes its cell.
+func (c *Campaign) runUnit(ck *robust.CampaignCheckpoint, u Unit, base RunOpts) (UnitResult, error) {
+	spec := c.Spec(u)
+	key := spec.Key()
+	if cell, ok := ck.Done(key); ok {
+		return UnitResult{HV: cell.HV, ADRS: cell.ADRS, Runs: cell.Runs}, nil
 	}
 	if c.Gate != nil {
 		if err := c.Gate(u); err != nil {
 			return UnitResult{}, err
 		}
 	}
-	src := core.NewPCGSource(uint64(u.Seed), unitSalt(key))
-	if ck != nil {
-		if state, _ := ck.PartialRandState(key); state != nil {
-			// A crashed run left mid-unit state: restore the exact RNG
-			// state it started from. The replayed observations below then
-			// reproduce its draws bit-for-bit, independent of how the seed
-			// maps to a generator today.
-			if err := src.UnmarshalBinary(state); err != nil {
-				return UnitResult{}, err
-			}
-		} else {
-			state, err := src.MarshalBinary()
-			if err != nil {
-				return UnitResult{}, err
-			}
-			if err := ck.StartCell(key, state); err != nil {
-				return UnitResult{}, err
-			}
-		}
+	var inner func(core.Evaluator) core.Evaluator
+	if c.WrapUnit != nil {
+		inner = func(ev core.Evaluator) core.Evaluator { return c.WrapUnit(u, ev) }
 	}
-	opts := base
-	opts.Src = src
-	prev, wrapUnit := base.Wrap, c.WrapUnit
-	// Middleware order, innermost first: per-unit hook (sees only real
-	// tool invocations) -> checkpoint cache (replays paid-for
-	// observations) -> the campaign-wide Wrap (fault-tolerance layers
-	// belong outside the cache so retries re-enter the miss path).
-	opts.Wrap = func(ev core.Evaluator) core.Evaluator {
-		if wrapUnit != nil {
-			ev = wrapUnit(u, ev)
-		}
-		if ck != nil {
-			ev = ck.WrapCell(key, ev)
-		}
-		if prev != nil {
-			ev = prev(ev)
-		}
-		return ev
-	}
-	space := c.spaces()[u.SpaceIdx]
-	out, err := RunMethodOpts(u.Method, c.Scenario, space, u.Seed, opts)
+	out, res, _, err := RunCell(c.Scenario, c.spaces()[u.SpaceIdx], spec, ck, key, inner, base)
 	if err != nil {
 		return UnitResult{}, err
 	}
-	hv, adrs := Score(c.Scenario, space, out)
-	res := UnitResult{HV: hv, ADRS: adrs, Runs: out.Runs}
 	if c.OnUnit != nil {
 		if err := c.OnUnit(u, res, out); err != nil {
 			return UnitResult{}, err
 		}
 	}
-	if ck != nil {
-		if err := ck.Complete(key, robust.CampaignCell{HV: hv, ADRS: adrs, Runs: out.Runs}); err != nil {
-			return UnitResult{}, err
-		}
+	if err := ck.Complete(key, robust.CampaignCell{HV: res.HV, ADRS: res.ADRS, Runs: res.Runs}); err != nil {
+		return UnitResult{}, err
 	}
 	return res, nil
+}
+
+// RunCell runs one table cell resumably on ck, under the cell key key
+// (spec.Key() for a campaign unit, robust.RunKey for a single run): spec's
+// method on sc in space, drawing from spec's unit stream. A cell with
+// recorded RNG state restores it, so its observations replay under the
+// draws that bought them; a fresh cell records the state it starts from.
+// Middleware order, innermost first: inner (nil: none), which sees only
+// fresh tool invocations, then ck's replay cache, then opts.Wrap, whose
+// fault-tolerance layers belong outside the cache so retries re-enter the
+// miss path. RunCell returns the outcome, its score and the source's end
+// state. It never completes the cell: completing and retiring belong to
+// ck's owner.
+func RunCell(sc *Scenario, space ObjSpace, spec UnitSpec, ck *robust.CampaignCheckpoint, key string, inner func(core.Evaluator) core.Evaluator, opts RunOpts) (*Outcome, UnitResult, []byte, error) {
+	src := unitSource(spec)
+	if state, _ := ck.PartialRandState(key); state != nil {
+		if err := src.UnmarshalBinary(state); err != nil {
+			return nil, UnitResult{}, nil, err
+		}
+	} else {
+		state, err := src.MarshalBinary()
+		if err != nil {
+			return nil, UnitResult{}, nil, err
+		}
+		if err := ck.StartCell(key, state); err != nil {
+			return nil, UnitResult{}, nil, err
+		}
+	}
+	outer := opts.Wrap
+	opts.Wrap = func(ev core.Evaluator) core.Evaluator {
+		if inner != nil {
+			ev = inner(ev)
+		}
+		ev = ck.WrapCell(key, ev)
+		if outer != nil {
+			ev = outer(ev)
+		}
+		return ev
+	}
+	out, err := runMethod(spec.Method, sc, space, rand.New(src), opts)
+	if err != nil {
+		return nil, UnitResult{}, nil, err
+	}
+	end, err := src.MarshalBinary()
+	if err != nil {
+		return nil, UnitResult{}, nil, err
+	}
+	hv, adrs := Score(sc, space, out)
+	return out, UnitResult{HV: hv, ADRS: adrs, Runs: out.Runs}, end, nil
 }
 
 // aggregate reduces one cell's per-seed results to mean ± sample standard

@@ -278,6 +278,13 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := (&Campaign{Scenario: miniScenario(t), Seeds: []int64{1, 2, 1}}).Run(); err == nil {
 		t.Error("campaign with a repeated seed accepted")
 	}
+	sp := Spaces()
+	if _, err := (&Campaign{Scenario: miniScenario(t), Seeds: []int64{1}, Spaces: []ObjSpace{sp[0], sp[1], sp[0]}}).Run(); err == nil {
+		t.Error("campaign with a repeated space accepted")
+	}
+	if _, err := (&Campaign{Scenario: miniScenario(t), Seeds: []int64{1}, Methods: []Method{DAC19, DAC19}}).Run(); err == nil {
+		t.Error("campaign with a repeated method accepted")
+	}
 }
 
 // Units enumerates space-major, then method, then seed — the order Run

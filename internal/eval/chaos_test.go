@@ -70,7 +70,7 @@ func TestChaosTuningWithinNoiseOnTarget2(t *testing.T) {
 			MaxIter:       50,
 			Batch:         3,
 			Workers:       3,
-			Rng:           rand.New(rand.NewSource(77)),
+			Rng:           rand.New(core.NewPCGSource(77, 77)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func TestChaosTuningWithinNoiseOnTarget2(t *testing.T) {
 // exact Pareto set of an uninterrupted run, replaying persisted observations
 // instead of re-invoking the tool.
 func TestCheckpointCrashResumeIdenticalPareto(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := rand.New(core.NewPCGSource(5, 5))
 	const n, dim = 100, 4
 	pool := make([][]float64, n)
 	for i := range pool {
@@ -160,7 +160,7 @@ func TestCheckpointCrashResumeIdenticalPareto(t *testing.T) {
 			NumObjectives: 2,
 			InitTarget:    10,
 			MaxIter:       30,
-			Rng:           rand.New(rand.NewSource(6)),
+			Rng:           rand.New(core.NewPCGSource(6, 6)),
 		})
 		if err != nil {
 			t.Fatal(err)

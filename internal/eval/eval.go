@@ -156,7 +156,7 @@ func initTarget(s *Scenario) int {
 // ppatunerOptions is the harness's PPATuner configuration on one scenario
 // and objective space: the source slice drawn from rng, the initial sample
 // of initTarget and the rest of the scenario's PPATuner budget as
-// iterations. RunMethodOpts and Ablation both run it.
+// iterations. runMethod and Ablation both run it.
 func ppatunerOptions(s *Scenario, space ObjSpace, rng *rand.Rand) core.Options {
 	sx, sy := sourceSlice(s, space.Metrics, rng)
 	init := initTarget(s)
@@ -178,11 +178,11 @@ func ppatunerOptions(s *Scenario, space ObjSpace, rng *rand.Rand) core.Options {
 	}
 }
 
-// RunOpts carries optional harness knobs for RunMethodOpts.
+// RunOpts carries optional harness knobs for RunMethodOpts and RunCell.
 type RunOpts struct {
 	// Wrap, when non-nil, wraps the pool evaluator before it reaches the
 	// tuner — the hook for fault-tolerance middleware (robust.Evaluator,
-	// checkpoint caches, chaos injection).
+	// chaos injection).
 	Wrap func(core.Evaluator) core.Evaluator
 	// Workers bounds the PPATuner engine's concurrency (surrogate fits,
 	// region sweeps, batched evaluator calls); see core.Options.Workers.
@@ -191,28 +191,24 @@ type RunOpts struct {
 	// any value — the parallel sections are deterministic — so this is
 	// purely a wall-clock knob.
 	Workers int
-	// Src, when non-nil, replaces the default seed-derived generator
-	// (rand.New(rand.NewSource(seed))) as the run's random source. Sources
-	// with serialisable state (core.PCGSource) make the RNG state
-	// checkpointable, so a resumed run restores the exact generator state
-	// instead of re-deriving it from the seed. nil keeps legacy callers
-	// bit-for-bit unchanged.
-	Src rand.Source
 }
 
-// RunMethod executes one tuner on one scenario and objective space.
+// RunMethod executes one tuner on one scenario and objective space: the
+// table's cell for that seed, on the unit's own random stream.
 func RunMethod(m Method, s *Scenario, space ObjSpace, seed int64) (*Outcome, error) {
 	return RunMethodOpts(m, s, space, seed, RunOpts{})
 }
 
-// RunMethodOpts is RunMethod with harness options.
+// RunMethodOpts is RunMethod with harness options. It keeps no
+// checkpoint; RunCell runs a cell resumably.
 func RunMethodOpts(m Method, s *Scenario, space ObjSpace, seed int64, opts RunOpts) (*Outcome, error) {
-	var rng *rand.Rand
-	if opts.Src != nil {
-		rng = rand.New(opts.Src)
-	} else {
-		rng = rand.New(rand.NewSource(seed))
-	}
+	spec := UnitSpec{Scenario: s.Name, Space: space.Name, Method: m, Seed: seed}
+	return runMethod(m, s, space, rand.New(unitSource(spec)), opts)
+}
+
+// runMethod runs m drawing from rng, with the pool evaluator under
+// opts.Wrap.
+func runMethod(m Method, s *Scenario, space ObjSpace, rng *rand.Rand, opts RunOpts) (*Outcome, error) {
 	pool := s.Target.UnitX()
 	objVecs := s.Target.Objectives(space.Metrics)
 	var eval core.Evaluator = func(i int) ([]float64, error) { return objVecs[i], nil }
@@ -225,7 +221,7 @@ func RunMethodOpts(m Method, s *Scenario, space ObjSpace, seed int64, opts RunOp
 	switch m {
 	case PPATuner:
 		o := ppatunerOptions(s, space, rng)
-		o.Workers, o.Src = opts.Workers, opts.Src
+		o.Workers = opts.Workers
 		tn, err := core.New(pool, eval, o)
 		if err != nil {
 			return nil, err
@@ -300,19 +296,6 @@ func Score(s *Scenario, space ObjSpace, out *Outcome) (hvErr, adrs float64) {
 	return pareto.HVError(golden, approx, ref), pareto.ADRS(golden, approx)
 }
 
-// Cell runs a method over several seeds and aggregates the metrics (mean
-// plus sample standard deviation). It is a single-method, single-space
-// Campaign, so the per-seed results — and the PCG random streams behind
-// them — are identical to the matching cells of a full table campaign.
-func Cell(m Method, s *Scenario, space ObjSpace, seeds []int64) (Row, error) {
-	c := &Campaign{Scenario: s, Seeds: seeds, Spaces: []ObjSpace{space}, Methods: []Method{m}}
-	tbl, err := c.Run()
-	if err != nil {
-		return Row{Method: m}, err
-	}
-	return tbl.Rows[0][0], nil
-}
-
 // Table holds all rows of one comparison table.
 type Table struct {
 	Scenario *Scenario
@@ -336,12 +319,6 @@ func (t *Table) spaceList() []ObjSpace {
 		return t.Spaces
 	}
 	return Spaces()
-}
-
-// BuildTable regenerates one of the paper's comparison tables: a serial,
-// uncheckpointed Campaign over the full method and objective-space axes.
-func BuildTable(s *Scenario, seeds []int64) (*Table, error) {
-	return (&Campaign{Scenario: s, Seeds: seeds}).Run()
 }
 
 // Averages returns per-method averages over the objective spaces, in
@@ -413,40 +390,29 @@ func safeDiv(a, b float64) float64 {
 	return a / b
 }
 
-// Figure3 runs PPATuner on Scenario Two in power–delay space and returns the
-// golden Pareto front and the learned front, each sorted by delay — the two
-// series of the paper's Figure 3.
+// Figure3 runs PPATuner on Scenario Two in power–delay space, Table 3's
+// cell for seed, and returns the two series of the paper's Figure 3 (see
+// Figure3Fronts).
 func Figure3(seed int64) (golden, learned [][]float64, err error) {
-	return Figure3Opts(seed, RunOpts{})
-}
-
-// Figure3Opts is Figure3 with harness options (evaluator middleware, engine
-// workers, a checkpointable random source). A nil opts.Src is replaced with
-// a seed-derived core.PCGSource so the run's RNG state is always
-// exportable for crash-safe resume.
-func Figure3Opts(seed int64, opts RunOpts) (golden, learned [][]float64, err error) {
 	s, err := ScenarioTwo()
 	if err != nil {
 		return nil, nil, err
 	}
-	space := Spaces()[1] // Power-Delay
-	if opts.Src == nil {
-		opts.Src = Figure3Source(seed)
-	}
-	out, err := RunMethodOpts(PPATuner, s, space, seed, opts)
+	out, err := RunMethod(PPATuner, s, Spaces()[1], seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	objVecs := s.Target.Objectives(space.Metrics)
-	golden = pareto.FrontPoints(objVecs)
-	for _, i := range out.ParetoIdx {
-		learned = append(learned, objVecs[i])
-	}
-	learned = pareto.FrontPoints(learned)
-	byDelay := func(pts [][]float64) {
+	golden, learned = Figure3Fronts(s, out)
+	return golden, learned, nil
+}
+
+// Figure3Fronts returns Figure 3's series for a power–delay outcome on s:
+// the golden Pareto front and the learned one, each sorted by delay.
+func Figure3Fronts(s *Scenario, out *Outcome) (golden, learned [][]float64) {
+	space := Spaces()[1] // Power-Delay
+	golden, learned = GoldenFront(s, space), OutcomeFront(s, space, out)
+	for _, pts := range [][][]float64{golden, learned} {
 		sort.Slice(pts, func(a, b int) bool { return pts[a][1] < pts[b][1] })
 	}
-	byDelay(golden)
-	byDelay(learned)
-	return golden, learned, nil
+	return golden, learned
 }

@@ -122,20 +122,33 @@ func TestScorePerfectApproximation(t *testing.T) {
 	}
 }
 
+// A campaign cell is the mean of its seeds' runs.
 func TestCellAveragesSeeds(t *testing.T) {
 	s := miniScenario(t)
-	row, err := Cell(MLCAD19, s, Spaces()[0], []int64{1, 2})
+	space := Spaces()[0]
+	seeds := []int64{1, 2}
+	tbl, err := (&Campaign{Scenario: s, Seeds: seeds, Spaces: []ObjSpace{space}, Methods: []Method{MLCAD19}}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Method != MLCAD19 || row.Runs <= 0 {
-		t.Errorf("row = %+v", row)
+	var hv, adrs, runs float64
+	for _, seed := range seeds {
+		out, err := RunMethod(MLCAD19, s, space, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, a := Score(s, space, out)
+		hv, adrs, runs = hv+h, adrs+a, runs+float64(out.Runs)
+	}
+	n := float64(len(seeds))
+	if row := tbl.Rows[0][0]; row.Method != MLCAD19 || row.HV != hv/n || row.ADRS != adrs/n || row.Runs != runs/n {
+		t.Errorf("row = %+v, want the seed means HV %v ADRS %v runs %v", row, hv/n, adrs/n, runs/n)
 	}
 }
 
 func TestBuildTableAndFormat(t *testing.T) {
 	s := miniScenario(t)
-	tbl, err := BuildTable(s, []int64{3})
+	tbl, err := (&Campaign{Scenario: s, Seeds: []int64{3}}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +179,11 @@ func TestBuildTableAndFormat(t *testing.T) {
 func TestPPATunerCompetitiveOnMini(t *testing.T) {
 	s := miniScenario(t)
 	space := Spaces()[1]
-	rowP, err := Cell(PPATuner, s, space, []int64{5, 6, 7})
+	tbl, err := (&Campaign{Scenario: s, Seeds: []int64{5, 6, 7}, Spaces: []ObjSpace{space}, Methods: []Method{PPATuner}}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rowP := tbl.Rows[0][0]
 	// On a 100-point pool any method with half the pool as budget can find
 	// the whole front, so compare against an absolute quality bar instead of
 	// the baselines.

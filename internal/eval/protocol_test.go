@@ -34,7 +34,7 @@ func TestScenarioBudgetsMatchPaperBands(t *testing.T) {
 // methods must be expressed in target-space coordinates.
 func TestSourceSliceEncodesIntoTargetSpace(t *testing.T) {
 	s := miniScenario(t)
-	rng := rand.New(rand.NewSource(9)) // same protocol as RunMethod
+	rng := rand.New(unitSource(UnitSpec{Scenario: s.Name, Space: "Power-Delay", Method: PPATuner, Seed: 9})) // a unit's stream, as runMethod draws it
 	x, y := sourceSlice(s, []pdtool.Metric{pdtool.Power, pdtool.Delay}, rng)
 	if len(x) != s.SourceN {
 		t.Fatalf("source slice has %d points, want %d", len(x), s.SourceN)

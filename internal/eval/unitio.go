@@ -21,8 +21,8 @@ type UnitSpec struct {
 	Seed     int64  `json:"seed"`
 }
 
-// Key is the unit's stable checkpoint identity (same spelling as
-// Campaign.UnitKey).
+// Key is the unit's stable checkpoint identity; Campaign.UnitKey spells
+// it through Key.
 func (s UnitSpec) Key() string {
 	return fmt.Sprintf("%s|%s|%s|seed=%d", s.Scenario, s.Space, s.Method, s.Seed)
 }
@@ -67,72 +67,47 @@ func StandardScenario(name string) (*Scenario, error) {
 // worker granted a unit with no recorded state derives the same bytes
 // itself, so both sides agree without shipping generators around.
 func UnitStartState(spec UnitSpec) ([]byte, error) {
-	return core.NewPCGSource(uint64(spec.Seed), unitSalt(spec.Key())).MarshalBinary()
+	return unitSource(spec).MarshalBinary()
 }
 
 // ExecuteUnit runs one wire-form unit to completion: the worker-process
-// counterpart of Campaign.runUnit. The unit's random source is restored
-// from randState (nil starts fresh from the seed), replay observations
-// answer their pool indices without touching the tool — bit-for-bit the
-// draws a crashed or pre-empted holder already paid for — and every fresh
-// valid observation is reported through onFresh before the run proceeds,
-// so the caller can stream it to the coordinator. Middleware composes as
-// in Campaign.runUnit: the replay cache sits inside base.Wrap, so
-// fault-tolerance retries re-enter the cache-miss path and invalid vectors
-// are passed up (never cached, never streamed). Returns the scored result
-// and the source's serialised end state.
+// counterpart of Campaign.runUnit, through RunCell on an in-memory
+// checkpoint. The unit's random source is restored from randState (nil
+// starts fresh from the seed), replay observations answer their pool
+// indices without touching the tool — bit-for-bit the draws a crashed or
+// pre-empted holder already paid for — and every fresh valid observation
+// is reported through onFresh before the run proceeds, so the caller can
+// stream it to the coordinator. As in a campaign, base.Wrap sits outside
+// the replay cache, so fault-tolerance retries re-enter the cache-miss path
+// and invalid vectors are passed up (never cached, never streamed). Returns
+// the scored result and the source's serialised end state.
 func ExecuteUnit(sc *Scenario, space ObjSpace, spec UnitSpec, randState []byte, replay []robust.Observation, base RunOpts, onFresh func(robust.Observation) error) (UnitResult, []byte, error) {
-	src := core.NewPCGSource(uint64(spec.Seed), unitSalt(spec.Key()))
+	key := spec.Key()
+	ck := robust.NewCampaignCheckpoint("")
 	if randState != nil {
-		if err := src.UnmarshalBinary(randState); err != nil {
+		if err := ck.StartCell(key, randState); err != nil {
 			return UnitResult{}, nil, err
 		}
 	}
-	cache := make(map[int][]float64, len(replay))
 	for _, o := range replay {
-		if _, dup := cache[o.Index]; dup {
-			continue
+		if err := ck.AddPartialObservation(key, o); err != nil {
+			return UnitResult{}, nil, err
 		}
-		cache[o.Index] = append([]float64(nil), o.QoR...)
 	}
-	opts := base
-	opts.Src = src
-	prev := base.Wrap
-	opts.Wrap = func(ev core.Evaluator) core.Evaluator {
-		cached := func(i int) ([]float64, error) {
-			if y, ok := cache[i]; ok {
-				return append([]float64(nil), y...), nil
-			}
+	stream := func(ev core.Evaluator) core.Evaluator {
+		return func(i int) ([]float64, error) {
 			y, err := ev(i)
-			if err != nil {
+			if err != nil || onFresh == nil || robust.ValidateVector(y, 0) != nil {
+				return y, err
+			}
+			if err := onFresh(robust.Observation{Index: i, QoR: append([]float64(nil), y...)}); err != nil {
 				return nil, err
-			}
-			if robust.ValidateVector(y, 0) != nil {
-				return y, nil
-			}
-			cache[i] = append([]float64(nil), y...)
-			if onFresh != nil {
-				if err := onFresh(robust.Observation{Index: i, QoR: append([]float64(nil), y...)}); err != nil {
-					return nil, err
-				}
 			}
 			return y, nil
 		}
-		if prev != nil {
-			return prev(core.Evaluator(cached))
-		}
-		return cached
 	}
-	out, err := RunMethodOpts(spec.Method, sc, space, spec.Seed, opts)
-	if err != nil {
-		return UnitResult{}, nil, err
-	}
-	hv, adrs := Score(sc, space, out)
-	end, err := src.MarshalBinary()
-	if err != nil {
-		return UnitResult{}, nil, err
-	}
-	return UnitResult{HV: hv, ADRS: adrs, Runs: out.Runs}, end, nil
+	_, res, end, err := RunCell(sc, space, spec, ck, key, stream, base)
+	return res, end, err
 }
 
 // maxSeeds caps how many seeds ParseSeeds accepts: each seed adds one unit
@@ -165,8 +140,8 @@ func ParseSeeds(spec string) ([]int64, error) {
 		if len(seeds) == 0 {
 			return nil, fmt.Errorf("seed list %q is empty", spec)
 		}
-		if s, dup := repeatedSeed(seeds); dup {
-			return nil, fmt.Errorf("seed %d is listed twice", s)
+		if err := CheckAxes(nil, nil, seeds); err != nil {
+			return nil, err
 		}
 		return seeds, nil
 	}
@@ -181,14 +156,36 @@ func ParseSeeds(spec string) ([]int64, error) {
 	return seeds, nil
 }
 
-// repeatedSeed returns the first seed that seeds lists twice.
-func repeatedSeed(seeds []int64) (int64, bool) {
-	seen := make(map[int64]bool, len(seeds))
-	for _, s := range seeds {
-		if seen[s] {
-			return s, true
-		}
-		seen[s] = true
+// CheckAxes refuses campaign axes that list a space, method or seed twice:
+// both entries would name one checkpoint cell, so one of their units would
+// never run. Campaign.Run, ParseSeeds and ppaserved's job validation all
+// check through it.
+func CheckAxes(spaces []ObjSpace, methods []Method, seeds []int64) error {
+	names := make([]string, len(spaces))
+	for i, sp := range spaces {
+		names[i] = sp.Name
 	}
-	return 0, false
+	if n, dup := repeated(names); dup {
+		return fmt.Errorf("space %q is listed twice", n)
+	}
+	if m, dup := repeated(methods); dup {
+		return fmt.Errorf("method %q is listed twice", m)
+	}
+	if s, dup := repeated(seeds); dup {
+		return fmt.Errorf("seed %d is listed twice", s)
+	}
+	return nil
+}
+
+// repeated returns the first entry that xs lists twice.
+func repeated[T comparable](xs []T) (T, bool) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	var zero T
+	return zero, false
 }

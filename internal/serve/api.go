@@ -175,12 +175,16 @@ func canonicalScenario(name string) string {
 }
 
 // plan validates a request against the server's configuration: it decodes
-// the campaign axes, then checks the surrogate and the fault stack.
-// Validation is cheap (no benchmark construction): scenario existence for
-// custom resolvers is established when the job first runs.
+// the campaign axes and refuses repeated ones, as eval.Campaign.Run does,
+// then checks the surrogate and the fault stack. Validation is cheap (no
+// benchmark construction): scenario existence for custom resolvers is
+// established when the job first runs.
 func (s *Server) plan(req JobRequest) (*jobPlan, error) {
 	p, err := s.axes(req)
 	if err != nil {
+		return nil, err
+	}
+	if err := eval.CheckAxes(p.spaces, p.methods, p.seeds); err != nil {
 		return nil, err
 	}
 	if req.GP != "" && req.GP != "exact" {

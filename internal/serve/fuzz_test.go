@@ -8,6 +8,7 @@ import (
 	"os"
 	"testing"
 
+	"ppatuner/internal/eval"
 	"ppatuner/internal/robust"
 )
 
@@ -30,7 +31,9 @@ func manifestBytes(t *testing.T, dir string) [2][]byte {
 // was never started, so accepted jobs only queue. The handler must never
 // panic or answer 5xx; a 400 must leave the manifest as it was; and the
 // spec a 202 stored must pass plan again, or Start would fail at restart a
-// job that submit accepted. The seed corpus is testdata/fuzz/FuzzSubmit.
+// job that submit accepted, and give each of its units its own key, or
+// units sharing one checkpoint cell would never run. The seed corpus is
+// testdata/fuzz/FuzzSubmit.
 func FuzzSubmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
@@ -55,8 +58,20 @@ func FuzzSubmit(f *testing.F) {
 			if err := json.Unmarshal(stored.Spec, &req); err != nil {
 				t.Fatalf("accepted job %s: stored spec %s: %v", resp.ID, stored.Spec, err)
 			}
-			if _, err := s.plan(req); err != nil {
+			p, err := s.plan(req)
+			if err != nil {
 				t.Fatalf("accepted job %s: stored spec %s fails plan: %v", resp.ID, stored.Spec, err)
+			}
+			keys := map[string]bool{}
+			for _, sp := range p.spaces {
+				for _, m := range p.methods {
+					for _, seed := range p.seeds {
+						keys[eval.UnitSpec{Scenario: p.scenario, Space: sp.Name, Method: m, Seed: seed}.Key()] = true
+					}
+				}
+			}
+			if len(keys) != p.total() {
+				t.Fatalf("accepted job %s: stored spec %s names %d units under %d keys", resp.ID, stored.Spec, p.total(), len(keys))
 			}
 		case http.StatusBadRequest:
 			if after := manifestBytes(t, dir); !bytes.Equal(after[0], before[0]) || !bytes.Equal(after[1], before[1]) {

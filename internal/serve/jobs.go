@@ -259,7 +259,11 @@ func (s *Server) interrupted(j *job) error {
 // runCampaign assembles and runs the job's campaign against its checkpoint.
 func (s *Server) runCampaign(j *job) error {
 	p := j.plan
-	scn, err := s.resolveScenario(p.scenario)
+	resolve := s.cfg.Resolve
+	if resolve == nil {
+		resolve = eval.StandardScenario
+	}
+	scn, err := resolve(p.scenario)
 	if err != nil {
 		return err
 	}

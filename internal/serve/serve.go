@@ -81,10 +81,9 @@ type Config struct {
 	// mid-collection can orphan a file (swept next round) but never a
 	// record. Zero keeps everything forever (the previous behaviour).
 	Retain time.Duration
-	// Resolve maps a scenario name to its benchmark scenario. Nil means
-	// eval.StandardScenario (the paper's scenarios). Resolution is cached
-	// per name for the server's lifetime — scenario construction
-	// regenerates benchmark datasets and is expensive.
+	// Resolve maps a scenario name to its benchmark scenario; each job run
+	// calls it once. Nil means eval.StandardScenario (the paper's
+	// scenarios), whose benchmark datasets are built once per process.
 	Resolve func(name string) (*eval.Scenario, error)
 	// Logf, when non-nil, receives server progress lines.
 	Logf func(format string, args ...any)
@@ -110,20 +109,10 @@ type Server struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	scenMu    sync.Mutex
-	scenarios map[string]*scenarioEntry
-
 	// wrapUnit, when non-nil, wraps each unit's evaluator (test
 	// instrumentation: blocking gates, call counters). Composes beneath
 	// the drain check.
 	wrapUnit func(eval.Unit, core.Evaluator) core.Evaluator
-}
-
-// scenarioEntry caches one scenario resolution for the server's lifetime.
-type scenarioEntry struct {
-	once sync.Once
-	s    *eval.Scenario
-	err  error
 }
 
 // New builds a server over the given state directory, loading the job
@@ -148,14 +137,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		cfg:       cfg,
-		clk:       clk,
-		manifest:  manifest,
-		limiter:   newRateLimiter(clk, cfg.Rate, cfg.Burst),
-		jobs:      map[string]*job{},
-		queues:    map[string][]*job{},
-		stop:      make(chan struct{}),
-		scenarios: map[string]*scenarioEntry{},
+		cfg:      cfg,
+		clk:      clk,
+		manifest: manifest,
+		limiter:  newRateLimiter(clk, cfg.Rate, cfg.Burst),
+		jobs:     map[string]*job{},
+		queues:   map[string][]*job{},
+		stop:     make(chan struct{}),
 	}, nil
 }
 
@@ -174,25 +162,6 @@ func (s *Server) stopping() bool {
 	default:
 		return false
 	}
-}
-
-// resolveScenario resolves and caches a scenario by name.
-func (s *Server) resolveScenario(name string) (*eval.Scenario, error) {
-	s.scenMu.Lock()
-	e, ok := s.scenarios[name]
-	if !ok {
-		e = &scenarioEntry{}
-		s.scenarios[name] = e
-	}
-	s.scenMu.Unlock()
-	e.once.Do(func() {
-		resolve := s.cfg.Resolve
-		if resolve == nil {
-			resolve = eval.StandardScenario
-		}
-		e.s, e.err = resolve(name)
-	})
-	return e.s, e.err
 }
 
 // Shutdown drains the server: no new campaigns start, running campaigns

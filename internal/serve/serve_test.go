@@ -157,6 +157,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Scenario: "table2", Spaces: []string{"nope"}},
 		{Scenario: "table2", Outage: "60s/10s"}, // outage without breaker
 		{Scenario: "table2", Breaker: -1},
+		{Scenario: "table2", Spaces: []string{"Area-Delay", "Area-Delay"}, Methods: []string{"DAC'19", "DAC'19"}, Seeds: "1"},
+		{Scenario: "table2", Spaces: []string{"Area-Delay", "Power-Delay", "Area-Delay"}},
+		{Scenario: "table2", Methods: []string{"DAC'19", "PPATuner", "DAC'19"}},
 	}
 	for i, req := range cases {
 		if _, resp := postJob(t, ts, req); resp.StatusCode != http.StatusBadRequest {
@@ -172,6 +175,50 @@ func TestSubmitValidation(t *testing.T) {
 	var health HealthDoc
 	if code := getJSON(t, ts, "/healthz", &health); code != http.StatusOK || !health.OK {
 		t.Errorf("healthz = %d %+v", code, health)
+	}
+}
+
+// TestRestartFailsStoredRepeatedAxes: a job stored with a repeated space
+// and method (accepted before submissions refused repeats) fails at Start
+// with a "requeue:" error instead of running four units under one key, and
+// its view still reports the axes its spec names.
+func TestRestartFailsStoredRepeatedAxes(t *testing.T) {
+	dir := t.TempDir()
+	m, err := robust.LoadJobManifest(robust.JobManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := m.NextID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(robust.JobRecord{
+		ID: id, Client: "alice", Status: StatusQueued, Checkpoint: checkpointName(id),
+		Spec: []byte(`{"scenario":"table2","spaces":["Area-Delay","Area-Delay"],"methods":["DAC'19","DAC'19"],"seeds":"1"}`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{StateDir: dir, Resolve: miniResolve, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Shutdown)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var v JobView
+	if code := getJSON(t, ts, "/jobs/"+id, &v); code != http.StatusOK {
+		t.Fatalf("job view returned %d", code)
+	}
+	if v.Status != StatusFailed || v.Error != `requeue: space "Area-Delay" is listed twice` {
+		t.Errorf("stored job with repeats: status %q, error %q; want failed with the repeated space named", v.Status, v.Error)
+	}
+	if strings.Join(v.Spaces, ",") != "Area-Delay,Area-Delay" || strings.Join(v.Methods, ",") != "DAC'19,DAC'19" || v.UnitsTotal != 4 || v.UnitsDone != 0 {
+		t.Errorf("stored job with repeats: spaces %v, methods %v, %d of %d units done; want its stored axes and nothing run",
+			v.Spaces, v.Methods, v.UnitsDone, v.UnitsTotal)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ppatuner/internal/clock"
-	"ppatuner/internal/eval"
 	"ppatuner/internal/robust"
 )
 
@@ -225,53 +224,5 @@ func TestReconnGivesUpAfterMaxDown(t *testing.T) {
 	}
 	if fc.Now().Sub(time.Unix(0, 0)) < 5*time.Second {
 		t.Fatalf("gave up after only %v of virtual downtime, want >= MaxDown", fc.Now().Sub(time.Unix(0, 0)))
-	}
-}
-
-func TestScenarioCacheResolvesOncePerName(t *testing.T) {
-	var mu sync.Mutex
-	calls := map[string]int{}
-	failFirst := true
-	c := NewScenarioCache(func(name string) (*eval.Scenario, error) {
-		mu.Lock()
-		calls[name]++
-		mu.Unlock()
-		if name == "flaky" && failFirst {
-			failFirst = false
-			return nil, errors.New("transient resolution failure")
-		}
-		return &eval.Scenario{Name: name}, nil
-	})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Resolve("mini"); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if calls["mini"] != 1 {
-		t.Fatalf("8 concurrent resolves built the scenario %d times, want 1", calls["mini"])
-	}
-	s1, _ := c.Resolve("mini")
-	s2, _ := c.Resolve("mini")
-	if s1 != s2 {
-		t.Fatal("repeated resolves returned different scenario instances")
-	}
-
-	// Errors are not cached: the failed entry is evicted, the retry
-	// rebuilds.
-	if _, err := c.Resolve("flaky"); err == nil {
-		t.Fatal("first flaky resolve should fail")
-	}
-	if s, err := c.Resolve("flaky"); err != nil || s == nil {
-		t.Fatalf("retry after failure = (%v, %v), want success", s, err)
-	}
-	if calls["flaky"] != 2 {
-		t.Fatalf("flaky resolved %d times, want 2 (failure then success)", calls["flaky"])
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -465,6 +466,30 @@ func mustRecv(t *testing.T, c shard.Conn, want shard.MsgType) shard.Msg {
 		}
 		if m.Type == shard.MsgShutdown {
 			t.Fatalf("got shutdown while waiting for %s", want)
+		}
+	}
+}
+
+// CheckWorkerFlags refuses what ppaworker's flag set or its fault
+// configuration refuses, and accepts what ppaworker runs with.
+func TestCheckWorkerFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		ok   bool
+	}{
+		{"", true},
+		{"-outage 60s/10s -breaker 2", true},
+		{"-heartbeat 1s -max-outage 2m -rejoin", true},
+		{"-outage garbage", false},
+		{"-outage 60s/10s", false}, // an outage needs a breaker
+		{"-breaker -1", false},
+		{"-max-outage 0", false},
+		{"-heartbeat soon", false},
+		{"-chaos-seed 3", false}, // not a ppaworker flag
+	} {
+		err := shard.CheckWorkerFlags(strings.Fields(tc.args))
+		if tc.ok != (err == nil) {
+			t.Errorf("CheckWorkerFlags(%q) = %v, want ok=%v", tc.args, err, tc.ok)
 		}
 	}
 }

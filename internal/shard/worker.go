@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"sync"
@@ -19,21 +20,56 @@ type WorkerOptions struct {
 	// allowed; the coordinator assigns a positional name.
 	ID string
 	// Scenario resolves a wire-form scenario name to the built scenario;
-	// defaults to eval.StandardScenario. Resolved scenarios are cached per
-	// RunWorker call (construction regenerates benchmark datasets).
+	// defaults to eval.StandardScenario, whose benchmark datasets are built
+	// once per process. It is called once per grant.
 	Scenario func(name string) (*eval.Scenario, error)
 	// Space resolves a wire-form space name; defaults to eval.SpaceByName.
 	Space func(name string) (eval.ObjSpace, error)
 	// Run is the base harness configuration applied to every unit — the
 	// place to hang the resilient-evaluator middleware (robust retries,
-	// breaker, chaos under test). Run.Src is ignored: each unit restores
-	// its own source from the grant.
+	// breaker, chaos under test).
 	Run eval.RunOpts
 	// HeartbeatEvery paces lease renewals while a unit computes. Zero
 	// derives a third of the granted lease TTL.
 	HeartbeatEvery time.Duration
 	// Clock paces heartbeats; defaults to the wall clock.
 	Clock clock.Clock
+}
+
+// WorkerFlags is ppaworker's command line, declared once: ppaworker parses
+// its arguments into it, and ppacoord checks the -worker-flags it passes to
+// the workers it spawns against the same flag set (CheckWorkerFlags).
+type WorkerFlags struct {
+	ID          string
+	Connect     string
+	DialTimeout time.Duration
+	Rejoin      bool
+	Heartbeat   time.Duration
+	Faults      eval.FaultConfig
+}
+
+// RegisterFlags registers ppaworker's flags on fs.
+func (w *WorkerFlags) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&w.ID, "id", "", "worker name used in lease records and coordinator logs (default: w-<pid> with -connect, else assigned by the coordinator)")
+	fs.StringVar(&w.Connect, "connect", "", "coordinator TCP address(es), comma-separated in preference order; empty speaks the protocol on stdin/stdout")
+	fs.DurationVar(&w.DialTimeout, "dial-timeout", 2*time.Minute, "give up after this much continuous dial failure (set past the standby's -takeover-after)")
+	fs.BoolVar(&w.Rejoin, "rejoin", false, "after a clean campaign shutdown, redial and serve the next campaign instead of exiting")
+	fs.DurationVar(&w.Heartbeat, "heartbeat", 0, "lease renewal period while a unit computes (0 derives a third of the granted TTL)")
+	w.Faults.RegisterFlags(fs)
+}
+
+// CheckWorkerFlags parses args as ppaworker would and validates their fault
+// configuration as ppaworker does, so a command line the workers would
+// refuse fails before anything is spawned.
+func CheckWorkerFlags(args []string) error {
+	fs := flag.NewFlagSet("ppaworker", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var w WorkerFlags
+	w.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return w.Faults.Validate()
 }
 
 // RunWorker serves one coordinator connection: hello, then a grant/report
@@ -97,7 +133,6 @@ func RunWorker(ctx context.Context, conn Conn, opt WorkerOptions) error {
 	defer close(readerDone)
 	defer conn.Close()
 
-	scenarios := map[string]*eval.Scenario{}
 	for {
 		select {
 		case <-ctx.Done():
@@ -112,7 +147,7 @@ func RunWorker(ctx context.Context, conn Conn, opt WorkerOptions) error {
 			case MsgShutdown:
 				return nil
 			case MsgGrant:
-				if err := runGrant(ctx, conn, opt, scenarios, msg); err != nil {
+				if err := runGrant(ctx, conn, opt, msg); err != nil {
 					return err
 				}
 			default:
@@ -123,7 +158,7 @@ func RunWorker(ctx context.Context, conn Conn, opt WorkerOptions) error {
 }
 
 // runGrant executes one granted unit and reports its outcome.
-func runGrant(ctx context.Context, conn Conn, opt WorkerOptions, scenarios map[string]*eval.Scenario, msg Msg) error {
+func runGrant(ctx context.Context, conn Conn, opt WorkerOptions, msg Msg) error {
 	if msg.Unit == nil {
 		return fmt.Errorf("shard: grant for %s carries no unit", msg.Key)
 	}
@@ -154,14 +189,9 @@ func runGrant(ctx context.Context, conn Conn, opt WorkerOptions, scenarios map[s
 	defer wg.Wait()
 	defer stopHB()
 
-	sc, ok := scenarios[msg.Unit.Scenario]
-	if !ok {
-		var err error
-		sc, err = opt.Scenario(msg.Unit.Scenario)
-		if err != nil {
-			return conn.Send(Msg{Type: MsgFail, Key: msg.Key, Epoch: msg.Epoch, Error: err.Error()})
-		}
-		scenarios[msg.Unit.Scenario] = sc
+	sc, err := opt.Scenario(msg.Unit.Scenario)
+	if err != nil {
+		return conn.Send(Msg{Type: MsgFail, Key: msg.Key, Epoch: msg.Epoch, Error: err.Error()})
 	}
 	space, err := opt.Space(msg.Unit.Space)
 	if err != nil {

@@ -191,9 +191,9 @@ var (
 // CampaignCheckpoint is the crash-safe store behind resumable table
 // regeneration and resumable single runs: completed (space × method ×
 // seed) cells plus the mid-run observations, RNG state and iteration count
-// of cells in flight. Wrap a run's evaluator with WrapCell and a killed
-// run, restarted with the same seed, replays paid-for tool runs from disk
-// instead of re-invoking the tool.
+// of cells in flight. A killed run, restarted on the same file with the
+// same seed, restores its recorded RNG state and replays paid-for tool
+// runs from disk instead of re-invoking the tool.
 type CampaignCheckpoint = robust.CampaignCheckpoint
 
 // LoadCampaignCheckpoint restores a campaign checkpoint (a missing file
@@ -240,7 +240,7 @@ type (
 	// HarnessMethod identifies one of the five compared tuners.
 	HarnessMethod = eval.Method
 	// HarnessRunOpts carries optional harness knobs (evaluator middleware,
-	// engine workers, a checkpointable random source).
+	// engine workers).
 	HarnessRunOpts = eval.RunOpts
 	// Campaign is a resumable, parallel table regeneration: every
 	// (space × method × seed) cell is an independent work unit executed
@@ -260,5 +260,4 @@ var (
 	ObjSpaces   = eval.Spaces
 	Methods     = eval.Methods
 	Figure3     = eval.Figure3
-	Figure3Opts = eval.Figure3Opts
 )
