@@ -10,7 +10,7 @@
 //	ppacoord [-table 2|3|both] [-seeds N|s1,s2,...]
 //	         [-workers N [-worker-bin PATH] [-worker-flags "..."] [-kill W@T,...]]
 //	         [-listen ADDR -workers-remote N]
-//	         [-lease D] [-requeue D]
+//	         [-lease D]
 //	         [-checkpoint FILE [-resume]] [-json FILE]
 //	         [-standby] [-beacon FILE] [-beacon-every D] [-takeover-after D]
 //
@@ -18,9 +18,9 @@
 // their stdio pipes; -listen additionally (or instead) accepts remote
 // workers over TCP — start those with ppaworker -connect ADDR. -kill
 // SIGKILLs spawned workers mid-campaign to rehearse lease reclaim: the
-// killed worker's unit is parked, requeued and re-granted under a higher
-// lease epoch, and any result the dead epoch might still deliver is
-// rejected as a zombie. Two special targets rehearse coordinator death
+// killed worker's unit is requeued and re-granted under a higher lease
+// epoch, and any result the dead epoch might still deliver is rejected as
+// a zombie. Two special targets rehearse coordinator death
 // instead: "coord@T" SIGKILLs this process itself at T, and "split@T"
 // mutes its beacon at T while it keeps running (the split-brain drill —
 // checkpoint fencing deposes it once a standby adopts). Every T counts
@@ -29,9 +29,13 @@
 // built, so a schedule lands mid-campaign however long that build takes.
 // -worker-flags is parsed against ppaworker's own flag set, with its
 // fault-configuration checks, before any dataset is built: a value the
-// workers would refuse exits 2 at once. Without -listen, once every spawned
-// worker has exited before the campaign finished (a -kill of them all, say),
-// nothing can finish it: ppacoord exits 1 and names their exit statuses.
+// workers would refuse exits 2 at once. With -worker-flags "-outage
+// PERIOD/DOWN -breaker N", a worker's breaker pauses its unit through each
+// outage while its heartbeats keep the lease, and the worker prints its
+// outage summary to stderr when it exits. Without -listen, once every
+// spawned worker has exited before the campaign finished (a -kill of them
+// all, say), nothing can finish it: ppacoord exits 1 and names their exit
+// statuses.
 //
 // High availability: with -checkpoint, every run adopts the checkpoint
 // under a fresh coordinator generation (the fencing token stamped into
@@ -81,7 +85,6 @@ func main() {
 	listen := flag.String("listen", "", "TCP address to accept remote workers on (they run ppaworker -connect ADDR)")
 	workersRemote := flag.Int("workers-remote", 0, "remote workers expected on -listen (recorded in TABLES.json; grants start as soon as any worker connects)")
 	lease := flag.Duration("lease", 30*time.Second, "lease TTL: a worker silent for this long loses its unit to the requeue path")
-	requeue := flag.Duration("requeue", 0, "hold a breaker-parked unit out of the grant queue for this long (0 derives lease/4)")
 	ckptPath := flag.String("checkpoint", "", "campaign checkpoint file: completed cells, partial observations and the lease ledger persist there")
 	resume := flag.Bool("resume", false, "continue from an existing -checkpoint file (without it, a pre-existing file is an error)")
 	jsonPath := flag.String("json", "", "write the machine-readable TABLES.json document to this path")
@@ -231,11 +234,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "— %s (benchmark ready in %v) —\n", name, time.Since(t0).Round(time.Second))
 		t0 = time.Now()
 		co, err := shard.New(shard.Options{
-			Campaign:     &ppatuner.Campaign{Scenario: s, Seeds: seeds, Checkpoint: ck},
-			LeaseTTL:     *lease,
-			RequeueDelay: *requeue,
-			Log:          flog,
-			AdoptLeases:  *standby,
+			Campaign:    &ppatuner.Campaign{Scenario: s, Seeds: seeds, Checkpoint: ck},
+			LeaseTTL:    *lease,
+			Log:         flog,
+			AdoptLeases: *standby,
 		})
 		if err != nil {
 			fail(1, err)

@@ -5,12 +5,13 @@
 //
 //	ppaserved -state /var/lib/ppatuner -addr 127.0.0.1:8324
 //
-// All job state is persisted under -state: the process can be killed —
-// gracefully or with SIGKILL — and restarted against the same directory, and
-// every interrupted job resumes to byte-identical results. SIGINT/SIGTERM
-// drain gracefully: running campaigns stop at the next evaluator call and
-// park, subscribed event streams get a terminal shutdown event, and the
-// HTTP listener closes only after in-flight requests finish.
+// All job state is persisted under -state, which is created if it does not
+// exist (a first boot): the process can be killed — gracefully or with
+// SIGKILL — and restarted against the same directory, and every
+// interrupted job resumes to byte-identical results. SIGINT/SIGTERM drain
+// gracefully: running campaigns stop at the next evaluator call or breaker
+// pause and park, subscribed event streams get a terminal shutdown event,
+// and the HTTP listener closes only after in-flight requests finish.
 package main
 
 import (
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8324", "listen address")
-	state := flag.String("state", "", "durable state directory (required)")
+	state := flag.String("state", "", "durable state directory (required; created if missing)")
 	maxActive := flag.Int("max-active", 1, "concurrent campaigns")
 	workers := flag.Int("workers", 1, "default per-campaign unit concurrency")
 	rate := flag.Float64("rate", 0, "per-client submissions per second (0 disables rate limiting)")

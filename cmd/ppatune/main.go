@@ -26,11 +26,11 @@
 // a circuit breaker that trips after N consecutive transient failures (an
 // outage-marked one trips it at once), and -max-outage D (default 5m)
 // bounds one outage episode. Here the windows come on top of the i.i.d.
-// -chaos faults, and the breaker pauses evaluations instead of parking
-// them, so an outage stretches wall-clock time but never changes results.
-// Unlike a campaign, a single run takes -outage without -breaker, with a
-// note: its -policy decides what a candidate that exhausts its retries in
-// a window does.
+// -chaos faults; the breaker pauses evaluations, as in a campaign, so an
+// outage stretches wall-clock time but never changes results. Unlike a
+// campaign, a single run takes -outage without -breaker, with a note: its
+// -policy decides what a candidate that exhausts its retries in a window
+// does.
 package main
 
 import (
@@ -156,8 +156,6 @@ func main() {
 	if *logJSON {
 		flog.Stream(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 	}
-	// A single run's breaker pauses instead of parking: there is no
-	// campaign scheduler to requeue the run.
 	var brk *robust.Breaker
 	if faults.Breaker > 0 {
 		brk = robust.NewBreaker(robust.BreakerOptions{

@@ -29,9 +29,11 @@
 // outage inside every PERIOD stripe of the evaluation path, -breaker N arms
 // a circuit breaker that trips after N consecutive transient failures (an
 // outage-marked one trips it at once), and -max-outage D (default 5m)
-// bounds one outage episode. A campaign's -outage needs -breaker: a unit
-// the breaker stops is reported as a parked failure for the coordinator to
-// requeue rather than aborting the campaign.
+// bounds one outage episode. A campaign's -outage needs -breaker: an
+// evaluation that meets the open breaker pauses until the tool is back,
+// the worker keeps its unit and its heartbeats keep the lease, and an
+// outage longer than -max-outage fails the unit. A worker with a breaker
+// prints its outage summary to stderr when it exits.
 //
 // Everything diagnostic goes to stderr; stdout belongs to the protocol.
 package main
@@ -60,6 +62,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
 		os.Exit(2)
 	}
+	exit := func(code int) {
+		if stack.Breaker != nil {
+			fmt.Fprintf(os.Stderr, "ppaworker: outage: %s\n", stack.Summary())
+		}
+		os.Exit(code)
+	}
 
 	// The benchmark datasets are built once per process, so a worker that
 	// rejoins or reconnects after a coordinator fail-over skips the
@@ -72,14 +80,14 @@ func main() {
 
 	if wf.Connect == "" {
 		// Stdio workers live exactly as long as their pipe; reconnection
-		// is meaningless when the far end owns this process.
+		// is meaningless when the far end owns this process. RunWorker
+		// closes the conn.
 		conn := transport.Stream(os.Stdin, os.Stdout)
-		defer conn.Close()
 		if err := shard.RunWorker(context.Background(), conn, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
-		return
+		exit(0)
 	}
 
 	if opts.ID == "" {
@@ -109,15 +117,15 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		err = shard.RunWorker(ctx, conn, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ppaworker: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if !wf.Rejoin {
-			return
+			exit(0)
 		}
 		fmt.Fprintf(os.Stderr, "ppaworker: campaign over, rejoining (benchmark datasets cached)\n")
 	}

@@ -22,10 +22,9 @@
 // outage inside every PERIOD stripe of the evaluation path, -breaker N arms
 // a circuit breaker that trips after N consecutive transient failures (an
 // outage-marked one trips it at once), and -max-outage D (default 5m)
-// bounds one outage episode. A campaign's -outage needs -breaker: the
-// breaker parks the cells it stops (persisted in -checkpoint) and requeues
-// them after recovery, so the regenerated tables are bit-identical to an
-// outage-free run.
+// bounds one outage episode. A campaign's -outage needs -breaker: an
+// evaluation that meets the open breaker pauses until the tool is back, so
+// the regenerated tables are bit-identical to an outage-free run.
 //
 // To distribute the units over worker processes instead, use the ppacoord
 // command: its output is byte-identical to this one's.
@@ -94,8 +93,7 @@ func main() {
 		t0 = time.Now()
 		c := &ppatuner.Campaign{
 			Scenario: s, Seeds: seeds, Workers: *workers, Checkpoint: ck,
-			Breaker: stack.Breaker,
-			Opts:    ppatuner.HarnessRunOpts{Wrap: stack.Wrap},
+			Opts: ppatuner.HarnessRunOpts{Wrap: stack.Wrap},
 		}
 		tbl, err := c.Run()
 		if err != nil {

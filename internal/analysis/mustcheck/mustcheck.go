@@ -8,9 +8,9 @@
 // downstream NLML and posterior), and durability/scheduling in
 // internal/robust: a dropped checkpoint write error turns the crash-safe
 // resume guarantee into silent data loss, and a dropped circuit-breaker
-// gate error (Acquire/AwaitRecovery) means evaluating straight through an
-// open breaker — ErrBreakerOpen and ErrOutageDeadline are scheduling
-// signals, not advisories.
+// gate error (Acquire) means evaluating straight through an open breaker —
+// ErrOutageDeadline and a cancelled pause are stop signals, not
+// advisories.
 package mustcheck
 
 import (
@@ -30,8 +30,7 @@ blank identifier — is flagged. The list: mat.NewCholesky,
 mat.CholeskyWithJitter, mat.SolveSPD, (*mat.Cholesky).Extend,
 (*mat.Cholesky).FactorizePacked;
 robust.LoadCampaignCheckpoint, (*robust.CampaignCheckpoint).Complete,
-(*robust.CampaignCheckpoint).StartCell, (*robust.CampaignCheckpoint).Park,
-(*robust.CampaignCheckpoint).Unpark, (*robust.CampaignCheckpoint).Lease,
+(*robust.CampaignCheckpoint).StartCell, (*robust.CampaignCheckpoint).Lease,
 (*robust.CampaignCheckpoint).AddPartialObservation,
 (*robust.CampaignCheckpoint).Adopt, (*robust.CampaignCheckpoint).Retire,
 robust.WriteFileAtomic, robust.RemoveCampaignCheckpoint;
@@ -39,7 +38,7 @@ robust.LoadJobManifest, (*robust.JobManifest).NextID,
 (*robust.JobManifest).Put, (*robust.JobManifest).SetStatus,
 (*robust.JobManifest).SetStatusAt, (*robust.JobManifest).SetGolden,
 (*robust.JobManifest).SetUnit, (*robust.JobManifest).Delete;
-(*robust.Breaker).Acquire, (*robust.Breaker).AwaitRecovery.
+(*robust.Breaker).Acquire.
 
 Lease and AddPartialObservation join the list with the distributed-campaign
 coordinator: a dropped Lease error hides an epoch regression (the zombie
@@ -75,8 +74,6 @@ var must = map[string]map[string]bool{
 		"LoadCampaignCheckpoint":                   true,
 		"CampaignCheckpoint.Complete":              true,
 		"CampaignCheckpoint.StartCell":             true,
-		"CampaignCheckpoint.Park":                  true,
-		"CampaignCheckpoint.Unpark":                true,
 		"CampaignCheckpoint.Lease":                 true,
 		"CampaignCheckpoint.AddPartialObservation": true,
 		"CampaignCheckpoint.Adopt":                 true,
@@ -92,7 +89,6 @@ var must = map[string]map[string]bool{
 		"JobManifest.SetUnit":                      true,
 		"JobManifest.Delete":                       true,
 		"Breaker.Acquire":                          true,
-		"Breaker.AwaitRecovery":                    true,
 	},
 }
 

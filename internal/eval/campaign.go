@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -40,11 +38,11 @@ type UnitResult struct {
 // every (space × method × seed) cell of a comparison table as an
 // independent unit, executes the units on Workers lanes that each pull the
 // next unit in enumeration order, and — when a Checkpoint is attached —
-// persists each completed unit plus the mid-run state (observations,
-// RNG-source state, iteration count) of units in flight. Results are
-// assembled from a per-unit slice in enumeration order, so any Workers
-// value produces a bit-identical Table; a resumed campaign skips completed
-// units entirely and replays partial ones from their recorded state.
+// persists each completed unit plus the mid-run state (observations and
+// RNG-source state) of units in flight. Results are assembled from a
+// per-unit slice in enumeration order, so any Workers value produces a
+// bit-identical Table; a resumed campaign skips completed units entirely
+// and replays partial ones from their recorded state.
 //
 // Every unit derives its random stream from a PCG seeded by (seed, unit
 // key), independent of the other units — which is both what makes the
@@ -68,21 +66,12 @@ type Campaign struct {
 	// resumable. Load it with robust.LoadCampaignCheckpoint so an existing
 	// file resumes. Nil keeps the campaign's progress in memory.
 	Checkpoint *robust.CampaignCheckpoint
-	// Breaker, when non-nil, makes the campaign outage-tolerant: it must be
-	// the same circuit breaker the Wrap middleware's robust.Evaluator uses
-	// (built with BreakerOptions.Park = true). A unit whose evaluation hits
-	// the open breaker fails with robust.ErrBreakerOpen; instead of failing
-	// the campaign, Run parks the unit once the round's lanes finish
-	// (persisting the mark when a Checkpoint is attached), waits out the
-	// outage via Breaker.AwaitRecovery — bounded by the breaker's MaxOutage
-	// deadline — and requeues the parked units in enumeration order. Parked
-	// units keep their partial checkpoint state, so requeueing replays the
-	// paid-for observations and the final table is bit-identical to a
-	// fault-free run.
-	Breaker *robust.Breaker
 	// Opts is the base harness configuration applied to every unit (Wrap
 	// middleware, engine workers). Opts.Workers is raised for the
-	// campaign's last units (see Workers).
+	// campaign's last units (see Workers). A Wrap with a circuit breaker
+	// (FaultConfig.Build) makes the campaign outage-tolerant: an evaluation
+	// that meets the open breaker pauses until the tool is back, so an
+	// outage stretches wall-clock time and never changes the table.
 	Opts RunOpts
 	// WrapUnit, when non-nil, wraps each unit's evaluator with the unit's
 	// identity in hand — the hook for per-unit instrumentation (call
@@ -162,15 +151,14 @@ func unitSource(spec UnitSpec) *core.PCGSource {
 }
 
 // Run executes every unit (skipping ones the checkpoint has completed) and
-// assembles the comparison table. The first unit error in enumeration
-// order aborts the campaign — deterministically, regardless of which
-// lane hit it first; mid-run state persisted before the error is kept,
-// so a fixed and re-run campaign resumes rather than restarts. With a
-// Breaker attached, units that hit an open breaker are parked and requeued
-// after recovery instead of aborting — see the Breaker field. Once every
-// unit is done, Run retires a never-adopted Checkpoint, folding its journal
-// into the file, so the checkpoint on disk is one finished file when Run
-// returns; the owner of an adopted one retires it.
+// assembles the comparison table. Every unit runs once; the first unit
+// error in enumeration order fails the campaign — deterministically,
+// regardless of which lane hit it first; mid-run state persisted before
+// the error is kept, so a fixed and re-run campaign resumes rather than
+// restarts. Once every unit is done, Run retires a never-adopted
+// Checkpoint, folding its journal into the file, so the checkpoint on disk
+// is one finished file when Run returns; the owner of an adopted one
+// retires it.
 func (c *Campaign) Run() (*Table, error) {
 	if c.Scenario == nil {
 		return nil, fmt.Errorf("eval: campaign has no scenario")
@@ -188,45 +176,11 @@ func (c *Campaign) Run() (*Table, error) {
 	units := c.Units()
 	results := make([]UnitResult, len(units))
 	errs := make([]error, len(units))
-	pending := make([]int, len(units))
-	for x := range pending {
-		pending[x] = x
-	}
-	for len(pending) > 0 {
-		c.runLanes(ck, units, pending, results, errs)
-		// Partition this round's outcomes in enumeration order: breaker
-		// refusals park the unit; anything else aborts the campaign.
-		var parked []int
-		for _, x := range pending {
-			if errs[x] == nil {
-				continue
-			}
-			if c.Breaker != nil && errors.Is(errs[x], robust.ErrBreakerOpen) {
-				parked = append(parked, x)
-				continue
-			}
-			return nil, c.unitError(units[x], errs[x])
+	c.runLanes(ck, units, results, errs)
+	for x, err := range errs {
+		if err != nil {
+			return nil, c.unitError(units[x], err)
 		}
-		if len(parked) == 0 {
-			break
-		}
-		for _, x := range parked {
-			if err := ck.Park(c.UnitKey(units[x])); err != nil {
-				return nil, c.unitError(units[x], err)
-			}
-		}
-		// Wait out the outage (bounded by the breaker's MaxOutage
-		// deadline), then requeue the parked units in enumeration order.
-		if err := c.Breaker.AwaitRecovery(context.Background()); err != nil {
-			return nil, c.unitError(units[parked[0]], err)
-		}
-		for _, x := range parked {
-			if err := ck.Unpark(c.UnitKey(units[x])); err != nil {
-				return nil, c.unitError(units[x], err)
-			}
-			errs[x] = nil
-		}
-		pending = parked
 	}
 	if ck.Generation() == 0 {
 		if err := ck.Retire(); err != nil {
@@ -255,27 +209,27 @@ func (c *Campaign) Assemble(results []UnitResult) *Table {
 	return t
 }
 
-// runLanes runs the units idx names, in place into results and errs, on
-// min(Workers, len(idx)) lanes. Each lane claims the next unclaimed unit, in
-// idx order, from one shared counter, so a free lane never waits behind a
-// busy one. A unit claimed while fewer units are left unclaimed than there
-// are lanes also gets the engine workers of the lanes about to go idle:
-// its RunOpts.Workers is max(Opts.Workers, lanes - unclaimed). Units own
-// their random streams and results slots, and the engine's parallel
-// sections give the same result at any worker count, so only wall time
-// depends on the lanes.
-func (c *Campaign) runLanes(ck *robust.CampaignCheckpoint, units []Unit, idx []int, results []UnitResult, errs []error) {
-	lanes := min(max(c.Workers, 1), len(idx))
+// runLanes runs every unit, in place into results and errs, on
+// min(Workers, len(units)) lanes. Each lane claims the next unclaimed unit,
+// in enumeration order, from one shared counter, so a free lane never waits
+// behind a busy one. A unit claimed while fewer units are left unclaimed
+// than there are lanes also gets the engine workers of the lanes about to
+// go idle: its RunOpts.Workers is max(Opts.Workers, lanes - unclaimed).
+// Units own their random streams and results slots, and the engine's
+// parallel sections give the same result at any worker count, so only wall
+// time depends on the lanes.
+func (c *Campaign) runLanes(ck *robust.CampaignCheckpoint, units []Unit, results []UnitResult, errs []error) {
+	lanes := min(max(c.Workers, 1), len(units))
 	var next atomic.Int64
 	lane := func() {
 		for {
 			k := int(next.Add(1)) - 1
-			if k >= len(idx) {
+			if k >= len(units) {
 				return
 			}
 			opts := c.Opts
-			opts.Workers = max(opts.Workers, lanes-(len(idx)-k-1))
-			results[idx[k]], errs[idx[k]] = c.runUnit(ck, units[idx[k]], opts)
+			opts.Workers = max(opts.Workers, lanes-(len(units)-k-1))
+			results[k], errs[k] = c.runUnit(ck, units[k], opts)
 		}
 	}
 	var wg sync.WaitGroup

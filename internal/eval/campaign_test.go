@@ -167,12 +167,12 @@ func TestCampaignCrashResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := crashing.UnitKey(Unit{SpaceIdx: 0, Method: PPATuner, Seed: seeds[0]})
-	state, iters := re.PartialRandState(key)
+	state, observed := re.PartialRandState(key)
 	if state == nil {
 		t.Fatal("no RNG state persisted for the interrupted unit")
 	}
-	if iters != 10 {
-		t.Fatalf("checkpoint recorded %d fresh evaluations, want 10", iters)
+	if observed != 10 {
+		t.Fatalf("checkpoint recorded %d observations, want 10", observed)
 	}
 
 	// Resume: same campaign, fresh process (fresh checkpoint load), no

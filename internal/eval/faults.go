@@ -14,7 +14,7 @@ import (
 )
 
 // FaultConfig declares the licence-outage rehearsal of a run: injected
-// downtime windows, the circuit breaker that holds evaluations through
+// downtime windows, the circuit breaker that pauses evaluations through
 // them, and the bound on one outage episode. The tables, ppaworker and
 // ppatune commands register its flags, and ppaserved fills it from a job's
 // outage and breaker fields, so every surface validates it one way.
@@ -69,7 +69,7 @@ func (c FaultConfig) Validate() error {
 func (c FaultConfig) campaignSchedule() (chaos.Schedule, error) {
 	sched, err := c.Schedule()
 	if err == nil && sched.Enabled() && c.Breaker == 0 {
-		err = errors.New("outage requires a breaker: downtime without one burns retry budgets instead of parking units")
+		err = errors.New("outage requires a breaker: downtime without one burns retry budgets instead of pausing evaluations")
 	}
 	return sched, err
 }
@@ -81,8 +81,10 @@ type FaultStack struct {
 	// injector beneath a PolicySkip resilient evaluator. Nil when the
 	// configuration sets nothing.
 	Wrap func(core.Evaluator) core.Evaluator
-	// Breaker is the park-mode breaker every wrapped evaluator shares, for
-	// Campaign.Breaker. Nil when the configuration sets nothing.
+	// Breaker is the breaker every wrapped evaluator shares: an evaluation
+	// that meets it open pauses until the tool is back, on the Build
+	// context, for at most MaxOutage. Nil when the configuration sets
+	// nothing.
 	Breaker *robust.Breaker
 
 	sched chaos.Schedule
@@ -91,9 +93,9 @@ type FaultStack struct {
 }
 
 // Build validates c as Validate does and builds its campaign stack. ctx
-// cancels in-flight evaluations, seed keys the retry jitter, and clk times
-// the outage windows, backoff and breaker dwells (nil: the wall clock). The
-// windows' timeline starts here.
+// cancels in-flight evaluations and breaker pauses, seed keys the retry
+// jitter, and clk times the outage windows, backoff and breaker dwells
+// (nil: the wall clock). The windows' timeline starts here.
 func (c FaultConfig) Build(ctx context.Context, seed int64, clk clock.Clock) (FaultStack, error) {
 	sched, err := c.campaignSchedule()
 	if err != nil || c.Breaker == 0 {
@@ -107,7 +109,7 @@ func (c FaultConfig) Build(ctx context.Context, seed int64, clk clock.Clock) (Fa
 	}
 	st.Breaker = robust.NewBreaker(robust.BreakerOptions{
 		Threshold: c.Breaker, MaxOutage: c.MaxOutage,
-		Park: true, Log: st.log, Clock: clk,
+		Log: st.log, Clock: clk,
 	})
 	inj, opt := st.inj, robust.Options{
 		Policy: robust.PolicySkip, Seed: seed,

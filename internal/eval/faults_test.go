@@ -2,7 +2,6 @@ package eval_test
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"io"
 	"strings"
@@ -57,7 +56,7 @@ func TestFaultValidationFlagsMatchJobs(t *testing.T) {
 		want string // "" accepts
 	}{
 		{"outage without breaker", []string{"-outage", "1s/500ms"}, &serve.JobRequest{Outage: "1s/500ms"},
-			"outage requires a breaker: downtime without one burns retry budgets instead of parking units"},
+			"outage requires a breaker: downtime without one burns retry budgets instead of pausing evaluations"},
 		{"negative breaker", []string{"-breaker", "-1"}, &serve.JobRequest{Breaker: -1}, "breaker must be >= 0"},
 		{"zero max-outage", []string{"-breaker", "1", "-max-outage", "0"}, nil, "max-outage must be > 0"},
 		{"negative max-outage", []string{"-max-outage", "-1s"}, nil, "max-outage must be > 0"},
@@ -97,11 +96,12 @@ func TestFaultValidationFlagsMatchJobs(t *testing.T) {
 	}
 }
 
-// TestFaultStackParksInsideWindow: the stack built from "10s/2s" puts its
-// first window at [0s, 2s) of the fake clock. Inside it, an evaluation
-// trips the one-failure breaker and parks; after the window, the breaker's
-// probe passes the value through and closes it.
-func TestFaultStackParksInsideWindow(t *testing.T) {
+// TestFaultStackPausesInsideWindow: the stack built from "10s/2s" puts its
+// first window at [0s, 2s) of the fake clock. An evaluation inside it
+// trips the one-failure breaker and pauses on the clock: the probe at 1s
+// still meets the outage, the one after the window passes the value
+// through and closes the breaker.
+func TestFaultStackPausesInsideWindow(t *testing.T) {
 	fc := clock.NewFake(time.Unix(0, 0))
 	st, err := eval.FaultConfig{Outage: "10s/2s", Breaker: 1, MaxOutage: time.Minute}.Build(context.Background(), 1, fc)
 	if err != nil {
@@ -111,21 +111,17 @@ func TestFaultStackParksInsideWindow(t *testing.T) {
 		t.Fatal("an outage with a breaker built no wrap or no breaker")
 	}
 	ev := st.Wrap(func(i int) ([]float64, error) { return []float64{float64(i), 1}, nil })
-	if _, err := ev(3); !errors.Is(err, robust.ErrBreakerOpen) {
-		t.Fatalf("inside the window: %v, want ErrBreakerOpen", err)
-	}
-	if st.Breaker.State() != robust.BreakerOpen {
-		t.Fatalf("breaker %v inside the window, want open", st.Breaker.State())
-	}
-	fc.Advance(5 * time.Second)
 	y, err := ev(3)
 	if err != nil || len(y) != 2 || y[0] != 3 || y[1] != 1 {
-		t.Fatalf("outside the window: %v, %v; want [3 1]", y, err)
+		t.Fatalf("through the window: %v, %v; want [3 1]", y, err)
+	}
+	if now := fc.Now(); now.Before(time.Unix(2, 0)) {
+		t.Fatalf("the evaluation returned at %v, inside the window", now)
 	}
 	if st.Breaker.State() != robust.BreakerClosed {
 		t.Errorf("breaker %v after the window, want closed", st.Breaker.State())
 	}
-	if got := st.Summary(); !strings.HasPrefix(got, "schedule 10s/2s, 1 outage failures injected, 1 breaker trip(s), failures: ") {
+	if got := st.Summary(); !strings.HasPrefix(got, "schedule 10s/2s, 2 outage failures injected, 1 breaker trip(s), failures: ") {
 		t.Errorf("Summary = %q", got)
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // outageStack wires the campaign-wide middleware for an outage scenario:
 // chaos injection (with a downtime schedule on the fake clock) under the
-// resilience layer sharing the campaign's circuit breaker.
+// resilience layer, every unit sharing one circuit breaker.
 func outageStack(inj *chaos.Injector, b *robust.Breaker, fc clock.Clock, flog *robust.FailureLog) func(core.Evaluator) core.Evaluator {
 	return func(eval core.Evaluator) core.Evaluator {
 		re, err := robust.Wrap(nil, inj.Wrap(eval), robust.Options{
@@ -38,10 +38,11 @@ func outageStack(inj *chaos.Injector, b *robust.Breaker, fc clock.Clock, flog *r
 }
 
 // A campaign driven through a licence-server downtime window must trip the
-// breaker, park and requeue the affected units, and still produce a table
-// and a final checkpoint file byte-identical to the chaos-free run: an
-// outage stretches (virtual) wall-clock time, never results.
-func TestCampaignOutageParkRequeueBitIdentical(t *testing.T) {
+// breaker, pause the affected evaluations until the tool is back, and still
+// produce a table and a final checkpoint file byte-identical to the
+// chaos-free run: an outage stretches (virtual) wall-clock time, never
+// results.
+func TestCampaignOutagePauseBitIdentical(t *testing.T) {
 	s := miniScenario(t)
 	seeds := []int64{1}
 	spaces := Spaces()[1:2] // Power-Delay
@@ -86,7 +87,6 @@ func TestCampaignOutageParkRequeueBitIdentical(t *testing.T) {
 		Threshold:  3,
 		RetryAfter: time.Second,
 		MaxOutage:  10 * time.Minute,
-		Park:       true,
 		Clock:      fc,
 		Log:        flog,
 	})
@@ -100,7 +100,6 @@ func TestCampaignOutageParkRequeueBitIdentical(t *testing.T) {
 		Scenario: s, Seeds: seeds, Spaces: spaces, Methods: methods,
 		Workers:    2,
 		Checkpoint: ck,
-		Breaker:    b,
 		Opts:       RunOpts{Wrap: outageStack(inj, b, fc, flog)},
 		WrapUnit: func(u Unit, ev core.Evaluator) core.Evaluator {
 			return func(i int) ([]float64, error) { calls.Add(1); return ev(i) }
@@ -141,16 +140,13 @@ func TestCampaignOutageParkRequeueBitIdentical(t *testing.T) {
 	if flog.Outages() == 0 || flog.BreakerTransitions() == 0 {
 		t.Errorf("failure log missing outage machinery: %s", flog.Summary())
 	}
-	if len(ck.Parked()) != 0 {
-		t.Errorf("units still parked after completion: %v", ck.Parked())
-	}
 	t.Logf("outage run: %d injected outages, %d trips, log: %s", inj.Counts().Outage, b.Trips(), flog.Summary())
 }
 
 // A campaign killed mid-outage (the outage outlives MaxOutage, so the
-// process aborts with parked marks and partial state on disk — the moral
-// equivalent of a SIGKILL inside the window) must resume after the outage
-// lifts into exactly the fault-free table and checkpoint bytes.
+// process aborts with partial state on disk — the moral equivalent of a
+// SIGKILL inside the window) must resume after the outage lifts into
+// exactly the fault-free table and checkpoint bytes.
 func TestCampaignKilledDuringOutageResumesIdentical(t *testing.T) {
 	s := miniScenario(t)
 	seeds := []int64{2}
@@ -182,8 +178,8 @@ func TestCampaignKilledDuringOutageResumesIdentical(t *testing.T) {
 	}
 
 	// Run 1: an hour-long outage against a 30-second MaxOutage. The
-	// campaign parks its unit, waits, gives up at the deadline and dies
-	// with the parked mark persisted.
+	// unit's first evaluation pauses, gives up at the deadline and fails
+	// the campaign with the unit's start persisted.
 	fc := clock.NewFake(time.Unix(0, 0))
 	inj, err := chaos.New(chaos.Options{
 		Outage: chaos.Schedule{Windows: []chaos.Window{{Start: 0, End: time.Hour}}},
@@ -196,7 +192,6 @@ func TestCampaignKilledDuringOutageResumesIdentical(t *testing.T) {
 		Threshold:  1,
 		RetryAfter: time.Second,
 		MaxOutage:  30 * time.Second,
-		Park:       true,
 		Clock:      fc,
 	})
 	path := filepath.Join(t.TempDir(), "campaign.json")
@@ -208,7 +203,6 @@ func TestCampaignKilledDuringOutageResumesIdentical(t *testing.T) {
 	killed := &Campaign{
 		Scenario: s, Seeds: seeds, Spaces: spaces, Methods: methods,
 		Checkpoint: ck,
-		Breaker:    b,
 		Opts:       RunOpts{Wrap: outageStack(inj, b, fc, nil)},
 		WrapUnit: func(u Unit, ev core.Evaluator) core.Evaluator {
 			return func(i int) ([]float64, error) { killedCalls++; return ev(i) }
@@ -221,17 +215,17 @@ func TestCampaignKilledDuringOutageResumesIdentical(t *testing.T) {
 		t.Fatalf("the tool saw %d calls through an hour-long outage, want 0", killedCalls)
 	}
 
-	// The file on disk records why the unit is incomplete.
+	// The file on disk holds the interrupted unit's start.
 	re, err := robust.LoadCampaignCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parked := re.Parked(); len(parked) != 1 {
-		t.Fatalf("checkpoint parked marks = %v, want exactly the interrupted unit", parked)
+	if state, _ := re.PartialRandState(killed.UnitKey(killed.Units()[0])); state == nil {
+		t.Fatal("the interrupted unit left no recorded start")
 	}
 
 	// Resume in a "fresh process" after the licence server came back: no
-	// chaos, fresh breaker. The parked unit re-runs like any incomplete
+	// chaos, no breaker. The interrupted unit re-runs like any incomplete
 	// unit and the campaign finishes identically to fault-free.
 	freshCalls := 0
 	resumed := &Campaign{
@@ -256,15 +250,15 @@ func TestCampaignKilledDuringOutageResumesIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotBytes, wantBytes) {
-		t.Errorf("final checkpoint bytes differ from the fault-free run (parked marks must clear on completion)")
+		t.Errorf("final checkpoint bytes differ from the fault-free run")
 	}
 }
 
 // TestTarget2OutageCampaignBitIdentical is the acceptance run on the
 // paper's Target2 benchmark: a PPATuner campaign with a downtime window
-// injected mid-flight — breaker trips, the cell parks and requeues — must
-// reproduce the chaos-disabled observations, table cells and checkpoint
-// byte-for-byte.
+// injected mid-flight — breaker trips, the cell's evaluations pause until
+// the window ends — must reproduce the chaos-disabled observations, table
+// cells and checkpoint byte-for-byte.
 func TestTarget2OutageCampaignBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Target2 generation is slow; skipped under -short")
@@ -308,7 +302,6 @@ func TestTarget2OutageCampaignBitIdentical(t *testing.T) {
 		Threshold:  1,
 		RetryAfter: 2 * time.Second,
 		MaxOutage:  10 * time.Minute,
-		Park:       true,
 		Clock:      fc,
 		Log:        flog,
 	})
@@ -320,7 +313,6 @@ func TestTarget2OutageCampaignBitIdentical(t *testing.T) {
 	c := &Campaign{
 		Scenario: s, Seeds: seeds, Spaces: spaces, Methods: methods,
 		Checkpoint: ck,
-		Breaker:    b,
 		Opts:       RunOpts{Wrap: outageStack(inj, b, fc, flog)},
 	}
 	tbl, err := c.Run()

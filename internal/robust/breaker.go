@@ -18,9 +18,9 @@ const (
 	// BreakerClosed passes evaluations through and counts consecutive
 	// failures.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen refuses evaluations: callers pause (or park, see
-	// BreakerOptions.Park) instead of burning per-candidate retry budgets
-	// against infrastructure that is down for everyone.
+	// BreakerOpen refuses evaluations: callers pause instead of burning
+	// per-candidate retry budgets against infrastructure that is down for
+	// everyone.
 	BreakerOpen
 	// BreakerHalfOpen admits exactly one probe evaluation; its outcome
 	// decides between closing and re-opening.
@@ -39,13 +39,6 @@ func (s BreakerState) String() string {
 		return fmt.Sprintf("BreakerState(%d)", int(s))
 	}
 }
-
-// ErrBreakerOpen reports that the breaker refused an evaluation while open
-// (Park mode). It is a scheduling signal, not a tool failure: campaign
-// schedulers detect it with errors.Is, park the unit, and requeue it after
-// recovery. It never wraps core.ErrSkipCandidate, so a parked unit is never
-// mistaken for a failed candidate.
-var ErrBreakerOpen = errors.New("robust: circuit breaker open")
 
 // ErrOutageDeadline reports that one outage episode outlived
 // BreakerOptions.MaxOutage — the bound that keeps "pause and wait" from
@@ -75,17 +68,8 @@ type BreakerOptions struct {
 	RetryAfter time.Duration
 	// MaxOutage bounds one outage episode, measured from the trip that
 	// opened the breaker until it closes again (default 5m). Past it,
-	// Acquire and AwaitRecovery fail with ErrOutageDeadline.
+	// Acquire fails with ErrOutageDeadline.
 	MaxOutage time.Duration
-	// Park, when true, makes Acquire return ErrBreakerOpen immediately
-	// while the breaker refuses evaluations, instead of pausing the caller.
-	// Campaign schedulers use it to park work units and keep their workers.
-	Park bool
-	// Probe, when non-nil, is a cheap health check (licence ping) that
-	// AwaitRecovery uses to drive open→half-open→closed without spending a
-	// real evaluation. Without it, the next admitted evaluation is the
-	// probe.
-	Probe func(ctx context.Context) error
 	// Clock supplies dwell timing; defaults to the wall clock. Tests
 	// install a clock.Fake so outage episodes resolve in microseconds.
 	Clock clock.Clock
@@ -111,11 +95,11 @@ func (o *BreakerOptions) setDefaults() {
 
 // Breaker is a circuit breaker shared by every evaluation of a run: it
 // converts per-call failures into a run-level "the infrastructure is down"
-// signal, so a correlated outage pauses (or parks) evaluations instead of
-// exhausting every candidate's retry budget and poisoning the run with
-// spurious Failed marks. State transitions are recorded in the FailureLog;
-// results are never touched — an outage stretches wall-clock time, never
-// numbers.
+// signal, so a correlated outage pauses evaluations instead of exhausting
+// every candidate's retry budget and poisoning the run with spurious Failed
+// marks. The next admitted evaluation is the half-open probe. State
+// transitions are recorded in the FailureLog; results are never touched —
+// an outage stretches wall-clock time, never numbers.
 type Breaker struct {
 	opt BreakerOptions
 
@@ -204,9 +188,8 @@ const invGolden = 0.6180339887498949
 // Acquire gates one evaluation attempt. Closed: passes immediately.
 // Open: pauses the caller (on the breaker's clock) until a half-open probe
 // slot is available, the episode exceeds MaxOutage (ErrOutageDeadline), or
-// ctx is done — unless Park is set, in which case it returns ErrBreakerOpen
-// at once. A nil return can mean "this attempt is the probe": report the
-// attempt's outcome with OnSuccess/OnFailure either way.
+// ctx is done. A nil return can mean "this attempt is the probe": report
+// the attempt's outcome with OnSuccess/OnFailure either way.
 func (b *Breaker) Acquire(ctx context.Context) error {
 	for {
 		b.mu.Lock()
@@ -247,11 +230,7 @@ func (b *Breaker) Acquire(ctx context.Context) error {
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
-		park := b.opt.Park
 		b.mu.Unlock()
-		if park {
-			return ErrBreakerOpen
-		}
 		if err := b.opt.Clock.Sleep(ctx, wait); err != nil {
 			return err
 		}
@@ -298,68 +277,5 @@ func (b *Breaker) OnFailure(err error) {
 		}
 	case BreakerOpen:
 		// A straggler that was in flight before the trip; nothing new.
-	}
-}
-
-// AwaitRecovery blocks until the breaker closes, pacing itself on the
-// breaker's clock. With a Probe configured it drives the state machine
-// itself (dwell → probe → close or re-open and dwell longer); without one
-// it returns as soon as a half-open slot is available, leaving the next
-// evaluation to be the probe. It fails with ErrOutageDeadline when the
-// episode outlives MaxOutage, and with ctx.Err() on cancellation. Campaign
-// schedulers call it between parking a unit and requeueing it.
-func (b *Breaker) AwaitRecovery(ctx context.Context) error {
-	for {
-		b.mu.Lock()
-		now := b.opt.Clock.Now()
-		state := b.state
-		if state == BreakerClosed {
-			b.mu.Unlock()
-			return nil
-		}
-		if now.Sub(b.episodeStart) >= b.opt.MaxOutage {
-			b.mu.Unlock()
-			return fmt.Errorf("%w (down for %v)", ErrOutageDeadline, b.opt.MaxOutage)
-		}
-		probeReady := state == BreakerOpen && now.Sub(b.openedAt) >= b.dwellLocked()
-		if state == BreakerHalfOpen && !b.probing {
-			// A slot is already free for the next evaluation.
-			b.mu.Unlock()
-			return nil
-		}
-		if probeReady {
-			if b.opt.Probe == nil {
-				b.transitionLocked(BreakerHalfOpen, "retry dwell elapsed; next evaluation probes")
-				b.mu.Unlock()
-				return nil
-			}
-			b.transitionLocked(BreakerHalfOpen, "retry dwell elapsed; health probe running")
-			b.probing = true
-			b.mu.Unlock()
-			err := b.opt.Probe(ctx)
-			if err == nil {
-				b.OnSuccess()
-				return nil
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			b.OnFailure(err)
-			continue
-		}
-		wait := b.opt.RetryAfter / 4
-		if state == BreakerOpen {
-			wait = b.dwellLocked() - now.Sub(b.openedAt)
-		}
-		if remain := b.opt.MaxOutage - now.Sub(b.episodeStart); wait > remain {
-			wait = remain
-		}
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		b.mu.Unlock()
-		if err := b.opt.Clock.Sleep(ctx, wait); err != nil {
-			return err
-		}
 	}
 }

@@ -147,65 +147,41 @@ func TestBreakerMaxOutageAborts(t *testing.T) {
 	if deadline == 0 {
 		t.Fatal("Acquire never hit ErrOutageDeadline against a permanent outage")
 	}
-	if also := b.AwaitRecovery(context.Background()); !errors.Is(also, ErrOutageDeadline) {
-		t.Fatalf("AwaitRecovery = %v, want ErrOutageDeadline", also)
+	if also := b.Acquire(context.Background()); !errors.Is(also, ErrOutageDeadline) {
+		t.Fatalf("Acquire after the deadline = %v, want ErrOutageDeadline", also)
 	}
 }
 
-// Park mode refuses instead of pausing: the scheduler keeps its worker.
-func TestBreakerParkModeRefusesImmediately(t *testing.T) {
-	fc := clock.NewFake(time.Unix(0, 0))
-	b := NewBreaker(BreakerOptions{Threshold: 1, RetryAfter: time.Minute, MaxOutage: time.Hour, Park: true, Clock: fc})
-	b.OnFailure(fakeOutage{})
-	if err := b.Acquire(context.Background()); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Acquire while open (park mode) = %v, want ErrBreakerOpen", err)
-	}
-	if fc.Sleeps() != 0 {
-		t.Error("park mode slept instead of refusing")
-	}
-	// After recovery (no Probe configured), AwaitRecovery leaves the
-	// half-open slot to the next evaluation.
-	if err := b.AwaitRecovery(context.Background()); err != nil {
-		t.Fatalf("AwaitRecovery: %v", err)
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after AwaitRecovery = %v, want half-open", b.State())
-	}
-	if err := b.Acquire(context.Background()); err != nil {
-		t.Fatalf("probe admission after recovery: %v", err)
-	}
-	b.OnSuccess()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v, want closed", b.State())
-	}
+// blockedClock stands still and sleeps until the sleeper's context is
+// done: an outage that never lifts, whose pause only a cancellation ends.
+// Each Sleep announces itself on sleeping.
+type blockedClock struct{ sleeping chan struct{} }
+
+func (blockedClock) Now() time.Time { return time.Unix(0, 0) }
+
+func (c blockedClock) Sleep(ctx context.Context, d time.Duration) error {
+	c.sleeping <- struct{}{}
+	<-ctx.Done()
+	return ctx.Err()
 }
 
-// AwaitRecovery with a health probe drives the whole cycle itself.
-func TestBreakerAwaitRecoveryWithHealthProbe(t *testing.T) {
-	fc := clock.NewFake(time.Unix(0, 0))
-	probes := 0
-	b := NewBreaker(BreakerOptions{
-		Threshold:  1,
-		RetryAfter: time.Second,
-		MaxOutage:  time.Hour,
-		Clock:      fc,
-		Probe: func(context.Context) error {
-			probes++
-			if probes < 3 {
-				return fakeOutage{} // still down for the first two pings
-			}
-			return nil
-		},
-	})
+// A pause on the open breaker ends when its context is cancelled, well
+// before MaxOutage: the caller's drain or cancel is never held hostage by
+// an outage.
+func TestBreakerPauseEndsWithContext(t *testing.T) {
+	clk := blockedClock{sleeping: make(chan struct{}, 1)}
+	b := NewBreaker(BreakerOptions{Threshold: 1, MaxOutage: time.Hour, Clock: clk})
 	b.OnFailure(fakeOutage{})
-	if err := b.AwaitRecovery(context.Background()); err != nil {
-		t.Fatalf("AwaitRecovery: %v", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- b.Acquire(ctx) }()
+	<-clk.sleeping
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Acquire after cancel = %v, want context.Canceled", err)
 	}
-	if probes != 3 {
-		t.Errorf("health probe ran %d times, want 3", probes)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v, want closed", b.State())
+	if b.State() != BreakerOpen {
+		t.Errorf("state after a cancelled pause = %v, want open", b.State())
 	}
 }
 
@@ -283,23 +259,6 @@ func TestEvaluatorOutageWithoutBreakerConsumesBudget(t *testing.T) {
 	}
 }
 
-// Park mode propagates ErrBreakerOpen out of Evaluate without wrapping
-// ErrSkipCandidate, so schedulers can tell "parked" from "failed".
-func TestEvaluatorParkPropagatesBreakerOpen(t *testing.T) {
-	fc := clock.NewFake(time.Unix(0, 0))
-	b := NewBreaker(BreakerOptions{Threshold: 1, RetryAfter: time.Minute, MaxOutage: time.Hour, Park: true, Clock: fc})
-	e, err := New(context.Background(), func(_ context.Context, i int) ([]float64, error) {
-		return nil, fakeOutage{}
-	}, Options{MaxRetries: 5, Clock: fc, Sleep: func(time.Duration) {}, Breaker: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.Evaluate(1)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen in the chain", err)
-	}
-}
-
 func TestBreakerStateStrings(t *testing.T) {
 	for s, want := range map[BreakerState]string{
 		BreakerClosed: "closed", BreakerOpen: "open", BreakerHalfOpen: "half-open",
@@ -348,15 +307,15 @@ func TestBreakerDwellResetsAfterFullRecovery(t *testing.T) {
 
 	// Episode two: trip again. Base dwell (1s) must be enough to admit the
 	// probe — without the reset, dwellLocked would still report 8s and
-	// AwaitRecovery would have to sleep.
+	// Acquire would have to sleep.
 	b.OnFailure(fakeOutage{})
 	fc.Advance(time.Second)
 	sleepsBefore := fc.Sleeps()
-	if err := b.AwaitRecovery(context.Background()); err != nil {
+	if err := b.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := fc.Sleeps(); got != sleepsBefore {
-		t.Fatalf("AwaitRecovery slept %d times after base dwell; dwell was not reset by recovery", got-sleepsBefore)
+		t.Fatalf("Acquire slept %d times after base dwell; dwell was not reset by recovery", got-sleepsBefore)
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state after base dwell = %v, want half-open", b.State())

@@ -52,10 +52,10 @@ type LeaseRecord struct {
 //   - completed cells: the scored result of a finished unit, so a resumed
 //     campaign skips the unit entirely — not a single evaluator call;
 //   - partial cells: for units in flight, every paid-for observation plus
-//     the serialised RNG-source state the unit started from and the count
-//     of fresh evaluations so far. A resumed unit restores the recorded
-//     RNG state and replays the observations, reproducing the crashed run
-//     bit-for-bit without re-deriving anything from the seed;
+//     the serialised RNG-source state the unit started from. A resumed
+//     unit restores the recorded RNG state and replays the observations,
+//     reproducing the crashed run bit-for-bit without re-deriving anything
+//     from the seed;
 //   - lease records (schema v3): for distributed campaigns, each in-flight
 //     unit's highest granted lease epoch and holder, so coordinator
 //     restarts preserve epoch monotonicity and late results from dead
@@ -66,33 +66,32 @@ type LeaseRecord struct {
 //     ErrFenced when a higher one appears — a deposed primary lingering
 //     after a standby takeover is rejected rather than applied.
 //
-// Completion clears a unit's partial state, parked mark and lease record
-// alike, and Retire clears the generation once the campaign is done, so a
-// finished campaign's file carries no trace of how bumpy the road was —
-// which is exactly what makes a distributed, fault-ridden, failed-over
-// run's final checkpoint byte-identical to a single-process fault-free one.
+// Completion clears a unit's partial state and lease record alike, and
+// Retire clears the generation once the campaign is done, so a finished
+// campaign's file carries no trace of how bumpy the road was — which is
+// exactly what makes a distributed, fault-ridden, failed-over run's final
+// checkpoint byte-identical to a single-process fault-free one.
 //
 // Every mutation persists before it returns, and a kill at any point never
 // corrupts the state. Each mutation — StartCell, Lease, an observation
-// (AddPartialObservation and the WrapCell write-through), Park, Unpark and
-// Complete — appends one line to the journal beside the file (see
-// journal.go). The whole file is rewritten (write-to-temp + atomic rename,
-// removing the journal) only by the first mutation of a checkpoint with no
-// file yet, by Adopt, and by Retire, which eval.Campaign.Run and
-// shard.Coordinator.Run call for a never-adopted handle once the campaign
-// completes. So a completed or retired campaign is one file in exactly the
-// v4 format. (A handle that replayed a journal, or whose append failed,
-// compacts on its next mutation instead: nothing is ever appended after a
-// torn tail.) All methods are safe for concurrent use by parallel campaign
-// workers. Version-2 files (no lease ledger), version-3 files (no
-// generation) and legacy per-run files (see RunKey) load transparently and
-// are migrated to v4 on the next compaction.
+// (AddPartialObservation and the WrapCell write-through) and Complete —
+// appends one line to the journal beside the file (see journal.go). The
+// whole file is rewritten (write-to-temp + atomic rename, removing the
+// journal) only by the first mutation of a checkpoint with no file yet, by
+// Adopt, and by Retire, which eval.Campaign.Run and shard.Coordinator.Run
+// call for a never-adopted handle once the campaign completes. So a
+// completed or retired campaign is one file in exactly the v4 format. (A
+// handle that replayed a journal, or whose append failed, compacts on its
+// next mutation instead: nothing is ever appended after a torn tail.) All
+// methods are safe for concurrent use by parallel campaign workers.
+// Version-2 files (no lease ledger), version-3 files (no generation) and
+// legacy per-run files (see RunKey) load transparently and are migrated to
+// v4 on the next compaction.
 type CampaignCheckpoint struct {
 	mu      sync.Mutex
 	path    string
 	cells   map[string]CampaignCell
 	partial map[string]*partialState
-	parked  map[string]bool
 	leases  map[string]LeaseRecord
 	// generation is the fencing token this handle writes under. Zero means
 	// the handle never adopted (single-process campaigns, serve jobs) and
@@ -114,7 +113,6 @@ type partialState struct {
 	order     []int
 	values    map[int][]float64
 	randState []byte
-	iters     int
 }
 
 // observe records QoR y for pool index i unless i is already recorded,
@@ -149,13 +147,12 @@ const RunKey = "run"
 
 // checkpointFile is the legacy per-run checkpoint schema, a file with no
 // kind: version 1 carried Runs only; version 2 added the RNG-source state
-// (base64 via encoding/json) and the iteration count of the run that
-// produced the observations. Only the loader reads it.
+// (base64 via encoding/json). Only the loader reads it; a version-2 file's
+// iteration count is ignored.
 type checkpointFile struct {
 	Version   int             `json:"version"`
 	Runs      []checkpointRun `json:"runs"`
 	RandState []byte          `json:"rand_state,omitempty"`
-	Iters     int             `json:"iters,omitempty"`
 }
 
 type checkpointRun struct {
@@ -163,30 +160,25 @@ type checkpointRun struct {
 	QoR   []float64 `json:"qor"`
 }
 
-// campaignPartial is the on-disk form of partialState.
+// campaignPartial is the on-disk form of partialState. Files written before
+// the count of fresh evaluations was dropped also carry "iters", which
+// loads ignore.
 type campaignPartial struct {
 	Runs      []checkpointRun `json:"runs,omitempty"`
 	RandState []byte          `json:"rand_state,omitempty"`
-	Iters     int             `json:"iters"`
 }
 
 // campaignFile is the on-disk schema. Kind distinguishes campaign files
 // from the other state files; a file with no kind is a legacy per-run
-// checkpoint (checkpointFile).
+// checkpoint (checkpointFile). Files written while campaigns parked units
+// during outages may list them under "parked", which loads ignore.
 type campaignFile struct {
 	Version int                        `json:"version"`
 	Kind    string                     `json:"kind"`
 	Cells   map[string]CampaignCell    `json:"cells"`
 	Partial map[string]campaignPartial `json:"partial,omitempty"`
-	// Parked lists units waiting out an infrastructure outage when the file
-	// was written (sorted). A kill during the outage leaves them here; a
-	// resumed campaign re-runs them like any incomplete unit, replaying
-	// their partial observations, so the field is diagnostic — it records
-	// *why* the unit is incomplete. Completion clears it, so a finished
-	// campaign's file carries no trace of the outage.
-	Parked []string `json:"parked,omitempty"`
 	// Leases (schema v3) records each in-flight unit's lease high-water
-	// mark. Like Parked, completion clears the record.
+	// mark. Completion clears the record.
 	Leases map[string]LeaseRecord `json:"leases,omitempty"`
 	// Generation (schema v4) is the coordinator fencing token: the highest
 	// generation that ever adopted this campaign. Mutating saves from a
@@ -209,7 +201,6 @@ func NewCampaignCheckpoint(path string) *CampaignCheckpoint {
 		path:    path,
 		cells:   map[string]CampaignCell{},
 		partial: map[string]*partialState{},
-		parked:  map[string]bool{},
 		leases:  map[string]LeaseRecord{},
 		jnl:     journalLog{kind: journalKind, version: journalVersion, name: "campaign checkpoint"},
 	}
@@ -267,7 +258,7 @@ func (c *CampaignCheckpoint) restoreBaseLocked(data []byte) error {
 			return fmt.Errorf("robust: per-run checkpoint %s has unsupported version %d", c.path, run.Version)
 		}
 		f = campaignFile{Partial: map[string]campaignPartial{
-			RunKey: {Runs: run.Runs, RandState: run.RandState, Iters: run.Iters},
+			RunKey: {Runs: run.Runs, RandState: run.RandState},
 		}}
 	case f.Kind != campaignKind:
 		return fmt.Errorf("robust: %s is not a campaign checkpoint (kind %q)", c.path, f.Kind)
@@ -276,14 +267,13 @@ func (c *CampaignCheckpoint) restoreBaseLocked(data []byte) error {
 	}
 	c.cells = make(map[string]CampaignCell, len(f.Cells))
 	c.partial = map[string]*partialState{}
-	c.parked = map[string]bool{}
 	c.leases = make(map[string]LeaseRecord, len(f.Leases))
 	c.generation = f.Generation
 	for key, cell := range f.Cells {
 		c.cells[key] = cell
 	}
 	for key, p := range f.Partial {
-		ps := &partialState{values: map[int][]float64{}, randState: p.RandState, iters: p.Iters}
+		ps := &partialState{values: map[int][]float64{}, randState: p.RandState}
 		for _, r := range p.Runs {
 			if err := ValidateVector(r.QoR, 0); err != nil {
 				return fmt.Errorf("robust: campaign checkpoint %s, cell %q, entry %d: %v", c.path, key, r.Index, err)
@@ -291,9 +281,6 @@ func (c *CampaignCheckpoint) restoreBaseLocked(data []byte) error {
 			ps.observe(r.Index, r.QoR)
 		}
 		c.partial[key] = ps
-	}
-	for _, key := range f.Parked {
-		c.parked[key] = true
 	}
 	for key, lr := range f.Leases {
 		c.leases[key] = lr
@@ -425,28 +412,6 @@ func (c *CampaignCheckpoint) checkFence() error {
 	return nil
 }
 
-// Park marks a unit as waiting out an outage and persists, so a kill during
-// the outage records why the unit is incomplete. Completion clears the mark.
-func (c *CampaignCheckpoint) Park(key string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mutateLocked(&journalRecord{Op: opPark, Key: key})
-}
-
-// Unpark clears a unit's parked mark (requeue time) and persists.
-func (c *CampaignCheckpoint) Unpark(key string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mutateLocked(&journalRecord{Op: opUnpark, Key: key})
-}
-
-// Parked returns the sorted unit keys currently marked as parked.
-func (c *CampaignCheckpoint) Parked() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return sortedKeys(c.parked)
-}
-
 // Done returns the persisted result of a completed cell, if present.
 func (c *CampaignCheckpoint) Done(key string) (CampaignCell, bool) {
 	c.mu.Lock()
@@ -462,8 +427,8 @@ func (c *CampaignCheckpoint) Cells() int {
 	return len(c.cells)
 }
 
-// Complete records a finished cell, discards its partial state, parked mark
-// and lease record, and persists. A completed cell is final: completing it
+// Complete records a finished cell, discards its partial state and lease
+// record, and persists. A completed cell is final: completing it
 // again changes nothing.
 func (c *CampaignCheckpoint) Complete(key string, cell CampaignCell) error {
 	c.mu.Lock()
@@ -501,10 +466,10 @@ func (c *CampaignCheckpoint) LeaseRecords() map[string]LeaseRecord {
 // partial state and appends it to the journal: the distributed-campaign
 // counterpart of the write-through in WrapCell. Invalid vectors are
 // rejected (never cached); duplicates by index, and observations for
-// completed cells, are ignored without charging iters. Observations are
-// epoch-agnostic on purpose — even a stale lease's evaluations are paid-for
-// truth (the evaluator is deterministic per unit), so merging them
-// guarantees each reclaim round makes progress.
+// completed cells, are ignored. Observations are epoch-agnostic on purpose
+// — even a stale lease's evaluations are paid-for truth (the evaluator is
+// deterministic per unit), so merging them guarantees each reclaim round
+// makes progress.
 func (c *CampaignCheckpoint) AddPartialObservation(key string, obs Observation) error {
 	if err := ValidateVector(obs.QoR, 0); err != nil {
 		return fmt.Errorf("robust: refusing to checkpoint observation %d for %q: %v", obs.Index, key, err)
@@ -540,15 +505,15 @@ func (c *CampaignCheckpoint) PartialObservations(key string) []Observation {
 
 // PartialRandState returns the RNG-source state recorded when the cell's
 // run started (nil if the cell has no partial state) together with the
-// number of fresh evaluations the crashed run had paid for.
-func (c *CampaignCheckpoint) PartialRandState(key string) (state []byte, iters int) {
+// number of observations the cell holds.
+func (c *CampaignCheckpoint) PartialRandState(key string) (state []byte, observed int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.partial[key]
 	if !ok || p.randState == nil {
 		return nil, 0
 	}
-	return append([]byte(nil), p.randState...), p.iters
+	return append([]byte(nil), p.randState...), len(p.order)
 }
 
 // StartCell records the RNG-source state a fresh cell run starts from and
@@ -571,11 +536,11 @@ func (c *CampaignCheckpoint) Stats() (replayed, fresh int) {
 }
 
 // WrapCell returns an evaluator that answers cell-local observations from
-// the checkpoint when it can and writes through (observation + iteration
-// count, appended to the journal) when it must invoke eval. Compose it
-// inside any fault-tolerance middleware. It never caches invalid vectors:
-// garbage QoR is passed up for the resilience layer to reject so the
-// corruption cannot replay on resume.
+// the checkpoint when it can and writes through (the observation, appended
+// to the journal) when it must invoke eval. Compose it inside any
+// fault-tolerance middleware. It never caches invalid vectors: garbage QoR
+// is passed up for the resilience layer to reject so the corruption cannot
+// replay on resume.
 func (c *CampaignCheckpoint) WrapCell(key string, eval core.Evaluator) core.Evaluator {
 	return func(i int) ([]float64, error) {
 		c.mu.Lock()
@@ -605,26 +570,22 @@ func (c *CampaignCheckpoint) WrapCell(key string, eval core.Evaluator) core.Eval
 }
 
 // observeLocked records one fresh evaluation of key's pool index: qor joins
-// the unit's partial state and its fresh-evaluation count rises by one.
-// Callers hold c.mu.
+// the unit's partial state. Callers hold c.mu.
 func (c *CampaignCheckpoint) observeLocked(key string, index int, qor []float64) error {
-	iters := 1
-	if p, ok := c.partial[key]; ok {
-		iters = p.iters + 1
-	}
 	c.fresh++
-	return c.mutateLocked(&journalRecord{Op: opObs, Key: key, Index: index, QoR: append([]float64(nil), qor...), Iters: iters})
+	return c.mutateLocked(&journalRecord{Op: opObs, Key: key, Index: index, QoR: append([]float64(nil), qor...)})
 }
 
 // The campaign journal's mutations (journalRecord.Op). An observation has
-// none.
+// none. Journals written while campaigns parked units during outages also
+// hold park and unpark records; replay accepts them and changes nothing.
 const (
 	opObs    = ""
 	opStart  = "start"
 	opLease  = "lease"
+	opDone   = "done"
 	opPark   = "park"
 	opUnpark = "unpark"
-	opDone   = "done"
 )
 
 // mutateLocked applies one mutation and persists it, unless it changed
@@ -642,13 +603,13 @@ func (c *CampaignCheckpoint) mutateLocked(r *journalRecord) error {
 // a replayed journal yields exactly the state its writer held. Replay is
 // idempotent because a record the state already reflects changes nothing:
 // any record for a completed unit, a start for a unit with partial state, a
-// lease at or below the recorded epoch, an observation of an index the unit
-// holds (its iters only ever raise the unit's count), a park of a parked
-// unit and an unpark of an unparked one. Callers hold c.mu or own the
-// checkpoint exclusively.
+// lease at or below the recorded epoch and an observation of an index the
+// unit holds. Callers hold c.mu or own the checkpoint exclusively.
 func (c *CampaignCheckpoint) applyLocked(r *journalRecord) (bool, error) {
 	switch r.Op {
-	case opStart, opLease, opPark, opUnpark:
+	case opPark, opUnpark:
+		return false, nil
+	case opStart, opLease:
 	case opObs:
 		if err := ValidateVector(r.QoR, 0); err != nil {
 			return false, fmt.Errorf("cell %q, entry %d: %v", r.Key, r.Index, err)
@@ -675,26 +636,12 @@ func (c *CampaignCheckpoint) applyLocked(r *journalRecord) (bool, error) {
 		}
 		c.leases[r.Key] = LeaseRecord{Epoch: r.Epoch, Holder: r.Holder}
 	case opObs:
-		p := c.partialLocked(r.Key)
-		added := p.observe(r.Index, r.QoR)
-		if !added && r.Iters <= p.iters {
+		if !c.partialLocked(r.Key).observe(r.Index, r.QoR) {
 			return false, nil
 		}
-		p.iters = max(p.iters, r.Iters)
-	case opPark:
-		if c.parked[r.Key] {
-			return false, nil
-		}
-		c.parked[r.Key] = true
-	case opUnpark:
-		if !c.parked[r.Key] {
-			return false, nil
-		}
-		delete(c.parked, r.Key)
 	case opDone:
 		c.cells[r.Key] = *r.Cell
 		delete(c.partial, r.Key)
-		delete(c.parked, r.Key)
 		delete(c.leases, r.Key)
 	}
 	return true, nil
@@ -765,7 +712,7 @@ func (c *CampaignCheckpoint) encodeLocked() ([]byte, error) {
 	}
 	for _, key := range sortedKeys(c.partial) {
 		p := c.partial[key]
-		cp := campaignPartial{RandState: p.randState, Iters: p.iters}
+		cp := campaignPartial{RandState: p.randState}
 		for _, i := range p.order {
 			cp.Runs = append(cp.Runs, checkpointRun{Index: i, QoR: p.values[i]})
 		}
@@ -773,9 +720,6 @@ func (c *CampaignCheckpoint) encodeLocked() ([]byte, error) {
 	}
 	if len(f.Partial) == 0 {
 		f.Partial = nil
-	}
-	if len(c.parked) > 0 {
-		f.Parked = sortedKeys(c.parked)
 	}
 	if len(c.leases) > 0 {
 		f.Leases = make(map[string]LeaseRecord, len(c.leases))

@@ -29,8 +29,6 @@ func TestFencedWriteRejectedOnEveryAPI(t *testing.T) {
 		name string
 		op   func(ck *CampaignCheckpoint) error
 	}{
-		{"Park", func(ck *CampaignCheckpoint) error { return ck.Park("u") }},
-		{"Unpark", func(ck *CampaignCheckpoint) error { return ck.Unpark("parked") }},
 		{"Complete", func(ck *CampaignCheckpoint) error {
 			return ck.Complete("u", CampaignCell{HV: 1, ADRS: 0, Runs: 3})
 		}},
@@ -54,9 +52,6 @@ func TestFencedWriteRejectedOnEveryAPI(t *testing.T) {
 			}
 			adoptT(t, stale)
 			// Give the deposed-to-be handle some state the ops can touch.
-			if err := stale.Park("parked"); err != nil {
-				t.Fatal(err)
-			}
 			if err := stale.Lease("leased", 1, "w1"); err != nil {
 				t.Fatal(err)
 			}
@@ -121,14 +116,14 @@ func TestDuplicatePromotionRace(t *testing.T) {
 	}
 
 	// The primary and the lower-generation standby both lose.
-	if err := primary.Park("u"); !errors.Is(err, ErrFenced) {
+	if err := primary.Lease("u", 1, "w0"); !errors.Is(err, ErrFenced) {
 		t.Fatalf("deposed primary write: err = %v, want ErrFenced", err)
 	}
-	if err := standbyA.Park("u"); !errors.Is(err, ErrFenced) {
+	if err := standbyA.Lease("u", 1, "w0"); !errors.Is(err, ErrFenced) {
 		t.Fatalf("lower-generation standby write: err = %v, want ErrFenced", err)
 	}
 	// The highest generation writes freely.
-	if err := standbyB.Park("u"); err != nil {
+	if err := standbyB.Lease("u", 1, "w0"); err != nil {
 		t.Fatalf("winning standby write: %v", err)
 	}
 }
@@ -247,7 +242,7 @@ func TestCampaignCheckpointV3LoadsTransparently(t *testing.T) {
 	if g := ck.Generation(); g != 0 {
 		t.Fatalf("v3 load: generation = %d, want 0", g)
 	}
-	if err := ck.Park("c"); err != nil {
+	if err := ck.StartCell("c", []byte("rng")); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Retire(); err != nil { // compacts
@@ -275,7 +270,7 @@ func TestAdoptionSurvivesReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	first := NewCampaignCheckpoint(path)
 	adoptT(t, first)
-	if err := first.Park("u"); err != nil {
+	if err := first.Lease("u", 1, "w0"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,13 +281,13 @@ func TestAdoptionSurvivesReload(t *testing.T) {
 	if g := reloaded.Generation(); g != 1 {
 		t.Fatalf("reloaded generation = %d, want 1", g)
 	}
-	if err := reloaded.Unpark("u"); err != nil {
+	if err := reloaded.Lease("u", 2, "w1"); err != nil {
 		t.Fatalf("same-generation write after reload: %v", err)
 	}
 	if gen := adoptT(t, reloaded); gen != 2 {
 		t.Fatalf("re-adoption generation = %d, want 2", gen)
 	}
-	if err := first.Park("v"); !errors.Is(err, ErrFenced) {
+	if err := first.Lease("v", 1, "w0"); !errors.Is(err, ErrFenced) {
 		t.Fatalf("original handle after re-adoption: err = %v, want ErrFenced", err)
 	}
 }

@@ -55,25 +55,19 @@ func TestCampaignCheckpointCompleteClearsLease(t *testing.T) {
 	if err := ck.Lease("u1", 1, "w0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Park("u1"); err != nil {
-		t.Fatal(err)
-	}
 	if err := ck.Complete("u1", CampaignCell{HV: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(ck.LeaseRecords()); n != 0 {
 		t.Fatalf("%d lease records after Complete, want 0", n)
 	}
-	if n := len(ck.Parked()); n != 0 {
-		t.Fatalf("%d parked after Complete, want 0", n)
-	}
 	// The completion is journaled: base plus journal loads without traces.
 	re, err := LoadCampaignCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(re.LeaseRecords()) != 0 || len(re.Parked()) != 0 {
-		t.Fatalf("reloaded checkpoint keeps leases %v, parked %v", re.LeaseRecords(), re.Parked())
+	if len(re.LeaseRecords()) != 0 {
+		t.Fatalf("reloaded checkpoint keeps leases %v", re.LeaseRecords())
 	}
 	// Retiring folds the journal into the base: the finished file too.
 	if err := ck.Retire(); err != nil {
@@ -83,8 +77,8 @@ func TestCampaignCheckpointCompleteClearsLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "leases") || strings.Contains(string(data), "parked") {
-		t.Fatalf("finished checkpoint still carries lease/park traces:\n%s", data)
+	if strings.Contains(string(data), "leases") {
+		t.Fatalf("finished checkpoint still carries lease traces:\n%s", data)
 	}
 }
 
@@ -166,10 +160,10 @@ func TestAddPartialObservation(t *testing.T) {
 	if err != nil || y[0] != 3 {
 		t.Fatalf("replayed merged obs = %v, %v", y, err)
 	}
-	if _, iters := re.PartialRandState("u"); iters != 0 {
-		// No rand state was recorded, so PartialRandState reports nil/0;
-		// the iteration count still rides the partial record itself.
-		t.Fatalf("iters via PartialRandState = %d, want 0 without rand state", iters)
+	if state, observed := re.PartialRandState("u"); state != nil || observed != 0 {
+		// No rand state was recorded, so PartialRandState reports nil/0
+		// although the cell holds observations.
+		t.Fatalf("PartialRandState = %v, %d; want nil, 0 without rand state", state, observed)
 	}
 }
 

@@ -38,9 +38,9 @@ func TestCampaignCheckpointRoundTrip(t *testing.T) {
 	if !ok || cell.HV != 0.1 || cell.ADRS != 0.2 || cell.Runs != 30 {
 		t.Fatalf("completed cell = %+v, ok=%v", cell, ok)
 	}
-	state, iters := re.PartialRandState("a|b|c|seed=2")
-	if string(state) != "\x01\x02\x03" || iters != 2 {
-		t.Fatalf("partial state = %v, iters = %d", state, iters)
+	state, observed := re.PartialRandState("a|b|c|seed=2")
+	if string(state) != "\x01\x02\x03" || observed != 2 {
+		t.Fatalf("partial state = %v, observations = %d", state, observed)
 	}
 	// Replayed observations come back verbatim without calling the tool.
 	replay := re.WrapCell("a|b|c|seed=2", func(i int) ([]float64, error) {
@@ -184,8 +184,8 @@ func TestCheckpointV1MigratesToV4(t *testing.T) {
 	if len(obs) != 2 || obs[0].Index != 4 || obs[0].QoR[0] != 0.5 || obs[1].Index != 2 {
 		t.Fatalf("v1 file loaded %+v, want indices 4 then 2", obs)
 	}
-	if state, iters := ck.PartialRandState(RunKey); state != nil || iters != 0 {
-		t.Errorf("v1 file reported state %v, iters %d; want nil, 0", state, iters)
+	if state, observed := ck.PartialRandState(RunKey); state != nil || observed != 0 {
+		t.Errorf("v1 file reported state %v, %d observations; want nil, 0", state, observed)
 	}
 
 	// Retiring an unchanged legacy file writes nothing.

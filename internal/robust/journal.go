@@ -20,7 +20,7 @@ import (
 //	{"kind":"campaign-obs","version":2,"base":"<sha256 of the base bytes>"}
 //	{"op":"lease","key":"u","epoch":1,"holder":"w0"}
 //	{"op":"start","key":"u","rand_state":"..."}
-//	{"key":"u","index":17,"qor":[0.4,1.2],"iters":1}
+//	{"key":"u","index":17,"qor":[0.4,1.2]}
 //	...
 //	{"op":"done","key":"u","cell":{"hv":0.02,"adrs":0.01,"runs":40}}
 //
@@ -66,22 +66,21 @@ type journalHeader struct {
 // journalRecord is one journaled campaign-checkpoint mutation. Op names the
 // mutation and the fields it carries:
 //
-//	(none)  Key, Index, QoR, Iters: one observation, Iters being the unit's
-//	        fresh-evaluation count after it (WrapCell, AddPartialObservation)
+//	(none)  Key, Index, QoR: one observation (WrapCell,
+//	        AddPartialObservation)
 //	start   Key, RandState (StartCell)
 //	lease   Key, Epoch, Holder (Lease)
-//	park    Key (Park)
-//	unpark  Key (Unpark)
 //	done    Key, Cell (Complete)
 //
-// An observation, the one record per tool run, carries no op: it keeps the
-// version-1 record's fields and length.
+// An observation, the one record per tool run, carries no op: a version-1
+// record parses as one. Older journals' observations also carry "iters",
+// the unit's fresh-evaluation count, and older journals hold park and
+// unpark records (Key only); replay ignores both.
 type journalRecord struct {
 	Op        string        `json:"op,omitempty"`
 	Key       string        `json:"key"`
 	Index     int           `json:"index,omitempty"`
 	QoR       []float64     `json:"qor,omitempty"`
-	Iters     int           `json:"iters,omitempty"`
 	RandState []byte        `json:"rand_state,omitempty"`
 	Epoch     uint64        `json:"epoch,omitempty"`
 	Holder    string        `json:"holder,omitempty"`

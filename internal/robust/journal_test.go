@@ -175,8 +175,8 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 					t.Fatalf("cut at %d: unit %s observation %d = %+v, not a prefix of %+v", cut, key, n, o, all)
 				}
 			}
-			if _, iters := ck.PartialRandState(key); iters != len(got) {
-				t.Fatalf("cut at %d: unit %s iters = %d with %d observations", cut, key, iters, len(got))
+			if _, observed := ck.PartialRandState(key); observed != len(got) {
+				t.Fatalf("cut at %d: unit %s reports %d observations, holds %d", cut, key, observed, len(got))
 			}
 		}
 		runJournalScript(t, ck)
@@ -192,7 +192,7 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 
 // mixedScript is a sequence of every kind of journaled mutation over three
 // units: starts, leases and a re-grant, write-through and streamed
-// observations, parks, unparks and completions.
+// observations, and completions.
 func mixedScript(ck *CampaignCheckpoint) []func() error {
 	wrap := func(key string, i int) func() error {
 		return func() error {
@@ -210,13 +210,11 @@ func mixedScript(ck *CampaignCheckpoint) []func() error {
 		func() error { return ck.Lease("b", 1, "w1") },
 		func() error { return ck.StartCell("b", []byte("rng-b")) },
 		add("b", 5),
-		func() error { return ck.Park("a") },
 		add("a", 8),
 		func() error { return ck.Lease("a", 2, "w1") },
-		func() error { return ck.Unpark("a") },
 		add("b", 1),
 		func() error { return ck.Complete("b", CampaignCell{HV: 0.3, ADRS: 0.1, Runs: 2}) },
-		func() error { return ck.Park("c") },
+		func() error { return ck.StartCell("c", []byte("rng-c")) },
 		func() error { return ck.Lease("c", 4, "w0") },
 		wrap("a", 2),
 		func() error { return ck.Complete("a", CampaignCell{HV: 0.2, ADRS: 0.05, Runs: 3}) },
@@ -224,8 +222,8 @@ func mixedScript(ck *CampaignCheckpoint) []func() error {
 }
 
 // TestJournalMixedOpsCutEveryOffset is the crash property over every kind
-// of record: a journal of starts, leases, observations, parks, unparks and
-// completions cut at any byte offset loads to exactly the state the writer
+// of record: a journal of starts, leases, observations and completions cut
+// at any byte offset loads to exactly the state the writer
 // held after the records whose lines are complete.
 func TestJournalMixedOpsCutEveryOffset(t *testing.T) {
 	dir := t.TempDir()
@@ -271,7 +269,7 @@ func TestJournalMixedOpsCutEveryOffset(t *testing.T) {
 }
 
 // TestJournalV1Replays: an observation-only version-1 journal, as written
-// before starts, leases, parks and completions were journaled, loads like
+// before starts, leases and completions were journaled, loads like
 // the same observations made now; the next mutation compacts rather than
 // appending current records to it.
 func TestJournalV1Replays(t *testing.T) {
@@ -311,13 +309,13 @@ func TestJournalV1Replays(t *testing.T) {
 	if got, want := encodeT(t, re), encodeT(t, ck); !bytes.Equal(got, want) {
 		t.Fatalf("v1 journal loads to\n%s\nwant\n%s", got, want)
 	}
-	if err := re.Park("u"); err != nil {
+	if err := re.Lease("u", 1, "w0"); err != nil {
 		t.Fatal(err)
 	}
 	if readT(t, JournalPath(path)) != nil {
 		t.Fatal("the first mutation after a v1 replay did not compact")
 	}
-	if err := re.Lease("u", 1, "w0"); err != nil {
+	if err := re.Lease("u", 2, "w1"); err != nil {
 		t.Fatal(err)
 	}
 	if hdr, _, _ := bytes.Cut(readT(t, JournalPath(path)), []byte("\n")); !bytes.Contains(hdr, []byte(fmt.Sprintf(`"version":%d`, journalVersion))) {
@@ -329,6 +327,57 @@ func TestJournalV1Replays(t *testing.T) {
 	}
 	if got, want := encodeT(t, again), encodeT(t, re); !bytes.Equal(got, want) {
 		t.Fatalf("reload after the v1 replay\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestLegacyParkAndItersIgnored: state written while campaigns parked units
+// and counted fresh evaluations — a base with "parked" and a partial
+// "iters", a journal with park and unpark records and observations carrying
+// "iters", one of them a duplicate — loads to the state the same starts and
+// observations make now, and retires to the same bytes.
+func TestLegacyParkAndItersIgnored(t *testing.T) {
+	want := NewCampaignCheckpoint("")
+	if err := want.StartCell("u", []byte("rng")); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{4, 9} {
+		if err := want.AddPartialObservation("u", Observation{Index: i, QoR: journalQoR(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "campaign.json")
+	qor := func(i int) string {
+		data, err := json.Marshal(journalQoR(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	base := fmt.Sprintf(`{"version":4,"kind":"campaign","cells":{},"partial":{"u":{"runs":[{"index":4,"qor":%s}],"rand_state":"cm5n","iters":1}},"parked":["u","v"]}`, qor(4))
+	journal := fmt.Sprintf(`{"kind":%q,"version":2,"base":%q}`+"\n", journalKind, baseDigest([]byte(base))) +
+		`{"op":"park","key":"u"}` + "\n" +
+		fmt.Sprintf(`{"key":"u","index":9,"qor":%s,"iters":2}`+"\n", qor(9)) +
+		fmt.Sprintf(`{"key":"u","index":9,"qor":%s,"iters":3}`+"\n", qor(9)) +
+		`{"op":"unpark","key":"u"}` + "\n" + `{"op":"unpark","key":"v"}` + "\n"
+	if err := os.WriteFile(path, []byte(base), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(JournalPath(path), []byte(journal), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCampaignCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeT(t, ck); !bytes.Equal(got, encodeT(t, want)) {
+		t.Fatalf("legacy state loads to\n%s\nwant\n%s", got, encodeT(t, want))
+	}
+	if err := ck.Retire(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readT(t, path); !bytes.Equal(got, encodeT(t, want)) {
+		t.Fatalf("legacy state retires to\n%s\nwant\n%s", got, encodeT(t, want))
 	}
 }
 
@@ -354,7 +403,7 @@ func TestStaleJournalIgnored(t *testing.T) {
 	ck := NewCampaignCheckpoint(path)
 	runJournalScript(t, ck)
 	oldJournal := readT(t, JournalPath(path))
-	if err := ck.Park("x"); err != nil {
+	if err := ck.StartCell("x", []byte("rng-x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Retire(); err != nil { // compacts
@@ -400,8 +449,8 @@ func TestStaleJournalIgnored(t *testing.T) {
 
 // TestJournalReplayIdempotent: records replayed over a base that already
 // holds them change nothing — starts of units with partial state,
-// observations already held, leases at or below the recorded epoch, a park
-// undone by an unpark, and every record of a unit completed since.
+// observations already held, leases at or below the recorded epoch, and
+// every record of a unit completed since.
 func TestJournalReplayIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	ck := NewCampaignCheckpoint(path)
@@ -409,8 +458,6 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	for _, step := range []func() error{
 		func() error { return ck.Lease("v", 1, "w0") },
 		func() error { return ck.Lease("v", 2, "w1") },
-		func() error { return ck.Park("v") },
-		func() error { return ck.Unpark("v") },
 		func() error { return ck.Lease("u", 1, "w0") },
 		func() error { return ck.Complete("u", CampaignCell{HV: 0.5, Runs: 6}) },
 	} {

@@ -16,8 +16,8 @@
 //   - a FailurePolicy deciding whether an exhausted candidate aborts the run
 //     or is skipped (the tuner marks it core.Failed and continues);
 //   - an optional run-level circuit Breaker: correlated failures (a licence
-//     server or farm outage takes down every in-flight run at once) pause or
-//     park evaluations instead of exhausting per-candidate retry budgets;
+//     server or farm outage takes down every in-flight run at once) pause
+//     evaluations instead of exhausting per-candidate retry budgets;
 //   - a shared, concurrency-safe FailureLog for post-run diagnostics.
 //
 // The checkpoint file in checkpoint.go completes the story: observations are
@@ -123,9 +123,9 @@ type Options struct {
 	// Breaker, when non-nil, is the run-level circuit breaker shared by
 	// every evaluation. Outage-marked failures (IsOutage) trip it
 	// immediately and other transients count toward its threshold; while it
-	// is open, evaluations pause (or park, per BreakerOptions.Park) instead
-	// of consuming per-candidate retry budgets, so a correlated outage
-	// stretches wall-clock time but never changes which candidates succeed.
+	// is open, evaluations pause instead of consuming per-candidate retry
+	// budgets, so a correlated outage stretches wall-clock time but never
+	// changes which candidates succeed.
 	Breaker *Breaker
 	// Log, when non-nil, receives every failure event. A single log may be
 	// shared by several evaluators.
@@ -250,9 +250,9 @@ func (e *Evaluator) Evaluate(i int) ([]float64, error) {
 			return nil, fmt.Errorf("robust: evaluation %d: %w", i, err)
 		}
 		if b := e.opt.Breaker; b != nil {
-			// The breaker gates every attempt: while open, this pauses (or
-			// parks with ErrBreakerOpen) without touching the candidate's
-			// retry budget — an outage is not the candidate's fault.
+			// The breaker gates every attempt: while open, this pauses
+			// without touching the candidate's retry budget — an outage is
+			// not the candidate's fault.
 			if err := b.Acquire(e.ctx); err != nil {
 				return nil, fmt.Errorf("robust: evaluation %d: %w", i, err)
 			}
@@ -285,7 +285,7 @@ func (e *Evaluator) Evaluate(i int) ([]float64, error) {
 		if e.opt.Breaker != nil && IsOutage(err) {
 			// Correlated outage with a breaker in charge: log it, but do not
 			// charge the candidate — the next Acquire pauses until recovery
-			// (bounded by the breaker's MaxOutage deadline) or parks.
+			// (bounded by the breaker's MaxOutage deadline).
 			e.opt.Log.add(Event{Index: i, Attempt: a, Kind: KindOutage, Err: err.Error()})
 			continue
 		}

@@ -39,8 +39,8 @@ type JobRequest struct {
 	// Outage injects correlated downtime windows into the job's evaluation
 	// path: "PERIOD/DOWN" (chaos.ParseSchedule syntax; empty: disabled).
 	Outage string `json:"outage,omitempty"`
-	// Breaker arms a park-mode circuit breaker tripping after N
-	// consecutive transients (0: disabled; required with Outage to park
+	// Breaker arms a circuit breaker tripping after N consecutive
+	// transients (0: disabled; required with Outage to pause evaluations
 	// rather than burn retry budgets).
 	Breaker int `json:"breaker,omitempty"`
 }

@@ -13,18 +13,15 @@ import (
 	"ppatuner/internal/robust"
 )
 
-// Sentinel errors of the job API. errDrained and errCancelled travel up
-// through a campaign to abort it at the next evaluator call or unit
-// boundary; the runner then classifies the outcome by the job's own state
-// rather than by error identity, so a wrapped or transformed abort still
-// parks/cancels correctly.
+// Sentinel errors of the job API. A cancelled or drained campaign aborts
+// with its job context's error instead; the runner classifies the outcome
+// by the job's own state rather than by error identity, so a wrapped or
+// transformed abort still parks/cancels correctly.
 var (
 	errBadRequest  = errors.New("serve: invalid job request")
 	errRateLimited = errors.New("serve: submission rate limit exceeded")
 	errStopped     = errors.New("serve: server is shutting down")
 	errNotFound    = errors.New("serve: no such job")
-	errDrained     = errors.New("serve: campaign drained for shutdown")
-	errCancelled   = errors.New("serve: job cancelled")
 )
 
 // job is one submission's live scheduling state. The durable truth lives
@@ -245,17 +242,6 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// interrupted reports why the job must stop now, if it must.
-func (s *Server) interrupted(j *job) error {
-	if j.isCancelled() {
-		return errCancelled
-	}
-	if s.stopping() {
-		return errDrained
-	}
-	return nil
-}
-
 // runCampaign assembles and runs the job's campaign against its checkpoint.
 func (s *Server) runCampaign(j *job) error {
 	p := j.plan
@@ -287,46 +273,42 @@ func (s *Server) runCampaign(j *job) error {
 		return err
 	}
 
-	// A job with faults set gets the campaign fault stack (injector under a
-	// park-mode breaker under the checkpoint cache, as the tables command
-	// builds it) on a per-job context: cancellation aborts the in-flight
-	// evaluation without charging the candidate's retry budget, so a drain
-	// can never be misread as a tool failure and skipped.
+	// Cancel and Shutdown both cancel the job's context. The campaign
+	// watches it at each unit start (Gate), at each evaluation (innermost,
+	// beneath the checkpoint cache, so the abort is never cached) and, in a
+	// job with faults set, in the fault stack's resilient evaluator and
+	// breaker pause, where a drain never charges a candidate's retry
+	// budget.
 	jobCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	j.setCancel(cancel)
 	defer j.setCancel(nil)
+	if j.isCancelled() || s.stopping() {
+		// Cancel or Shutdown came before setCancel could hand them the
+		// context.
+		cancel()
+	}
 	stack, err := p.faults.Build(jobCtx, p.seeds[0], s.clk)
 	if err != nil {
 		return err
 	}
 
-	wrapUnit := s.wrapUnit
-	if stack.Wrap == nil {
-		// Without a resilience layer nothing watches the job context, so
-		// drain mid-unit through the evaluator instead: innermost, beneath
-		// the checkpoint cache, so the abort error is never cached and
-		// never replayed.
-		prev := wrapUnit
-		wrapUnit = func(u eval.Unit, ev core.Evaluator) core.Evaluator {
-			if prev != nil {
-				ev = prev(u, ev)
+	c := &eval.Campaign{
+		Scenario: scn, Seeds: p.seeds, Spaces: p.spaces, Methods: p.methods,
+		Workers: p.workers, Checkpoint: ck,
+		Opts: eval.RunOpts{Wrap: stack.Wrap},
+		Gate: func(eval.Unit) error { return jobCtx.Err() },
+		WrapUnit: func(u eval.Unit, ev core.Evaluator) core.Evaluator {
+			if s.wrapUnit != nil {
+				ev = s.wrapUnit(u, ev)
 			}
 			return func(i int) ([]float64, error) {
-				if err := s.interrupted(j); err != nil {
+				if err := jobCtx.Err(); err != nil {
 					return nil, err
 				}
 				return ev(i)
 			}
-		}
-	}
-
-	c := &eval.Campaign{
-		Scenario: scn, Seeds: p.seeds, Spaces: p.spaces, Methods: p.methods,
-		Workers: p.workers, Checkpoint: ck, Breaker: stack.Breaker,
-		Opts:     eval.RunOpts{Wrap: stack.Wrap},
-		Gate:     func(eval.Unit) error { return s.interrupted(j) },
-		WrapUnit: wrapUnit,
+		},
 	}
 	c.OnUnit = func(u eval.Unit, res eval.UnitResult, out *eval.Outcome) error {
 		sp := p.spaces[u.SpaceIdx]
@@ -382,7 +364,8 @@ func (s *Server) setStatus(j *job, status, errMsg string) {
 }
 
 // Cancel requests cancellation: queued jobs cancel immediately, running
-// jobs at their next evaluator call. Terminal jobs are a no-op.
+// jobs at their next evaluator call or breaker pause. Terminal jobs are a
+// no-op.
 func (s *Server) Cancel(id string) (JobView, error) {
 	s.mu.Lock()
 	j := s.jobs[id]

@@ -24,6 +24,7 @@ package serve
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -58,7 +59,8 @@ func TerminalStatus(status string) bool {
 // Config parameterises a Server.
 type Config struct {
 	// StateDir is the durable state directory: the job manifest plus one
-	// campaign checkpoint per job live there. Required.
+	// campaign checkpoint per job live there. Required; New creates it if
+	// it is missing.
 	StateDir string
 	// MaxActive bounds how many campaigns run concurrently (default 1).
 	// Each campaign additionally runs UnitWorkers units in parallel.
@@ -116,8 +118,9 @@ type Server struct {
 }
 
 // New builds a server over the given state directory, loading the job
-// manifest a previous process left there. Call Start to requeue interrupted
-// jobs and begin scheduling.
+// manifest a previous process left there. A missing directory is created:
+// with no manifest in it, this is the first boot. Call Start to requeue
+// interrupted jobs and begin scheduling.
 func New(cfg Config) (*Server, error) {
 	if cfg.StateDir == "" {
 		return nil, fmt.Errorf("serve: Config.StateDir is required")
@@ -131,6 +134,9 @@ func New(cfg Config) (*Server, error) {
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Real()
+	}
+	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
+		return nil, fmt.Errorf("serve: state directory: %w", err)
 	}
 	manifest, err := robust.LoadJobManifest(robust.JobManifestPath(cfg.StateDir))
 	if err != nil {
@@ -165,11 +171,11 @@ func (s *Server) stopping() bool {
 }
 
 // Shutdown drains the server: no new campaigns start, running campaigns
-// stop at their next evaluator call (their paid-for observations are
-// already checkpointed), interrupted jobs are parked for the next boot,
-// and every subscribed event stream receives a terminal shutdown event.
-// Blocks until all campaign runners have exited. Safe to call more than
-// once.
+// stop at their next evaluator call or breaker pause (their paid-for
+// observations are already checkpointed), interrupted jobs are parked for
+// the next boot, and every subscribed event stream receives a terminal
+// shutdown event. Blocks until all campaign runners have exited. Safe to
+// call more than once.
 func (s *Server) Shutdown() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -686,5 +687,23 @@ func TestEventsForJobFromPreviousBoot(t *testing.T) {
 	}
 	if len(page.Events) != 0 || page.Next != 1 {
 		t.Fatalf("caught-up poll page %+v, want empty at cursor 1", page)
+	}
+}
+
+// TestNewCreatesStateDir: a state directory that does not exist yet is a
+// first boot. New creates it, and the first submission persists there
+// instead of failing to write the manifest.
+func TestNewCreatesStateDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fresh", "state")
+	s := newTestServer(t, func(c *Config) { c.StateDir = dir })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	sub, resp := postJob(t, ts, JobRequest{Scenario: "table2", Spaces: []string{"Area-Delay"}, Methods: []string{"DAC'19"}, Seeds: "1"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit into a fresh state directory: %d", resp.StatusCode)
+	}
+	waitStatus(t, ts, sub.ID, StatusDone)
+	if _, err := os.Stat(robust.JobManifestPath(dir)); err != nil {
+		t.Fatalf("no manifest in the created state directory: %v", err)
 	}
 }

@@ -29,12 +29,8 @@ type Options struct {
 	Campaign *eval.Campaign
 	// LeaseTTL is how long a grant lives without a heartbeat renewal
 	// (default 30s). A worker that goes silent for a full TTL loses the
-	// unit to the park-and-requeue path.
+	// unit, which requeues.
 	LeaseTTL time.Duration
-	// RequeueDelay holds a breaker-parked unit out of the grant queue after
-	// its worker reported an open breaker (default LeaseTTL/4), so a
-	// worker-side outage isn't replayed against the next worker instantly.
-	RequeueDelay time.Duration
 	// Clock paces lease deadlines; defaults to the wall clock. Tests install
 	// a clock.Fake so every expiry scenario resolves in microseconds.
 	Clock clock.Clock
@@ -55,9 +51,6 @@ type Options struct {
 func (o *Options) setDefaults() {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
-	}
-	if o.RequeueDelay <= 0 {
-		o.RequeueDelay = o.LeaseTTL / 4
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real()
@@ -113,9 +106,8 @@ type Coordinator struct {
 	done      []bool
 	remaining int
 
-	queue     []int
-	notBefore map[int]time.Time
-	workers   []*workerState
+	queue   []int
+	workers []*workerState
 }
 
 // New builds a coordinator for the campaign.
@@ -128,11 +120,10 @@ func New(opt Options) (*Coordinator, error) {
 	}
 	opt.setDefaults()
 	co := &Coordinator{
-		opt:       opt,
-		ck:        opt.Campaign.Checkpoint,
-		ledger:    NewLedger(),
-		idxByKey:  map[string]int{},
-		notBefore: map[int]time.Time{},
+		opt:      opt,
+		ck:       opt.Campaign.Checkpoint,
+		ledger:   NewLedger(),
+		idxByKey: map[string]int{},
 	}
 	if co.ck == nil {
 		co.ck = robust.NewCampaignCheckpoint("")
@@ -180,14 +171,14 @@ func (co *Coordinator) Stats() Stats { return co.ledger.Stats() }
 // Run drives the campaign to completion: workers arriving on conns are
 // registered (each must lead with a hello), units are leased out, progress
 // is merged, and the assembled table is returned once every unit is done.
-// The first hard unit failure aborts deterministically; breaker-parked
-// failures, lease expiries and worker deaths requeue instead. Workers still
-// connected at the end are sent a shutdown message, unless the coordinator
-// was deposed: then their connections only close, so reconnecting workers
-// move on to the standby that deposed it. A closed conns channel
-// stops registration but not the campaign. Once every unit is done, Run
-// retires a never-adopted checkpoint, folding its journal into the file; the
-// owner of an adopted one retires it (robust.CampaignCheckpoint.Retire).
+// A unit failure a worker reports aborts the campaign; lease expiries and
+// worker deaths requeue the unit instead. Workers still connected at the
+// end are sent a shutdown message, unless the coordinator was deposed:
+// then their connections only close, so reconnecting workers move on to
+// the standby that deposed it. A closed conns channel stops registration
+// but not the campaign. Once every unit is done, Run retires a
+// never-adopted checkpoint, folding its journal into the file; the owner
+// of an adopted one retires it (robust.CampaignCheckpoint.Retire).
 func (co *Coordinator) Run(ctx context.Context, conns <-chan Conn) (_ *eval.Table, err error) {
 	events := make(chan event, 64)
 	// readersDone releases every per-connection reader goroutine when Run
@@ -209,21 +200,17 @@ func (co *Coordinator) Run(ctx context.Context, conns <-chan Conn) (_ *eval.Tabl
 
 	for co.remaining > 0 {
 		now := co.opt.Clock.Now()
-		if err := co.expire(now); err != nil {
-			return nil, co.asDeposed(err)
-		}
+		co.expire(now)
 		if err := co.assign(now); err != nil {
 			return nil, co.asDeposed(err)
 		}
 		if co.remaining == 0 {
 			break
 		}
-		// Arm the expiry alarm for the next decision point: the earliest
-		// active-lease deadline, or — when an idle worker is waiting on a
-		// requeue-delayed unit — the earliest notBefore. No wake target
-		// means the next event must come from a worker; sleep on the
-		// channels alone.
-		if at, ok := co.nextWake(); ok && (alarmCancel == nil || !at.Equal(alarmAt)) {
+		// Arm the expiry alarm for the earliest active-lease deadline. No
+		// deadline means the next event must come from a worker; sleep on
+		// the channels alone.
+		if at, ok := co.ledger.NextDeadline(); ok && (alarmCancel == nil || !at.Equal(alarmAt)) {
 			if alarmCancel != nil {
 				alarmCancel()
 			}
@@ -292,60 +279,30 @@ func (co *Coordinator) armAlarm(ctx context.Context, d time.Duration, ch chan<- 
 	return cancel
 }
 
-// nextWake picks the earliest instant at which the loop must act without a
-// worker event arriving.
-func (co *Coordinator) nextWake() (time.Time, bool) {
-	at, ok := co.ledger.NextDeadline()
-	if co.idleWorker() != nil {
-		for _, idx := range co.queue {
-			nb, delayed := co.notBefore[idx]
-			if !delayed {
-				continue
-			}
-			if !ok || nb.Before(at) {
-				at, ok = nb, true
-			}
-		}
-	}
-	return at, ok
-}
-
-// expire reclaims every lease whose deadline passed, through the
-// park-and-requeue path.
-func (co *Coordinator) expire(now time.Time) error {
+// expire reclaims every lease whose deadline passed and requeues its unit.
+func (co *Coordinator) expire(now time.Time) {
 	for _, key := range co.ledger.Expired(now) {
 		co.ledger.Reclaim(key)
-		if err := co.requeue(key, now, 0); err != nil {
-			return err
-		}
-		co.logLease("lease expired; unit %s parked and requeued", key)
+		co.requeue(key)
+		co.logLease("lease expired; unit %s requeued", key)
 	}
-	return nil
 }
 
-// requeue parks key and returns it to the grant queue, optionally not
-// before now+delay. The holding worker, if any, stays marked busy: a silent
-// worker is presumed wedged until it reports or its connection dies, so it
-// is never double-booked.
-func (co *Coordinator) requeue(key string, now time.Time, delay time.Duration) error {
+// requeue returns key to the grant queue. The holding worker, if any, stays
+// marked busy: a silent worker is presumed wedged until it reports or its
+// connection dies, so it is never double-booked.
+func (co *Coordinator) requeue(key string) {
 	idx, ok := co.idxByKey[key]
 	if !ok || co.done[idx] {
-		return nil
-	}
-	if err := co.ck.Park(key); err != nil {
-		return err
+		return
 	}
 	for _, q := range co.queue {
 		if q == idx {
-			return nil
+			return
 		}
 	}
 	co.queue = append(co.queue, idx)
 	sort.Ints(co.queue)
-	if delay > 0 {
-		co.notBefore[idx] = now.Add(delay)
-	}
-	return nil
 }
 
 // idleWorker returns a registered, alive, unleased worker (first-connected
@@ -359,31 +316,20 @@ func (co *Coordinator) idleWorker() *workerState {
 	return nil
 }
 
-// assign grants eligible queued units to idle workers.
+// assign grants queued units, in enumeration order, to idle workers.
 func (co *Coordinator) assign(now time.Time) error {
-	for {
+	for len(co.queue) > 0 {
 		w := co.idleWorker()
 		if w == nil {
 			return nil
 		}
-		pos := -1
-		for i, idx := range co.queue {
-			if nb, delayed := co.notBefore[idx]; delayed && now.Before(nb) {
-				continue
-			}
-			pos = i
-			break
-		}
-		if pos < 0 {
-			return nil
-		}
-		idx := co.queue[pos]
-		co.queue = append(co.queue[:pos], co.queue[pos+1:]...)
-		delete(co.notBefore, idx)
+		idx := co.queue[0]
+		co.queue = co.queue[1:]
 		if err := co.grant(w, idx, now); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // grant leases unit idx to worker w: epoch from the ledger, lease record
@@ -393,9 +339,6 @@ func (co *Coordinator) grant(w *workerState, idx int, now time.Time) error {
 	key := co.keys[idx]
 	epoch := co.ledger.Grant(key, w.id, now, co.opt.LeaseTTL)
 	if err := co.ck.Lease(key, epoch, w.id); err != nil {
-		return err
-	}
-	if err := co.ck.Unpark(key); err != nil {
 		return err
 	}
 	state, _ := co.ck.PartialRandState(key)
@@ -423,7 +366,7 @@ func (co *Coordinator) grant(w *workerState, idx int, now time.Time) error {
 	if err != nil {
 		// The reader goroutine will deliver the death event; reclaim now so
 		// the unit doesn't wait out a full TTL on a connection known dead.
-		return co.workerLost(w, co.opt.Clock.Now())
+		co.workerLost(w)
 	}
 	return nil
 }
@@ -436,7 +379,8 @@ func (co *Coordinator) handle(ev event) error {
 	}
 	now := co.opt.Clock.Now()
 	if ev.err != nil {
-		return co.workerLost(w, now)
+		co.workerLost(w)
+		return nil
 	}
 	msg := ev.msg
 	switch msg.Type {
@@ -462,7 +406,7 @@ func (co *Coordinator) handle(ev event) error {
 			}
 		}
 		if err := w.conn.Send(Msg{Type: MsgWelcome, Generation: co.gen}); err != nil {
-			return co.workerLost(w, now)
+			co.workerLost(w)
 		}
 	case MsgObs:
 		idx, ok := co.idxByKey[msg.Key]
@@ -480,7 +424,7 @@ func (co *Coordinator) handle(ev event) error {
 		// Acknowledge even observations for already-done units: the worker
 		// only needs to know it can drop the retransmit buffer entry.
 		if err := w.conn.Send(Msg{Type: MsgObsAck, Key: msg.Key, Index: msg.Obs.Index}); err != nil {
-			return co.workerLost(w, now)
+			co.workerLost(w)
 		}
 	case MsgHeartbeat:
 		co.ledger.Renew(msg.Key, msg.Epoch, now, co.opt.LeaseTTL)
@@ -491,12 +435,24 @@ func (co *Coordinator) handle(ev event) error {
 		// Accepted, duplicate and zombie results are acknowledged alike:
 		// in every case the worker is done retransmitting this unit.
 		if err := w.conn.Send(Msg{Type: MsgResultAck, Key: msg.Key, Epoch: msg.Epoch}); err != nil {
-			return co.workerLost(w, now)
+			co.workerLost(w)
 		}
 	case MsgFail:
-		return co.unitFailed(w, msg, now)
+		return co.unitFailed(w, msg)
 	}
 	return nil
+}
+
+// unitFailed handles a worker's fail report: the failure of a unit not yet
+// done aborts the campaign.
+func (co *Coordinator) unitFailed(w *workerState, msg Msg) error {
+	if w.key == msg.Key {
+		w.key = ""
+	}
+	if idx, ok := co.idxByKey[msg.Key]; !ok || co.done[idx] {
+		return nil
+	}
+	return fmt.Errorf("shard: unit %s failed on %s: %s", msg.Key, w.id, msg.Error)
 }
 
 // mergeResult applies the late-result rule and completes the unit when the
@@ -532,49 +488,23 @@ func (co *Coordinator) mergeResult(w *workerState, msg Msg) error {
 	return nil
 }
 
-// unitFailed handles a worker's fail report: breaker refusals park and
-// requeue (with the requeue delay), anything else aborts the campaign.
-func (co *Coordinator) unitFailed(w *workerState, msg Msg, now time.Time) error {
-	if w.key == msg.Key {
-		w.key = ""
-	}
-	idx, ok := co.idxByKey[msg.Key]
-	if !ok || co.done[idx] {
-		return nil
-	}
-	if !msg.Parked {
-		return fmt.Errorf("shard: unit %s failed on %s: %s", msg.Key, w.id, msg.Error)
-	}
-	if msg.Epoch == co.ledger.LastEpoch(msg.Key) {
-		co.ledger.Release(msg.Key)
-	}
-	if err := co.requeue(msg.Key, now, co.opt.RequeueDelay); err != nil {
-		return err
-	}
-	co.logLease("unit %s parked by %s (breaker open); requeued", msg.Key, w.id)
-	return nil
-}
-
 // workerLost marks a worker dead and reclaims its lease immediately — the
 // connection can deliver no result, so waiting out the TTL buys nothing.
-func (co *Coordinator) workerLost(w *workerState, now time.Time) error {
+func (co *Coordinator) workerLost(w *workerState) {
 	if !w.alive {
-		return nil
+		return
 	}
 	w.alive = false
 	if w.key == "" {
-		return nil
+		return
 	}
 	key := w.key
 	w.key = ""
 	if _, holder, ok := co.ledger.Current(key); ok && holder == w.id {
 		co.ledger.ReclaimLost(key)
-		if err := co.requeue(key, now, 0); err != nil {
-			return err
-		}
-		co.logLease("worker %s lost; unit %s parked and requeued", w.id, key)
+		co.requeue(key)
+		co.logLease("worker %s lost; unit %s requeued", w.id, key)
 	}
-	return nil
 }
 
 // dropFromQueue removes idx from the pending queue (a late-but-current
@@ -586,7 +516,6 @@ func (co *Coordinator) dropFromQueue(idx int) {
 			break
 		}
 	}
-	delete(co.notBefore, idx)
 }
 
 func (co *Coordinator) workerFor(c Conn) *workerState {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,61 +366,84 @@ func TestZombieResultRejected(t *testing.T) {
 	}
 }
 
-// TestParkedFailureRequeues scripts a worker-side breaker refusal: the unit
-// parks, waits out the requeue delay on the virtual clock, re-grants, and
-// completes.
-func TestParkedFailureRequeues(t *testing.T) {
-	s := miniScenario(t)
-	fc := clock.NewFake(time.Unix(0, 0))
-	var log robust.FailureLog
-	c := &eval.Campaign{Scenario: s, Seeds: []int64{1}, Spaces: eval.Spaces()[:1], Methods: []eval.Method{eval.DAC19}}
-	co, err := shard.New(shard.Options{Campaign: c, LeaseTTL: time.Minute, RequeueDelay: 10 * time.Second, Clock: fc, Log: &log})
+// failWatch counts the fail reports arriving on a coordinator-side conn.
+type failWatch struct {
+	shard.Conn
+	fails *atomic.Int64
+}
+
+func (f failWatch) Recv() (shard.Msg, error) {
+	m, err := f.Conn.Recv()
+	if err == nil && m.Type == shard.MsgFail {
+		f.fails.Add(1)
+	}
+	return m, err
+}
+
+// TestDistributedWorkerOutageIdentity runs two workers through a licence
+// outage. Each worker's fault stack is the one ppaworker builds from
+// "-outage 10s/2s -breaker 1 -max-outage 1m", on its own fake clock whose
+// first window covers the worker's first evaluations: the breaker trips
+// and pauses the unit until the window ends, the worker keeps the unit, no
+// unit fails, and the table and retired checkpoint are byte-identical to
+// the single-process run's.
+func TestDistributedWorkerOutageIdentity(t *testing.T) {
+	wantTable, wantCk := referenceRun(t)
+
+	path := filepath.Join(t.TempDir(), "dist.json")
+	co, err := shard.New(shard.Options{Campaign: miniCampaign(t, path), LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	conns := make(chan shard.Conn, 1)
-	aCoord, a := transport.Loopback()
-	conns <- aCoord
-
-	var table *eval.Table
-	var runErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		table, runErr = co.Run(ctx, conns)
-	}()
-
-	mustSend(t, a, shard.Msg{Type: shard.MsgHello, Worker: "a"})
-	g1 := mustRecv(t, a, shard.MsgGrant)
-	mustSend(t, a, shard.Msg{Type: shard.MsgFail, Key: g1.Key, Epoch: g1.Epoch, Error: robust.ErrBreakerOpen.Error(), Parked: true})
-
-	// The requeue delay passes on the virtual clock and the unit comes back.
-	g2 := mustRecv(t, a, shard.MsgGrant)
-	if g2.Key != g1.Key || g2.Epoch <= g1.Epoch {
-		t.Fatalf("re-grant = %+v after %+v", g2, g1)
+	var fails atomic.Int64
+	conns := make(chan shard.Conn, 2)
+	var stacks []eval.FaultStack
+	for i := 0; i < 2; i++ {
+		st, err := eval.FaultConfig{Outage: "10s/2s", Breaker: 1, MaxOutage: time.Minute}.Build(ctx, 1, clock.NewFake(time.Unix(0, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks = append(stacks, st)
+		coordSide, workerSide := transport.Loopback()
+		conns <- failWatch{Conn: coordSide, fails: &fails}
+		opts := shard.WorkerOptions{ID: fmt.Sprintf("w%d", i), Scenario: resolveMini(t), Run: eval.RunOpts{Wrap: st.Wrap}}
+		go func() { _ = shard.RunWorker(ctx, workerSide, opts) }()
 	}
-	res, end, err := eval.ExecuteUnit(s, eval.Spaces()[0], *g2.Unit, g2.RandState, g2.Replay, eval.RunOpts{}, nil)
+	table, err := co.Run(ctx, conns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSend(t, a, shard.Msg{Type: shard.MsgResult, Key: g2.Key, Epoch: g2.Epoch, Result: &res, RandEnd: end})
-
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
+	if got := table.Format(); got != wantTable {
+		t.Fatalf("table through worker outages differs:\n%s\n--- want ---\n%s", got, wantTable)
 	}
-	if table == nil {
-		t.Fatal("no table")
+	gotCk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := co.Stats(); st.Granted != 2 {
-		t.Fatalf("stats = %+v, want 2 grants", st)
+	if string(gotCk) != string(wantCk) {
+		t.Fatalf("checkpoint through worker outages differs:\n%s\n--- want ---\n%s", gotCk, wantCk)
+	}
+	if n := fails.Load(); n != 0 {
+		t.Fatalf("the coordinator received %d fail reports, want none", n)
+	}
+	injected := 0
+	for i, st := range stacks {
+		var n int
+		if _, err := fmt.Sscanf(strings.TrimPrefix(st.Summary(), "schedule 10s/2s, "), "%d outage failures injected", &n); err != nil {
+			t.Fatalf("w%d outage summary %q: %v", i, st.Summary(), err)
+		}
+		injected += n
+		t.Logf("w%d outage: %s", i, st.Summary())
+	}
+	if injected == 0 {
+		t.Fatal("no worker's evaluation met an injected outage")
 	}
 }
 
-// TestHardFailureAborts: a non-parked unit failure aborts the campaign with
-// a labelled error.
+// TestHardFailureAborts: a unit failure aborts the campaign with a labelled
+// error.
 func TestHardFailureAborts(t *testing.T) {
 	s := miniScenario(t)
 	c := &eval.Campaign{Scenario: s, Seeds: []int64{1}, Spaces: eval.Spaces()[:1], Methods: []eval.Method{eval.DAC19}}

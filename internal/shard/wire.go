@@ -6,9 +6,11 @@
 // each fresh observation back as it is paid for, and ship the unit's scored
 // result plus serialised RNG end state for merge into the single
 // CampaignCheckpoint. Worker death, heartbeat loss and lease expiry all
-// reclaim the unit through the campaign's park-and-requeue path;
-// renew/reclaim races are resolved by monotonically increasing lease
-// epochs, so a zombie worker's late result is detected and discarded.
+// reclaim the unit and requeue it for the next idle worker; renew/reclaim
+// races are resolved by monotonically increasing lease epochs, so a zombie
+// worker's late result is detected and discarded. A licence outage never
+// reaches the protocol: the worker's circuit breaker pauses the
+// evaluation, and its heartbeats keep the lease meanwhile.
 //
 // Because every unit's random stream is derived from (seed, unit key) and
 // observations merge idempotently, the merged checkpoint and the assembled
@@ -57,7 +59,7 @@ const (
 	// RandEnd.
 	MsgResult MsgType = "result"
 	// MsgFail reports a unit failure (worker → coordinator): Key, Epoch,
-	// Error; Parked marks a breaker refusal (park and requeue, don't abort).
+	// Error. It fails the campaign.
 	MsgFail MsgType = "fail"
 	// MsgShutdown tells a worker to exit (coordinator → worker).
 	MsgShutdown MsgType = "shutdown"
@@ -78,7 +80,6 @@ type Msg struct {
 	Result      *eval.UnitResult     `json:"result,omitempty"`
 	RandEnd     []byte               `json:"rand_end,omitempty"`
 	Error       string               `json:"error,omitempty"`
-	Parked      bool                 `json:"parked,omitempty"`
 	// Generation is the coordinator's checkpoint-fencing generation
 	// (welcome messages).
 	Generation uint64 `json:"generation,omitempty"`

@@ -27,7 +27,8 @@ type WorkerOptions struct {
 	Space func(name string) (eval.ObjSpace, error)
 	// Run is the base harness configuration applied to every unit — the
 	// place to hang the resilient-evaluator middleware (robust retries,
-	// breaker, chaos under test).
+	// breaker, chaos under test). A breaker pauses the unit through an
+	// outage while the heartbeats keep its lease.
 	Run eval.RunOpts
 	// HeartbeatEvery paces lease renewals while a unit computes. Zero
 	// derives a third of the granted lease TTL.
@@ -86,10 +87,8 @@ func CheckWorkerFlags(args []string) error {
 // stall both sides' send windows. RunWorker closes conn on return to
 // release that goroutine.
 //
-// Unit failures are reported, not returned: a breaker refusal
-// (robust.ErrBreakerOpen) ships as a parked failure for the coordinator to
-// requeue, anything else as a hard failure for it to abort on. RunWorker
-// itself only fails on transport errors.
+// Unit failures are reported, not returned: the coordinator aborts the
+// campaign on them. RunWorker itself only fails on transport errors.
 func RunWorker(ctx context.Context, conn Conn, opt WorkerOptions) error {
 	if opt.Scenario == nil {
 		opt.Scenario = eval.StandardScenario
@@ -202,13 +201,7 @@ func runGrant(ctx context.Context, conn Conn, opt WorkerOptions, msg Msg) error 
 		return conn.Send(Msg{Type: MsgObs, Key: msg.Key, Epoch: msg.Epoch, Obs: &o})
 	})
 	if runErr != nil {
-		return conn.Send(Msg{
-			Type:   MsgFail,
-			Key:    msg.Key,
-			Epoch:  msg.Epoch,
-			Error:  runErr.Error(),
-			Parked: errors.Is(runErr, robust.ErrBreakerOpen),
-		})
+		return conn.Send(Msg{Type: MsgFail, Key: msg.Key, Epoch: msg.Epoch, Error: runErr.Error()})
 	}
 	return conn.Send(Msg{Type: MsgResult, Key: msg.Key, Epoch: msg.Epoch, Result: &res, RandEnd: end})
 }

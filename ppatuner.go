@@ -201,8 +201,8 @@ type CampaignCheckpoint = robust.CampaignCheckpoint
 var LoadCampaignCheckpoint = robust.LoadCampaignCheckpoint
 
 // CircuitBreaker converts per-call failures into a run-level "the
-// infrastructure is down" signal; ResilientOptions.Breaker and
-// Campaign.Breaker take one.
+// infrastructure is down" signal: while it is open, every evaluation
+// pauses. ResilientOptions.Breaker takes one.
 type CircuitBreaker = robust.Breaker
 
 // Clock abstracts wall-clock access (now/sleep) for the fault-tolerance
